@@ -19,7 +19,7 @@ from .errors import (DegenerateStateError, DomainError,
 from .gains import A_DI, B_DI
 from .matkit import as_matrix, expm
 from .signals import PeClass, PwcSignal, make_duty, verify_pe
-from .simcore import ClosedLoop, Trajectory, propagate
+from .simcore import ClosedLoop, Trajectory, _segment, propagate_batch
 
 __all__ = [
     "QPartition",
@@ -188,9 +188,10 @@ def run_destabilizer(K, cls: PeClass, x0=(-1.0, 0.0),
     t = 0.0
     bp = [0.0]
     vals = []
-    times = [0.0]
-    states = [x.copy()]
+    times = [np.array([t])]
+    states = [x[np.newaxis]]
     seg_alpha = []
+    powers: dict = {}
     on_neg_axis = x[1] == 0.0 and x[0] < 0.0
     rev_norms = [float(np.linalg.norm(x))] if on_neg_axis else []
     crossings = []
@@ -218,17 +219,13 @@ def run_destabilizer(K, cls: PeClass, x0=(-1.0, 0.0),
                 "two sector crossings within 1e-12: chattering detected")
         # in-phase samples, re-marched on an exact uniform sub-grid
         nsub = max(1, int(math.ceil(tc / dt)))
-        h = tc / nsub
-        phi = expm(m, h)
-        xx = x
-        for i in range(nsub):
-            xx = phi @ xx
-            times.append(t + (i + 1) * h if i < nsub - 1 else t + tc)
-            states.append(xx)
-            seg_alpha.append(a)
+        ts, xs = _segment(powers, a, m, x, t, t + tc, tc / nsub, nsub)
+        xs[-1] = xc
+        times.append(ts)
+        states.append(xs)
+        seg_alpha.append(np.full(nsub, a))
         t += tc
         x = xc
-        states[-1] = xc
         bp.append(t)
         crossings.append({"t": t, "region_from": region})
         # committed sector cycle: 4 -> 1 -> 2 -> 3 -> 4 ...
@@ -247,8 +244,8 @@ def run_destabilizer(K, cls: PeClass, x0=(-1.0, 0.0),
     factors = [b / a for a, b in zip(rev_norms, rev_norms[1:])]
     growth = factors[-1] if factors else math.nan
     loop = ClosedLoop(A_DI, B_DI, Kmat, induced)
-    traj = Trajectory(loop, np.asarray(times), np.stack(states),
-                      np.asarray(seg_alpha))
+    traj = Trajectory(loop, np.concatenate(times), np.concatenate(states),
+                      np.concatenate(seg_alpha))
     return DestabilizerRun(traj, induced, growth, factors, pe_ok, crossings)
 
 
@@ -370,11 +367,12 @@ def worst_case_search(A, B, K, cls: PeClass, x0_list, budget: int,
                         pattern=pattern, splits=splits)
         return sig
 
+    x0_columns = np.column_stack(x0_list)
+
     def rate_of(sig: PwcSignal) -> float:
         worst = math.inf
-        for x0 in x0_list:
-            tr = propagate(ClosedLoop(A, B, K, sig), 0.0, x0, horizon,
-                           max_step)
+        for tr in propagate_batch(ClosedLoop(A, B, K, sig), 0.0, x0_columns,
+                                  horizon, max_step):
             nrm = tr.norms()
             if not np.all(np.isfinite(nrm)) or nrm[-1] <= 0.0:
                 return -math.inf

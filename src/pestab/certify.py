@@ -313,6 +313,12 @@ def estimate_eta(A, B, cls: PeClass, battery, x0_grid,
 # cone machinery (double integrator, base-gain coordinates)
 # ---------------------------------------------------------------------------
 
+def _runs(mask) -> list:
+    """(first, last) sample indices of every maximal run of True in mask."""
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], mask, [0]))))
+    return list(zip(edges[::2].tolist(), (edges[1::2] - 1).tolist()))
+
+
 def _bisect_state_functional(traj: Trajectory, seg: int, fn) -> float:
     """Zero of fn(x(t)) within sample segment seg, by bisection on exact
     dense output.  Assumes a sign change across the segment."""
@@ -345,19 +351,10 @@ def c12_sojourns(traj: Trajectory, geom: ConeGeometry) -> list:
     x1 = traj.states[:, 0]
     x2 = traj.states[:, 1]
     q = geom.cs_quadratic(x1, x2)
-    inside = q >= 0.0
+    N = len(q)
+    fn = lambda x: float(geom.cs_quadratic(x[0], x[1]))
     out = []
-    j = 0
-    N = len(inside)
-    while j < N:
-        if not inside[j]:
-            j += 1
-            continue
-        i0 = j
-        while j + 1 < N and inside[j + 1]:
-            j += 1
-        i1 = j
-        fn = lambda x: float(geom.cs_quadratic(x[0], x[1]))
+    for i0, i1 in _runs(q >= 0.0):
         if i0 > 0:
             t_enter = _bisect_state_functional(traj, i0 - 1, fn)
             left_censored = False
@@ -373,7 +370,6 @@ def c12_sojourns(traj: Trajectory, geom: ConeGeometry) -> list:
         out.append({"i0": i0, "i1": i1, "t_enter": t_enter, "t_exit": t_exit,
                     "left_censored": left_censored,
                     "right_censored": right_censored})
-        j += 1
     return out
 
 
@@ -382,20 +378,7 @@ def cs_sojourns(traj: Trajectory, geom: ConeGeometry) -> list:
     x1 = traj.states[:, 0]
     x2 = traj.states[:, 1]
     q = geom.cs_quadratic(x1, x2)
-    inside = q <= 0.0
-    out = []
-    j = 0
-    N = len(inside)
-    while j < N:
-        if not inside[j]:
-            j += 1
-            continue
-        i0 = j
-        while j + 1 < N and inside[j + 1]:
-            j += 1
-        out.append({"i0": i0, "i1": j})
-        j += 1
-    return out
+    return [{"i0": i0, "i1": i1} for i0, i1 in _runs(q <= 0.0)]
 
 
 def check_F_monotone(traj: Trajectory, rho: float, k: float, cls: PeClass,
@@ -557,7 +540,7 @@ def quadrant_battery(cls: PeClass, rho: float, k: float, lam: float, battery,
                      x0_columns, horizon: float,
                      battery_info=None) -> Certificate:
     """Apply the quadrant-energy check to every maximal stay of every run in
-    {x1 <= 0, x2 >= 0}."""
+    {x1 <= 0, x2 >= 0}; fails when no run has such a stay to check."""
     runs = di_runs(cls, rho, k, lam, battery, x0_columns, horizon,
                    polar=False)
     viol = 0
@@ -565,28 +548,19 @@ def quadrant_battery(cls: PeClass, rho: float, k: float, lam: float, battery,
     n_checked = 0
     for tr in runs:
         x1, x2 = tr.states[:, 0], tr.states[:, 1]
-        inside = (x1 <= 0.0) & (x2 >= 0.0)
-        j = 0
-        N = len(inside)
-        while j < N:
-            if not inside[j]:
-                j += 1
-                continue
-            i0 = j
-            while j + 1 < N and inside[j + 1]:
-                j += 1
-            if j - i0 >= 1:
-                sub = tr.window(i0, j)
-                cert = check_quadrant_V(sub, rho, k)
+        for i0, i1 in _runs((x1 <= 0.0) & (x2 >= 0.0)):
+            if i1 > i0:
+                cert = check_quadrant_V(tr.window(i0, i1), rho, k)
                 viol += int(cert.measured.get("violations", 0))
                 worst = max(worst, cert.measured["worst_increase"])
                 n_checked += 1
-            j += 1
-    return Certificate("quadrant_energy_battery", viol == 0,
+    notes = [] if n_checked else [
+        "vacuous: no run stayed in {x1 <= 0, x2 >= 0} for two samples"]
+    return Certificate("quadrant_energy_battery", viol == 0 and n_checked > 0,
                        {"violations": viol, "worst_increase": worst,
                         "stays_checked": n_checked},
                        _ENERGY_SLACK,
-                       battery_info or {"size": len(battery)}, [])
+                       battery_info or {"size": len(battery)}, notes)
 
 
 def check_cs_decay(traj: Trajectory, rho: float, k: float,

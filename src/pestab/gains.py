@@ -330,13 +330,6 @@ def cone_geometry(rho: float, k: float, ratio: float) -> ConeGeometry:
 # rank-2 input matrix
 # ---------------------------------------------------------------------------
 
-def gain_json(kind: str, K: np.ndarray, **params) -> dict:
-    """Serialized gain: {kind, params..., K}."""
-    out = {"kind": kind, "K": np.asarray(K, dtype=float).tolist()}
-    out.update(params)
-    return out
-
-
 def multi_input_gain(B, k: float) -> np.ndarray:
     """K = -k * B^+ for a full-row-rank 2 x m input matrix, so B K = -k Id.
 

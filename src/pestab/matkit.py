@@ -15,7 +15,6 @@ from .errors import ShapeError
 
 __all__ = [
     "as_matrix",
-    "as_vector",
     "one_norm",
     "expm",
     "eig",
@@ -36,13 +35,6 @@ def as_matrix(a, square: bool = False, name: str = "matrix") -> np.ndarray:
     if m.size and not np.all(np.isfinite(m)):
         raise ShapeError(f"{name} has non-finite entries")
     return m
-
-
-def as_vector(a, name: str = "vector") -> np.ndarray:
-    v = np.asarray(a, dtype=float).reshape(-1)
-    if v.size and not np.all(np.isfinite(v)):
-        raise ShapeError(f"{name} has non-finite entries")
-    return v
 
 
 def one_norm(m) -> float:

@@ -1,9 +1,12 @@
 """Exact propagation of x' = (A + alpha(t) B K) x for piecewise-constant alpha.
 
-On every maximal interval where the signal is constant, the state advances by
-a cached matrix exponential, so there is no integration error beyond expm
-accuracy; signal breakpoints are mandatory samples.  Crossing detection works
-on exponential dense output, never on interpolation.
+Every maximal interval where the signal is constant is cut into equal steps
+of at most max_step, and signal breakpoints are mandatory samples.  One
+expm per distinct (alpha, step) gives phi, and a per-call table of its
+powers, built by doubling in extended precision, gives all of a segment's
+samples in one matrix product: no integration error beyond expm accuracy
+and no per-sample Python loop.  Crossing detection works on exponential
+dense output, never on interpolation.
 """
 
 from __future__ import annotations
@@ -73,7 +76,7 @@ class ClosedLoop:
 
     def default_max_step(self) -> float:
         # 1e-2 of the characteristic time; also keeps per-step angle swings
-        # well under pi/4 so the polar unwrap cannot alias.
+        # far below the pi/2 that polar_lift refuses.
         return 1e-2 / self.norm_scale()
 
 
@@ -144,6 +147,33 @@ class Trajectory:
                 w.writerow(row)
 
 
+def _segment(powers: dict, a: float, m: np.ndarray, x: np.ndarray,
+             s: float, e: float, h: float, nsub: int):
+    """Samples of the constant flow x' = m x over [s, e] in nsub steps of h.
+
+    powers[(a, h)] holds the table [phi, phi^2, ...] for phi = exp(h m),
+    grown by doubling when a segment needs more steps than it has.  The
+    doubling runs in extended precision, so each power carries one float64
+    rounding instead of the rounding of every squaring before it.  Returns
+    the sample times (the last one exactly e) and the states
+    phi^1 x ... phi^nsub x, stacked along a new leading axis.
+    """
+    if (a, h) not in powers:
+        powers[(a, h)] = expm(m, h).astype(np.longdouble)[np.newaxis], None
+    ext, p = powers[(a, h)]
+    n = m.shape[0]
+    if p is None or len(p) < nsub:
+        while len(ext) < nsub:
+            top = (ext.reshape(-1, n) @ ext[-1]).reshape(ext.shape)
+            ext = np.concatenate((ext, top))
+        p = ext.astype(float)
+        powers[(a, h)] = ext, p
+    states = (p[:nsub].reshape(-1, n) @ x).reshape((nsub,) + x.shape)
+    times = s + np.arange(1, nsub + 1) * h
+    times[-1] = e
+    return times, states
+
+
 def _propagate_states(loop: ClosedLoop, t0: float, x0: np.ndarray, t1: float,
                       max_step: float | None):
     """Shared driver; x0 has shape (n, m) and states come back (N, n, m)."""
@@ -153,25 +183,22 @@ def _propagate_states(loop: ClosedLoop, t0: float, x0: np.ndarray, t1: float,
         max_step = loop.default_max_step()
     if max_step <= 0.0:
         raise DomainError("max_step must be positive")
-    times = [t0]
-    states = [x0]
+    times = [np.array([t0])]
+    states = [x0[np.newaxis]]
     seg_alpha = []
-    cache: dict = {}
+    powers: dict = {}
     x = x0
     for (s, e, a) in loop.alpha.segments(t0, t1):
         seg_len = e - s
         nsub = max(1, int(math.ceil(seg_len / max_step - 1e-12)))
-        h = seg_len / nsub
-        phi = cache.get((a, h))
-        if phi is None:
-            phi = expm(loop.matrix(a), h)
-            cache[(a, h)] = phi
-        for i in range(nsub):
-            x = phi @ x
-            times.append(e if i == nsub - 1 else s + (i + 1) * h)
-            states.append(x)
-            seg_alpha.append(a)
-    return (np.asarray(times), np.stack(states), np.asarray(seg_alpha))
+        ts, xs = _segment(powers, a, loop.matrix(a), x, s, e, seg_len / nsub,
+                          nsub)
+        x = xs[-1]
+        times.append(ts)
+        states.append(xs)
+        seg_alpha.append(np.full(nsub, a))
+    return (np.concatenate(times), np.concatenate(states),
+            np.concatenate(seg_alpha))
 
 
 def propagate(loop: ClosedLoop, t0: float, x0, t1: float,
@@ -285,11 +312,22 @@ def detect_crossing(traj: Trajectory, seg_index: int, target: HalfLine):
 def polar_lift(traj: Trajectory) -> Trajectory:
     """Attach r and continuously-unwrapped theta channels (planar only).
 
-    theta starts in (-pi, pi] and continues by nearest branch; propagate's
-    default step keeps per-step swings below pi/4, so no aliasing.
+    theta starts in (-pi, pi] and continues by nearest branch, which is
+    exact while every per-step swing stays below pi.  A step of length h on
+    level a swings the angle by at most ||M(a)||_2 h; when that bound
+    reaches pi/2 for any level, DegenerateStateError is raised instead of
+    an unwrap that may alias.
     """
     if traj.n != 2:
         raise ShapeError("polar lift requires a planar trajectory")
+    levels, level_of = np.unique(traj.seg_alpha, return_inverse=True)
+    longest = np.zeros(len(levels))
+    np.maximum.at(longest, level_of, np.diff(traj.times))
+    for a, h in zip(levels, longest):
+        if np.linalg.norm(traj.loop.matrix(float(a)), 2) * h >= 0.5 * np.pi:
+            raise DegenerateStateError(
+                f"step {h:g} at alpha={a:g} can swing the angle by pi/2 or "
+                "more; propagate with a smaller max_step")
     x1 = traj.states[:, 0]
     x2 = traj.states[:, 1]
     r = np.hypot(x1, x2)

@@ -236,6 +236,20 @@ class TestQuadrant:
         assert cert.passed
         assert cert.measured["violations"] == 0
 
+    def test_battery_without_stays_is_vacuous(self):
+        # these off-grid states decay without entering {x1 <= 0, x2 >= 0}
+        bat = make_battery(CLS, 6, seed=19).signals
+        x0 = np.array([[1.0, 2.0], [-0.5, -1.0]])
+        for tr in certify.di_runs(CLS, 0.2, 4.0, 8.0, bat, x0, 5.0,
+                                  polar=False):
+            x1, x2 = tr.states[:, 0], tr.states[:, 1]
+            assert not np.any((x1 <= 0.0) & (x2 >= 0.0))
+        cert = certify.quadrant_battery(CLS, 0.2, 4.0, 8.0, bat, x0,
+                                        horizon=5.0)
+        assert not cert.passed
+        assert cert.measured["stays_checked"] == 0
+        assert "vacuous" in cert.notes[0]
+
 
 class TestCentralConeDecay:
     def test_w_bounds_are_k_independent(self):

@@ -71,6 +71,18 @@ class TestSimulate:
                                       "bogus": 1})
         assert problems and "bogus" in problems[0]
 
+    def test_coarse_step_polar_alias_exits_1(self, tmp_path, capsys):
+        sc = {"system": {"preset": "rotation"},
+              "pe_class": {"T": 1.0, "mu": 0.5},
+              "gain": {"kind": "explicit", "K": [[0.0, 0.0]]},
+              "signal": {"kind": "constant", "value": 0.0},
+              "horizon": 12.0, "max_step": 4.0, "x0": [[1.0, 0.0]]}
+        out = tmp_path / "out"
+        assert main(["simulate", "--scenario", write_scenario(tmp_path, sc),
+                     "--out-dir", str(out)]) == 1
+        assert "pi/2" in capsys.readouterr().err
+        assert not (out / "trajectory_000.csv").exists()
+
     def test_deterministic_outputs(self, tmp_path):
         sc = write_scenario(tmp_path, DI_SCENARIO)
         out1, out2 = tmp_path / "a", tmp_path / "b"

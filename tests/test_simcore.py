@@ -176,6 +176,26 @@ class TestPolarLift:
         assert th[-1] == pytest.approx(-4.0 * math.pi, abs=1e-10)
         assert np.max(np.abs(np.diff(th))) < math.pi / 4.0
 
+    def test_coarse_step_aliasing_rejected(self):
+        # steps of 4 on a unit-speed rotation: nearest-branch unwrapping
+        # would end at theta = -6.85 instead of 12
+        loop = ClosedLoop(A_ROTATION, B_DI, np.zeros((1, 2)),
+                          PwcSignal.constant(0.0))
+        with pytest.raises(DegenerateStateError):
+            polar_lift(propagate(loop, 0.0, [1.0, 0.0], 12.0, max_step=4.0))
+        tr = polar_lift(propagate(loop, 0.0, [1.0, 0.0], 12.0, max_step=1.5))
+        assert tr.channels["theta"][-1] == pytest.approx(12.0, abs=1e-12)
+
+    def test_guard_reads_each_level(self):
+        # 0.3 steps are safe at level 0 (norm 1) but not at level 1, where
+        # the feedback raises the norm above 6
+        sig = PwcSignal.periodic((0.0, 3.0, 3.3), (0.0, 1.0))
+        loop = ClosedLoop(A_ROTATION, B_DI, [[0.0, -6.0]], sig)
+        tr = propagate(loop, 0.0, [1.0, 0.0], 3.3, max_step=0.3)
+        with pytest.raises(DegenerateStateError, match="alpha=1"):
+            polar_lift(tr)
+        polar_lift(tr.window(0, 10))
+
     def test_zero_state_rejected(self):
         loop = di_loop(PwcSignal.constant(0.0))
         tr = propagate(loop, 0.0, [1.0, 0.0], 1.0)
