@@ -223,6 +223,8 @@ def propagate_batch(loop: ClosedLoop, t0: float, x0_columns, t1: float,
     x0m = np.asarray(x0_columns, dtype=float)
     if x0m.ndim != 2 or x0m.shape[0] != loop.n:
         raise ShapeError(f"x0 columns must form an {loop.n} x m array")
+    if not np.all(np.isfinite(x0m)):
+        raise ShapeError("x0 has non-finite entries")
     times, states, seg_alpha = _propagate_states(loop, t0, x0m, t1, max_step)
     return [Trajectory(loop, times, states[:, :, j], seg_alpha)
             for j in range(x0m.shape[1])]

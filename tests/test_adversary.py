@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from pestab.adversary import (QPartition, ZetaFeedback, find_nu,
 from pestab.errors import DegenerateStateError, DomainError
 from pestab.gains import A_DI, A_ROTATION, B_DI, di_base_gain
 from pestab.signals import PeClass, verify_pe
+from pestab.simcore import ClosedLoop, propagate
 
 K11 = np.array([[-1.0, -1.0]])
 
@@ -161,6 +164,20 @@ class TestWorstCase:
         assert rep["evaluations"] == 1
         baseline = make_duty(cls, pattern="front")
         assert sig.to_json() == baseline.to_json()
+
+    def test_decay_is_worst_single_state_rate(self):
+        # the batched sweep reports what one propagate per state gives
+        cls = PeClass(1.0, 0.5)
+        x0s = [np.array([1.0, 0.0]), np.array([0.3, -0.8])]
+        K = di_base_gain(0.2, 2.0)
+        sig, rep = worst_case_search(A_DI, B_DI, K, cls, x0s, budget=1,
+                                     horizon=8.0, seed=0)
+        rates = []
+        for x0 in x0s:
+            nrm = propagate(ClosedLoop(A_DI, B_DI, K, sig), 0.0, x0,
+                            8.0).norms()
+            rates.append(-math.log(nrm[-1] / nrm[0]) / 8.0)
+        assert rep["decay"] == pytest.approx(min(rates), rel=1e-12)
 
     def test_neutral_case_always_decays(self):
         cls = PeClass(1.0, 0.5)

@@ -95,6 +95,9 @@ class TestPropagate:
             propagate(di_loop(PwcSignal.constant(1.0)), 0.0, [1.0], 1.0)
         with pytest.raises(DomainError):
             propagate(di_loop(PwcSignal.constant(1.0)), 1.0, [1.0, 0.0], 1.0)
+        with pytest.raises(ShapeError):
+            propagate_batch(di_loop(PwcSignal.constant(1.0)), 0.0,
+                            [[1.0, np.nan], [0.0, 1.0]], 1.0)
 
 
 class TestRescalingIdentity:
