@@ -43,7 +43,7 @@ def signals(draw):
 
 @st.composite
 def cases(draw):
-    """(loop, t0, x0 columns, t1, max_step) with at most ~1200 samples."""
+    """(loop, t0, x0 columns, t1, max_step) with at most about 750 samples."""
     n = draw(st.sampled_from((2, 3)))
     entries = st.floats(-1.0, 1.0)
     A = np.array(draw(st.lists(entries, min_size=n * n, max_size=n * n)))
