@@ -322,11 +322,10 @@ def polar_lift(traj: Trajectory) -> Trajectory:
     """
     if traj.n != 2:
         raise ShapeError("polar lift requires a planar trajectory")
-    levels, level_of = np.unique(traj.seg_alpha, return_inverse=True)
-    longest = np.zeros(len(levels))
-    np.maximum.at(longest, level_of, np.diff(traj.times))
-    for a, h in zip(levels, longest):
-        if np.linalg.norm(traj.loop.matrix(float(a)), 2) * h >= 0.5 * np.pi:
+    steps = np.diff(traj.times)
+    for a in sorted(set(traj.seg_alpha.tolist())):
+        h = steps[traj.seg_alpha == a].max()
+        if np.linalg.norm(traj.loop.matrix(a), 2) * h >= 0.5 * np.pi:
             raise DegenerateStateError(
                 f"step {h:g} at alpha={a:g} can swing the angle by pi/2 or "
                 "more; propagate with a smaller max_step")

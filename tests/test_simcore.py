@@ -191,10 +191,11 @@ class TestPolarLift:
 
     def test_guard_reads_each_level(self):
         # 0.3 steps are safe at level 0 (norm 1) but not at level 1, where
-        # the feedback raises the norm above 6
+        # the feedback raises the norm above 6; the last level-1 piece has
+        # a safe 0.05 step, so the guard must read the longest step
         sig = PwcSignal.periodic((0.0, 3.0, 3.3), (0.0, 1.0))
         loop = ClosedLoop(A_ROTATION, B_DI, [[0.0, -6.0]], sig)
-        tr = propagate(loop, 0.0, [1.0, 0.0], 3.3, max_step=0.3)
+        tr = propagate(loop, 0.0, [1.0, 0.0], 6.35, max_step=0.3)
         with pytest.raises(DegenerateStateError, match="alpha=1"):
             polar_lift(tr)
         polar_lift(tr.window(0, 10))
