@@ -20,8 +20,8 @@ from .gains import (A_DI, B_DI, ConeGeometry, cone_geometry, di_base_gain,
 from .matkit import as_matrix, expm, one_norm
 from .reachability import kalman_rank
 from .signals import PeClass, PwcSignal, make_duty, rescale_time
-from .simcore import ClosedLoop, Trajectory, fmap_F, polar_lift, propagate, \
-    propagate_batch
+from .simcore import (_CROSSING_REL_TOL, ClosedLoop, Trajectory, fmap_F,
+                      polar_lift, propagate, propagate_batch)
 
 __all__ = [
     "Certificate",
@@ -223,7 +223,13 @@ def envelope_holds(trajs, C: float, gamma: float, slack: float = 1e-12):
 
 def check_V_neutral(traj: Trajectory, B, r: float = 1.0) -> Certificate:
     """V = ||x||^2/2 must never increase, and on constant-gate stretches its
-    centered difference must match -r alpha ||B^T x||^2 to O(h^2)."""
+    centered difference must match -r alpha ||B^T x||^2 to O(h^2).
+
+    The derivative check covers every interior sample j whose two adjacent
+    steps share one gate value and one length (within 1e-12), all at once;
+    the tolerance 2 h^2 (||M(a)||_1 + 1)^3 2V takes one matrix norm per
+    distinct level.  A FAIL names the first sample whose error exceeds its
+    tolerance."""
     B = as_matrix(B)
     V = 0.5 * np.sum(traj.states ** 2, axis=1)
     dV = np.diff(V)
@@ -233,34 +239,32 @@ def check_V_neutral(traj: Trajectory, B, r: float = 1.0) -> Certificate:
 
     bn2 = np.sum((traj.states @ B) ** 2, axis=1)
     a = traj.seg_alpha
-    max_err = 0.0
-    max_tol = 0.0
-    for j in range(1, len(traj.times) - 1):
-        if a[j - 1] != a[j]:
-            continue
-        h1 = traj.times[j] - traj.times[j - 1]
-        h2 = traj.times[j + 1] - traj.times[j]
-        if abs(h1 - h2) > 1e-12 * max(h1, h2):
-            continue
-        cd = (V[j + 1] - V[j - 1]) / (h1 + h2)
-        model = -r * a[j] * bn2[j]
-        m = traj.loop.matrix(float(a[j]))
-        scale = (one_norm(m) + 1.0) ** 3 * (2.0 * V[j])
-        tol = 2.0 * h1 * h1 * scale + 1e-300
-        err = abs(cd - model)
-        max_err = max(max_err, err)
-        max_tol = max(max_tol, tol)
-        if err > tol:
-            return Certificate(
-                "energy_identity", False,
-                {"worst_derivative_error": err, "tolerance_at_worst": tol,
-                 "monotonicity_violations": mono_viol},
-                _ENERGY_SLACK, {}, [f"derivative mismatch at sample {j}"])
+    t = traj.times
+    h1, h2 = t[1:-1] - t[:-2], t[2:] - t[1:-1]
+    ok = (a[:-1] == a[1:]) & (np.abs(h1 - h2) <= 1e-12 * np.maximum(h1, h2))
+    j = np.flatnonzero(ok) + 1
+    h1, h2, aj = h1[ok], h2[ok], a[j]
+    cd = (V[j + 1] - V[j - 1]) / (h1 + h2)
+    model = -r * aj * bn2[j]
+    growth = np.empty_like(aj)
+    for lvl in set(aj.tolist()):
+        growth[aj == lvl] = (one_norm(traj.loop.matrix(lvl)) + 1.0) ** 3
+    tol = 2.0 * h1 * h1 * (growth * (2.0 * V[j])) + 1e-300
+    err = np.abs(cd - model)
+    bad = np.flatnonzero(err > tol)
+    if len(bad):
+        i = bad[0]
+        return Certificate(
+            "energy_identity", False,
+            {"worst_derivative_error": err[i], "tolerance_at_worst": tol[i],
+             "monotonicity_violations": mono_viol},
+            _ENERGY_SLACK, {}, [f"derivative mismatch at sample {j[i]}"])
     passed = mono_viol == 0
     return Certificate(
         "energy_identity", passed,
         {"monotonicity_violations": mono_viol, "worst_increase": worst_mono,
-         "max_derivative_error": max_err, "max_derivative_tol": max_tol},
+         "max_derivative_error": float(np.max(err, initial=0.0)),
+         "max_derivative_tol": float(np.max(tol, initial=0.0))},
         _ENERGY_SLACK, {}, [])
 
 
@@ -327,7 +331,7 @@ def _bisect_state_functional(traj: Trajectory, seg: int, fn) -> float:
     f_lo = fn(traj.states[seg])
     m = traj.loop.matrix(float(traj.seg_alpha[seg]))
     base_x = traj.states[seg]
-    tol = 1e-12 * (t_hi - t_lo)
+    tol = _CROSSING_REL_TOL * (t_hi - t_lo)
     lo, hi = t_lo, t_hi
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
@@ -402,16 +406,10 @@ def check_F_monotone(traj: Trajectory, rho: float, k: float, cls: PeClass,
 
     W = cls.T / lam
     t = traj.times
-    c_hat = math.inf
-    n_windows = 0
     ends = np.searchsorted(t, t + W, side="left")
-    for i in range(len(t)):
-        j = ends[i]
-        if j >= len(t):
-            break
-        drop = F[i] - F[j]
-        c_hat = min(c_hat, drop * lam / (cls.mu * k))
-        n_windows += 1
+    i = np.flatnonzero(ends < len(t))
+    n_windows = len(i)
+    c_hat = np.min((F[i] - F[ends[i]]) * lam / (cls.mu * k), initial=math.inf)
     measured = {"max_F_step_increase": worst,
                 "monotonicity_violations": mono_viol,
                 "n_windows": n_windows}
@@ -514,12 +512,8 @@ def check_quadrant_V(traj: Trajectory, rho: float, k: float) -> Certificate:
     stays in {x1 <= 0, x2 >= 0}; the check clips to the maximal prefix of
     the trajectory inside that set."""
     x1, x2 = traj.states[:, 0], traj.states[:, 1]
-    inside = (x1 <= 0.0) & (x2 >= 0.0)
-    n_prefix = 0
-    for flag in inside:
-        if not flag:
-            break
-        n_prefix += 1
+    exits = np.flatnonzero(~((x1 <= 0.0) & (x2 >= 0.0)))
+    n_prefix = int(exits[0]) if len(exits) else len(x1)
     if n_prefix < 2:
         return Certificate("quadrant_energy", True,
                            {"prefix_samples": n_prefix, "worst_increase": 0.0},
@@ -679,15 +673,12 @@ def comparison_c2(rho: float, k: float, ratio: float) -> Certificate:
     tr = propagate(loop, 0.0, x0, H)
     x2 = tr.states[:, 1]
     x1 = tr.states[:, 0]
-    cross_seg = None
-    for j in range(len(x2) - 1):
-        if x2[j] > 0.0 and x2[j + 1] <= 0.0:
-            cross_seg = j
-            break
-    if cross_seg is None:
+    hits = np.flatnonzero((x2[:-1] > 0.0) & (x2[1:] <= 0.0))
+    if not len(hits):
         return Certificate("outer_sweep_contraction", False,
                            {"horizon": H}, None, {},
                            ["no axis crossing within the horizon"])
+    cross_seg = int(hits[0])
     tc = _bisect_state_functional(tr, cross_seg, lambda x: float(x[1]))
     xc = tr.state_at(tc)
     contraction = float(np.linalg.norm(xc))
@@ -714,15 +705,10 @@ def _axis_representatives(traj: Trajectory) -> list:
     """One representative time per connected stay of the trajectory on the
     horizontal axis."""
     x2 = traj.states[:, 1]
-    times = []
     span = traj.times[-1] - traj.times[0]
-    for j in range(len(x2) - 1):
-        if x2[j] == 0.0:
-            times.append(float(traj.times[j]))
-        elif x2[j] * x2[j + 1] < 0.0:
-            times.append(_bisect_state_functional(traj, j, lambda x: float(x[1])))
-    if len(x2) and x2[-1] == 0.0:
-        times.append(float(traj.times[-1]))
+    times = traj.times[x2 == 0.0].tolist()
+    for j in np.flatnonzero(x2[:-1] * x2[1:] < 0.0):
+        times.append(_bisect_state_functional(traj, j, lambda x: float(x[1])))
     # merge representatives closer than a sliver of the horizon: they belong
     # to one connected component (e.g. an exact stall on the axis)
     merged = []

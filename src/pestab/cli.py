@@ -17,7 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, adversary, certify
+from . import (__version__, adversary, certify, reachability, signals,
+               simcore)
 from .errors import (ConstructionError, DegenerateStateError, DomainError,
                      InsufficientDataError, InternalConsistencyError,
                      NotNeutrallyStable, PestabError, PreconditionError,
@@ -39,16 +40,16 @@ _RUNTIME_ERRORS = (ConstructionError, InternalConsistencyError,
 LEMMA_SELECTORS = ("claim1", "multi", "finite", "ff00", "ff01", "final0",
                    "c2", "ouf0", "technic", "q1yes")
 
+# The tolerances the checks use, read from the modules that use them.
 TOLERANCES = {
-    "expm_rel": 1e-12,
-    "pe_slack": 1e-12,
-    "crossing_rel": 1e-12,
-    "energy_slack": 1e-10,
-    "f_slack": 1e-9,
-    "gramian_rel": 1e-9,
-    "eta_margin": 1e-5,
-    "kl_rate_margin": 0.05,
-    "kl_const_margin": 0.25,
+    "pe_slack": signals._PE_SLACK,
+    "crossing_rel": simcore._CROSSING_REL_TOL,
+    "energy_slack": certify._ENERGY_SLACK,
+    "f_slack": certify._F_SLACK,
+    "gramian_rel": reachability._CTRL_TOL,
+    "eta_margin": certify._ETA_MARGIN,
+    "kl_rate_margin": certify._KL_RATE_MARGIN,
+    "kl_const_margin": certify._KL_CONST_MARGIN,
 }
 
 

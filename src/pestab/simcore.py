@@ -36,6 +36,9 @@ __all__ = [
 CSV_COLUMNS = ("t", "x", "alpha", "V", "r", "theta", "F_theta")
 
 _CROSSING_REL_TOL = 1e-12
+# ClosedLoop.matrix caches A + a BK per level; a signal with many distinct
+# levels would otherwise grow the cache without bound.
+_MATS_CAP = 256
 
 
 @dataclass(eq=False)
@@ -67,6 +70,8 @@ class ClosedLoop:
     def matrix(self, a: float) -> np.ndarray:
         m = self._mats.get(a)
         if m is None:
+            if len(self._mats) >= _MATS_CAP:
+                self._mats.clear()
             m = self.A + a * self._bk
             self._mats[a] = m
         return m
@@ -314,11 +319,14 @@ def detect_crossing(traj: Trajectory, seg_index: int, target: HalfLine):
 def polar_lift(traj: Trajectory) -> Trajectory:
     """Attach r and continuously-unwrapped theta channels (planar only).
 
-    theta starts in (-pi, pi] and continues by nearest branch, which is
-    exact while every per-step swing stays below pi.  A step of length h on
-    level a swings the angle by at most ||M(a)||_2 h; when that bound
-    reaches pi/2 for any level, DegenerateStateError is raised instead of
-    an unwrap that may alias.
+    theta starts in (-pi, pi] and continues by nearest branch: each step
+    adds the whole turns round(-diff(arctan2)/2pi), summed cumulatively.  A
+    step of length h on level a swings the angle by at most ||M(a)||_2 h;
+    when that bound reaches pi/2 for any level, DegenerateStateError is
+    raised instead of an unwrap that may alias.  Below it every wrapped
+    difference lies within a quarter turn of a whole number, so the summed
+    turns are those of a sample-by-sample nearest-branch recursion and
+    theta equals its floats exactly.
     """
     if traj.n != 2:
         raise ShapeError("polar lift requires a planar trajectory")
@@ -335,11 +343,13 @@ def polar_lift(traj: Trajectory) -> Trajectory:
     if np.any(r < 1e-300):
         raise DegenerateStateError("zero state has no direction")
     base = np.arctan2(x2, x1)
-    theta = np.empty_like(base)
-    theta[0] = base[0] if base[0] != -np.pi else np.pi
     two_pi = 2.0 * np.pi
-    for j in range(1, len(base)):
-        theta[j] = base[j] + two_pi * np.round((theta[j - 1] - base[j]) / two_pi)
+    turns = np.concatenate(([float(base[0] == -np.pi)],
+                            np.round(-np.diff(base) / two_pi)))
+    theta = base + two_pi * np.cumsum(turns)
+    theta[0] = base[0] if base[0] != -np.pi else np.pi
+    # a zero angle keeps the sign the nearest-branch recursion would give it
+    theta[1:][(theta[1:] == 0.0) & np.signbit(base[1:]) & (theta[:-1] < 0.0)] = -0.0
     return traj.with_channels(r=r, theta=theta)
 
 

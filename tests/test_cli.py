@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from pestab import certify, reachability, signals, simcore
 from pestab.cli import main
 from pestab.scenarios import validate_scenario
 
@@ -235,3 +236,21 @@ class TestVersion:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+
+class TestMetadata:
+    def test_tolerances_are_the_module_constants(self, tmp_path):
+        sc = write_scenario(tmp_path, DI_SCENARIO)
+        out = tmp_path / "out"
+        assert main(["simulate", "--scenario", sc, "--out-dir", str(out)]) == 0
+        meta = json.loads((out / "summary.json").read_text())["meta"]
+        assert meta["tolerances"] == {
+            "pe_slack": signals._PE_SLACK,
+            "crossing_rel": simcore._CROSSING_REL_TOL,
+            "energy_slack": certify._ENERGY_SLACK,
+            "f_slack": certify._F_SLACK,
+            "gramian_rel": reachability._CTRL_TOL,
+            "eta_margin": certify._ETA_MARGIN,
+            "kl_rate_margin": certify._KL_RATE_MARGIN,
+            "kl_const_margin": certify._KL_CONST_MARGIN,
+        }

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from pestab import simcore
 from pestab.errors import DegenerateStateError, DomainError, ShapeError
 from pestab.gains import A_DI, A_ROTATION, B_DI, di_base_gain
 from pestab.matkit import expm
@@ -87,6 +88,15 @@ class TestPropagate:
             # gemm vs gemv BLAS kernels may round an ulp apart
             assert np.allclose(batch[j].states, single.states,
                                rtol=1e-13, atol=1e-15)
+
+    def test_level_matrix_cache_is_bounded(self):
+        loop = di_loop(PwcSignal.constant(0.0))
+        levels = np.linspace(0.0, 1.0, 3 * simcore._MATS_CAP + 1)
+        for a in levels:
+            m = loop.matrix(float(a))
+            assert len(loop._mats) <= simcore._MATS_CAP
+        np.testing.assert_array_equal(m, loop.A + levels[-1] * loop.B @ loop.K)
+        assert loop.matrix(1.0) is m
 
     def test_shape_errors(self):
         with pytest.raises(ShapeError):
