@@ -12,8 +12,8 @@ from .errors import (ConstructionError, DegenerateStateError, DomainError,
 from .signals import (PeClass, PwcSignal, integrate_signal, make_battery,
                       make_duty, rescale_time, shift, verify_pe,
                       window_average)
-from .simcore import (ClosedLoop, HalfLine, Trajectory, detect_crossing,
-                      fmap_F, polar_lift, propagate, propagate_batch)
+from .simcore import (ClosedLoop, Trajectory, crossing_time, fmap_F,
+                      polar_lift, propagate, propagate_batch)
 
 __all__ = [
     "__version__",
@@ -22,6 +22,6 @@ __all__ = [
     "InternalConsistencyError", "SimulationError", "InsufficientDataError",
     "PeClass", "PwcSignal", "integrate_signal", "window_average",
     "verify_pe", "make_duty", "shift", "rescale_time", "make_battery",
-    "ClosedLoop", "Trajectory", "HalfLine", "propagate", "propagate_batch",
-    "detect_crossing", "polar_lift", "fmap_F",
+    "ClosedLoop", "Trajectory", "propagate", "propagate_batch",
+    "crossing_time", "polar_lift", "fmap_F",
 ]

@@ -19,7 +19,8 @@ from .errors import (DegenerateStateError, DomainError,
 from .gains import A_DI, B_DI
 from .matkit import as_matrix, expm
 from .signals import PeClass, PwcSignal, make_duty, verify_pe
-from .simcore import ClosedLoop, Trajectory, _segment, propagate_batch
+from .simcore import (ClosedLoop, Trajectory, _segment, crossing_time,
+                      propagate_batch)
 
 __all__ = [
     "QPartition",
@@ -90,7 +91,8 @@ def zeta(z: ZetaFeedback, x) -> float:
 
 def _phase_crossing(m: np.ndarray, x0: np.ndarray, fn, dt: float,
                     max_steps: int = 4000):
-    """March a constant flow until fn(x) changes sign, then bisect.
+    """March a constant flow until fn(x) changes sign, then locate the
+    crossing with crossing_time.
 
     Returns (t_cross, x_cross), or None when no crossing appears within
     max_steps (the flow converges to an eigendirection instead)."""
@@ -102,21 +104,8 @@ def _phase_crossing(m: np.ndarray, x0: np.ndarray, fn, dt: float,
         x = phi @ x_prev
         f = fn(x)
         if f == 0.0 or (f > 0.0) != (f_prev > 0.0):
-            lo, hi = t_prev, t
-            x_lo = x_prev
-            tol = 1e-13 * max(dt, 1e-300)
-            while hi - lo > tol:
-                mid = 0.5 * (lo + hi)
-                fm = fn(expm(m, mid - t_prev) @ x_lo)
-                if fm == 0.0:
-                    lo = hi = mid
-                    break
-                if (fm > 0.0) == (f_prev > 0.0):
-                    lo = mid
-                else:
-                    hi = mid
-            tc = 0.5 * (lo + hi)
-            return tc, expm(m, tc - t_prev) @ x_lo
+            tc = crossing_time(m, x_prev, t_prev, t, fn)
+            return tc, expm(m, tc - t_prev) @ x_prev
         t_prev, x_prev, f_prev = t, x, f
     return None
 

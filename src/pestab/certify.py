@@ -20,7 +20,7 @@ from .gains import (A_DI, B_DI, ConeGeometry, cone_geometry, di_base_gain,
 from .matkit import as_matrix, expm, one_norm
 from .reachability import kalman_rank
 from .signals import PeClass, PwcSignal, make_duty, rescale_time
-from .simcore import (_CROSSING_REL_TOL, ClosedLoop, Trajectory, fmap_F,
+from .simcore import (ClosedLoop, Trajectory, crossing_time, fmap_F,
                       polar_lift, propagate, propagate_batch)
 
 __all__ = [
@@ -323,28 +323,6 @@ def _runs(mask) -> list:
     return list(zip(edges[::2].tolist(), (edges[1::2] - 1).tolist()))
 
 
-def _bisect_state_functional(traj: Trajectory, seg: int, fn) -> float:
-    """Zero of fn(x(t)) within sample segment seg, by bisection on exact
-    dense output.  Assumes a sign change across the segment."""
-    t_lo = float(traj.times[seg])
-    t_hi = float(traj.times[seg + 1])
-    f_lo = fn(traj.states[seg])
-    m = traj.loop.matrix(float(traj.seg_alpha[seg]))
-    base_x = traj.states[seg]
-    tol = _CROSSING_REL_TOL * (t_hi - t_lo)
-    lo, hi = t_lo, t_hi
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        f_mid = fn(expm(m, mid - t_lo) @ base_x)
-        if f_mid == 0.0:
-            return mid
-        if (f_mid > 0.0) == (f_lo > 0.0):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def c12_sojourns(traj: Trajectory, geom: ConeGeometry) -> list:
     """Maximal stays in the outer-cone union, with refined boundary times.
 
@@ -360,13 +338,13 @@ def c12_sojourns(traj: Trajectory, geom: ConeGeometry) -> list:
     out = []
     for i0, i1 in _runs(q >= 0.0):
         if i0 > 0:
-            t_enter = _bisect_state_functional(traj, i0 - 1, fn)
+            t_enter = crossing_time(*traj.segment_flow(i0 - 1), fn)
             left_censored = False
         else:
             t_enter = float(traj.times[0])
             left_censored = True
         if i1 < N - 1:
-            t_exit = _bisect_state_functional(traj, i1, fn)
+            t_exit = crossing_time(*traj.segment_flow(i1), fn)
             right_censored = False
         else:
             t_exit = float(traj.times[-1])
@@ -679,7 +657,8 @@ def comparison_c2(rho: float, k: float, ratio: float) -> Certificate:
                            {"horizon": H}, None, {},
                            ["no axis crossing within the horizon"])
     cross_seg = int(hits[0])
-    tc = _bisect_state_functional(tr, cross_seg, lambda x: float(x[1]))
+    tc = crossing_time(*tr.segment_flow(cross_seg),
+                       lambda x: float(x[1]))
     xc = tr.state_at(tc)
     contraction = float(np.linalg.norm(xc))
     # staying inside the sweeping cone until the crossing means the mod-pi
@@ -708,7 +687,8 @@ def _axis_representatives(traj: Trajectory) -> list:
     span = traj.times[-1] - traj.times[0]
     times = traj.times[x2 == 0.0].tolist()
     for j in np.flatnonzero(x2[:-1] * x2[1:] < 0.0):
-        times.append(_bisect_state_functional(traj, j, lambda x: float(x[1])))
+        times.append(crossing_time(*traj.segment_flow(j),
+                                   lambda x: float(x[1])))
     # merge representatives closer than a sliver of the horizon: they belong
     # to one connected component (e.g. an exact stall on the axis)
     merged = []

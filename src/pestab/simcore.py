@@ -5,8 +5,8 @@ of at most max_step, and signal breakpoints are mandatory samples.  One
 expm per distinct (alpha, step) gives phi, and a per-call table of its
 powers, built by doubling in extended precision, gives all of a segment's
 samples in one matrix product: no integration error beyond expm accuracy
-and no per-sample Python loop.  Crossing detection works on exponential
-dense output, never on interpolation.
+and no per-sample Python loop.  crossing_time, the one crossing
+root-finder, bisects on exponential dense output, never on interpolation.
 """
 
 from __future__ import annotations
@@ -24,10 +24,9 @@ from .signals import PwcSignal
 __all__ = [
     "ClosedLoop",
     "Trajectory",
-    "HalfLine",
     "propagate",
     "propagate_batch",
-    "detect_crossing",
+    "crossing_time",
     "polar_lift",
     "fmap_F",
     "CSV_COLUMNS",
@@ -112,8 +111,14 @@ class Trajectory:
             raise DomainError(f"t={t} outside sampled range")
         j = int(np.searchsorted(self.times, t, side="right") - 1)
         j = min(max(j, 0), len(self.times) - 2)
-        m = self.loop.matrix(float(self.seg_alpha[j]))
-        return expm(m, t - self.times[j]) @ self.states[j]
+        m, x_lo, t_lo, _ = self.segment_flow(j)
+        return expm(m, t - t_lo) @ x_lo
+
+    def segment_flow(self, j: int) -> tuple:
+        """(m, x_lo, t_lo, t_hi): the constant flow x' = m x on sample
+        segment j, in the argument order of crossing_time."""
+        return (self.loop.matrix(float(self.seg_alpha[j])), self.states[j],
+                float(self.times[j]), float(self.times[j + 1]))
 
     def with_channels(self, **named) -> "Trajectory":
         ch = dict(self.channels)
@@ -235,85 +240,26 @@ def propagate_batch(loop: ClosedLoop, t0: float, x0_columns, t1: float,
             for j in range(x0m.shape[1])]
 
 
-@dataclass(frozen=True)
-class HalfLine:
-    """A half-line through the origin: x2 = slope*x1 (or x1 = 0 if slope is
-    None) restricted by a sign on x1 (on x2 for the vertical case)."""
+def crossing_time(m: np.ndarray, x_lo: np.ndarray, t_lo: float, t_hi: float,
+                  fn) -> float:
+    """Zero of fn(x(t)) on [t_lo, t_hi] for the flow x' = m x, x(t_lo) = x_lo.
 
-    slope: float | None
-    sign: int = 0
-    closed: bool = True
-
-    def functional(self, x) -> float:
-        if self.slope is None:
-            return float(x[0])
-        return float(x[1] - self.slope * x[0])
-
-    def side_ok(self, x, tol: float = 0.0) -> bool:
-        if self.sign == 0:
-            return True
-        c = float(x[1]) if self.slope is None else float(x[0])
-        return c * self.sign > -tol
-
-    def contains(self, x, tol: float) -> bool:
-        return abs(self.functional(x)) <= tol and self.side_ok(x, tol)
-
-    @staticmethod
-    def negative_x1_axis() -> "HalfLine":
-        return HalfLine(0.0, -1)
-
-    @staticmethod
-    def positive_x1_axis() -> "HalfLine":
-        return HalfLine(0.0, +1)
-
-    @staticmethod
-    def upper(slope: float) -> "HalfLine":
-        """Half-line of slope < 0 lying in the open upper half-plane."""
-        return HalfLine(slope, -1)
-
-
-def detect_crossing(traj: Trajectory, seg_index: int, target: HalfLine):
-    """Crossing time of `target` within sample segment seg_index, or None.
-
-    Bisection on the target's linear functional evaluated on exponential
-    dense output; time accuracy 1e-12 of the segment length.  The half-line
-    sign constraint is verified at the located crossing.
+    Bisection on the exact dense output expm(m, t - t_lo) @ x_lo down to
+    _CROSSING_REL_TOL of the interval; fn must change sign across it.
     """
-    j = int(seg_index)
-    if not (0 <= j < len(traj.seg_alpha)):
-        raise DomainError("segment index out of range")
-    t_lo, t_hi = float(traj.times[j]), float(traj.times[j + 1])
-    x_lo, x_hi = traj.states[j], traj.states[j + 1]
-    g_lo, g_hi = target.functional(x_lo), target.functional(x_hi)
-    scale = max(np.linalg.norm(x_lo), np.linalg.norm(x_hi), 1e-300)
-
-    if g_lo == 0.0:
-        return t_lo if target.side_ok(x_lo, 1e-12 * scale) else None
-    if g_hi == 0.0:
-        return t_hi if target.side_ok(x_hi, 1e-12 * scale) else None
-    if g_lo * g_hi > 0.0:
-        return None
-
-    m = traj.loop.matrix(float(traj.seg_alpha[j]))
-    base_t, base_x = t_lo, x_lo
+    f_lo = fn(x_lo)
     tol = _CROSSING_REL_TOL * (t_hi - t_lo)
     lo, hi = t_lo, t_hi
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        x_mid = expm(m, mid - base_t) @ base_x
-        g_mid = target.functional(x_mid)
-        if g_mid == 0.0:
-            lo = hi = mid
-            break
-        if (g_mid > 0.0) == (g_lo > 0.0):
+        f_mid = fn(expm(m, mid - t_lo) @ x_lo)
+        if f_mid == 0.0:
+            return mid
+        if (f_mid > 0.0) == (f_lo > 0.0):
             lo = mid
         else:
             hi = mid
-    tc = 0.5 * (lo + hi)
-    xc = expm(m, tc - base_t) @ base_x
-    if not target.side_ok(xc, 1e-12 * max(float(np.linalg.norm(xc)), 1e-300)):
-        return None
-    return tc
+    return 0.5 * (lo + hi)
 
 
 def polar_lift(traj: Trajectory) -> Trajectory:

@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from pestab.adversary import (QPartition, ZetaFeedback, find_nu,
-                              run_destabilizer, worst_case_search, zeta)
+from pestab import cli, simcore
+from pestab.adversary import (QPartition, ZetaFeedback, _rotation_step,
+                              find_nu, run_destabilizer, worst_case_search,
+                              zeta)
 from pestab.errors import DegenerateStateError, DomainError
 from pestab.gains import A_DI, A_ROTATION, B_DI, di_base_gain
+from pestab.matkit import expm
 from pestab.signals import PeClass, verify_pe
 from pestab.simcore import ClosedLoop, propagate
 
@@ -151,6 +154,29 @@ class TestDestabilizer:
     def test_bad_gain_rejected(self):
         with pytest.raises(DomainError, match="Hurwitz"):
             run_destabilizer(np.array([[1.0, -1.0]]), PeClass(1.0, 0.5))
+
+    def test_crossings_bisected_to_reported_tolerance(self, monkeypatch):
+        # each sector switch lies within crossing_rel of its march step of
+        # the true zero of the switching functional, and coarsening the
+        # module constant coarsens the switches: the run uses that constant
+        cls = PeClass(1.0, 0.05)
+        tol = cli.TOLERANCES["crossing_rel"]
+        run = run_destabilizer(K11, cls, revolutions=2)
+        bk = B_DI @ K11
+        x_at = dict(zip(run.traj.times.tolist(), run.traj.states))
+        for c in run.crossings:
+            full = c["region_from"] in (2, 4)
+            m = A_DI + (1.0 if full else cls.ratio) * bk
+            fn = (lambda y: y[1] + y[0]) if full else (lambda y: y[1])
+            delta = tol * _rotation_step(m)
+            before = fn(expm(m, -delta) @ x_at[c["t"]])
+            after = fn(expm(m, delta) @ x_at[c["t"]])
+            assert before * after < 0.0
+        monkeypatch.setattr(simcore, "_CROSSING_REL_TOL", 1e-4)
+        coarse = run_destabilizer(K11, cls, revolutions=2)
+        shift = max(abs(a["t"] - b["t"])
+                    for a, b in zip(run.crossings, coarse.crossings))
+        assert 1e-9 < shift < 1e-3
 
 
 class TestWorstCase:

@@ -21,8 +21,8 @@ from pestab.gains import (A_DI, A_ROTATION, B_DI, cone_geometry,
                           di_base_gain)
 from pestab.matkit import one_norm
 from pestab.signals import PeClass, PwcSignal
-from pestab.simcore import (ClosedLoop, Trajectory, fmap_F, polar_lift,
-                            propagate)
+from pestab.simcore import (ClosedLoop, Trajectory, crossing_time, fmap_F,
+                            polar_lift, propagate)
 
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True,
                     database=None)
@@ -111,8 +111,8 @@ def ref_axis_representatives(traj):
         if x2[j] == 0.0:
             times.append(float(traj.times[j]))
         elif x2[j] * x2[j + 1] < 0.0:
-            times.append(certify._bisect_state_functional(
-                traj, j, lambda x: float(x[1])))
+            times.append(crossing_time(*traj.segment_flow(j),
+                                       lambda x: float(x[1])))
     if len(x2) and x2[-1] == 0.0:
         times.append(float(traj.times[-1]))
     merged = []
@@ -142,8 +142,7 @@ def ref_c2_t_cross(rho, k, ratio):
     x2 = tr.states[:, 1]
     for j in range(len(x2) - 1):
         if x2[j] > 0.0 and x2[j + 1] <= 0.0:
-            return certify._bisect_state_functional(
-                tr, j, lambda x: float(x[1]))
+            return crossing_time(*tr.segment_flow(j), lambda x: float(x[1]))
     return None
 
 

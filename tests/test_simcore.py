@@ -9,8 +9,8 @@ from pestab.errors import DegenerateStateError, DomainError, ShapeError
 from pestab.gains import A_DI, A_ROTATION, B_DI, di_base_gain
 from pestab.matkit import expm
 from pestab.signals import PeClass, PwcSignal, make_duty, rescale_time
-from pestab.simcore import (ClosedLoop, HalfLine, detect_crossing, fmap_F,
-                            polar_lift, propagate, propagate_batch)
+from pestab.simcore import (ClosedLoop, crossing_time, fmap_F, polar_lift,
+                            propagate, propagate_batch)
 
 CLS = PeClass(1.0, 0.5)
 
@@ -131,39 +131,27 @@ class TestRescalingIdentity:
             assert np.max(np.abs(lhs - scaled.states) / denom) < 1e-9
 
 
+def first_crossing(tr, fn):
+    """crossing_time on the first sample segment where fn changes sign."""
+    f = np.array([fn(x) for x in tr.states])
+    j = int(np.flatnonzero(f[:-1] * f[1:] < 0.0)[0])
+    return crossing_time(*tr.segment_flow(j), fn)
+
+
 class TestDetectCrossing:
     def test_free_flow_vertical_line(self):
         # x' = (x2, 0) from (-1, 1) crosses x1 = 0 at t = 1
         tr = propagate(di_loop(PwcSignal.constant(0.0)), 0.0, [-1.0, 1.0], 2.0,
                        max_step=0.4)
-        target = HalfLine(slope=None, sign=+1)  # vertical, x2 > 0 side
-        hits = [detect_crossing(tr, j, target) for j in range(len(tr.seg_alpha))]
-        hit = next(h for h in hits if h is not None)
+        hit = first_crossing(tr, lambda x: float(x[0]))
         assert hit == pytest.approx(1.0, abs=1e-12)
 
     def test_rotation_quarter_turn(self):
         loop = ClosedLoop(A_ROTATION, B_DI, np.zeros((1, 2)),
                           PwcSignal.constant(0.0))
         tr = propagate(loop, 0.0, [1.0, 0.0], 2.0, max_step=0.05)
-        target = HalfLine(slope=None, sign=+1)
-        hit = next(h for j in range(len(tr.seg_alpha))
-                   if (h := detect_crossing(tr, j, target)) is not None)
+        hit = first_crossing(tr, lambda x: float(x[0]))
         assert hit == pytest.approx(math.pi / 2.0, abs=1e-12)
-
-    def test_no_sign_change_returns_none(self):
-        tr = propagate(di_loop(PwcSignal.constant(0.0)), 0.0, [1.0, 1.0], 1.0,
-                       max_step=0.5)
-        assert detect_crossing(tr, 0, HalfLine(slope=None, sign=+1)) is None
-
-    def test_side_constraint_rejects(self):
-        # crossing of x2 = 0 happens at x1 < 0; demand x1 > 0 and get None
-        loop = ClosedLoop(A_ROTATION, B_DI, np.zeros((1, 2)),
-                          PwcSignal.constant(0.0))
-        tr = propagate(loop, 0.0, [0.0, 1.0], 3.0, max_step=0.05)
-        x2 = tr.states[:, 1]
-        j = int(np.argmax(x2[:-1] * x2[1:] < 0.0))
-        assert detect_crossing(tr, j, HalfLine(0.0, -1)) is not None
-        assert detect_crossing(tr, j, HalfLine(0.0, +1)) is None
 
 
 class TestPolarLift:
