@@ -536,22 +536,21 @@ def quadrant_battery(cls: PeClass, rho: float, k: float, lam: float, battery,
 
 
 def check_cs_decay(traj: Trajectory, rho: float, k: float,
-                   cls: PeClass | None = None) -> Certificate:
+                   cls: PeClass) -> Certificate:
     """Inside the central cone the vertical component obeys a gated scalar
     law x2' = -k alpha w x2 with w confined to gain-independent bounds; check
     the bounds per sample and fit the decay envelope."""
-    xi_s_plus = -0.5 * k * (1.0 + math.sqrt(1.0 - rho))
-    xi_s_minus = -0.5 * k * (1.0 - math.sqrt(1.0 - (2.0 - rho / 2.0) * rho))
+    geom = cone_geometry(rho, k, cls.ratio)
     x1, x2 = traj.states[:, 0], traj.states[:, 1]
-    q = (x2 - xi_s_plus * x1) * (x2 - xi_s_minus * x1)
+    q = geom.cs_quadratic(x1, x2)
     r2 = x1 * x1 + x2 * x2
     if np.any(q > 1e-9 * r2):
         raise PreconditionError("segment leaves the central cone")
     if np.any(x2 == 0.0):
         raise PreconditionError("central cone excludes the horizontal axis")
     w = 1.0 + 0.5 * rho * k * (x1 / x2)
-    lo = 1.0 + 0.5 * rho * k / xi_s_minus
-    hi = 1.0 + 0.5 * rho * k / xi_s_plus
+    lo = 1.0 + 0.5 * rho * k / geom.xi_s_minus
+    hi = 1.0 + 0.5 * rho * k / geom.xi_s_plus
     tol = 1e-9 * max(1.0, abs(lo), abs(hi))
     w_ok = bool(np.all(w >= lo - tol) and np.all(w <= hi + tol))
     measured = {"w_min": float(np.min(w)), "w_max": float(np.max(w)),

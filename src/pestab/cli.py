@@ -25,8 +25,8 @@ from .errors import (ConstructionError, DegenerateStateError, DomainError,
                      ShapeError, SimulationError)
 from .gains import di_gain
 from .reachability import threshold_check
-from .scenarios import (build_gain, build_signal, build_system, load_scenario,
-                        scenario_hash)
+from .scenarios import (build_gain, build_run, build_signal, build_system,
+                        load_scenario, scenario_hash)
 from .signals import PeClass, make_battery
 from .simcore import ClosedLoop, fmap_F, polar_lift, propagate
 
@@ -94,15 +94,8 @@ def _di_params(sc: dict, cls: PeClass) -> tuple:
 def cmd_simulate(args) -> int:
     sc = load_scenario(args.scenario)
     seed = args.seed if args.seed is not None else sc.get("seed", 0)
-    cls = PeClass(**sc["pe_class"])
-    A, B = build_system(sc)
-    K = build_gain(sc, A, B, cls)
-    sig = build_signal(sc, cls)
-    horizon = sc.get("horizon", 10.0 * cls.T)
-    n = A.shape[0]
-    x0_list = sc.get("x0") or [[1.0] + [0.0] * (n - 1)]
+    loop, horizon, x0_list = build_run(sc)
     out = _out_dir(args)
-    loop = ClosedLoop(A, B, K, sig)
     runs = []
     for i, x0 in enumerate(x0_list):
         tr = propagate(loop, 0.0, np.asarray(x0, dtype=float), horizon,
@@ -110,7 +103,7 @@ def cmd_simulate(args) -> int:
         if not np.all(np.isfinite(tr.states)):
             raise SimulationError(f"run {i} produced non-finite states")
         tr = tr.with_energy()
-        if n == 2:
+        if loop.n == 2:
             tr = polar_lift(tr)
             g = sc.get("gain", {})
             if g.get("kind") == "di":
@@ -131,7 +124,7 @@ def cmd_simulate(args) -> int:
             "clean_exponential": fit["residual"] <= (args.tol or 1e-2),
         })
     summary = {"meta": _meta(seed, sc, args.tol), "runs": runs,
-               "signal": sig.to_json(), "K": K.tolist(),
+               "signal": loop.alpha.to_json(), "K": loop.K.tolist(),
                "horizon": horizon}
     _write_json(out / "summary.json", summary)
     print(f"simulate: wrote {len(runs)} run(s) to {out}")
@@ -214,7 +207,7 @@ def cmd_certify(args) -> int:
     seed = args.seed if args.seed is not None else sc.get("seed", 0)
     cert = _certify_dispatch(args.lemma, sc, seed)
     out = _out_dir(args)
-    payload = {"meta": _meta(seed, sc, args.tol),
+    payload = {"meta": _meta(seed, sc),
                "selector": args.lemma,
                "certificate": cert.to_json()}
     _write_json(out / f"certificate_{args.lemma}.json", payload)
@@ -338,14 +331,8 @@ def _sweep_cell(payload) -> dict:
     sc = json.loads(json.dumps(sc))
     for path, value in overrides:
         _set_path(sc, path, value)
-    cls = PeClass(**sc["pe_class"])
-    A, B = build_system(sc)
-    K = build_gain(sc, A, B, cls)
-    sig = build_signal(sc, cls)
-    horizon = sc.get("horizon", 10.0 * cls.T)
-    n = A.shape[0]
-    x0 = np.asarray((sc.get("x0") or [[1.0] + [0.0] * (n - 1)])[0], dtype=float)
-    tr = propagate(ClosedLoop(A, B, K, sig), 0.0, x0, horizon,
+    loop, horizon, x0_list = build_run(sc)
+    tr = propagate(loop, 0.0, np.asarray(x0_list[0], dtype=float), horizon,
                    sc.get("max_step"))
     fit = certify.decay_rate(tr, float(tr.times[0]))
     nrm = tr.norms()
@@ -422,7 +409,7 @@ def cmd_tune(args) -> int:
                                         budget=args.budget)
     out = _out_dir(args)
     gain = di_gain(cls, rho, result["k_star_hat"], result["lambda_star_hat"])
-    payload = {"meta": _meta(seed, tol=args.tol),
+    payload = {"meta": _meta(seed),
                "T": cls.T, "mu": cls.mu, "rho": rho,
                "k_star_hat": result["k_star_hat"],
                "lambda_star_hat": result["lambda_star_hat"],
@@ -455,11 +442,14 @@ def build_parser() -> argparse.ArgumentParser:
                            help="scenario JSON file")
         p.add_argument("--out-dir", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=None)
+
+    def tol_option(p, what):
         p.add_argument("--tol", type=float, default=None,
-                       help="override the command's headline tolerance")
+                       help=f"override the {what}")
 
     p = sub.add_parser("simulate", help="run a scenario and export CSV")
     common(p)
+    tol_option(p, "fit residual bound of clean_exponential (1e-2)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("certify", help="run one certificate selector")
@@ -470,6 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("threshold", help="controllability horizon dichotomy")
     common(p, scenario=False)
+    tol_option(p, "Gramian rank tolerance (1e-9)")
     p.add_argument("--preset", choices=["double_integrator", "rotation"])
     p.add_argument("--A", help="JSON matrix")
     p.add_argument("--B", help="JSON matrix")
@@ -482,6 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("destabilize", help="sector-feedback growth demo")
     common(p, scenario=False)
+    tol_option(p, "absolute tolerance of the nu_hat bisection (1e-10)")
     p.add_argument("--k1", type=float, required=True)
     p.add_argument("--k2", type=float, required=True)
     p.add_argument("--T", type=float, required=True)

@@ -12,10 +12,11 @@ from .errors import DomainError
 from .gains import (A_DI, A_ROTATION, B_DI, di_gain, multi_input_gain,
                     neutral_gain)
 from .signals import PeClass, PwcSignal, make_duty
+from .simcore import ClosedLoop
 
 __all__ = ["SCENARIO_SCHEMA", "validate_scenario", "load_scenario",
-           "build_system", "build_gain", "build_signal", "scenario_hash",
-           "PRESETS"]
+           "build_system", "build_gain", "build_signal", "build_run",
+           "scenario_hash", "PRESETS"]
 
 PRESETS = {
     "double_integrator": (A_DI, B_DI),
@@ -162,3 +163,14 @@ def build_signal(sc: dict, cls: PeClass) -> PwcSignal:
     if kind == "pwc":
         return PwcSignal.from_json(s)
     raise DomainError(f"unknown signal kind {kind!r}")
+
+
+def build_run(sc: dict) -> tuple:
+    """(loop, horizon, x0 list) of a scenario's simulation; the horizon
+    defaults to ten class periods and x0 to the first unit vector."""
+    cls = PeClass(**sc["pe_class"])
+    A, B = build_system(sc)
+    loop = ClosedLoop(A, B, build_gain(sc, A, B, cls), build_signal(sc, cls))
+    horizon = sc.get("horizon", 10.0 * cls.T)
+    x0_list = sc.get("x0") or [[1.0] + [0.0] * (loop.n - 1)]
+    return loop, horizon, x0_list

@@ -1,8 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pestab
 from pestab import certify, reachability, signals, simcore
 from pestab.cli import main
 from pestab.scenarios import validate_scenario
@@ -237,8 +242,42 @@ class TestVersion:
             main(["--version"])
         assert exc.value.code == 0
 
+    def test_import_skips_optimize_and_integrate(self):
+        # both cost start-up time and no command needs them
+        src = str(Path(pestab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        code = ("import sys, pestab.cli; print(sorted(m for m in sys.modules "
+                "if m.split('.')[:2] in (['scipy', 'optimize'], "
+                "['scipy', 'integrate'])))")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
 
 class TestMetadata:
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--lemma", "multi"],
+        ["sweep", "--param", "gain.k=2"],
+        ["tune", "--T", "1", "--mu", "0.5"],
+    ])
+    def test_tol_refused_where_no_check_reads_it(self, tmp_path, capsys,
+                                                  argv):
+        if argv[0] != "tune":
+            argv = argv + ["--scenario", write_scenario(tmp_path, DI_SCENARIO)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--tol", "1e-3", "--out-dir", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "--tol" in capsys.readouterr().err
+
+    def test_simulate_records_tol_override(self, tmp_path):
+        sc = write_scenario(tmp_path, DI_SCENARIO)
+        out = tmp_path / "out"
+        assert main(["simulate", "--scenario", sc, "--tol", "1e-3",
+                     "--out-dir", str(out)]) == 0
+        meta = json.loads((out / "summary.json").read_text())["meta"]
+        assert meta["tol_override"] == 1e-3
+
     def test_tolerances_are_the_module_constants(self, tmp_path):
         sc = write_scenario(tmp_path, DI_SCENARIO)
         out = tmp_path / "out"

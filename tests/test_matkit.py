@@ -70,6 +70,11 @@ class TestExpm:
         with pytest.raises(ShapeError):
             expm(np.array([[np.inf, 0.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_time(self, t):
+        with pytest.raises(ShapeError, match="time"):
+            expm(ROT, t)
+
 
 class TestEig:
     def test_diagonal(self):
