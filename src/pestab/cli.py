@@ -28,7 +28,7 @@ from .reachability import threshold_check
 from .scenarios import (build_gain, build_run, build_signal, build_system,
                         load_scenario, scenario_hash)
 from .signals import PeClass, make_battery
-from .simcore import ClosedLoop, fmap_F, polar_lift, propagate
+from .simcore import fmap_F, polar_lift, propagate
 
 _INPUT_ERRORS = (DomainError, ShapeError, PreconditionError,
                  NotNeutrallyStable, FileNotFoundError,

@@ -1,7 +1,7 @@
 """Dense linear algebra for small real matrices (n <= 8).
 
-Matrix exponential by scaling-and-squaring, eigenvalues, smallest singular
-value and quadratic roots.  Everything operates on plain float64 numpy
+Matrix exponential (scipy's), eigenvalues, smallest singular value and
+quadratic roots.  Everything operates on plain float64 numpy
 arrays; validation helpers turn loose input into checked arrays.
 """
 
@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.linalg
 
 from .errors import ShapeError
 
@@ -46,46 +47,12 @@ def one_norm(m) -> float:
     return float(np.max(np.sum(np.abs(a), axis=0)))
 
 
-# Coefficients of the degree-13 diagonal Pade approximant to exp, and the
-# 1-norm below which it is accurate to double precision without scaling.
-_B13 = (
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-    1187353796428800.0, 129060195264000.0, 10559470521600.0,
-    670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
-    960960.0, 16380.0, 182.0, 1.0,
-)
-_THETA13 = 5.371920351148152
-
-
 def expm(m, t: float = 1.0) -> np.ndarray:
-    """exp(t*m) via Pade-13 with 1-norm scaling and repeated squaring."""
+    """exp(t*m) by scipy.linalg.expm, after validating m and t."""
     a = as_matrix(m, square=True, name="expm argument")
     if not np.isfinite(t):
         raise ShapeError("expm time must be finite")
-    n = a.shape[0]
-    if n == 0:
-        return np.zeros((0, 0))
-    a = t * a
-    nrm = one_norm(a)
-    if nrm == 0.0:
-        return np.eye(n)
-    s = 0
-    if nrm > _THETA13:
-        s = int(math.ceil(math.log2(nrm / _THETA13)))
-        a = a / (2.0 ** s)
-    ident = np.eye(n)
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a2 @ a4
-    b = _B13
-    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
-    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
-    r = np.linalg.solve(v - u, v + u)
-    for _ in range(s):
-        r = r @ r
-    return r
+    return scipy.linalg.expm(t * a)
 
 
 def eig(m) -> np.ndarray:
