@@ -156,9 +156,9 @@ def run_destabilizer(K, cls: PeClass, x0=(-1.0, 0.0),
     """Simulate the sector feedback loop exactly, sector by sector.
 
     Inside a sector the dynamics is one constant matrix, so propagation is
-    pure matrix exponentials with bisected sector crossings; committing to
-    the entered sector until the next crossing (minimum dwell 1e-12) rules
-    out chattering artifacts.
+    pure matrix exponentials, and crossing_time locates each sector
+    crossing on their dense output; committing to the entered sector until
+    the next crossing (minimum dwell 1e-12) rules out chattering artifacts.
     """
     if revolutions < 1:
         raise DomainError("need at least one revolution")

@@ -1,0 +1,202 @@
+"""Property tests of the crossing root-finder `simcore.crossing_time`.
+
+Random 2x2 flows (rotating, real-eigenvalue, defective) with linear and
+quadratic functionals that vanish at a chosen time inside the interval.  The
+interval is short enough that the sign change there is the only root, so the
+ITP search and the plain bisection it replaced, kept here as the reference,
+must agree to the tolerance.  The dense output used to check signs is an
+independent `scipy.linalg.expm`.
+"""
+
+import math
+from unittest import mock
+
+import numpy as np
+import scipy.linalg
+from hypothesis import assume, given, settings, strategies as st
+
+from pestab import adversary, simcore
+from pestab.simcore import crossing_time
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
+                    database=None)
+
+# bisection to _CROSSING_REL_TOL of the interval takes 40 evaluations; ITP
+# with n0 = 1 adds at most one, and one more is spent at t_hi
+_MAX_EXPM_PER_ROOT = 42
+
+
+def reference_crossing_time(m, x_lo, t_lo, t_hi, fn):
+    """The bisection crossing_time ran before the ITP search."""
+    f_lo = fn(x_lo)
+    tol = simcore._CROSSING_REL_TOL * (t_hi - t_lo)
+    lo, hi = t_lo, t_hi
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        f_mid = fn(simcore.expm(m, mid - t_lo) @ x_lo)
+        if f_mid == 0.0:
+            return mid
+        if (f_mid > 0.0) == (f_lo > 0.0):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def flow_matrix(kind, a, b, p, q):
+    """A 2x2 matrix with the given eigen-structure in skewed coordinates."""
+    P = np.array([[1.0, p], [q, 1.0]])
+    if kind == "rotating":
+        core = np.array([[a, -b], [b, a]])
+    elif kind == "real":
+        core = np.diag([a, a + b])
+    else:
+        core = np.array([[a, 1.0], [0.0, a]])
+    return P @ core @ np.linalg.inv(P)
+
+
+@st.composite
+def crossings(draw):
+    """(m, x_lo, t_lo, t_hi, fn) and the time where fn vanishes inside."""
+    kind = draw(st.sampled_from(("rotating", "real", "defective")))
+    a = draw(st.floats(-1.0, 1.0))
+    b = draw(st.floats(0.5, 3.0))
+    p, q = draw(st.floats(-0.6, 0.6)), draw(st.floats(-0.6, 0.6))
+    m = flow_matrix(kind, a, b, p, q)
+    angle = draw(st.floats(0.0, 2.0 * math.pi))
+    x_lo = np.array([math.cos(angle), math.sin(angle)])
+    t_lo = draw(st.sampled_from((0.0, 1.0 / 3.0, 2.5, 1000.0)))
+    # a rotating flow revisits a direction after pi/b; within a shorter
+    # interval a linear or quadratic functional has one sign-change root
+    longest = 0.9 * math.pi / b if kind == "rotating" else 2.0
+    span = longest * 10.0 ** draw(st.floats(-3.0, 0.0))
+    t_hi = t_lo + span
+    # the tolerance must be resolvable in absolute time, or no time the
+    # root-finder can return lies within it (and the bisection reference
+    # would loop forever)
+    assume(simcore._CROSSING_REL_TOL * span > 4.0 * np.spacing(t_hi))
+    u = span * draw(st.floats(0.05, 0.95))
+    x_root = scipy.linalg.expm(u * m) @ x_lo
+    if draw(st.booleans()):
+        def g(x):
+            return float(x_root[0] * x[1] - x_root[1] * x[0])
+    else:
+        Q = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=3,
+                                   max_size=3)))
+        Q = np.array([[Q[0], Q[1]], [Q[1], Q[2]]])
+        Q -= (x_root @ Q @ x_root) / (x_root @ x_root) * np.eye(2)
+
+        def g(x):
+            return float(x @ Q @ x)
+    # odd powers keep the root but make fn flat or steep there, which
+    # defeats plain interpolation
+    power = draw(st.sampled_from((1.0, 1.0, 3.0, 9.0, 1.0 / 3.0)))
+
+    def fn(x):
+        v = g(x)
+        return math.copysign(abs(v) ** power, v)
+    return (m, x_lo, t_lo, t_hi, fn), t_lo + u
+
+
+def value_at(case, t):
+    m, x_lo, t_lo, t_hi, fn = case
+    t = min(max(t, t_lo), t_hi)
+    return fn(scipy.linalg.expm((t - t_lo) * m) @ x_lo)
+
+
+def well_posed(case, root):
+    """fn changes sign across the interval, and within tol of the root it
+    moves by far more than the rounding of the dense output (a few ulps of
+    |x|^2), so the sign of fn there is not noise."""
+    m, x_lo, t_lo, t_hi, fn = case
+    if value_at(case, t_lo) * value_at(case, t_hi) >= 0.0:
+        return False
+    tol = simcore._CROSSING_REL_TOL * (t_hi - t_lo)
+    h = 1e-6 * (t_hi - t_lo)
+    slope = abs(value_at(case, root + h) - value_at(case, root - h)) / (2 * h)
+    x = scipy.linalg.expm((root - t_lo) * m) @ x_lo
+    return slope * tol > 100.0 * np.finfo(float).eps * (x @ x)
+
+
+@PROPERTY
+@given(crossings())
+def test_root_matches_bisection_reference(drawn):
+    case, root = drawn
+    assume(well_posed(case, root))
+    m, x_lo, t_lo, t_hi, fn = case
+    tol = simcore._CROSSING_REL_TOL * (t_hi - t_lo)
+    assert abs(crossing_time(*case) - reference_crossing_time(*case)) <= tol
+
+
+@PROPERTY
+@given(crossings())
+def test_sign_changes_across_root(drawn):
+    case, root = drawn
+    assume(well_posed(case, root))
+    m, x_lo, t_lo, t_hi, fn = case
+    tol = simcore._CROSSING_REL_TOL * (t_hi - t_lo)
+    t = crossing_time(*case)
+    assert t_lo <= t <= t_hi
+    assert value_at(case, t - tol) * value_at(case, t + tol) <= 0.0
+
+
+@PROPERTY
+@given(crossings())
+def test_returns_midpoint_of_final_bracket(drawn):
+    # read from the evaluations alone: the last points on either side of
+    # the sign change are at most tol apart and the result is their
+    # midpoint, or the result is an evaluation where fn is exactly zero
+    case, root = drawn
+    m, x_lo, t_lo, t_hi, fn = case
+    assume(value_at(case, t_lo) * value_at(case, t_hi) < 0.0)
+    offsets, values = [0.0], []
+
+    def recording_expm(m, t):
+        offsets.append(t)
+        return scipy.linalg.expm(t * m)
+
+    def recording_fn(x):
+        values.append(fn(x))
+        return values[-1]
+
+    with mock.patch.object(simcore, "expm", recording_expm):
+        t = crossing_time(m, x_lo, t_lo, t_hi, recording_fn)
+    tol = simcore._CROSSING_REL_TOL * (t_hi - t_lo)
+    if 0.0 in values:
+        zero_at = t_lo + offsets[values.index(0.0)]
+        assert abs(t - zero_at) <= np.spacing(t_hi)
+        return
+    side = [(v > 0.0) == (values[0] > 0.0) for v in values]
+    lo = max(s for s, same in zip(offsets, side) if same)
+    hi = min(s for s, same in zip(offsets, side) if not same)
+    assert 0.0 < hi - lo <= tol
+    assert t == t_lo + 0.5 * (lo + hi)
+
+
+@PROPERTY
+@given(crossings())
+def test_expm_calls_bounded_per_root(drawn):
+    # also where fn near the root is rounding noise
+    case, root = drawn
+    with mock.patch.object(simcore, "expm", wraps=simcore.expm) as counted:
+        crossing_time(*case)
+    assert counted.call_count <= _MAX_EXPM_PER_ROOT
+
+
+def test_find_nu_roots_take_few_evaluations():
+    # the point of the ITP search: about 12 evaluations per root of the
+    # nu threshold search where bisection takes 40, also once fn is down at
+    # rounding level near the root (an interpolation step that lands on an
+    # end of the bracket there took about 19)
+    roots = []
+    real = adversary.crossing_time
+
+    def counting(*args):
+        roots.append(args)
+        return real(*args)
+
+    with mock.patch.object(adversary, "crossing_time", counting), \
+            mock.patch.object(simcore, "expm", wraps=simcore.expm) as counted:
+        for k1, k2 in ((1.0, 1.0), (0.5, 0.5), (3.0, 2.0)):
+            adversary.find_nu(np.array([[-k1, -k2]]))
+    assert counted.call_count <= 15 * len(roots)

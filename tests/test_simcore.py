@@ -1,5 +1,6 @@
 import csv
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -153,6 +154,37 @@ class TestDetectCrossing:
         hit = first_crossing(tr, lambda x: float(x[0]))
         assert hit == pytest.approx(math.pi / 2.0, abs=1e-12)
 
+    def test_zero_at_left_end_returns_left_end(self):
+        # x2 = sin t is 0 at t_lo and positive after it
+        x_lo = np.array([1.0, 0.0])
+        assert crossing_time(A_ROTATION, x_lo, 0.0, 0.1,
+                             lambda x: float(x[1])) == 0.0
+        assert crossing_time(A_ROTATION, x_lo, 2.0, 2.1,
+                             lambda x: -float(x[1])) == 2.0
+
+    def test_zero_at_right_end_returns_right_end(self):
+        # free flow from (-1, 1): x1 = -1 + t is exactly 0.0 at t = 1
+        assert crossing_time(A_DI, np.array([-1.0, 1.0]), 0.0, 1.0,
+                             lambda x: float(x[0])) == 1.0
+
+    def test_no_sign_change_in_dense_output_returns_right_end(self):
+        # the caller saw a sign change in its samples that the recomputed
+        # dense output at t_hi does not show (rounding): t_hi comes back
+        x_lo = np.array([1.0, 0.0])
+        assert crossing_time(A_ROTATION, x_lo, 0.5, 0.6,
+                             lambda x: float(x[0]) + 1.0) == 0.6
+
+    def test_interval_finer_than_time_rounding(self):
+        # _CROSSING_REL_TOL of this interval is below the spacing of floats
+        # near t = 1000, so no float time lies within it of the root; the
+        # search runs on offsets from t_lo and returns the nearest float
+        x_lo = np.array([1.0, -1e-4])
+        with mock.patch.object(simcore, "expm", wraps=simcore.expm) as counted:
+            t = crossing_time(A_ROTATION, x_lo, 1000.0, 1000.001,
+                              lambda x: float(x[1]))
+        assert abs(t - (1000.0 + math.atan(1e-4))) <= np.spacing(1000.0)
+        assert counted.call_count <= 42
+
 
 class TestPolarLift:
     def test_point_values(self):
@@ -261,3 +293,41 @@ class TestCsv:
         with open(path) as fh:
             rows = list(csv.reader(fh))
         assert rows[1][4:] == ["", "", "", ""]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("names", [(), ("V",), ("V", "r", "theta",
+                                                      "F_theta")])
+    def test_bytes_match_csv_writer_reference(self, tmp_path, n, names):
+        # more rows than two write blocks, with signed zeros and non-finite
+        # channel values
+        rng = np.random.default_rng(n)
+        loop = ClosedLoop(rng.normal(size=(n, n)), np.ones((n, 1)),
+                          np.zeros((1, n)), make_duty(CLS))
+        tr = propagate(loop, 0.0, rng.normal(size=n), 3.0, max_step=0.0025)
+        assert len(tr.times) > 2 * simcore._CSV_BLOCK
+        special = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300]
+        tr = tr.with_channels(**{
+            name: np.concatenate((special, rng.normal(size=len(tr.times)
+                                                      - len(special))))
+            for name in names})
+        tr.to_csv(tmp_path / "fast.csv")
+        reference_to_csv(tr, tmp_path / "ref.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == \
+            (tmp_path / "ref.csv").read_bytes()
+
+
+def reference_to_csv(tr, path):
+    """The per-row csv.writer export Trajectory.to_csv replaced."""
+    header = ["t"] + [f"x{i+1}" for i in range(tr.n)] + \
+        ["alpha", "V", "r", "theta", "F_theta"]
+    chans = tr.channels
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for j, t in enumerate(tr.times):
+            a = tr.seg_alpha[min(j, len(tr.seg_alpha) - 1)]
+            row = [repr(float(t))] + [repr(float(x)) for x in tr.states[j]]
+            row.append(repr(float(a)))
+            for name in ("V", "r", "theta", "F_theta"):
+                row.append(repr(float(chans[name][j])) if name in chans else "")
+            w.writerow(row)
