@@ -10,8 +10,7 @@ from .errors import (ConstructionError, DegenerateStateError, DomainError,
                      NotNeutrallyStable, PestabError, PreconditionError,
                      ShapeError, SimulationError)
 from .signals import (PeClass, PwcSignal, integrate_signal, make_battery,
-                      make_duty, rescale_time, shift, verify_pe,
-                      window_average)
+                      make_duty, rescale_time, shift, verify_pe)
 from .simcore import (ClosedLoop, Trajectory, crossing_time, fmap_F,
                       polar_lift, propagate, propagate_batch)
 
@@ -20,8 +19,8 @@ __all__ = [
     "PestabError", "ShapeError", "DomainError", "PreconditionError",
     "NotNeutrallyStable", "DegenerateStateError", "ConstructionError",
     "InternalConsistencyError", "SimulationError", "InsufficientDataError",
-    "PeClass", "PwcSignal", "integrate_signal", "window_average",
-    "verify_pe", "make_duty", "shift", "rescale_time", "make_battery",
+    "PeClass", "PwcSignal", "integrate_signal", "verify_pe",
+    "make_duty", "shift", "rescale_time", "make_battery",
     "ClosedLoop", "Trajectory", "propagate", "propagate_batch",
     "crossing_time", "polar_lift", "fmap_F",
 ]

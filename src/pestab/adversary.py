@@ -25,7 +25,6 @@ from .simcore import (ClosedLoop, Trajectory, _segment, crossing_time,
 __all__ = [
     "QPartition",
     "ZetaFeedback",
-    "zeta",
     "run_destabilizer",
     "find_nu",
     "worst_case_search",
@@ -83,10 +82,6 @@ class ZetaFeedback:
 
     def value(self, x) -> float:
         return 1.0 if self.partition.region(x) in (2, 4) else self.ratio
-
-
-def zeta(z: ZetaFeedback, x) -> float:
-    return z.value(x)
 
 
 def _phase_crossing(m: np.ndarray, x0: np.ndarray, fn, dt: float,

@@ -10,9 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -222,11 +220,20 @@ def cmd_certify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _parse_grid(spec: str) -> list:
-    if ":" in spec:
+    """Horizons from a:b:step (step > 0) or a comma-separated list."""
+    try:
+        if ":" not in spec:
+            return [float(v) for v in spec.split(",")]
         a, b, s = (float(v) for v in spec.split(":"))
-        n = int(round((b - a) / s)) + 1
-        return [a + i * s for i in range(n) if a + i * s <= b + 1e-12]
-    return [float(v) for v in spec.split(",")]
+        n = int(round((b - a) / s)) + 1 if s > 0.0 else 0
+    except (ValueError, OverflowError):
+        raise DomainError(f"malformed --t-grid {spec!r}") from None
+    if not s > 0.0:
+        raise DomainError(f"--t-grid step must be positive, got {s!r}")
+    grid = [a + i * s for i in range(n) if a + i * s <= b + 1e-12]
+    if not grid:
+        raise DomainError(f"--t-grid {spec!r} holds no horizon")
+    return grid
 
 
 def cmd_threshold(args) -> int:
@@ -236,9 +243,9 @@ def cmd_threshold(args) -> int:
         sc = {"system": {"A": json.loads(args.A), "B": json.loads(args.B)}}
     A, B = build_system(sc)
     cls = PeClass(args.T, args.mu)
+    grid = _parse_grid(args.t_grid)
     seed = args.seed if args.seed is not None else 0
     battery = make_battery(cls, args.battery_size, seed)
-    grid = _parse_grid(args.t_grid)
     out = _out_dir(args)
     rows = []
     all_ok = True
@@ -326,8 +333,7 @@ def _set_path(obj: dict, dotted: str, value) -> None:
     node[keys[-1]] = value
 
 
-def _sweep_cell(payload) -> dict:
-    sc, overrides = payload
+def _sweep_cell(sc: dict, overrides) -> dict:
     sc = json.loads(json.dumps(sc))
     for path, value in overrides:
         _set_path(sc, path, value)
@@ -364,16 +370,13 @@ def cmd_sweep(args) -> int:
     if not params:
         cells = []
     partial = False
-    if args.max_cells is not None and len(cells) > args.max_cells:
-        cells = cells[:args.max_cells]
-        partial = True
-    workers = args.workers or int(os.environ.get("PESTAB_WORKERS", "1"))
-    payloads = [(sc, cell) for cell in cells]
-    if workers > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_cell, payloads))
-    else:
-        results = [_sweep_cell(p) for p in payloads]
+    if args.max_cells is not None:
+        if args.max_cells < 0:
+            raise DomainError("--max-cells must not be negative")
+        if len(cells) > args.max_cells:
+            cells = cells[:args.max_cells]
+            partial = True
+    results = [_sweep_cell(sc, cell) for cell in cells]
     out = _out_dir(args)
     csv_path = out / "sweep.csv"
     names = [p for p, _ in params]
@@ -485,7 +488,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--param", action="append",
                    help="dotted.path=v1,v2,... (repeatable)")
-    p.add_argument("--workers", type=int, default=None)
     p.add_argument("--max-cells", type=int, default=None)
     p.set_defaults(func=cmd_sweep)
 

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import DomainError, PreconditionError
 from .matkit import as_matrix, expm, min_sv
 from .signals import PeClass, PwcSignal, verify_pe
+from .simcore import _segment
 
 __all__ = [
     "GramianReport",
@@ -121,19 +122,23 @@ def witness_residual(A, B, alpha: PwcSignal, t: float, p: np.ndarray,
     """max over a fine s-grid of |alpha(s) p^T e^{A(t-s)} B|.
 
     The gate is sampled at grid-cell midpoints: the kernel condition only
-    holds almost everywhere, and switch instants carry no measure."""
+    holds almost everywhere, and switch instants carry no measure.  The
+    residual is evaluated only where the gate is nonzero, so a gate that
+    is zero on [0, t] (the adversarial signal below T - mu) gives exactly 0
+    without an exponential.  Otherwise y(s) = e^{A^T (t-s)} p comes from
+    one power table of e^{-A^T h} (simcore's segment kernel)."""
     A = as_matrix(A, square=True)
     B = as_matrix(B)
     h = t / grid
-    step = expm(A.T, -h)
-    y = expm(A.T, t - 0.5 * h) @ p  # y(s) = e^{A^T (t-s)} p at s = h/2
-    worst = 0.0
-    for i in range(grid):
-        s = (i + 0.5) * h
-        val = alpha.value_at(s) * np.max(np.abs(B.T @ y))
-        worst = max(worst, float(val))
-        y = step @ y
-    return worst
+    mids = (np.arange(grid) + 0.5) * h
+    starts, _, vals = zip(*alpha.segments(0.0, t))
+    gate = np.asarray(vals)[np.searchsorted(starts, mids, side="right") - 1]
+    if not np.any(gate):
+        return 0.0
+    # y at s = -h/2, then one step of e^{-A^T h} per grid midpoint
+    y = expm(A.T, t + 0.5 * h) @ p
+    _, ys = _segment({}, 0.0, -A.T, y, 0.0, t, h, grid)
+    return float(np.max(gate * np.max(np.abs(ys @ B), axis=1)))
 
 
 @dataclass(eq=False)
@@ -153,8 +158,10 @@ def threshold_check(A, B, cls: PeClass, t: float, battery,
     """Controllability dichotomy at horizon t.
 
     t <= T - mu: build the adversarial signal (zero on [0, t]) and certify the
-    Gramian singular. t > T - mu: certify the Gramian nonsingular for every
-    battery member and report the smallest min_sv seen.
+    Gramian singular; the witness residual is evaluated only where that gate
+    is nonzero, so here it is 0 by construction. t > T - mu: certify the
+    Gramian nonsingular for every battery member and report the smallest
+    min_sv seen.
     """
     A = as_matrix(A, square=True)
     B = as_matrix(B)

@@ -21,7 +21,6 @@ __all__ = [
     "PwcSignal",
     "PeReport",
     "integrate_signal",
-    "window_average",
     "verify_pe",
     "make_duty",
     "shift",
@@ -229,12 +228,6 @@ def integrate_signal(alpha: PwcSignal, t0: float, t1: float) -> float:
     if not (0.0 <= t0 <= t1):
         raise DomainError("need 0 <= t0 <= t1")
     return alpha.integral_from_zero(t1) - alpha.integral_from_zero(t0)
-
-
-def window_average(alpha: PwcSignal, t: float, T: float) -> float:
-    if T <= 0.0:
-        raise DomainError("window length must be positive")
-    return integrate_signal(alpha, t, t + T) / T
 
 
 def verify_pe(alpha: PwcSignal, cls: PeClass, horizon: float) -> PeReport:

@@ -30,10 +30,7 @@ __all__ = [
     "crossing_time",
     "polar_lift",
     "fmap_F",
-    "CSV_COLUMNS",
 ]
-
-CSV_COLUMNS = ("t", "x", "alpha", "V", "r", "theta", "F_theta")
 
 _CROSSING_REL_TOL = 1e-12
 # ClosedLoop.matrix caches A + a BK per level; a signal with many distinct

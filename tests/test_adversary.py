@@ -5,8 +5,7 @@ import pytest
 
 from pestab import cli, simcore
 from pestab.adversary import (QPartition, ZetaFeedback, _rotation_step,
-                              find_nu, run_destabilizer, worst_case_search,
-                              zeta)
+                              find_nu, run_destabilizer, worst_case_search)
 from pestab.errors import DegenerateStateError, DomainError
 from pestab.gains import A_DI, A_ROTATION, B_DI, di_base_gain
 from pestab.matkit import expm
@@ -20,12 +19,12 @@ class TestRegions:
     def test_spec_points(self):
         fb = ZetaFeedback(1.0, 1.0, 0.3)
         # x2 > 0 on the closed side of the collinearity line: floor value
-        assert zeta(fb, [0.0, 1.0]) == 0.3
+        assert fb.value([0.0, 1.0]) == 0.3
         # below the axis but above the line: full gate
-        assert zeta(fb, [1.0, -0.5]) == 1.0
+        assert fb.value([1.0, -0.5]) == 1.0
         # on the line with x2 > 0: the closed side belongs to sector 1
         assert fb.partition.region([-1.0, 1.0]) == 1
-        assert zeta(fb, [-1.0, 1.0]) == 0.3
+        assert fb.value([-1.0, 1.0]) == 0.3
 
     def test_partition_covers_plane(self):
         part = QPartition(2.0, 3.0)

@@ -14,7 +14,7 @@ from pestab.certify import (c_rho_closed_form, chain_contraction,
                             weak_star_demo)
 from pestab.errors import InsufficientDataError, PreconditionError
 from pestab.gains import (A_DI, A_ROTATION, B_DI, cone_geometry,
-                          di_base_gain)
+                          di_base_gain, multi_input_gain)
 from pestab.matkit import expm
 from pestab.signals import PeClass, PwcSignal, make_battery, make_duty
 from pestab.simcore import ClosedLoop, polar_lift, propagate
@@ -397,6 +397,64 @@ class TestTune:
         assert result["first_pass"]["k"] > 0
 
 
+def reference_weak_star_dists(A, B, K, x0, duty, exponents, horizon):
+    """The loop weak_star_demo replaced: the averaged loop stepped sample
+    by sample over the square wave's sample times, with a cache of
+    expm(m_star, dt)."""
+    m_star = ClosedLoop(A, B, K, PwcSignal.constant(duty)).matrix(duty)
+    x0 = np.asarray(x0, dtype=float)
+    dists = {}
+    for i in (2 ** e for e in exponents):
+        period = 1.0 / i
+        sig = make_duty(PeClass(period, duty * period), on_value=1.0,
+                        pattern="front")
+        tr = propagate(ClosedLoop(A, B, K, sig), 0.0, x0, horizon,
+                       max_step=min(period / 4.0, horizon / 2000.0))
+        cache = {}
+        xs = x0.copy()
+        prev_t = 0.0
+        worst = 0.0
+        for t, xi in zip(tr.times, tr.states):
+            dt = t - prev_t
+            if dt:
+                phi = cache.get(dt)
+                if phi is None:
+                    phi = expm(m_star, dt)
+                    cache[dt] = phi
+                xs = phi @ xs
+            prev_t = t
+            worst = max(worst, float(np.linalg.norm(xi - xs)))
+        dists[f"sup_dist_i_{i}"] = worst
+    return dists
+
+
+def reference_multi_input_measured(B, k, battery, x0_list, horizon):
+    """The loop multi_input_identity replaced: int alpha from one
+    integral_from_zero call per sample."""
+    K = multi_input_gain(np.asarray(B, dtype=float), k)
+    worst_identity = 0.0
+    worst_bound = -math.inf
+    for sig in battery:
+        loop = ClosedLoop(A_DI, B, K, sig)
+        for x0 in x0_list:
+            tr = propagate(loop, 0.0, x0, horizon)
+            t = tr.times
+            x = tr.states
+            y = np.column_stack([x[:, 0] - t * x[:, 1], x[:, 1]])
+            ynorm = np.linalg.norm(y, axis=1)
+            ints = np.array([sig.integral_from_zero(tt) for tt in t])
+            target = ynorm[0] * np.exp(-k * ints)
+            worst_identity = max(worst_identity, float(
+                np.max(np.abs(ynorm - target) / np.maximum(target, 1e-300))))
+            t2 = t * t
+            smax = np.sqrt((2.0 + t2 + t * np.sqrt(t2 + 4.0)) / 2.0)
+            bound = smax * np.exp(-k * ints) * np.linalg.norm(x[0])
+            gap = np.linalg.norm(x, axis=1) - bound * (1.0 + 1e-9)
+            worst_bound = max(worst_bound, float(np.max(gap)))
+    return {"max_identity_rel_error": worst_identity,
+            "worst_envelope_gap": worst_bound}
+
+
 class TestWeakStar:
     def test_constant_sequence_is_flat_zero(self):
         cert = weak_star_demo(A_ROTATION, B_ROT, -B_ROT.T, [1.0, 0.0],
@@ -409,6 +467,19 @@ class TestWeakStar:
                               duty=0.5, exponents=range(0, 7), horizon=5.0)
         assert cert.passed
         assert cert.measured["rate_hat"] > 0.5
+
+    @pytest.mark.parametrize("duty, exponents, horizon", [
+        (0.5, range(0, 11), 10.0),   # the acceptance case A13
+        (0.3, range(0, 7), 5.0),
+    ])
+    def test_matches_reference_loop(self, duty, exponents, horizon):
+        args = (A_ROTATION, B_ROT, -B_ROT.T, [1.0, 0.0])
+        cert = weak_star_demo(*args, duty=duty, exponents=exponents,
+                              horizon=horizon)
+        ref = reference_weak_star_dists(*args, duty, exponents, horizon)
+        assert len(ref) == len(exponents)
+        for key, d in ref.items():
+            assert abs(cert.measured[key] - d) <= 1e-12
 
     def test_initial_condition_perturbation_bound(self):
         # with the signal fixed, the deviation is the propagated difference;
@@ -445,6 +516,19 @@ class TestIdentities:
                                      np.array([-0.4, 0.8])], horizon=4.0)
         assert cert.passed
         assert cert.measured["max_identity_rel_error"] <= 1e-9
+
+    def test_multi_input_matches_reference_loop(self):
+        rng = np.random.default_rng(12)
+        bat = make_battery(CLS, 6, seed=12).signals
+        x0s = [np.array([1.0, 0.0]), np.array([-0.4, 0.8])]
+        for m in (2, 3):
+            B = rng.standard_normal((2, m)) + np.hstack(
+                [2.0 * np.eye(2), np.zeros((2, m - 2))])
+            cert = multi_input_identity(B, 1.2, CLS, bat, x0s, horizon=6.0)
+            ref = reference_multi_input_measured(B, 1.2, bat, x0s, 6.0)
+            assert cert.measured.keys() == ref.keys()
+            for key, v in ref.items():
+                assert abs(cert.measured[key] - v) <= 1e-12
 
     def test_c_rho_closed_form_is_the_grid_minimum(self):
         for rho in (0.05, 0.2, 0.45):

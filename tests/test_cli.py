@@ -159,6 +159,19 @@ class TestThreshold:
         lines = (out / "threshold.csv").read_text().splitlines()
         assert lines[0].startswith("# tool=pestab")
 
+    @pytest.mark.parametrize("grid", ["0:1:0", "0:1:-0.1", "1:0:0.1",
+                                      "0:1", "0.3,x"])
+    def test_degenerate_range_refused(self, tmp_path, capsys, grid):
+        # a zero step divided by zero; a reversed range wrote a header-only
+        # table and passed vacuously; a malformed spec raised ValueError
+        out = tmp_path / "o"
+        rc = main(["threshold", "--preset", "double_integrator",
+                   "--T", "1.0", "--mu", "0.5", "--t-grid", grid,
+                   "--battery-size", "2", "--out-dir", str(out)])
+        assert rc == 2
+        assert "--t-grid" in capsys.readouterr().err
+        assert not (out / "threshold.csv").exists()
+
 
 class TestDestabilize:
     def test_growth_report(self, tmp_path):
@@ -222,18 +235,23 @@ class TestSweep:
                  if not l.startswith("#")]
         assert len(lines) == 3  # header + 2 cells
 
-    def test_deterministic_across_workers(self, tmp_path):
+    def test_negative_max_cells_refused(self, tmp_path, capsys):
+        # a negative cap would slice off the last cell and report partial
         sc = write_scenario(tmp_path, DI_SCENARIO)
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        main(["sweep", "--scenario", sc, "--param", "gain.k=2,3,4",
-              "--workers", "1", "--out-dir", str(out1)])
-        main(["sweep", "--scenario", sc, "--param", "gain.k=2,3,4",
-              "--workers", "2", "--out-dir", str(out2)])
-        body1 = [l for l in (out1 / "sweep.csv").read_text().splitlines()
-                 if not l.startswith("#")]
-        body2 = [l for l in (out2 / "sweep.csv").read_text().splitlines()
-                 if not l.startswith("#")]
-        assert body1 == body2
+        out = tmp_path / "o"
+        rc = main(["sweep", "--scenario", sc, "--param", "gain.k=2,3,4",
+                   "--max-cells", "-1", "--out-dir", str(out)])
+        assert rc == 2
+        assert "--max-cells" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
+
+    def test_workers_option_removed(self, tmp_path, capsys):
+        sc = write_scenario(tmp_path, DI_SCENARIO)
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--scenario", sc, "--param", "gain.k=2,3",
+                  "--workers", "2", "--out-dir", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
 
 class TestVersion:

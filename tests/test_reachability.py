@@ -1,14 +1,24 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad_vec
 
+from pestab import reachability, simcore
 from pestab.errors import DomainError, PreconditionError
 from pestab.gains import A_DI, A_ROTATION, B_DI
 from pestab.matkit import expm
 from pestab.reachability import (adversarial_signal, gramian, kalman_rank,
                                  threshold_check, witness_residual)
-from pestab.signals import PeClass, PwcSignal, make_battery, verify_pe
+from pestab.scenarios import PRESETS
+from pestab.signals import (PeClass, PwcSignal, make_battery, make_duty,
+                            verify_pe)
 
 CLS = PeClass(1.0, 0.5)
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
+                    database=None)
 
 
 def brute_gramian(A, B, alpha, t, n_steps=3000):
@@ -26,6 +36,58 @@ def brute_gramian(A, B, alpha, t, n_steps=3000):
         a = alpha.value_at((i + 0.5) * h)
         W = phi @ W @ phi.T + (a * a) * H
     return W
+
+
+def quad_vec_gramian(A, B, alpha, t):
+    """Independent oracle: adaptive quadrature of the Gramian integrand
+    alpha(s)^2 e^{A(t-s)} B B^T e^{A^T(t-s)}, with the gate's switches as
+    break points."""
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    Q = B @ B.T
+
+    def integrand(s):
+        E = scipy.linalg.expm(A * (t - s))
+        return alpha.value_at(s) ** 2 * (E @ Q @ E.T)
+
+    points = [s for s, _, _ in alpha.segments(0.0, t)][1:]
+    W, _ = quad_vec(integrand, 0.0, t, epsabs=1e-14, epsrel=1e-12,
+                    points=points or None)
+    return W
+
+
+def reference_witness_residual(A, B, alpha, t, p, grid=2000):
+    """The loop witness_residual replaced: one value_at call and one
+    matrix-vector step of e^{-A^T h} per grid midpoint."""
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    h = t / grid
+    step = expm(A.T, -h)
+    y = expm(A.T, t - 0.5 * h) @ p  # y(s) = e^{A^T (t-s)} p at s = h/2
+    worst = 0.0
+    for i in range(grid):
+        s = (i + 0.5) * h
+        val = alpha.value_at(s) * np.max(np.abs(B.T @ y))
+        worst = max(worst, float(val))
+        y = step @ y
+    return worst
+
+
+@st.composite
+def gated_horizons(draw):
+    """(periodic or held gate, horizon) with up to five pieces per cycle;
+    dyadic and decimal cut units, levels that include 0 and 1."""
+    unit = draw(st.sampled_from((1.0 / 16.0, 0.1)))
+    widths = draw(st.lists(st.integers(1, 6), min_size=1, max_size=5))
+    bp = np.concatenate([[0.0], np.cumsum(widths) * unit])
+    values = draw(st.lists(
+        st.one_of(st.sampled_from((0.0, 0.5, 1.0)), st.floats(0.0, 1.0)),
+        min_size=len(widths), max_size=len(widths)))
+    if draw(st.booleans()):
+        sig = PwcSignal.periodic(bp, values)
+    else:
+        sig = PwcSignal.held(bp, values, hold=draw(st.floats(0.0, 1.0)))
+    return sig, draw(st.floats(0.05, 3.0))
 
 
 class TestGramian:
@@ -85,6 +147,54 @@ class TestGramian:
         assert resid <= 1e-8 * np.max(np.abs(B_DI))
 
 
+    @PROPERTY
+    @given(gated_horizons())
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_matches_quad_vec(self, preset, case):
+        A, B = PRESETS[preset]
+        sig, t = case
+        W = quad_vec_gramian(A, B, sig, t)
+        got = gramian(A, B, sig, t).W
+        assert np.max(np.abs(got - W)) <= 1e-11 * np.max(np.abs(W)) + 1e-15
+
+
+class TestWitnessResidual:
+    def test_zero_gate_needs_no_exponential(self):
+        sig = adversarial_signal(CLS)
+        for t in (0.1, 0.3, CLS.T - CLS.mu):
+            p = gramian(A_DI, B_DI, sig, t).witness
+            with mock.patch.object(reachability, "expm",
+                                   wraps=reachability.expm) as e1, \
+                    mock.patch.object(simcore, "expm",
+                                      wraps=simcore.expm) as e2:
+                assert witness_residual(A_DI, B_DI, sig, t, p) == 0.0
+            assert e1.call_count + e2.call_count == 0
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_matches_reference_loop_on_nonzero_gates(self, preset):
+        A, B = PRESETS[preset]
+        gates = [adversarial_signal(CLS), make_duty(CLS, phase=0.3),
+                 PwcSignal.held((0.0, 0.2, 0.7, 1.1), (0.3, 0.0, 0.9),
+                                hold=0.6)] + make_battery(CLS, 3, seed=2).signals
+        rng = np.random.default_rng(5)
+        for sig in gates:
+            for t in (0.8, 1.7, 4.3):
+                p = rng.standard_normal(2)
+                p /= np.linalg.norm(p)
+                ref = reference_witness_residual(A, B, sig, t, p)
+                assert ref > 0.0
+                got = witness_residual(A, B, sig, t, p)
+                assert abs(got - ref) <= 1e-12 * ref
+
+    def test_short_grid(self):
+        sig = make_duty(CLS, phase=0.3)
+        p = np.array([0.6, 0.8])
+        for grid in (1, 2, 3):
+            ref = reference_witness_residual(A_DI, B_DI, sig, 1.3, p, grid)
+            got = witness_residual(A_DI, B_DI, sig, 1.3, p, grid)
+            assert abs(got - ref) <= 1e-12 * ref
+
+
 class TestKalmanRank:
     def test_brunovsky_pair(self):
         assert kalman_rank(A_DI, B_DI) == 2
@@ -104,6 +214,8 @@ class TestThreshold:
             assert rep.evidence["kind"] == "adversarial"
             assert rep.evidence["min_sv"] <= 1e-14
             assert rep.evidence["pe_ok"]
+            # the gate is zero on [0, t], so the residual is 0 by construction
+            assert rep.evidence["witness_residual"] == 0.0
 
     def test_boundary_included(self):
         rep = threshold_check(A_DI, B_DI, CLS, CLS.T - CLS.mu, [])

@@ -4,7 +4,7 @@ import pytest
 from pestab.errors import DomainError
 from pestab.signals import (PeClass, PwcSignal, integrate_signal,
                             make_battery, make_duty, rescale_time, shift,
-                            verify_pe, window_average)
+                            verify_pe)
 
 CLS = PeClass(1.0, 0.5)
 
@@ -76,20 +76,24 @@ class TestVerifyPe:
 
 class TestWindowAverage:
     def test_constant(self):
+        sig = PwcSignal.constant(0.42)
         for t in (0.0, 1.3, 9.0):
-            assert window_average(PwcSignal.constant(0.42), t, 2.0) == \
+            assert integrate_signal(sig, t, t + 2.0) / 2.0 == \
                 pytest.approx(0.42)
 
     def test_duty_over_one_period(self):
         sig = square_wave(on_fraction=0.3)
-        assert window_average(sig, 0.17, 1.0) == pytest.approx(0.3, abs=1e-12)
+        # one period of length 1, so the integral is the average
+        assert integrate_signal(sig, 0.17, 1.17) == \
+            pytest.approx(0.3, abs=1e-12)
 
     def test_pe_floor(self):
         bat = make_battery(CLS, 15, seed=4).signals
         rng = np.random.default_rng(1)
         for sig in bat:
             for t in rng.uniform(0, 3, size=5):
-                assert window_average(sig, float(t), CLS.T) >= \
+                t = float(t)
+                assert integrate_signal(sig, t, t + CLS.T) / CLS.T >= \
                     CLS.ratio - 1e-12
 
 
