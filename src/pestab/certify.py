@@ -290,19 +290,16 @@ def estimate_eta(A, B, cls: PeClass, battery, x0_grid,
     if x0.ndim != 2 or x0.shape[0] != n:
         raise ShapeError("x0 grid must be n x m")
     step = step_frac * cls.T
-    eta_hat = math.inf
-    worst_vint = 0.0
-    for sig in battery:
-        loop = ClosedLoop(A, B, -B.T, sig)
-        runs = propagate_batch(loop, 0.0, x0, cls.T, max_step=step)
-        for tr in runs:
-            v = 0.5 * np.sum(tr.states ** 2, axis=1)
-            g = np.sum((tr.states @ B) ** 2, axis=1) / v
-            dt = np.diff(tr.times)
-            integral = float(np.sum(tr.seg_alpha * 0.5 * (g[:-1] + g[1:]) * dt))
-            eta_hat = min(eta_hat, integral)
-            resid = abs(math.log(v[-1] / v[0]) + integral)
-            worst_vint = max(worst_vint, resid)
+    integrals, resids = [], []
+    for tr in neutral_runs(A, B, battery, x0, cls.T, max_step=step):
+        v = 0.5 * np.sum(tr.states ** 2, axis=1)
+        g = np.sum((tr.states @ B) ** 2, axis=1) / v
+        dt = np.diff(tr.times)
+        integral = float(np.sum(tr.seg_alpha * 0.5 * (g[:-1] + g[1:]) * dt))
+        integrals.append(integral)
+        resids.append(abs(math.log(v[-1] / v[0]) + integral))
+    eta_hat = min(integrals, default=math.inf)
+    worst_vint = max(resids, default=0.0)
     passed = eta_hat > _ETA_MARGIN and worst_vint <= 2e-5 * (1.0 + eta_hat)
     return Certificate(
         "excitation_energy_floor", passed,
@@ -321,6 +318,30 @@ def _runs(mask) -> list:
     """(first, last) sample indices of every maximal run of True in mask."""
     edges = np.flatnonzero(np.diff(np.concatenate(([0], mask, [0]))))
     return list(zip(edges[::2].tolist(), (edges[1::2] - 1).tolist()))
+
+
+def _stays(runs, inside, min_steps: int):
+    """The window of every maximal stay, lasting at least min_steps steps,
+    of every run in the set where inside(x1, x2) holds."""
+    for tr in runs:
+        for i0, i1 in _runs(inside(tr.states[:, 0], tr.states[:, 1])):
+            if i1 - i0 >= min_steps:
+                yield tr.window(i0, i1)
+
+
+def _values(certs, key: str) -> list:
+    """The measured `key` of every certificate that reports it."""
+    return [c.measured[key] for c in certs if key in c.measured]
+
+
+def _battery_certificate(name: str, passed: bool, measured: dict, tolerance,
+                         battery, battery_info, notes=()) -> Certificate:
+    """A battery certificate; measured entries that no stay or run produced
+    (None) are left out."""
+    return Certificate(name, passed,
+                       {k: v for k, v in measured.items() if v is not None},
+                       tolerance, battery_info or {"size": len(battery)},
+                       list(notes))
 
 
 def c12_sojourns(traj: Trajectory, geom: ConeGeometry) -> list:
@@ -353,14 +374,6 @@ def c12_sojourns(traj: Trajectory, geom: ConeGeometry) -> list:
                     "left_censored": left_censored,
                     "right_censored": right_censored})
     return out
-
-
-def cs_sojourns(traj: Trajectory, geom: ConeGeometry) -> list:
-    """Maximal stays in the central cone (complement of the outer union)."""
-    x1 = traj.states[:, 0]
-    x2 = traj.states[:, 1]
-    q = geom.cs_quadratic(x1, x2)
-    return [{"i0": i0, "i1": i1} for i0, i1 in _runs(q <= 0.0)]
 
 
 def check_F_monotone(traj: Trajectory, rho: float, k: float, cls: PeClass,
@@ -403,35 +416,25 @@ def f_monotone_battery(cls: PeClass, rho: float, k: float, lam: float,
                        max_step: float | None = None,
                        battery_info=None) -> Certificate:
     """Run a battery and apply the monotonicity/window-drop check on every
-    stay in the outer cones."""
+    stay in the outer cones; fails when no run has such a stay to check."""
     runs = di_runs(cls, rho, k, lam, battery, x0_columns, horizon, max_step)
     geom = cone_geometry(rho, k, cls.ratio)
-    total_viol = 0
-    worst_step = -math.inf
-    c_hat = math.inf
-    n_windows = 0
-    n_sojourns = 0
-    for tr in runs:
-        for so in c12_sojourns(tr, geom):
-            if so["i1"] - so["i0"] < 2:
-                continue
-            sub = tr.window(so["i0"], so["i1"])
-            cert = check_F_monotone(sub, rho, k, cls, lam)
-            n_sojourns += 1
-            total_viol += int(cert.measured["monotonicity_violations"])
-            worst_step = max(worst_step, cert.measured["max_F_step_increase"])
-            if "c_hat_window" in cert.measured:
-                c_hat = min(c_hat, cert.measured["c_hat_window"])
-                n_windows += int(cert.measured["n_windows"])
-    measured = {"violations": total_viol, "worst_step": worst_step,
-                "n_sojourns": n_sojourns, "n_windows": n_windows}
-    if n_windows:
-        measured["c_hat"] = c_hat
-        measured["c_closed_form"] = c_rho_closed_form(rho)
-    passed = total_viol == 0 and (n_windows == 0 or c_hat > 0.0)
-    return Certificate("angle_reparam_monotone_battery", passed, measured,
-                       {"f_slack": _F_SLACK},
-                       battery_info or {"size": len(battery)}, [])
+    certs = [check_F_monotone(w, rho, k, cls, lam) for w in _stays(
+        runs, lambda x1, x2: geom.cs_quadratic(x1, x2) >= 0.0, 2)]
+    viol = sum(_values(certs, "monotonicity_violations"))
+    n_windows = sum(_values(certs, "n_windows"))
+    c_hat = min(_values(certs, "c_hat_window"), default=None)
+    passed = bool(certs) and viol == 0 and (c_hat is None or c_hat > 0.0)
+    notes = [] if certs else [
+        "vacuous: no run stayed in the outer cones for three samples"]
+    return _battery_certificate(
+        "angle_reparam_monotone_battery", passed,
+        {"violations": viol,
+         "worst_step": max(_values(certs, "max_F_step_increase"),
+                           default=None),
+         "n_sojourns": len(certs), "n_windows": n_windows, "c_hat": c_hat,
+         "c_closed_form": c_rho_closed_form(rho) if n_windows else None},
+        {"f_slack": _F_SLACK}, battery, battery_info, notes)
 
 
 def dwell_times(traj: Trajectory, geom: ConeGeometry) -> Certificate:
@@ -468,11 +471,8 @@ def dwell_scaling(cls: PeClass, rho: float, k: float, lam_over_k: float,
         geom = cone_geometry(rho, kk, cls.ratio)
         runs = di_runs(cls, rho, kk, lam, battery, x0_columns,
                        horizon_factor / kk, polar=False)
-        worst = 0.0
-        for tr in runs:
-            cert = dwell_times(tr, geom)
-            worst = max(worst, cert.measured["max_dwell"])
-        return worst
+        return max((dwell_times(tr, geom).measured["max_dwell"]
+                    for tr in runs), default=0.0)
 
     d1 = max_dwell(k)
     d2 = max_dwell(2.0 * k)
@@ -515,24 +515,18 @@ def quadrant_battery(cls: PeClass, rho: float, k: float, lam: float, battery,
     {x1 <= 0, x2 >= 0}; fails when no run has such a stay to check."""
     runs = di_runs(cls, rho, k, lam, battery, x0_columns, horizon,
                    polar=False)
-    viol = 0
-    worst = -math.inf
-    n_checked = 0
-    for tr in runs:
-        x1, x2 = tr.states[:, 0], tr.states[:, 1]
-        for i0, i1 in _runs((x1 <= 0.0) & (x2 >= 0.0)):
-            if i1 > i0:
-                cert = check_quadrant_V(tr.window(i0, i1), rho, k)
-                viol += int(cert.measured.get("violations", 0))
-                worst = max(worst, cert.measured["worst_increase"])
-                n_checked += 1
-    notes = [] if n_checked else [
+    certs = [check_quadrant_V(w, rho, k) for w in _stays(
+        runs, lambda x1, x2: (x1 <= 0.0) & (x2 >= 0.0), 1)]
+    viol = sum(_values(certs, "violations"))
+    notes = [] if certs else [
         "vacuous: no run stayed in {x1 <= 0, x2 >= 0} for two samples"]
-    return Certificate("quadrant_energy_battery", viol == 0 and n_checked > 0,
-                       {"violations": viol, "worst_increase": worst,
-                        "stays_checked": n_checked},
-                       _ENERGY_SLACK,
-                       battery_info or {"size": len(battery)}, notes)
+    return _battery_certificate(
+        "quadrant_energy_battery", viol == 0 and bool(certs),
+        {"violations": viol,
+         "worst_increase": max(_values(certs, "worst_increase"),
+                               default=None),
+         "stays_checked": len(certs)},
+        _ENERGY_SLACK, battery, battery_info, notes)
 
 
 def check_cs_decay(traj: Trajectory, rho: float, k: float,
@@ -571,34 +565,24 @@ def check_cs_decay(traj: Trajectory, rho: float, k: float,
 def cs_decay_battery(cls: PeClass, rho: float, k: float, lam: float, battery,
                      x0_columns, horizon: float,
                      battery_info=None) -> Certificate:
+    """Apply the central-cone decay check to every stay of every run in the
+    central cone; fails when no run has such a stay to check."""
     runs = di_runs(cls, rho, k, lam, battery, x0_columns, horizon,
                    polar=False)
     geom = cone_geometry(rho, k, cls.ratio)
-    all_ok = True
-    w_min, w_max = math.inf, -math.inf
-    gammas = []
-    c2s = []
-    n_checked = 0
-    for tr in runs:
-        for so in cs_sojourns(tr, geom):
-            if so["i1"] - so["i0"] < 3:
-                continue
-            sub = tr.window(so["i0"], so["i1"])
-            cert = check_cs_decay(sub, rho, k, cls)
-            all_ok = all_ok and cert.passed
-            w_min = min(w_min, cert.measured["w_min"])
-            w_max = max(w_max, cert.measured["w_max"])
-            if "gamma_hat" in cert.measured:
-                gammas.append(cert.measured["gamma_hat"])
-                c2s.append(cert.measured["C2_hat"])
-            n_checked += 1
-    measured = {"stays_checked": n_checked, "w_min": w_min, "w_max": w_max}
-    if gammas:
-        measured["gamma_hat_min"] = float(min(gammas))
-        measured["C2_hat_max"] = float(max(c2s))
-    return Certificate("central_cone_decay_battery", all_ok and n_checked > 0,
-                       measured, None,
-                       battery_info or {"size": len(battery)}, [])
+    certs = [check_cs_decay(w, rho, k, cls) for w in _stays(
+        runs, lambda x1, x2: geom.cs_quadratic(x1, x2) <= 0.0, 3)]
+    notes = [] if certs else [
+        "vacuous: no run stayed in the central cone for four samples"]
+    return _battery_certificate(
+        "central_cone_decay_battery",
+        bool(certs) and all(c.passed for c in certs),
+        {"stays_checked": len(certs),
+         "w_min": min(_values(certs, "w_min"), default=None),
+         "w_max": max(_values(certs, "w_max"), default=None),
+         "gamma_hat_min": min(_values(certs, "gamma_hat"), default=None),
+         "C2_hat_max": max(_values(certs, "C2_hat"), default=None)},
+        None, battery, battery_info, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -750,28 +734,18 @@ def chain_battery(cls: PeClass, rho: float, k: float, lam: float, battery,
     counted, matching the prefix-only semantics of the per-run check."""
     runs = di_runs(cls, rho, k, lam, battery, x0_columns, horizon,
                    polar=False)
-    gamma = math.inf
-    c3 = 0.0
-    n_qual = 0
-    n_visits = 0
-    all_pass = True
-    for tr in runs:
-        cert = chain_contraction(tr, k, min_excursion)
-        all_pass = all_pass and cert.passed
-        n_qual += int(cert.measured["n_qualifying"])
-        n_visits += int(cert.measured["n_axis_visits"])
-        if "gamma_star_hat" in cert.measured:
-            gamma = min(gamma, cert.measured["gamma_star_hat"])
-        c3 = max(c3, cert.measured["C3_sq_hat"])
-    measured = {"n_qualifying": n_qual, "n_axis_visits": n_visits,
-                "C3_sq_hat": c3}
-    if n_qual:
-        measured["gamma_star_hat"] = gamma
+    certs = [chain_contraction(tr, k, min_excursion) for tr in runs]
+    n_qual = sum(_values(certs, "n_qualifying"))
     notes = [] if n_qual else \
         ["no excursion lasted past the threshold; prefix-only certificate"]
-    return Certificate("axis_chain_contraction_battery", all_pass, measured,
-                       {"min_excursion": min_excursion},
-                       battery_info or {"size": len(battery)}, notes)
+    return _battery_certificate(
+        "axis_chain_contraction_battery", all(c.passed for c in certs),
+        {"n_qualifying": n_qual,
+         "n_axis_visits": sum(_values(certs, "n_axis_visits")),
+         "C3_sq_hat": max(_values(certs, "C3_sq_hat"), default=0.0),
+         "gamma_star_hat": min(_values(certs, "gamma_star_hat"),
+                               default=None)},
+        {"min_excursion": min_excursion}, battery, battery_info, notes)
 
 
 def tune(cls: PeClass, rho: float, battery, x0_columns=None, k0: float = 1.0,

@@ -222,10 +222,6 @@ class DIGain:
     def K(self) -> np.ndarray:
         return np.array([[-self.k1, -self.k2]])
 
-    @property
-    def base_K(self) -> np.ndarray:
-        return di_base_gain(self.rho, self.k)
-
     def to_json(self) -> dict:
         return {"kind": "di", "rho": self.rho, "k": self.k, "lam": self.lam,
                 "T": self.cls.T, "mu": self.cls.mu, "K": self.K.tolist()}
@@ -259,14 +255,6 @@ class ConeGeometry:
         return (self.xi_s_plus, self.xi_1_plus, self.xi_r_plus,
                 self.xi_r_minus, self.xi_1_minus, self.xi_s_minus)
 
-    @property
-    def theta_s_plus(self) -> float:
-        return math.pi + math.atan(self.xi_s_plus)
-
-    @property
-    def theta_s_minus(self) -> float:
-        return math.pi + math.atan(self.xi_s_minus)
-
     def cs_quadratic(self, x1, x2):
         """Negative inside the central cone, positive in the outer cones;
         antipodal-invariant, so it classifies mod-pi directions."""
@@ -279,18 +267,6 @@ class ConeGeometry:
     def in_c12(self, x, tol: float = 0.0) -> bool:
         x1, x2 = float(x[0]), float(x[1])
         return self.cs_quadratic(x1, x2) >= -tol * (x1 * x1 + x2 * x2)
-
-    def theta_mod_pi(self, theta: float) -> float:
-        return theta - math.floor(theta / math.pi) * math.pi
-
-    def region_of_theta(self, theta: float) -> str:
-        """'C1', 'CS' or 'C2' for the mod-pi direction of an angle."""
-        th = self.theta_mod_pi(theta)
-        if th < self.theta_s_plus:
-            return "C2"
-        if th <= self.theta_s_minus:
-            return "CS"
-        return "C1"
 
 
 def cone_geometry(rho: float, k: float, ratio: float) -> ConeGeometry:
@@ -334,15 +310,16 @@ def multi_input_gain(B, k: float) -> np.ndarray:
     """K = -k * B^+ for a full-row-rank 2 x m input matrix, so B K = -k Id.
 
     The minimal-norm right inverse comes from the SVD; rank deficiency is
-    rejected (a single effective input column should go through the planar
-    gain family instead)."""
+    rejected, and so is a single column, whose one singular value is no rank
+    test (a single effective input column should go through the planar gain
+    family instead)."""
     B = as_matrix(B, name="B")
     if B.shape[0] != 2:
         raise ShapeError("multi-input gain expects a 2 x m input matrix")
     if k <= 0.0:
         raise DomainError("k must be positive")
     scale = max(one_norm(B), 1e-300)
-    if min_sv(B) <= 1e-10 * scale:
+    if B.shape[1] < 2 or min_sv(B) <= 1e-10 * scale:
         raise DomainError(
             "input matrix has rank < 2; use the planar gain family on a "
             "controllable column instead")

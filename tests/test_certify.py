@@ -248,6 +248,7 @@ class TestQuadrant:
                                         horizon=5.0)
         assert not cert.passed
         assert cert.measured["stays_checked"] == 0
+        assert "worst_increase" not in cert.measured
         assert "vacuous" in cert.notes[0]
 
 

@@ -9,7 +9,7 @@ import pytest
 
 import pestab
 from pestab import certify, reachability, signals, simcore
-from pestab.cli import main
+from pestab.cli import LEMMA_SELECTORS, main
 from pestab.scenarios import validate_scenario
 
 
@@ -140,6 +140,36 @@ class TestCertify:
         path = write_scenario(tmp_path, sc)
         assert main(["certify", "--scenario", path, "--lemma", "claim1",
                      "--out-dir", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("selector", LEMMA_SELECTORS)
+    def test_every_selector_passes(self, tmp_path, capsys, selector):
+        sc = {"system": {"preset": "double_integrator"},
+              "pe_class": {"T": 1.0, "mu": 0.5},
+              "battery": {"size": 4, "seed": 3}}
+        if selector in ("claim1", "technic"):
+            sc["system"] = {"preset": "rotation"}
+        if selector == "q1yes":
+            # the multi-input gain needs a rank-2 input matrix
+            sc["system"] = {"A": [[0.0, 1.0], [0.0, 0.0]],
+                            "B": [[1.0, 0.0], [0.0, 1.0]]}
+        out = tmp_path / "o"
+        assert main(["certify", "--scenario", write_scenario(tmp_path, sc),
+                     "--lemma", selector, "--out-dir", str(out)]) == 0
+        payload = json.loads(
+            (out / f"certificate_{selector}.json").read_text())
+        assert payload["selector"] == selector
+        assert payload["certificate"]["pass"] is True
+        assert f"[{selector}] PASS" in capsys.readouterr().out
+
+    def test_q1yes_single_input_exits_2(self, tmp_path, capsys):
+        sc = {"system": {"preset": "double_integrator"},
+              "pe_class": {"T": 1.0, "mu": 0.5},
+              "battery": {"size": 4, "seed": 3}}
+        out = tmp_path / "o"
+        assert main(["certify", "--scenario", write_scenario(tmp_path, sc),
+                     "--lemma", "q1yes", "--out-dir", str(out)]) == 2
+        assert "planar gain" in capsys.readouterr().err
+        assert not (out / "certificate_q1yes.json").exists()
 
 
 class TestThreshold:

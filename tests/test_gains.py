@@ -264,6 +264,9 @@ class TestMultiInputGain:
         B = np.array([[1.0, 2.0], [0.5, 1.0]])
         with pytest.raises(DomainError, match="planar gain"):
             multi_input_gain(B, 1.0)
+        # a single column has one nonzero singular value but rank 1
+        with pytest.raises(DomainError, match="planar gain"):
+            multi_input_gain(B_DI, 1.0)
 
     def test_wrong_row_count(self):
         with pytest.raises(ShapeError):
