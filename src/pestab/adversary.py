@@ -174,7 +174,7 @@ def run_destabilizer(K, cls: PeClass, x0=(-1.0, 0.0),
     vals = []
     times = [np.array([t])]
     states = [x[np.newaxis]]
-    seg_alpha = []
+    counts = []
     powers: dict = {}
     on_neg_axis = x[1] == 0.0 and x[0] < 0.0
     rev_norms = [float(np.linalg.norm(x))] if on_neg_axis else []
@@ -207,7 +207,7 @@ def run_destabilizer(K, cls: PeClass, x0=(-1.0, 0.0),
         xs[-1] = xc
         times.append(ts)
         states.append(xs)
-        seg_alpha.append(np.full(nsub, a))
+        counts.append(nsub)
         t += tc
         x = xc
         bp.append(t)
@@ -229,7 +229,7 @@ def run_destabilizer(K, cls: PeClass, x0=(-1.0, 0.0),
     growth = factors[-1] if factors else math.nan
     loop = ClosedLoop(A_DI, B_DI, Kmat, induced)
     traj = Trajectory(loop, np.concatenate(times), np.concatenate(states),
-                      np.concatenate(seg_alpha))
+                      np.repeat(vals, counts))
     return DestabilizerRun(traj, induced, growth, factors, pe_ok, crossings)
 
 

@@ -211,6 +211,7 @@ def cmd_certify(args) -> int:
     _write_json(out / f"certificate_{args.lemma}.json", payload)
     verdict = "PASS" if cert.passed else "FAIL"
     keys = ", ".join(f"{k}={v:.6g}" for k, v in list(cert.measured.items())[:4])
+    keys = keys or "; ".join(cert.notes)
     print(f"[{args.lemma}] {verdict}  {cert.name}  {keys}")
     return 0 if cert.passed else 1
 

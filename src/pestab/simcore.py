@@ -203,7 +203,7 @@ def _propagate_states(loop: ClosedLoop, t0: float, x0: np.ndarray, t1: float,
         raise DomainError("max_step must be positive")
     times = [np.array([t0])]
     states = [x0[np.newaxis]]
-    seg_alpha = []
+    levels, counts = [], []
     powers: dict = {}
     x = x0
     for (s, e, a) in loop.alpha.segments(t0, t1):
@@ -214,9 +214,10 @@ def _propagate_states(loop: ClosedLoop, t0: float, x0: np.ndarray, t1: float,
         x = xs[-1]
         times.append(ts)
         states.append(xs)
-        seg_alpha.append(np.full(nsub, a))
+        levels.append(a)
+        counts.append(nsub)
     return (np.concatenate(times), np.concatenate(states),
-            np.concatenate(seg_alpha))
+            np.repeat(levels, counts))
 
 
 def propagate(loop: ClosedLoop, t0: float, x0, t1: float,

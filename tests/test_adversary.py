@@ -150,6 +150,21 @@ class TestDestabilizer:
         assert verify_pe(run.induced_signal, cls,
                          run.traj.times[-1]).ok
 
+    def test_seg_alpha_matches_per_phase_fill(self):
+        # seg_alpha repeats each phase level once over all phases; it used
+        # to fill one array per phase (its samples in (start, end]) and
+        # concatenate them
+        nu = find_nu(K11)
+        run = run_destabilizer(K11, PeClass(1.0, nu / 2.0), revolutions=3)
+        sig, times = run.induced_signal, run.traj.times
+        bp = sig.breakpoints
+        ref = np.concatenate([
+            np.full(np.count_nonzero((times > s) & (times <= e)), a)
+            for s, e, a in zip(bp, bp[1:], sig.values)])
+        assert len(ref) == len(times) - 1
+        assert run.traj.seg_alpha.dtype == ref.dtype
+        assert run.traj.seg_alpha.tobytes() == ref.tobytes()
+
     def test_bad_gain_rejected(self):
         with pytest.raises(DomainError, match="Hurwitz"):
             run_destabilizer(np.array([[1.0, -1.0]]), PeClass(1.0, 0.5))

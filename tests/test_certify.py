@@ -463,6 +463,19 @@ class TestWeakStar:
         assert cert.passed
         assert cert.measured["final_dist"] <= 1e-12
 
+    def test_equilibrium_x0_is_vacuous(self):
+        # A x0 = 0 and B K x0 = 0: the state never moves under any gate
+        cert = weak_star_demo(A_DI, B_DI, [[0.0, -1.0]], [1.0, 0.0],
+                              exponents=range(0, 4), horizon=5.0)
+        assert not cert.passed
+        assert cert.notes == [
+            "vacuous: x0 is an equilibrium for every gate value"]
+        # with feedback through x1 the same x0 moves, and is checked
+        cert = weak_star_demo(A_DI, B_DI, [[-1.0, -1.0]], [1.0, 0.0],
+                              exponents=range(0, 4), horizon=5.0)
+        assert cert.measured["sup_dist_i_1"] > 0.0
+        assert not cert.notes
+
     def test_square_wave_convergence_short(self):
         cert = weak_star_demo(A_ROTATION, B_ROT, -B_ROT.T, [1.0, 0.0],
                               duty=0.5, exponents=range(0, 7), horizon=5.0)

@@ -161,6 +161,23 @@ class TestCertify:
         assert payload["certificate"]["pass"] is True
         assert f"[{selector}] PASS" in capsys.readouterr().out
 
+    def test_technic_at_an_equilibrium_is_vacuous(self, tmp_path, capsys):
+        # the double-integrator preset with no gain and no x0: K = -B^T =
+        # [[0, -1]] and x0 = (1, 0) give A x0 = B K x0 = 0, so no gate
+        # value moves the state and every distance would be 0
+        sc = {"system": {"preset": "double_integrator"},
+              "pe_class": {"T": 1.0, "mu": 0.5},
+              "battery": {"size": 4, "seed": 3}}
+        out = tmp_path / "o"
+        assert main(["certify", "--scenario", write_scenario(tmp_path, sc),
+                     "--lemma", "technic", "--out-dir", str(out)]) == 1
+        cert = json.loads(
+            (out / "certificate_technic.json").read_text())["certificate"]
+        assert cert["pass"] is False
+        assert cert["notes"] == [
+            "vacuous: x0 is an equilibrium for every gate value"]
+        assert "[technic] FAIL" in capsys.readouterr().out
+
     def test_q1yes_single_input_exits_2(self, tmp_path, capsys):
         sc = {"system": {"preset": "double_integrator"},
               "pe_class": {"T": 1.0, "mu": 0.5},

@@ -149,6 +149,19 @@ def test_sample_grid_is_bit_identical(case):
 
 @PROPERTY
 @given(cases())
+def test_seg_alpha_matches_per_segment_fill(case):
+    # the kernel repeats each level once over all segments; it used to fill
+    # one array per segment and concatenate them
+    _, _, seg_alpha = run(*case)
+    loop, t0, _, t1, max_step = case
+    _, _, pieces = per_sample_grid(loop, t0, t1, max_step)
+    ref = np.concatenate([np.full(nsub, a) for a, _, nsub in pieces])
+    assert seg_alpha.dtype == ref.dtype
+    assert seg_alpha.tobytes() == ref.tobytes()
+
+
+@PROPERTY
+@given(cases())
 def test_one_expm_per_distinct_piece(case):
     loop, t0, _, t1, max_step = case
     _, _, pieces = per_sample_grid(loop, t0, t1, max_step)
