@@ -19,7 +19,7 @@ from .errors import (DegenerateStateError, DomainError,
 from .gains import A_DI, B_DI
 from .matkit import as_matrix, expm
 from .signals import PeClass, PwcSignal, make_duty, verify_pe
-from .simcore import (ClosedLoop, Trajectory, _segment, crossing_time,
+from .simcore import (ClosedLoop, Trajectory, _itp, _segment, crossing_time,
                       propagate_batch)
 
 __all__ = [
@@ -32,6 +32,8 @@ __all__ = [
 ]
 
 _MIN_DWELL = 1e-12
+# march steps _phase_crossing takes before it gives up on a crossing
+_MAX_MARCH_STEPS = 4000
 
 
 @dataclass(frozen=True)
@@ -85,16 +87,19 @@ class ZetaFeedback:
 
 
 def _phase_crossing(m: np.ndarray, x0: np.ndarray, fn, dt: float,
-                    max_steps: int = 4000):
-    """March a constant flow until fn(x) changes sign, then locate the
-    crossing with crossing_time.
+                    phi: np.ndarray | None = None):
+    """March a constant flow in steps of dt until fn(x) changes sign, then
+    locate the crossing with crossing_time.
 
-    Returns (t_cross, x_cross), or None when no crossing appears within
-    max_steps (the flow converges to an eigendirection instead)."""
+    phi is the step's expm(m, dt); a caller that marches the same flow
+    many times computes it once.  Returns (t_cross, x_cross), or None when
+    no crossing appears within _MAX_MARCH_STEPS (the flow converges to an
+    eigendirection instead)."""
     f_prev = fn(x0)
     t_prev, x_prev = 0.0, x0
-    phi = expm(m, dt)
-    for i in range(1, max_steps + 1):
+    if phi is None:
+        phi = expm(m, dt)
+    for i in range(1, _MAX_MARCH_STEPS + 1):
         t = i * dt
         x = phi @ x_prev
         f = fn(x)
@@ -164,6 +169,9 @@ def run_destabilizer(K, cls: PeClass, x0=(-1.0, 0.0),
     Kmat = np.array([[-k1, -k2]])
     bk = B_DI @ Kmat
     mats = {1.0: A_DI + bk, ratio: A_DI + ratio * bk}
+    # every phase on a level marches the same step
+    steps = {a: _rotation_step(m) for a, m in mats.items()}
+    phis = {a: expm(mats[a], dt) for a, dt in steps.items()}
 
     x = np.asarray(x0, dtype=float)
     if np.linalg.norm(x) == 0.0:
@@ -190,9 +198,9 @@ def run_destabilizer(K, cls: PeClass, x0=(-1.0, 0.0),
         a = 1.0 if region in (2, 4) else ratio
         m = mats[a]
         fn = dline_fn if region in (2, 4) else axis_fn
-        dt = _rotation_step(m)
+        dt = steps[a]
         vals.append(a)
-        res = _phase_crossing(m, x, fn, dt)
+        res = _phase_crossing(m, x, fn, dt, phis[a])
         if res is None:
             raise SimulationError(
                 "trajectory converges to an eigendirection and stops "
@@ -240,10 +248,19 @@ def find_nu(K, tol: float = 1e-10) -> float:
     The full-strength flow from (-1, 0) is followed to its first meeting
     with the collinearity line; from there the constant-nu flow crosses the
     horizontal axis at some abscissa xi(nu), which grows without bound as nu
-    shrinks and shrinks as nu grows.  Bisection on xi(nu) = 1 over
-    [1e-12, 1] to absolute tolerance `tol`; classes with ratio at most the
+    shrinks and shrinks as nu grows.  Classes with ratio at most the
     returned value are destabilized by the sector feedback.
+
+    xi behaves like C / sqrt(nu): an interpolating search on xi over nu
+    falls back to bisection, but log xi is nearly linear in log nu.  So
+    simcore._itp runs on g(u) = log xi(e^u) over [log 1e-12, 0], in 10-15
+    evaluations for moderate gains where bisection took 36.  It stops when
+    e^u_hi - e^u_lo <= tol (finite, positive, absolute in nu) or no float
+    lies between u_lo and u_hi, and returns e^u_lo, a level xi was
+    evaluated at: xi(nu) > 1 >= xi(nu + tol).
     """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"tol must be finite and positive, got {tol!r}")
     k1, k2 = _unpack_gain(K)
     Kmat = np.array([[-k1, -k2]])
     bk = B_DI @ Kmat
@@ -259,30 +276,30 @@ def find_nu(K, tol: float = 1e-10) -> float:
                               "collinearity line")
     _, x_bar = res
 
-    def xi(nu: float) -> float:
-        m = A_DI + nu * bk
+    def g(u: float) -> float:
+        m = A_DI + math.exp(u) * bk
         res = _phase_crossing(m, x_bar, lambda y: float(y[1]),
                               _rotation_step(m))
-        if res is None:
-            # converges to an eigendirection above the axis: certainly not
-            # landing beyond the unit abscissa
-            return 0.0
-        return float(res[1][0])
+        # no crossing (the flow converges to an eigendirection above the
+        # axis) is certainly not landing beyond the unit abscissa, and
+        # xi = 1 belongs to the upper end of the bracket: both read -inf
+        xi = 0.0 if res is None else float(res[1][0])
+        return math.log(xi) if xi > 0.0 and xi != 1.0 else -math.inf
 
-    lo, hi = 1e-12, 1.0
-    if xi(lo) <= 1.0:
+    lo, hi = math.log(1e-12), 0.0
+    g_lo = g(lo)
+    if g_lo <= 0.0:
         raise InternalConsistencyError(
             "no destabilizing gate level found down to 1e-12; this should "
             "not happen for positive gain entries")
-    if xi(hi) > 1.0:
+    g_hi = g(hi)
+    if g_hi > 0.0:
         return 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if xi(mid) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    # a bracket no wider than tol in u is no wider than tol in nu <= 1
+    n_bis = math.ceil(math.log2(hi - lo) - math.log2(tol))
+    lo, _ = _itp(g, lo, hi, g_lo, g_hi, n_bis + 1,
+                 lambda lo, hi: math.exp(hi) - math.exp(lo) <= tol)
+    return math.exp(lo)
 
 
 def tune_adversarial(cls: PeClass, rho: float, seed: int = 0,

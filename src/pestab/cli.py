@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -61,6 +62,16 @@ def _meta(seed: int, scenario: dict | None = None, tol: float | None = None) -> 
     return meta
 
 
+def _tol(args, default: float) -> float:
+    """The --tol override, or the command's default when it is not given."""
+    if args.tol is None:
+        return default
+    if not (math.isfinite(args.tol) and args.tol > 0.0):
+        raise DomainError(
+            f"--tol must be finite and positive, got {args.tol!r}")
+    return args.tol
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -90,6 +101,7 @@ def _di_params(sc: dict, cls: PeClass) -> tuple:
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
+    tol = _tol(args, 1e-2)
     sc = load_scenario(args.scenario)
     seed = args.seed if args.seed is not None else sc.get("seed", 0)
     loop, horizon, x0_list = build_run(sc)
@@ -119,7 +131,7 @@ def cmd_simulate(args) -> int:
             "C_hat": fit["C_hat"],
             "fit_residual": fit["residual"],
             "decaying": fit["gamma_hat"] > 0.0,
-            "clean_exponential": fit["residual"] <= (args.tol or 1e-2),
+            "clean_exponential": fit["residual"] <= tol,
         })
     summary = {"meta": _meta(seed, sc, args.tol), "runs": runs,
                "signal": loop.alpha.to_json(), "K": loop.K.tolist(),
@@ -242,6 +254,7 @@ def cmd_threshold(args) -> int:
         sc = {"system": {"preset": args.preset}}
     else:
         sc = {"system": {"A": json.loads(args.A), "B": json.loads(args.B)}}
+    tol = _tol(args, 1e-9)
     A, B = build_system(sc)
     cls = PeClass(args.T, args.mu)
     grid = _parse_grid(args.t_grid)
@@ -251,8 +264,7 @@ def cmd_threshold(args) -> int:
     rows = []
     all_ok = True
     for t in grid:
-        rep = threshold_check(A, B, cls, t, battery.signals,
-                              tol=args.tol or 1e-9)
+        rep = threshold_check(A, B, cls, t, battery.signals, tol=tol)
         rows.append(rep)
         all_ok = all_ok and rep.claim
     boundary = cls.T - cls.mu
@@ -295,7 +307,7 @@ def cmd_destabilize(args) -> int:
     K = np.array([[-args.k1, -args.k2]])
     cls = PeClass(args.T, args.mu)
     seed = args.seed if args.seed is not None else 0
-    nu_hat = adversary.find_nu(K, tol=args.tol or 1e-10)
+    nu_hat = adversary.find_nu(K, tol=_tol(args, 1e-10))
     out = _out_dir(args)
     warned = cls.ratio > nu_hat
     if warned:
@@ -477,7 +489,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("destabilize", help="sector-feedback growth demo")
     common(p, scenario=False)
-    tol_option(p, "absolute tolerance of the nu_hat bisection (1e-10)")
+    tol_option(p, "absolute tolerance of nu_hat, the log-log ITP root of "
+               "xi(nu) = 1 (1e-10)")
     p.add_argument("--k1", type=float, required=True)
     p.add_argument("--k2", type=float, required=True)
     p.add_argument("--T", type=float, required=True)

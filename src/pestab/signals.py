@@ -73,6 +73,8 @@ class PwcSignal:
         object.__setattr__(self, "values", vals)
         if not bp or bp[0] != 0.0:
             raise DomainError("breakpoints must start at 0")
+        if not all(math.isfinite(b) for b in bp):
+            raise DomainError("breakpoints must be finite")
         if any(b1 >= b2 for b1, b2 in zip(bp, bp[1:])):
             raise DomainError("breakpoints must be strictly increasing")
         if len(vals) != len(bp) - 1:

@@ -249,20 +249,58 @@ def propagate_batch(loop: ClosedLoop, t0: float, x0_columns, t1: float,
             for j in range(x0m.shape[1])]
 
 
+def _itp(g, lo: float, hi: float, g_lo: float, g_hi: float, n_max: int,
+         done) -> tuple:
+    """ITP search (Oliveira & Takahashi, ACM TOMS 47(1), 2020; kappa1 =
+    0.2 / (hi - lo), kappa2 = 2, bisection's projection radius) on the
+    sign-change bracket [lo, hi] of g, with g(lo) = g_lo and g(hi) = g_hi.
+
+    Returns the bracket once done(lo, hi) holds, no float lies strictly
+    inside it, or n_max steps are taken; a zero of g at s returns (s, s).
+    g may be -inf where it is negative if g_lo > 0; while g_hi is infinite
+    the step bisects.
+    """
+    span = hi - lo
+    for j in range(n_max):
+        mid = 0.5 * (lo + hi)
+        if done(lo, hi) or not lo < mid < hi:
+            break
+        # interpolate (regula falsi), truncate toward the midpoint, then
+        # project into the ball that keeps bisection's worst case
+        s_f = lo + (hi - lo) * g_lo / (g_lo - g_hi) \
+            if math.isfinite(g_hi) else mid
+        sigma = math.copysign(1.0, mid - s_f)
+        delta = 0.2 * (hi - lo) ** 2 / span
+        s_t = s_f + sigma * delta if delta <= abs(mid - s_f) else mid
+        r = math.ldexp(span, -j) - 0.5 * (hi - lo)
+        s = s_t if abs(s_t - mid) <= r else mid - sigma * r
+        if not lo < s < hi:
+            # once g is at rounding level the interpolation can fall on
+            # an end of the bracket, which would not shrink it
+            s = mid
+        f = g(s)
+        if f == 0.0:
+            return s, s
+        if (f > 0.0) == (g_lo > 0.0):
+            lo, g_lo = s, f
+        else:
+            hi, g_hi = s, f
+    return lo, hi
+
+
 def crossing_time(m: np.ndarray, x_lo: np.ndarray, t_lo: float, t_hi: float,
                   fn) -> float:
     """Zero of fn(x(t)) on [t_lo, t_hi] for the flow x' = m x, x(t_lo) = x_lo.
 
     fn is evaluated on the exact dense output expm(m, t - t_lo) @ x_lo and
-    must change sign across the interval.  An ITP (interpolate, truncate,
-    project) bracketing search (Oliveira & Takahashi, ACM TOMS 47(1), 2020,
-    with kappa1 = 0.2 / (t_hi - t_lo), kappa2 = 2, n0 = 1) shrinks a
+    must change sign across the interval.  The ITP search _itp shrinks a
     sign-change bracket until it is no wider than _CROSSING_REL_TOL of the
-    interval and returns its midpoint (rounded to a float time, which near
-    a large t_lo may be coarser): about 11 evaluations per root, never more
-    than bisection to the same width plus two.  A zero at either end is
-    returned as that end; when the dense output at t_hi does not change
-    sign (it disagrees with the caller's sample by rounding), t_hi is.
+    interval, and the midpoint of that bracket is returned (rounded to a
+    float time, which near a large t_lo may be coarser): about 11
+    evaluations per root, never more than bisection to the same width plus
+    two.  A zero at either end is returned as that end; when the dense
+    output at t_hi does not change sign (it disagrees with the caller's
+    sample by rounding), t_hi is.
     """
     f_lo = fn(x_lo)
     if f_lo == 0.0:
@@ -277,30 +315,8 @@ def crossing_time(m: np.ndarray, x_lo: np.ndarray, t_lo: float, t_hi: float,
     # ITP's 2 eps is bisection's final width span / 2**n_bis <= tol, so its
     # n_max = n_bis + 1 steps end below tol even after rounding
     n_bis = math.ceil(-math.log2(_CROSSING_REL_TOL))
-    lo, hi = 0.0, span
-    for j in range(n_bis + 1):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        # interpolate (regula falsi), truncate toward the midpoint, then
-        # project into the ball that keeps bisection's worst case
-        s_f = lo + (hi - lo) * f_lo / (f_lo - f_hi)
-        sigma = math.copysign(1.0, mid - s_f)
-        delta = 0.2 * (hi - lo) ** 2 / span
-        s_t = s_f + sigma * delta if delta <= abs(mid - s_f) else mid
-        r = span / 2.0 ** j - 0.5 * (hi - lo)
-        s = s_t if abs(s_t - mid) <= r else mid - sigma * r
-        if not lo < s < hi:
-            # once fn is at rounding level the interpolation can fall on
-            # an end of the bracket, which would not shrink it
-            s = mid
-        f = fn(expm(m, s) @ x_lo)
-        if f == 0.0:
-            return t_lo + s
-        if (f > 0.0) == (f_lo > 0.0):
-            lo, f_lo = s, f
-        else:
-            hi, f_hi = s, f
+    lo, hi = _itp(lambda s: fn(expm(m, s) @ x_lo), 0.0, span, f_lo, f_hi,
+                  n_bis + 1, lambda lo, hi: hi - lo <= tol)
     return t_lo + 0.5 * (lo + hi)
 
 

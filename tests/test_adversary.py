@@ -1,9 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from pestab import cli, simcore
+from pestab import adversary, cli, simcore
 from pestab.adversary import (QPartition, ZetaFeedback, _rotation_step,
                               find_nu, run_destabilizer, worst_case_search)
 from pestab.errors import DegenerateStateError, DomainError
@@ -164,6 +165,22 @@ class TestDestabilizer:
         assert len(ref) == len(times) - 1
         assert run.traj.seg_alpha.dtype == ref.dtype
         assert run.traj.seg_alpha.tobytes() == ref.tobytes()
+
+    def test_one_step_exponential_per_gate_level(self):
+        # every phase on a level marches the same step, so its exponential
+        # is taken once per level; the rest are one per sector crossing
+        calls = []
+        real = adversary.expm
+
+        def counting(m, t=1.0):
+            calls.append(t)
+            return real(m, t)
+
+        with mock.patch.object(adversary, "expm", counting):
+            run = run_destabilizer(K11, PeClass(1.0, 0.03), revolutions=10)
+        assert len(calls) == 2 + len(run.crossings)
+        steps = {_rotation_step(A_DI + a * B_DI @ K11) for a in (1.0, 0.03)}
+        assert sorted(calls[:2]) == sorted(steps)
 
     def test_bad_gain_rejected(self):
         with pytest.raises(DomainError, match="Hurwitz"):

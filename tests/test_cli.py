@@ -89,6 +89,20 @@ class TestSimulate:
         assert "pi/2" in capsys.readouterr().err
         assert not (out / "trajectory_000.csv").exists()
 
+    def test_nan_breakpoint_exits_2(self, tmp_path, capsys):
+        # Python's json reads NaN; the signal used to construct and the
+        # run was written with exit 0
+        sc = dict(DI_SCENARIO)
+        sc["signal"] = {"kind": "pwc", "breakpoints": [0.0, float("nan"), 1.0],
+                        "values": [1.0, 0.0], "extension": {"hold": 1.0}}
+        path = write_scenario(tmp_path, sc)
+        assert "NaN" in Path(path).read_text()
+        out = tmp_path / "out"
+        assert main(["simulate", "--scenario", path,
+                     "--out-dir", str(out)]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
     def test_deterministic_outputs(self, tmp_path):
         sc = write_scenario(tmp_path, DI_SCENARIO)
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -334,6 +348,36 @@ class TestMetadata:
             main(argv + ["--tol", "1e-3", "--out-dir", str(tmp_path / "o")])
         assert exc.value.code == 2
         assert "--tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "-0"])
+    @pytest.mark.parametrize("command", ["simulate", "threshold",
+                                         "destabilize"])
+    def test_tol_must_be_finite_and_positive(self, tmp_path, capsys, command,
+                                             tol):
+        # --tol 0 used to mean the default, --tol nan made threshold report
+        # a violation and destabilize write nu_hat = 1e-12, and a negative
+        # --tol made destabilize's bisection loop forever
+        argv = {
+            "simulate": ["--scenario", write_scenario(tmp_path, DI_SCENARIO)],
+            "threshold": ["--preset", "double_integrator", "--T", "1",
+                          "--mu", "0.5", "--t-grid", "0.3,0.7",
+                          "--battery-size", "2"],
+            "destabilize": ["--k1", "1", "--k2", "1", "--T", "1",
+                            "--mu", "0.05", "--revolutions", "2"],
+        }[command]
+        out = tmp_path / "o"
+        assert main([command, *argv, "--tol", tol, "--out-dir", str(out)]) == 2
+        assert "--tol must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_destabilize_tol_below_float_spacing_ends(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["destabilize", "--k1", "1", "--k2", "1", "--T", "1",
+                     "--mu", "0.05", "--revolutions", "2", "--tol", "1e-300",
+                     "--out-dir", str(out)]) == 0
+        rep = json.loads((out / "destabilizer.json").read_text())
+        assert rep["meta"]["tol_override"] == 1e-300
+        assert 0.149 < rep["nu_hat"] < 0.15
 
     def test_simulate_records_tol_override(self, tmp_path):
         sc = write_scenario(tmp_path, DI_SCENARIO)

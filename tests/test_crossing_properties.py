@@ -4,7 +4,8 @@ Random 2x2 flows (rotating, real-eigenvalue, defective) with linear and
 quadratic functionals that vanish at a chosen time inside the interval.  The
 interval is short enough that the sign change there is the only root, so the
 ITP search and the plain bisection it replaced, kept here as the reference,
-must agree to the tolerance.  The dense output used to check signs is an
+must agree to the tolerance; the ITP loop crossing_time ran inline before
+it moved into simcore._itp is kept as a bit-for-bit reference.  The dense output used to check signs is an
 independent `scipy.linalg.expm`.
 """
 
@@ -41,6 +42,41 @@ def reference_crossing_time(m, x_lo, t_lo, t_hi, fn):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def reference_itp_crossing_time(m, x_lo, t_lo, t_hi, fn):
+    """The ITP loop crossing_time ran inline before it moved into
+    simcore._itp."""
+    f_lo = fn(x_lo)
+    if f_lo == 0.0:
+        return t_lo
+    f_hi = fn(simcore.expm(m, t_hi - t_lo) @ x_lo)
+    if f_hi == 0.0 or (f_hi > 0.0) == (f_lo > 0.0):
+        return t_hi
+    span = t_hi - t_lo
+    tol = simcore._CROSSING_REL_TOL * span
+    n_bis = math.ceil(-math.log2(simcore._CROSSING_REL_TOL))
+    lo, hi = 0.0, span
+    for j in range(n_bis + 1):
+        if hi - lo <= tol:
+            break
+        mid = 0.5 * (lo + hi)
+        s_f = lo + (hi - lo) * f_lo / (f_lo - f_hi)
+        sigma = math.copysign(1.0, mid - s_f)
+        delta = 0.2 * (hi - lo) ** 2 / span
+        s_t = s_f + sigma * delta if delta <= abs(mid - s_f) else mid
+        r = span / 2.0 ** j - 0.5 * (hi - lo)
+        s = s_t if abs(s_t - mid) <= r else mid - sigma * r
+        if not lo < s < hi:
+            s = mid
+        f = fn(simcore.expm(m, s) @ x_lo)
+        if f == 0.0:
+            return t_lo + s
+        if (f > 0.0) == (f_lo > 0.0):
+            lo, f_lo = s, f
+        else:
+            hi, f_hi = s, f
+    return t_lo + 0.5 * (lo + hi)
 
 
 def flow_matrix(kind, a, b, p, q):
@@ -126,6 +162,23 @@ def test_root_matches_bisection_reference(drawn):
     m, x_lo, t_lo, t_hi, fn = case
     tol = simcore._CROSSING_REL_TOL * (t_hi - t_lo)
     assert abs(crossing_time(*case) - reference_crossing_time(*case)) <= tol
+
+
+@PROPERTY
+@given(crossings())
+def test_bit_identical_to_inline_itp_reference(drawn):
+    # also where fn near the root is rounding noise
+    case, root = drawn
+    m, x_lo, t_lo, t_hi, fn = case
+    got = crossing_time(*case)
+    assert got == reference_itp_crossing_time(*case)
+    for digits in (1, 3, 6):
+        # rounded, fn is exactly zero on a whole interval around the root,
+        # so the search can stop at an evaluation inside the bracket
+        def rounded(x, digits=digits):
+            return round(fn(x), digits)
+        assert crossing_time(m, x_lo, t_lo, t_hi, rounded) == \
+            reference_itp_crossing_time(m, x_lo, t_lo, t_hi, rounded)
 
 
 @PROPERTY

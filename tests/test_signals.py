@@ -234,6 +234,16 @@ class TestValidation:
         with pytest.raises(DomainError):
             PwcSignal((0.5, 1.0), (1.0,), hold=0.0)
 
+    @pytest.mark.parametrize("bp", [(0.0, np.nan, 1.0), (0.0, 0.5, np.nan),
+                                    (0.0, 0.5, np.inf)])
+    def test_breakpoints_must_be_finite(self, bp):
+        # a NaN fails every comparison, so the strict-increase test alone
+        # let it through
+        with pytest.raises(DomainError, match="finite"):
+            PwcSignal(bp, (1.0, 0.0), hold=1.0)
+        with pytest.raises(DomainError):
+            PwcSignal.periodic(bp, (1.0, 0.0))
+
     def test_values_bounded(self):
         with pytest.raises(DomainError):
             PwcSignal((0.0, 1.0), (1.5,), hold=0.0)
