@@ -19,7 +19,7 @@ from .errors import (DegenerateStateError, DomainError,
 from .gains import A_DI, B_DI
 from .matkit import as_matrix, expm
 from .signals import PeClass, PwcSignal, make_duty, verify_pe
-from .simcore import (ClosedLoop, Trajectory, _itp, _segment, crossing_time,
+from .simcore import (ClosedLoop, Trajectory, _flow, _itp, crossing_time,
                       propagate_batch)
 
 __all__ = [
@@ -180,10 +180,7 @@ def run_destabilizer(K, cls: PeClass, x0=(-1.0, 0.0),
     t = 0.0
     bp = [0.0]
     vals = []
-    times = [np.array([t])]
-    states = [x[np.newaxis]]
-    counts = []
-    powers: dict = {}
+    widths, counts, ends = [], [], []
     on_neg_axis = x[1] == 0.0 and x[0] < 0.0
     rev_norms = [float(np.linalg.norm(x))] if on_neg_axis else []
     crossings = []
@@ -209,13 +206,10 @@ def run_destabilizer(K, cls: PeClass, x0=(-1.0, 0.0),
         if tc < _MIN_DWELL:
             raise InternalConsistencyError(
                 "two sector crossings within 1e-12: chattering detected")
-        # in-phase samples, re-marched on an exact uniform sub-grid
-        nsub = max(1, int(math.ceil(tc / dt)))
-        ts, xs = _segment(powers, a, m, x, t, t + tc, tc / nsub, nsub)
-        xs[-1] = xc
-        times.append(ts)
-        states.append(xs)
-        counts.append(nsub)
+        # in-phase samples, re-marched on an exact uniform sub-grid below
+        widths.append(tc)
+        counts.append(max(1, int(math.ceil(tc / dt))))
+        ends.append(xc)
         t += tc
         x = xc
         bp.append(t)
@@ -235,9 +229,12 @@ def run_destabilizer(K, cls: PeClass, x0=(-1.0, 0.0),
              if horizon >= cls.T else False)
     factors = [b / a for a, b in zip(rev_norms, rev_norms[1:])]
     growth = factors[-1] if factors else math.nan
+    times, states, seg_alpha = _flow(
+        mats.__getitem__, np.array(vals), np.array(bp), np.array(widths),
+        np.array(counts), np.asarray(x0, dtype=float)[:, np.newaxis],
+        np.array(ends)[:, :, np.newaxis])
     loop = ClosedLoop(A_DI, B_DI, Kmat, induced)
-    traj = Trajectory(loop, np.concatenate(times), np.concatenate(states),
-                      np.repeat(vals, counts))
+    traj = Trajectory(loop, times, states[:, :, 0], seg_alpha)
     return DestabilizerRun(traj, induced, growth, factors, pe_ok, crossings)
 
 
@@ -344,6 +341,21 @@ def tune_adversarial(cls: PeClass, rho: float, seed: int = 0,
         "adversarial search kept defeating the tuned gain after 3 rounds")
 
 
+def _fitted_rate(runs, horizon: float) -> float:
+    """Slowest decay -log(|x(horizon)| / |x(0)|) / horizon over the runs,
+    or -inf once a run has a non-finite state or norm or ends at zero."""
+    worst = math.inf
+    for tr in runs:
+        if not np.isfinite(tr.states).all():
+            return -math.inf
+        with np.errstate(over="ignore"):
+            nrm = np.linalg.norm(tr.states[[0, -1]], axis=1)
+        if not (np.isfinite(nrm).all() and nrm[1] > 0.0):
+            return -math.inf
+        worst = min(worst, -math.log(nrm[1] / nrm[0]) / horizon)
+    return worst
+
+
 def worst_case_search(A, B, K, cls: PeClass, x0_list, budget: int,
                       horizon: float, seed: int = 0,
                       max_step: float | None = None):
@@ -371,14 +383,9 @@ def worst_case_search(A, B, K, cls: PeClass, x0_list, budget: int,
     x0_columns = np.column_stack(x0_list)
 
     def rate_of(sig: PwcSignal) -> float:
-        worst = math.inf
-        for tr in propagate_batch(ClosedLoop(A, B, K, sig), 0.0, x0_columns,
-                                  horizon, max_step):
-            nrm = tr.norms()
-            if not np.all(np.isfinite(nrm)) or nrm[-1] <= 0.0:
-                return -math.inf
-            worst = min(worst, -math.log(nrm[-1] / nrm[0]) / horizon)
-        return worst
+        return _fitted_rate(propagate_batch(ClosedLoop(A, B, K, sig), 0.0,
+                                            x0_columns, horizon, max_step),
+                            horizon)
 
     base = ("front", 1.0, 0.0, 2)
     evaluated = []

@@ -1,8 +1,9 @@
 """Dense linear algebra for small real matrices (n <= 8).
 
-Matrix exponential (scipy's), eigenvalues, smallest singular value and
-quadratic roots.  Everything operates on plain float64 numpy
-arrays; validation helpers turn loose input into checked arrays.
+Matrix exponential (scipy's, of one matrix or a stack), eigenvalues,
+smallest singular value and quadratic roots.  Everything operates on plain
+float64 numpy arrays; validation helpers turn loose input into checked
+arrays.
 """
 
 from __future__ import annotations
@@ -24,14 +25,17 @@ __all__ = [
 ]
 
 
-def as_matrix(a, square: bool = False, name: str = "matrix") -> np.ndarray:
-    """Validate `a` as a finite 2-d float array (optionally square)."""
+def as_matrix(a, square: bool = False, name: str = "matrix",
+              stack: bool = False) -> np.ndarray:
+    """Validate `a` as a finite 2-d float array (optionally square), or as
+    a 3-d stack of them."""
     m = np.asarray(a, dtype=float)
-    if m.ndim == 1:
+    if m.ndim == 1 and not stack:
         m = m.reshape(1, -1)
-    if m.ndim != 2:
-        raise ShapeError(f"{name} must be 2-dimensional, got shape {m.shape}")
-    if square and m.shape[0] != m.shape[1]:
+    if m.ndim != 2 + stack:
+        raise ShapeError(
+            f"{name} must be {2 + stack}-dimensional, got shape {m.shape}")
+    if square and m.shape[-2] != m.shape[-1]:
         raise ShapeError(f"{name} must be square, got shape {m.shape}")
     if m.size and not np.all(np.isfinite(m)):
         raise ShapeError(f"{name} has non-finite entries")
@@ -48,8 +52,13 @@ def one_norm(m) -> float:
 
 
 def expm(m, t: float = 1.0) -> np.ndarray:
-    """exp(t*m) by scipy.linalg.expm, after validating m and t."""
-    a = as_matrix(m, square=True, name="expm argument")
+    """exp(t*m) by scipy.linalg.expm, after validating m and t.
+
+    m may also be a stack (k, n, n): scipy exponentiates it slice by slice
+    in one call, each slice with the bits of its own call.
+    """
+    a = as_matrix(m, square=True, name="expm argument",
+                  stack=np.ndim(m) == 3)
     if not np.isfinite(t):
         raise ShapeError("expm time must be finite")
     return scipy.linalg.expm(t * a)

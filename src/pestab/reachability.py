@@ -4,8 +4,8 @@ The Gramian carries the squared gate, W(t) = int_0^t alpha(s)^2
 e^{A(t-s)} B B^T e^{A^T(t-s)} ds: the gate multiplies the input, so the
 reachability integrand sees alpha^2.  Since alpha >= 0 this has the same
 kernel as the unsquared condition.  Each constant-alpha segment is resolved
-by a block-matrix-exponential quadrature, so the result is exact to expm
-accuracy.
+by a block-matrix-exponential quadrature, one stacked exponential over the
+distinct segment widths, so the result is exact to expm accuracy.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DomainError, PreconditionError
 from .matkit import as_matrix, expm, min_sv
 from .signals import PeClass, PwcSignal, verify_pe
-from .simcore import _segment
+from .simcore import _flow
 
 __all__ = [
     "GramianReport",
@@ -50,22 +50,29 @@ class GramianReport:
         return out
 
 
-def _segment_gramian(A: np.ndarray, Q: np.ndarray, h: float) -> tuple:
-    """(e^{Ah}, int_0^h e^{As} Q e^{A^T s} ds) via one block exponential."""
+def _segment_gramian(A: np.ndarray, Q: np.ndarray, h) -> tuple:
+    """(e^{Ah}, int_0^h e^{As} Q e^{A^T s} ds) via one block exponential;
+    for an array of widths h, stacks of both from one stacked expm."""
     n = A.shape[0]
     C = np.zeros((2 * n, 2 * n))
     C[:n, :n] = -A
     C[:n, n:] = Q
     C[n:, n:] = A.T
-    E = expm(C, h)
-    f22 = E[n:, n:]          # e^{A^T h}
-    phi = f22.T              # e^{A h}
-    H = phi @ E[:n, n:]
-    return phi, 0.5 * (H + H.T)
+    E = expm(np.multiply.outer(h, C))
+    phi = np.swapaxes(E[..., n:, n:], -1, -2)   # e^{A h}, from e^{A^T h}
+    H = phi @ E[..., :n, n:]
+    return phi, 0.5 * (H + np.swapaxes(H, -1, -2))
+
+
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"tol must be finite and positive, got {tol!r}")
 
 
 def gramian(A, B, alpha: PwcSignal, t: float, tol: float = _CTRL_TOL) -> GramianReport:
-    """Gramian over [0, t]; controllable iff min_sv(W) > tol * trace(W)/n."""
+    """Gramian over [0, t]; controllable iff min_sv(W) > tol * trace(W)/n,
+    for a finite tol > 0."""
+    _check_tol(tol)
     if t <= 0.0:
         raise DomainError("horizon must be positive")
     A = as_matrix(A, square=True, name="A")
@@ -73,14 +80,12 @@ def gramian(A, B, alpha: PwcSignal, t: float, tol: float = _CTRL_TOL) -> Gramian
     n = A.shape[0]
     Q = B @ B.T
     W = np.zeros((n, n))
-    cache: dict = {}
-    for (s, e, a) in alpha.segments(0.0, t):
-        h = e - s
-        got = cache.get(h)
-        if got is None:
-            got = _segment_gramian(A, Q, h)
-            cache[h] = got
-        phi, H = got
+    pieces = [(e - s, a) for s, e, a in alpha.segments(0.0, t)]
+    widths = list(dict.fromkeys(h for h, _ in pieces))
+    phis, Hs = _segment_gramian(A, Q, np.array(widths))
+    flows = dict(zip(widths, zip(phis, Hs)))
+    for h, a in pieces:
+        phi, H = flows[h]
         W = phi @ W @ phi.T + (a * a) * H
     W = 0.5 * (W + W.T)
     sv = min_sv(W)
@@ -126,7 +131,7 @@ def witness_residual(A, B, alpha: PwcSignal, t: float, p: np.ndarray,
     residual is evaluated only where the gate is nonzero, so a gate that
     is zero on [0, t] (the adversarial signal below T - mu) gives exactly 0
     without an exponential.  Otherwise y(s) = e^{A^T (t-s)} p comes from
-    one power table of e^{-A^T h} (simcore's segment kernel)."""
+    one power table of e^{-A^T h} (simcore's propagation kernel)."""
     A = as_matrix(A, square=True)
     B = as_matrix(B)
     h = t / grid
@@ -137,8 +142,9 @@ def witness_residual(A, B, alpha: PwcSignal, t: float, p: np.ndarray,
         return 0.0
     # y at s = -h/2, then one step of e^{-A^T h} per grid midpoint
     y = expm(A.T, t + 0.5 * h) @ p
-    _, ys = _segment({}, 0.0, -A.T, y, 0.0, t, h, grid)
-    return float(np.max(gate * np.max(np.abs(ys @ B), axis=1)))
+    _, ys, _ = _flow(lambda a: -A.T, np.zeros(1), np.array([0.0, t]),
+                     np.array([t]), np.array([grid]), y[:, np.newaxis])
+    return float(np.max(gate * np.max(np.abs(ys[1:, :, 0] @ B), axis=1)))
 
 
 @dataclass(eq=False)
@@ -163,6 +169,7 @@ def threshold_check(A, B, cls: PeClass, t: float, battery,
     Gramian nonsingular for every battery member and report the smallest
     min_sv seen.
     """
+    _check_tol(tol)
     A = as_matrix(A, square=True)
     B = as_matrix(B)
     n = A.shape[0]

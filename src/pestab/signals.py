@@ -29,16 +29,23 @@ __all__ = [
 ]
 
 _PE_SLACK = 1e-12
+# PwcSignal.segments finds the cuts of a range with more candidates than
+# this as arrays, and scans fewer in Python
+_SCAN_CUTS = 16
 
 
 @dataclass(frozen=True)
 class PeClass:
-    """Window length T and excitation floor mu, with 0 < mu <= T."""
+    """Window length T and excitation floor mu, finite, with 0 < mu <= T."""
 
     T: float
     mu: float
 
     def __post_init__(self):
+        for name in ("T", "mu"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(
+                    f"{name} must be finite, got {getattr(self, name)!r}")
         if not (0.0 < self.mu <= self.T):
             raise DomainError(f"need 0 < mu <= T, got T={self.T}, mu={self.mu}")
 
@@ -96,6 +103,12 @@ class PwcSignal:
         for v, b1, b2 in zip(vals, bp, bp[1:]):
             cum.append(cum[-1] + v * (b2 - b1))
         object.__setattr__(self, "_cum", tuple(cum))
+        # _table[bisect_right(breakpoints, tau)] is the value at tau; the
+        # ends cover a folded tau that rounds below 0 (the last piece) or
+        # to the period (the first), and the hold
+        ends = (vals[-1:], vals[:1]) if self.period is not None else \
+            ((self.hold,), (self.hold,))
+        object.__setattr__(self, "_table", ends[0] + vals + ends[1])
 
     # -- constructors -------------------------------------------------------
 
@@ -119,26 +132,12 @@ class PwcSignal:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _fold(self, t: float) -> float:
-        """Map t into the explicit part for a periodic signal."""
-        p = self.period
-        tau = t - math.floor(t / p) * p
-        if tau >= p:  # floating guard
-            tau = 0.0
-        return tau
-
     def value_at(self, t: float) -> float:
         if t < 0.0:
             raise DomainError("signals are defined on [0, inf)")
         if self.period is not None:
-            tau = self._fold(t)
-        else:
-            if t >= self.breakpoints[-1]:
-                return self.hold
-            tau = t
-        idx = bisect_right(self.breakpoints, tau) - 1
-        idx = min(idx, len(self.values) - 1)
-        return self.values[idx]
+            t = t - math.floor(t / self.period) * self.period
+        return self._table[bisect_right(self.breakpoints, t)]
 
     def integral_from_zero(self, t: float) -> float:
         """Exact integral of alpha over [0, t]."""
@@ -164,40 +163,44 @@ class PwcSignal:
             return cum[-1]
         return cum[idx] + self.values[idx] * (tau - bp[idx])
 
-    def switch_times(self, t0: float, t1: float) -> list:
-        """Times in (t0, t1) where the value may change."""
-        out = []
-        bp = self.breakpoints
-        if self.period is not None:
-            p = self.period
-            j = math.floor(t0 / p)
-            while j * p < t1:
-                for b in bp[:-1]:  # bp[-1] == p is the next cycle's 0
-                    s = j * p + b
-                    if t0 < s < t1:
-                        out.append(s)
-                j += 1
-        else:
-            out.extend(b for b in bp if t0 < b < t1)
-        return sorted(set(out))
-
     def segments(self, t0: float, t1: float) -> Iterator[tuple]:
         """Maximal (start, end, value) pieces covering [t0, t1].
 
-        Each piece's value is read at its midpoint: cut times regenerated
+        The cuts are the breakpoints j p + b of every cycle j in range, and
+        each piece's value is read at its midpoint: cut times regenerated
         from other cycles can land an ulp off a breakpoint, and midpoints
-        are immune to that."""
+        are immune to that.  Over more than _SCAN_CUTS candidate cuts the
+        cuts and values are found as arrays; below that numpy's per-call
+        cost outweighs a Python scan of the same cuts.
+        """
         if not (0.0 <= t0 < t1):
             raise DomainError("need 0 <= t0 < t1")
-        cuts = [t0] + self.switch_times(t0, t1) + [t1]
-        run_start = cuts[0]
-        run_val = self.value_at(0.5 * (cuts[0] + cuts[1]))
-        for s, e in zip(cuts, cuts[1:]):
-            v = self.value_at(0.5 * (s + e))
+        bp, p = self.breakpoints, self.period
+        # the cycles j with j p < t1; bp[-1] == p is the next cycle's 0
+        cycles = [0] if p is None else [
+            j for j in range(math.floor(t0 / p), math.floor(t1 / p) + 2)
+            if j * p < t1]
+        if len(cycles) * len(bp) > _SCAN_CUTS:
+            cand = np.unique(bp if p is None else
+                             np.add.outer(np.array(cycles) * p, bp[:-1]))
+            cuts = np.concatenate(([t0], cand[(t0 < cand) & (cand < t1)], [t1]))
+            mids = 0.5 * (cuts[:-1] + cuts[1:])
+            if p is not None:
+                mids -= np.floor(mids / p) * p
+            vals = np.asarray(self._table)[
+                np.searchsorted(bp, mids, side="right")].tolist()
+            cuts = cuts.tolist()
+        else:
+            cand = bp if p is None else \
+                {j * p + b for j in cycles for b in bp[:-1]}
+            cuts = [t0, *sorted(c for c in cand if t0 < c < t1), t1]
+            vals = [self.value_at(0.5 * (s + e)) for s, e in zip(cuts, cuts[1:])]
+        run_start, run_val = cuts[0], vals[0]
+        for s, v in zip(cuts[1:-1], vals[1:]):
             if v != run_val:
                 yield (run_start, s, run_val)
                 run_start, run_val = s, v
-        yield (run_start, cuts[-1], run_val)
+        yield (run_start, t1, run_val)
 
     # -- serialization ------------------------------------------------------
 

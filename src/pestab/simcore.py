@@ -1,11 +1,14 @@
 """Exact propagation of x' = (A + alpha(t) B K) x for piecewise-constant alpha.
 
-Every maximal interval where the signal is constant is cut into equal steps
-of at most max_step, and signal breakpoints are mandatory samples.  One
-expm per distinct (alpha, step) gives phi, and a per-call table of its
-powers, built by doubling in extended precision, gives all of a segment's
-samples in one matrix product: no integration error beyond expm accuracy
-and no per-sample Python loop.  crossing_time, the one crossing
+Every maximal interval where the signal is constant is a piece, cut into
+equal steps of at most max_step, and signal breakpoints are mandatory
+samples.  The one kernel, _flow, lists a propagation's pieces first and
+then works on arrays: one stacked expm gives phi for every distinct
+(alpha, step), their power tables are built together by doubling in
+extended precision, one small product per piece chains the piece-end
+states, and one matrix product fills the samples of all pieces with equal
+(alpha, step, count).  So there is no integration error beyond expm
+accuracy and no per-sample Python loop.  crossing_time, the one crossing
 root-finder, runs an ITP bracketing search whose every evaluation is on
 exponential dense output, never on interpolated samples.
 """
@@ -165,31 +168,88 @@ class Trajectory:
                 fh.write("".join(",".join(row) + "\r\n" for row in rows))
 
 
-def _segment(powers: dict, a: float, m: np.ndarray, x: np.ndarray,
-             s: float, e: float, h: float, nsub: int):
-    """Samples of the constant flow x' = m x over [s, e] in nsub steps of h.
+def _power_tables(phis: np.ndarray, sizes: list) -> list:
+    """Tables [phi, phi^2, ..., phi^size] of every phi in the stack phis.
 
-    powers[(a, h)] holds the table [phi, phi^2, ...] for phi = exp(h m),
-    grown by doubling when a segment needs more steps than it has.  The
-    doubling runs in extended precision, so each power carries one float64
-    rounding instead of the rounding of every squaring before it.  Returns
-    the sample times (the last one exactly e) and the states
-    phi^1 x ... phi^nsub x, stacked along a new leading axis.
+    All tables grow together by doubling in extended precision, so each
+    power carries one float64 rounding instead of the rounding of every
+    squaring before it; a doubling step stops at the longest size.
     """
-    if (a, h) not in powers:
-        powers[(a, h)] = expm(m, h).astype(np.longdouble)[np.newaxis], None
-    ext, p = powers[(a, h)]
-    n = m.shape[0]
-    if p is None or len(p) < nsub:
-        while len(ext) < nsub:
-            top = (ext.reshape(-1, n) @ ext[-1]).reshape(ext.shape)
-            ext = np.concatenate((ext, top))
-        p = ext.astype(float)
-        powers[(a, h)] = ext, p
-    states = (p[:nsub].reshape(-1, n) @ x).reshape((nsub,) + x.shape)
-    times = s + np.arange(1, nsub + 1) * h
-    times[-1] = e
-    return times, states
+    n = phis.shape[-1]
+    order = sorted(range(len(sizes)), key=sizes.__getitem__, reverse=True)
+    ext = phis[order].astype(np.longdouble)[:, np.newaxis]
+    tables = [None] * len(sizes)
+    live = len(order)
+    while True:
+        # the longest tables come first; the ones long enough are done
+        done = live
+        while live and sizes[order[live - 1]] <= ext.shape[1]:
+            live -= 1
+        for i in range(live, done):
+            tables[order[i]] = ext[i, :sizes[order[i]]].astype(float)
+        if not live:
+            return tables
+        ext = ext[:live]
+        grow = ext[:, :sizes[order[0]] - ext.shape[1]]
+        top = np.matmul(grow.reshape(live, -1, n), ext[:, -1])
+        ext = np.concatenate((ext, top.reshape(grow.shape)), axis=1)
+
+
+def _flow(matrix, levels: np.ndarray, cuts: np.ndarray, widths: np.ndarray,
+          nsub: np.ndarray, x0: np.ndarray, ends: np.ndarray | None = None):
+    """Samples of x' = matrix(a) x over consecutive constant pieces.
+
+    Piece j holds level levels[j] from cuts[j] to cuts[j + 1] in nsub[j]
+    steps of h = widths[j] / nsub[j]; its sample times are cuts[j] + i h,
+    the last one exactly cuts[j + 1].  One stacked expm gives
+    phi = exp(h matrix(a)) for every distinct (a, h), and _power_tables
+    their powers up to each one's longest piece.  x0 (n, m) is the state
+    at cuts[0]; piece j starts where piece j - 1 ends, at phi^nsub x, or,
+    when the piece-end states ends (k, n, m) are given, at ends[j - 1],
+    with ends[j] as its last sample.  Pieces of equal (a, h, nsub) are
+    filled by one matrix product.  Returns times (N,), states (N, n, m)
+    and seg_alpha (N - 1,), with N = 1 + sum(nsub).
+    """
+    h = widths / nsub
+    steps = nsub.tolist()
+    keys: dict = {}
+    key = [keys.setdefault(ah, len(keys))
+           for ah in zip(levels.tolist(), h.tolist())]
+    need = [0] * len(keys)
+    groups: dict = {}
+    for j, (q, s) in enumerate(zip(key, steps)):
+        need[q] = max(need[q], s)
+        groups.setdefault((q, s), []).append(j)
+    phis = expm(np.array([matrix(a) for a, _ in keys])
+                * np.array([kh for _, kh in keys])[:, np.newaxis, np.newaxis])
+    tables = _power_tables(phis, need)
+    # the chain and the fill read one memory layout: BLAS can round a
+    # product with a transposed operand differently
+    x0 = np.ascontiguousarray(x0)
+    if ends is None:
+        starts = np.empty((len(key),) + x0.shape)
+        x = x0
+        for j, (q, s) in enumerate(zip(key, steps)):
+            starts[j] = x
+            x = tables[q][s - 1] @ x
+    else:
+        starts = np.concatenate((x0[np.newaxis], ends[:-1]))
+    parts = [x0[np.newaxis]] + [None] * len(key)
+    n = x0.shape[0]
+    for (q, s), js in groups.items():
+        xs = np.matmul(tables[q][:s].reshape(-1, n), starts[js])
+        for j, x in zip(js, xs.reshape((len(js), s) + x0.shape)):
+            parts[j + 1] = x
+    states = np.concatenate(parts)
+    last = np.cumsum(nsub)
+    if ends is not None:
+        states[last] = ends
+    times = np.empty(len(states))
+    times[0] = cuts[0]
+    times[1:] = np.repeat(cuts[:-1], nsub) + np.repeat(h, nsub) * (
+        np.arange(1, len(times)) - np.repeat(last - nsub, nsub))
+    times[last] = cuts[1:]
+    return times, states, np.repeat(levels, nsub)
 
 
 def _propagate_states(loop: ClosedLoop, t0: float, x0: np.ndarray, t1: float,
@@ -199,25 +259,12 @@ def _propagate_states(loop: ClosedLoop, t0: float, x0: np.ndarray, t1: float,
         raise DomainError("need 0 <= t0 < t1")
     if max_step is None:
         max_step = loop.default_max_step()
-    if max_step <= 0.0:
+    if not max_step > 0.0:
         raise DomainError("max_step must be positive")
-    times = [np.array([t0])]
-    states = [x0[np.newaxis]]
-    levels, counts = [], []
-    powers: dict = {}
-    x = x0
-    for (s, e, a) in loop.alpha.segments(t0, t1):
-        seg_len = e - s
-        nsub = max(1, int(math.ceil(seg_len / max_step - 1e-12)))
-        ts, xs = _segment(powers, a, loop.matrix(a), x, s, e, seg_len / nsub,
-                          nsub)
-        x = xs[-1]
-        times.append(ts)
-        states.append(xs)
-        levels.append(a)
-        counts.append(nsub)
-    return (np.concatenate(times), np.concatenate(states),
-            np.repeat(levels, counts))
+    s, e, a = np.array(list(loop.alpha.segments(t0, t1))).T
+    widths = e - s
+    nsub = np.maximum(1, np.ceil(widths / max_step - 1e-12)).astype(int)
+    return _flow(loop.matrix, a, np.append(s, e[-1]), widths, nsub, x0)
 
 
 def propagate(loop: ClosedLoop, t0: float, x0, t1: float,

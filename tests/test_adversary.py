@@ -10,7 +10,7 @@ from pestab.adversary import (QPartition, ZetaFeedback, _rotation_step,
 from pestab.errors import DegenerateStateError, DomainError
 from pestab.gains import A_DI, A_ROTATION, B_DI, di_base_gain
 from pestab.matkit import expm
-from pestab.signals import PeClass, verify_pe
+from pestab.signals import PeClass, PwcSignal, verify_pe
 from pestab.simcore import ClosedLoop, propagate
 
 K11 = np.array([[-1.0, -1.0]])
@@ -262,3 +262,61 @@ class TestWorstCase:
         b = worst_case_search(A_DI, B_DI, K, cls, x0s, 12, 8.0, seed=5)
         assert a[0].to_json() == b[0].to_json()
         assert a[1] == b[1]
+
+
+def reference_fitted_rate(runs, horizon):
+    """The rate worst_case_search used to fit from every sample's norm."""
+    worst = math.inf
+    for tr in runs:
+        nrm = tr.norms()
+        if not np.all(np.isfinite(nrm)) or nrm[-1] <= 0.0:
+            return -math.inf
+        worst = min(worst, -math.log(nrm[-1] / nrm[0]) / horizon)
+    return worst
+
+
+class TestFittedRate:
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    def test_search_equals_the_full_norm_rate(self, seed):
+        # every candidate's rate, and so the whole report, is unchanged
+        cls = PeClass(1.0, 0.3)
+        x0s = [np.array([1.0, 0.0]), np.array([0.3, -0.8])]
+        K = di_base_gain(0.2, 2.0)
+        got = worst_case_search(A_DI, B_DI, K, cls, x0s, 10, 9.0, seed=seed)
+        with mock.patch.object(adversary, "_fitted_rate",
+                               reference_fitted_rate):
+            want = worst_case_search(A_DI, B_DI, K, cls, x0s, 10, 9.0,
+                                     seed=seed)
+        assert got[0].to_json() == want[0].to_json()
+        assert got[1] == want[1]
+
+    def test_rates_of_growing_and_decaying_runs(self):
+        from pestab.signals import make_duty
+        cls = PeClass(1.0, 0.08)
+        cols = np.array([[1.0, 0.0, 0.6], [0.0, 1.0, -0.8]])
+        for K in (K11, di_base_gain(0.2, 2.0)):
+            for sig in (make_duty(cls), make_duty(cls, pattern="back")):
+                runs = simcore.propagate_batch(
+                    ClosedLoop(A_DI, B_DI, K, sig), 0.0, cols, 20.0)
+                got = adversary._fitted_rate(runs, 20.0)
+                assert repr(got) == repr(reference_fitted_rate(runs, 20.0))
+                assert math.isfinite(got)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, 1e300])
+    def test_non_finite_or_vanishing_runs(self, bad):
+        # a non-finite state anywhere, an end at zero and norms that
+        # overflow at the end all give -inf, as the full-norm version did
+        tr = propagate(ClosedLoop(A_DI, B_DI, K11, PwcSignal.constant(0.5)),
+                       0.0, [1.0, 0.0], 2.0)
+        states = tr.states.copy()
+        if bad == 0.0:
+            states[-1] = 0.0
+        elif bad == 1e300:
+            states[-1] = bad
+        else:
+            states[len(states) // 2, 1] = bad
+        bent = simcore.Trajectory(tr.loop, tr.times, states, tr.seg_alpha)
+        with np.errstate(over="ignore"):
+            want = reference_fitted_rate([tr, bent], 2.0)
+        assert want == -math.inf
+        assert adversary._fitted_rate([tr, bent], 2.0) == -math.inf

@@ -234,6 +234,25 @@ class TestThreshold:
         assert not (out / "threshold.csv").exists()
 
 
+    @pytest.mark.parametrize("flag, value", [("--T", "inf"), ("--T", "nan"),
+                                             ("--mu", "nan")])
+    def test_non_finite_class_names_the_field(self, tmp_path, capsys, flag,
+                                              value):
+        # --T inf used to exit 2 with "breakpoints must be finite", raised
+        # by the first signal built from the class
+        argv = {"--T": "1", "--mu": "0.5", flag: value}
+        out = tmp_path / "o"
+        rc = main(["threshold", "--preset", "double_integrator",
+                   "--T", argv["--T"], "--mu", argv["--mu"],
+                   "--t-grid", "0.5", "--battery-size", "2",
+                   "--out-dir", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"invalid input: {flag[2:]} must be finite" in err
+        assert "breakpoints" not in err
+        assert not out.exists()
+
+
 class TestDestabilize:
     def test_growth_report(self, tmp_path):
         out = tmp_path / "o"

@@ -1,13 +1,15 @@
-"""Property tests of the segment-power propagation kernel.
+"""Property tests of the piece-list propagation kernel.
 
 Random periodic and held piecewise-constant signals drive random loops;
 `propagate` and `propagate_batch` are compared with a sequential product of
-`scipy.linalg.expm` factors, with `solve_ivp`, and with the sample grid of a
-plain per-sample loop.
+`scipy.linalg.expm` factors, with `solve_ivp`, with the sample grid of a
+plain per-sample loop, and bit for bit with the per-piece loop the kernel
+replaced, which also checks `run_destabilizer` and `witness_residual`.
 """
 
 import contextlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,8 +17,11 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
-from pestab import simcore
-from pestab.signals import PwcSignal
+from pestab import adversary, simcore
+from pestab.adversary import run_destabilizer
+from pestab.gains import A_DI, B_DI
+from pestab.reachability import witness_residual
+from pestab.signals import PeClass, PwcSignal, make_duty
 from pestab.simcore import ClosedLoop, propagate, propagate_batch
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
@@ -63,6 +68,68 @@ def cases(draw):
     return loop, t0, cols, t1, max_step
 
 
+@st.composite
+def short_piece_cases(draw):
+    """Like cases, on a two-level square wave of period 1/64 to 0.1, so
+    hundreds of pieces, most of one or two steps."""
+    loop, t0, cols, t1, max_step = draw(cases())
+    period = draw(st.sampled_from((1.0 / 64.0, 0.1 / 3.0, 0.1)))
+    duty = draw(st.floats(0.05, 0.95))
+    sig = PwcSignal.periodic((0.0, duty * period, period),
+                             (draw(st.sampled_from(_LEVELS)), 0.25))
+    loop = ClosedLoop(loop.A, loop.B, loop.K, sig)
+    max_step = draw(st.sampled_from((10.0, period / 3.0, 0.01)))
+    return loop, t0, cols, t1, max_step
+
+
+def reference_segment(powers, a, m, x, s, e, h, nsub):
+    """The per-piece step the kernel replaced: samples of x' = m x over
+    [s, e] in nsub steps of h from a doubling table of exp(h m) kept in
+    powers[(a, h)] and grown when a piece needs more steps."""
+    if (a, h) not in powers:
+        powers[(a, h)] = scipy.linalg.expm(h * m).astype(
+            np.longdouble)[np.newaxis], None
+    ext, p = powers[(a, h)]
+    n = m.shape[0]
+    if p is None or len(p) < nsub:
+        while len(ext) < nsub:
+            top = (ext.reshape(-1, n) @ ext[-1]).reshape(ext.shape)
+            ext = np.concatenate((ext, top))
+        p = ext.astype(float)
+        powers[(a, h)] = ext, p
+    states = (p[:nsub].reshape(-1, n) @ x).reshape((nsub,) + x.shape)
+    times = s + np.arange(1, nsub + 1) * h
+    times[-1] = e
+    return times, states
+
+
+def reference_propagate(loop, t0, cols, t1, max_step):
+    """The per-piece loop the kernel replaced: times, states (N, n, m) and
+    seg_alpha."""
+    times, states = [np.array([t0])], [cols[np.newaxis]]
+    levels, counts = [], []
+    powers, x = {}, cols
+    for (s, e, a) in loop.alpha.segments(t0, t1):
+        seg_len = e - s
+        nsub = max(1, int(math.ceil(seg_len / max_step - 1e-12)))
+        ts, xs = reference_segment(powers, a, loop.matrix(a), x, s, e,
+                                   seg_len / nsub, nsub)
+        x = xs[-1]
+        times.append(ts)
+        states.append(xs)
+        levels.append(a)
+        counts.append(nsub)
+    return (np.concatenate(times), np.concatenate(states),
+            np.repeat(levels, counts))
+
+
+def assert_same_bits(got, want):
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert np.array_equal(g, w)
+        assert g.tobytes() == w.tobytes()
+
+
 def run(loop, t0, cols, t1, max_step):
     """States (N, n, width), times and seg_alpha through the public API."""
     if cols.shape[1] == 1:
@@ -89,10 +156,11 @@ def per_sample_grid(loop, t0, t1, max_step):
 
 @contextlib.contextmanager
 def counting_expm():
-    """Record the step of every expm call the kernel makes."""
+    """Record the (matrix or stack, step) of every expm call the kernel
+    makes."""
     calls = []
     real = simcore.expm
-    simcore.expm = lambda m, t=1.0: calls.append(t) or real(m, t)
+    simcore.expm = lambda m, t=1.0: calls.append((m, t)) or real(m, t)
     try:
         yield calls
     finally:
@@ -163,23 +231,33 @@ def test_seg_alpha_matches_per_segment_fill(case):
 @PROPERTY
 @given(cases())
 def test_one_expm_per_distinct_piece(case):
+    # one stacked call per propagation, one slice per distinct (alpha, h)
     loop, t0, _, t1, max_step = case
     _, _, pieces = per_sample_grid(loop, t0, t1, max_step)
     with counting_expm() as calls:
         run(*case)
-    assert len(calls) <= len({(a, h) for a, h, _ in pieces})
+    assert len(calls) == 1
+    stack, t = calls[0]
+    assert t == 1.0
+    assert len(stack) == len({(a, h) for a, h, _ in pieces})
 
 
 def test_power_table_grows_for_a_longer_segment():
     # pieces [0, .25) and [.5, 1.25) at alpha 1 share h = 1/8, with 2 and 6
-    # steps; the table built for the first is grown for the second
+    # steps, and [.25, .5) at alpha 0.5 has h = 1/8 too: one stacked expm
+    # holds 0.125 M(1) and 0.125 M(0.5), and the alpha 1 table is long
+    # enough for the second piece
     sig = PwcSignal.held((0.0, 0.25, 0.5, 1.25), (1.0, 0.5, 1.0), hold=0.5)
     loop = ClosedLoop([[0.0, 1.0], [-1.0, 0.0]], [[0.0], [1.0]],
                       [[-0.4, -0.9]], sig)
     with counting_expm() as calls:
         tr = propagate(loop, 0.0, [1.0, 0.0], 1.25, max_step=0.125)
     assert len(tr.times) == 11
-    assert calls == [0.125, 0.125]
+    assert len(calls) == 1
+    stack, t = calls[0]
+    assert t == 1.0
+    np.testing.assert_array_equal(
+        stack, [0.125 * loop.matrix(1.0), 0.125 * loop.matrix(0.5)])
     m1 = loop.matrix(1.0)
     phi = scipy.linalg.expm(0.125 * m1)
     x = tr.states[4]
@@ -205,3 +283,63 @@ def test_long_segment_matches_sequential_product(width):
         ref.append(x)
     assert len(states) == 24_001
     assert relative_deviation(states, np.stack(ref)) <= 1e-12
+
+
+@PROPERTY
+@given(st.one_of(cases(), short_piece_cases()))
+def test_equals_the_per_piece_loop(case):
+    times, states, seg_alpha = run(*case)
+    assert_same_bits((times, states, seg_alpha), reference_propagate(*case))
+
+
+@pytest.mark.parametrize("width", [1, 4])
+@pytest.mark.parametrize("t0", [0.0, 0.25])
+def test_repeated_piece_with_different_step_counts(width, t0):
+    # (0.5, 1/8) comes with 2 steps, then with 6 in the hold, and from
+    # t0 = 0, (1, 1/8) with 2 then 6: one table per key serves both
+    sig = PwcSignal.held((0.0, 0.25, 0.5, 1.25), (1.0, 0.5, 1.0), hold=0.5)
+    loop = ClosedLoop([[0.0, 1.0], [-1.0, 0.0]], [[0.0], [1.0]],
+                      [[-0.4, -0.9]], sig)
+    cols = np.vstack([1.0 + np.arange(width), -np.arange(width) / 3.0])
+    case = (loop, t0, cols, 2.0, 0.125)
+    with counting_expm() as calls:
+        got = run(*case)
+    assert len(calls) == 1 and len(calls[0][0]) == 2
+    assert_same_bits(got, reference_propagate(*case))
+
+
+@pytest.mark.parametrize("k", [(1.0, 1.0), (2.0, 1.0), (1.0, 3.0)])
+def test_destabilizer_samples_equal_the_per_phase_loop(k):
+    # the phases run_destabilizer hands the kernel, each re-marched from
+    # its crossing state the old way and ended on the next one
+    with mock.patch.object(adversary, "_flow",
+                           wraps=adversary._flow) as flow:
+        run_ = run_destabilizer(np.array([[-k[0], -k[1]]]),
+                                PeClass(1.0, 0.03), revolutions=4)
+    (matrix, levels, cuts, widths, nsub, x0, ends), _ = flow.call_args
+    assert cuts.tolist() == [0.0] + [c["t"] for c in run_.crossings]
+    times, states, powers = [cuts[:1]], [x0[np.newaxis, :, 0]], {}
+    x = x0[:, 0]
+    for a, s, e, w, q, xe in zip(levels.tolist(), cuts, cuts[1:], widths,
+                                 nsub.tolist(), ends[:, :, 0]):
+        ts, xs = reference_segment(powers, a, matrix(a), x, s, e, w / q, q)
+        xs[-1] = xe
+        times.append(ts)
+        states.append(xs)
+        x = xe
+    assert_same_bits((run_.traj.times, run_.traj.states),
+                     (np.concatenate(times), np.concatenate(states)))
+
+
+@pytest.mark.parametrize("grid", [1, 3, 2000])
+def test_witness_residual_equals_the_segment_table(grid):
+    sig = make_duty(PeClass(1.0, 0.5), phase=0.3)
+    p = np.array([0.6, -0.8])
+    for t in (0.8, 1.7, 4.3):
+        h = t / grid
+        mids = (np.arange(grid) + 0.5) * h
+        gate = np.array([sig.value_at(s) for s in mids])
+        y = simcore.expm(A_DI.T, t + 0.5 * h) @ p
+        _, ys = reference_segment({}, 0.0, -A_DI.T, y, 0.0, t, h, grid)
+        want = float(np.max(gate * np.max(np.abs(ys @ B_DI), axis=1)))
+        assert witness_residual(A_DI, B_DI, sig, t, p, grid) == want

@@ -75,6 +75,40 @@ class TestExpm:
         with pytest.raises(ShapeError, match="time"):
             expm(ROT, t)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_stack_slices_equal_their_own_calls(self, n):
+        # every slice of a stacked call has the bits of its own 2-d call,
+        # at step sizes that need no scaling and ones that need squarings
+        rng = np.random.default_rng(n)
+        stack = rng.standard_normal((7, n, n)) * \
+            np.array([1e-3, 0.01, 0.1, 1.0, 3.0, 10.0, 40.0])[:, None, None]
+        stack[2] = np.triu(stack[2])  # triangular: scipy's own branch
+        stack[3] = np.diag(np.diag(stack[3]))  # diagonal: another branch
+        got = expm(stack)
+        assert got.shape == stack.shape
+        for m, e in zip(stack, got):
+            assert e.tobytes() == expm(m).tobytes()
+        for t in (0.5, 2.0):
+            for m, e in zip(stack, expm(stack, t)):
+                assert e.tobytes() == expm(m, t).tobytes()
+
+    def test_stack_of_one_and_empty_stack(self):
+        assert expm(ROT[np.newaxis], 0.3)[0].tobytes() == \
+            expm(ROT, 0.3).tobytes()
+        assert expm(np.zeros((0, 2, 2))).shape == (0, 2, 2)
+
+    @pytest.mark.parametrize("shape", [(2, 2, 3), (3, 1, 2), (2, 2, 2, 2)])
+    def test_rejects_non_square_stack(self, shape):
+        with pytest.raises(ShapeError):
+            expm(np.zeros(shape))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_stack(self, bad):
+        stack = np.zeros((3, 2, 2))
+        stack[2, 1, 0] = bad
+        with pytest.raises(ShapeError, match="non-finite"):
+            expm(stack)
+
 
 class TestEig:
     def test_diagonal(self):

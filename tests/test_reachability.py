@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import numpy as np
@@ -207,6 +208,24 @@ class TestKalmanRank:
 
 
 class TestThreshold:
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, -0.0, math.inf])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        # nan reported every Gramian singular and -1 every one
+        # controllable; 0 and inf read min_sv against 0 or infinity
+        sig = PwcSignal.constant(1.0)
+        with pytest.raises(DomainError, match="tol must be finite"):
+            gramian(A_DI, B_DI, sig, 1.0, tol=tol)
+        for t in (0.3, 0.8):  # adversarial branch, then the battery one
+            with pytest.raises(DomainError, match="tol must be finite"):
+                threshold_check(A_DI, B_DI, CLS, t, [sig], tol=tol)
+        with pytest.raises(DomainError, match="tol must be finite"):
+            threshold_check(A_DI, B_DI, CLS, 0.8, [], tol=tol)
+
+    def test_tiny_and_huge_finite_tol_accepted(self):
+        sig = PwcSignal.constant(1.0)
+        assert gramian(A_DI, B_DI, sig, 1.0, tol=5e-324).controllable
+        assert not gramian(A_DI, B_DI, sig, 1.0, tol=1e300).controllable
+
     def test_below_boundary_adversarial(self):
         for t in (0.1, 0.3, 0.5):
             rep = threshold_check(A_DI, B_DI, CLS, t, [])

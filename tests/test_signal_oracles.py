@@ -1,5 +1,6 @@
 """Signal-layer oracles: the exact PE window scan against a brute-force dense
-scan, and time shifts and rescalings against the integral they transform.
+scan, time shifts and rescalings against the integral they transform, and
+the array-built `PwcSignal.segments` against the per-cut loop it replaced.
 
 The dense scan evaluates the window integral at evenly spaced starts from a
 cumulative integral built with numpy from the raw breakpoints, without
@@ -7,11 +8,14 @@ cumulative integral built with numpy from the raw breakpoints, without
 """
 
 import math
+from bisect import bisect_right
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pestab import signals as signals_module
 from pestab.signals import (PeClass, PwcSignal, integrate_signal,
                             rescale_time, shift, verify_pe)
 
@@ -146,3 +150,117 @@ def test_rescale_time_commutes_with_integral(sig, lam, a, width):
     got = integrate_signal(rescale_time(sig, lam), a, a + width)
     want = integrate_signal(sig, lam * a, lam * (a + width)) / lam
     assert abs(got - want) <= 1e-12 * max(1.0, lam * (a + width))
+
+
+def reference_value_at(sig, t):
+    """The scalar lookup segments used to read once per cut interval."""
+    bp = sig.breakpoints
+    if sig.period is not None:
+        p = sig.period
+        tau = t - math.floor(t / p) * p
+        if tau >= p:
+            tau = 0.0
+    else:
+        if t >= bp[-1]:
+            return sig.hold
+        tau = t
+    idx = min(bisect_right(bp, tau) - 1, len(sig.values) - 1)
+    return sig.values[idx]
+
+
+def reference_segments(sig, t0, t1):
+    """The per-cut loop segments replaced, with its switch_times loop."""
+    out = []
+    bp = sig.breakpoints
+    if sig.period is not None:
+        p = sig.period
+        j = math.floor(t0 / p)
+        while j * p < t1:
+            for b in bp[:-1]:
+                s = j * p + b
+                if t0 < s < t1:
+                    out.append(s)
+            j += 1
+    else:
+        out.extend(b for b in bp if t0 < b < t1)
+    cuts = [t0] + sorted(set(out)) + [t1]
+    run_start = cuts[0]
+    run_val = reference_value_at(sig, 0.5 * (cuts[0] + cuts[1]))
+    for s, e in zip(cuts, cuts[1:]):
+        v = reference_value_at(sig, 0.5 * (s + e))
+        if v != run_val:
+            yield (run_start, s, run_val)
+            run_start, run_val = s, v
+    yield (run_start, cuts[-1], run_val)
+
+
+def same_pieces(got, want):
+    # repr tells 0.0 from -0.0 and checks every float to the bit
+    assert [tuple(map(repr, g)) for g in got] == \
+        [tuple(map(repr, w)) for w in want]
+    assert all(type(v) is float for g in got for v in g)
+
+
+@PROPERTY
+@given(st.one_of(signals(), signals(dyadic=False)), st.floats(0.0, 7.0),
+       st.floats(1e-3, 9.0))
+def test_segments_equal_the_per_cut_loop(sig, t0, width):
+    # t0 anywhere, also inside a later cycle of a periodic signal, where
+    # regenerated cuts land ulps off the breakpoints; both the array path
+    # and the Python scan of short ranges
+    want = list(reference_segments(sig, t0, t0 + width))
+    for scan in (0, 10**9):
+        with mock.patch.object(signals_module, "_SCAN_CUTS", scan):
+            same_pieces(list(sig.segments(t0, t0 + width)), want)
+
+
+@PROPERTY
+@given(st.sampled_from((1e-3, 0.1 / 3.0, 1.0 / 64.0)), st.floats(0.05, 0.95),
+       st.floats(0.0, 2.0))
+def test_segments_of_many_short_pieces(period, duty, t0):
+    sig = PwcSignal.periodic((0.0, duty * period, period), (1.0, 0.0))
+    got = list(sig.segments(t0, t0 + 3.0))
+    assert len(got) >= 2 * math.floor(3.0 / period) - 1
+    same_pieces(got, list(reference_segments(sig, t0, t0 + 3.0)))
+
+
+@pytest.mark.parametrize("scan", [0, 10**9])
+def test_segments_merge_equal_neighbours_and_signed_zeros(scan):
+    sig = PwcSignal.held((0.0, 0.5, 1.0, 1.5, 2.0), (-0.0, 0.0, 1.0, 1.0),
+                         hold=1.0)
+    with mock.patch.object(signals_module, "_SCAN_CUTS", scan):
+        got = list(sig.segments(0.0, 3.0))
+    assert [tuple(map(repr, g)) for g in got] == \
+        [("0.0", "1.0", "-0.0"), ("1.0", "3.0", "1.0")]
+    same_pieces(got, list(reference_segments(sig, 0.0, 3.0)))
+
+
+@pytest.mark.parametrize("scan", [0, 10**9])
+@pytest.mark.parametrize("t0, t1", [(0.0, 0.5), (0.15, 0.35), (0.0, 3.0)])
+def test_segments_where_two_cycles_cut_at_one_float(scan, t0, t1):
+    # the last piece is one ulp wide, so 1 * 0.1 + its start rounds to
+    # 2 * 0.1: the cut 0.2 comes from two cycles and must be taken once
+    sig = PwcSignal.periodic((0.0, 0.05, np.nextafter(0.1, 0.0), 0.1),
+                             (0.2, 0.6, 1.0))
+    assert 1 * 0.1 + sig.breakpoints[2] == 2 * 0.1
+    with mock.patch.object(signals_module, "_SCAN_CUTS", scan):
+        got = list(sig.segments(t0, t1))
+    same_pieces(got, list(reference_segments(sig, t0, t1)))
+
+
+@pytest.mark.parametrize("t", [1.7, 3.4, 3.9])
+def test_value_at_where_the_fold_rounds_below_zero(t):
+    # t / 0.1 rounds up to a whole number of periods, so the folded time
+    # is a rounding below 0, which reads the last piece
+    sig = PwcSignal.periodic((0.0, 0.05, 0.1), (0.25, 0.75))
+    assert t - math.floor(t / 0.1) * 0.1 < 0.0
+    assert sig.value_at(t) == reference_value_at(sig, t) == 0.75
+    assert list(sig.segments(t - 0.01, t + 0.001))[-1][2] == \
+        list(reference_segments(sig, t - 0.01, t + 0.001))[-1][2]
+
+
+@PROPERTY
+@given(st.one_of(signals(), signals(dyadic=False)), st.floats(0.0, 20.0))
+def test_value_at_equals_the_scalar_lookup(sig, t):
+    for u in (t, *(b for b in sig.breakpoints)):
+        assert repr(sig.value_at(u)) == repr(reference_value_at(sig, u))

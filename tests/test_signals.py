@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -251,6 +253,16 @@ class TestValidation:
     def test_period_matches_last_breakpoint(self):
         with pytest.raises(DomainError):
             PwcSignal((0.0, 1.0), (1.0,), period=2.0)
+
+    @pytest.mark.parametrize("T, mu, name", [
+        (math.inf, 1.0, "T"), (math.nan, 0.5, "T"), (-math.inf, 0.5, "T"),
+        (1.0, math.nan, "mu"), (math.inf, math.inf, "T"),
+        (1.0, -math.inf, "mu")])
+    def test_class_must_be_finite(self, T, mu, name):
+        # 0 < mu <= T held for T = inf, and the error surfaced later as
+        # "breakpoints must be finite" from the first signal built
+        with pytest.raises(DomainError, match=f"^{name} must be finite"):
+            PeClass(T, mu)
 
     def test_class_bounds(self):
         with pytest.raises(DomainError):
