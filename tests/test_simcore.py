@@ -110,6 +110,13 @@ class TestPropagate:
             propagate_batch(di_loop(PwcSignal.constant(1.0)), 0.0,
                             [[1.0, np.nan], [0.0, 1.0]], 1.0)
 
+    @pytest.mark.parametrize("step", [0.0, -1e-3, math.nan])
+    def test_max_step_must_be_positive(self, step):
+        # a NaN step was a ValueError from math.ceil
+        with pytest.raises(DomainError, match="max_step"):
+            propagate(di_loop(PwcSignal.constant(1.0)), 0.0, [1.0, 0.0], 1.0,
+                      max_step=step)
+
 
 class TestRescalingIdentity:
     def test_trajectory_identity(self):
