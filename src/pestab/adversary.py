@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import (DegenerateStateError, DomainError,
                      InternalConsistencyError, SimulationError)
-from .gains import A_DI, B_DI
+from .certify import _TUNE_HORIZON_PERIODS, tune, unit_circle_grid
+from .gains import A_DI, B_DI, di_gain
 from .matkit import as_matrix, expm
 from .signals import PeClass, PwcSignal, make_duty, verify_pe
 from .simcore import (ClosedLoop, Trajectory, _flow, _itp, crossing_time,
@@ -24,7 +25,6 @@ from .simcore import (ClosedLoop, Trajectory, _flow, _itp, crossing_time,
 
 __all__ = [
     "QPartition",
-    "ZetaFeedback",
     "run_destabilizer",
     "find_nu",
     "worst_case_search",
@@ -34,6 +34,8 @@ __all__ = [
 _MIN_DWELL = 1e-12
 # march steps _phase_crossing takes before it gives up on a crossing
 _MAX_MARCH_STEPS = 4000
+# duty phases per pattern in tune_adversarial's starting battery
+_TUNE_PHASES = 8
 
 
 @dataclass(frozen=True)
@@ -48,10 +50,6 @@ class QPartition:
         if self.k1 <= 0.0 or self.k2 <= 0.0:
             raise DomainError("both gain entries must be positive")
 
-    @property
-    def slope(self) -> float:
-        return -self.k1 / self.k2
-
     def region(self, x) -> int:
         x1, x2 = float(x[0]), float(x[1])
         if x1 == 0.0 and x2 == 0.0:
@@ -64,26 +62,6 @@ class QPartition:
         if s <= 0.0 and x2 < 0.0:
             return 3
         return 4
-
-
-@dataclass(frozen=True)
-class ZetaFeedback:
-    """Gate value 1 on sectors 2 and 4, the class ratio on sectors 1 and 3."""
-
-    k1: float
-    k2: float
-    ratio: float
-
-    def __post_init__(self):
-        if not (0.0 < self.ratio <= 1.0):
-            raise DomainError("ratio must lie in (0, 1]")
-
-    @property
-    def partition(self) -> QPartition:
-        return QPartition(self.k1, self.k2)
-
-    def value(self, x) -> float:
-        return 1.0 if self.partition.region(x) in (2, 4) else self.ratio
 
 
 def _phase_crossing(m: np.ndarray, x0: np.ndarray, fn, dt: float,
@@ -164,8 +142,7 @@ def run_destabilizer(K, cls: PeClass, x0=(-1.0, 0.0),
         raise DomainError("need at least one revolution")
     k1, k2 = _unpack_gain(K)
     ratio = cls.ratio
-    fb = ZetaFeedback(k1, k2, ratio)
-    part = fb.partition
+    part = QPartition(k1, k2)
     Kmat = np.array([[-k1, -k2]])
     bk = B_DI @ Kmat
     mats = {1.0: A_DI + bk, ratio: A_DI + ratio * bk}
@@ -300,32 +277,25 @@ def find_nu(K, tol: float = 1e-10) -> float:
 
 
 def tune_adversarial(cls: PeClass, rho: float, seed: int = 0,
-                     phases: int = 8, budget: int = 24,
-                     horizon_periods: float = 12.0,
-                     cap: float = 2.0 ** 16) -> dict:
+                     budget: int = 24) -> dict:
     """Gain-scale search hardened by the adversarial signal search.
 
     The doubling search runs over a duty battery covering all phases; the
     winner is then stressed with the worst signal the search can find, and
     if that signal breaks it, it joins the battery and the search repeats.
     """
-    from .certify import tune, unit_circle_grid
-    from .gains import di_gain
-
-    battery = [make_duty(cls, phase=j * cls.T / phases, on_value=1.0,
+    battery = [make_duty(cls, phase=j * cls.T / _TUNE_PHASES, on_value=1.0,
                          pattern=p)
-               for j in range(phases) for p in ("front", "back")]
+               for j in range(_TUNE_PHASES) for p in ("front", "back")]
     battery.append(make_duty(cls, pattern="split", splits=3))
     battery.append(PwcSignal.constant(cls.ratio))
     info = {"seed": seed, "size": len(battery),
-            "spec": f"duty at {phases} phases + split + constant ratio"}
+            "spec": f"duty at {_TUNE_PHASES} phases + split + constant ratio"}
     x0s = unit_circle_grid(4)
-    horizon = horizon_periods * cls.T
+    horizon = _TUNE_HORIZON_PERIODS * cls.T
 
     for _ in range(3):
-        result = tune(cls, rho, battery, x0s,
-                      horizon_periods=horizon_periods, cap=cap,
-                      battery_info=info)
+        result = tune(cls, rho, battery, x0s, battery_info=info)
         K = di_gain(cls, rho, result["k_star_hat"],
                     result["lambda_star_hat"]).K
         x0_list = [x0s[:, j] for j in range(x0s.shape[1])]
@@ -357,8 +327,7 @@ def _fitted_rate(runs, horizon: float) -> float:
 
 
 def worst_case_search(A, B, K, cls: PeClass, x0_list, budget: int,
-                      horizon: float, seed: int = 0,
-                      max_step: float | None = None):
+                      horizon: float, seed: int = 0):
     """Search duty-cycle space for the signal with the slowest fitted decay.
 
     Random candidates over (pattern, on-level, phase, splits) followed by
@@ -384,8 +353,7 @@ def worst_case_search(A, B, K, cls: PeClass, x0_list, budget: int,
 
     def rate_of(sig: PwcSignal) -> float:
         return _fitted_rate(propagate_batch(ClosedLoop(A, B, K, sig), 0.0,
-                                            x0_columns, horizon, max_step),
-                            horizon)
+                                            x0_columns, horizon), horizon)
 
     base = ("front", 1.0, 0.0, 2)
     evaluated = []

@@ -59,6 +59,15 @@ _F_SLACK = 1e-9
 _ETA_MARGIN = 1e-5
 _KL_RATE_MARGIN = 0.05
 _KL_CONST_MARGIN = 0.25
+# dwell_scaling: the doubled-gain dwell over the base dwell, 1/2 plus 10%
+_DWELL_RATIO_BOUND = 0.55
+# chain_contraction: the shortest gap between axis visits that is checked
+_MIN_EXCURSION = 1.0
+# weak_star_demo: the largest sup-distance allowed at the largest i
+_WEAK_STAR_FINAL_TOL = 1e-2
+# tune: runs last this many windows; k and lam double up to the cap
+_TUNE_HORIZON_PERIODS = 12.0
+_TUNE_CAP = 2.0 ** 16
 # (key, runs) of the last di_runs call; see di_runs
 _last_runs = None
 
@@ -104,21 +113,20 @@ def sphere_grid(n: int, m: int, seed: int = 0) -> np.ndarray:
     return g / np.linalg.norm(g, axis=0)
 
 
-def neutral_runs(A, B, battery, x0_columns, horizon: float, r: float = 1.0,
+def neutral_runs(A, B, battery, x0_columns, horizon: float,
                  max_step: float | None = None) -> list:
     """Closed-loop runs of the transpose-feedback loop over a battery."""
     A = as_matrix(A, square=True)
     B = as_matrix(B)
     runs = []
     for sig in battery:
-        loop = ClosedLoop(A, B, -r * B.T, sig)
+        loop = ClosedLoop(A, B, -B.T, sig)
         runs.extend(propagate_batch(loop, 0.0, x0_columns, horizon, max_step))
     return runs
 
 
 def di_runs(cls: PeClass, rho: float, k: float, lam: float, battery,
-            x0_columns, horizon: float, max_step: float | None = None,
-            polar: bool = True) -> list:
+            x0_columns, horizon: float, polar: bool = True) -> list:
     """Double-integrator runs in base-gain coordinates.
 
     The base gain (-rho k^2/2, -k) is driven by the lam-times-faster copies
@@ -134,7 +142,7 @@ def di_runs(cls: PeClass, rho: float, k: float, lam: float, battery,
     battery = list(battery)
     x0m = np.asarray(x0_columns, dtype=float)
     # repr tells -0.0 from 0.0 and round-trips every float
-    key = (repr([float(v) for v in (rho, k, lam, horizon)]), repr(max_step),
+    key = (repr([float(v) for v in (rho, k, lam, horizon)]),
            x0m.shape, x0m.tobytes(),
            repr([(s.breakpoints, s.values, s.period, s.hold)
                  for s in battery]))
@@ -147,7 +155,7 @@ def di_runs(cls: PeClass, rho: float, k: float, lam: float, battery,
         runs = []
         for sig in battery:
             loop = ClosedLoop(A_DI, B_DI, K, rescale_time(sig, lam))
-            runs.extend(propagate_batch(loop, 0.0, x0m, horizon, max_step))
+            runs.extend(propagate_batch(loop, 0.0, x0m, horizon))
         for tr in runs:
             for arr in (tr.times, tr.states, tr.seg_alpha):
                 arr.flags.writeable = False
@@ -176,7 +184,7 @@ def decay_rate(traj: Trajectory, t_start: float) -> dict:
             "residual": residual}
 
 
-def kl_envelope(trajs, names=None) -> Certificate:
+def kl_envelope(trajs) -> Certificate:
     """Fit (C_hat, gamma_hat) with ||x(t)|| <= C_hat ||x0|| e^{-gamma_hat dt}
     over every sample of the batch.
 
@@ -227,16 +235,17 @@ def kl_envelope(trajs, names=None) -> Certificate:
         {"size": len(trajs)}, notes)
 
 
-def envelope_holds(trajs, C: float, gamma: float, slack: float = 1e-12):
-    """Check ||x(t)|| <= C ||x0|| e^{-gamma dt} across a batch; returns
-    (ok, worst_margin) where margin is the log-gap (positive = satisfied)."""
+def envelope_holds(trajs, C: float, gamma: float):
+    """Check ||x(t)|| <= C ||x0|| e^{-gamma dt} across a batch, with 1e-12
+    slack; returns (ok, worst_margin) where margin is the log-gap (positive =
+    satisfied)."""
     worst = math.inf
     for tr in trajs:
         nrm = tr.norms()
         dt = tr.times - tr.times[0]
         margin = np.log(C) - gamma * dt - np.log(nrm / nrm[0])
         worst = min(worst, float(np.min(margin)))
-    return worst >= -slack, worst
+    return worst >= -1e-12, worst
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +300,7 @@ def check_V_neutral(traj: Trajectory, B, r: float = 1.0) -> Certificate:
 
 
 def estimate_eta(A, B, cls: PeClass, battery, x0_grid,
-                 step_frac: float = 1e-3, battery_info=None) -> Certificate:
+                 battery_info=None) -> Certificate:
     """Battery-infimum of the one-window excitation-energy integral
     int_0^T alpha ||B^T x||^2 / v dt along unit-sphere initial states.
 
@@ -311,7 +320,7 @@ def estimate_eta(A, B, cls: PeClass, battery, x0_grid,
     x0 = np.asarray(x0_grid, dtype=float)
     if x0.ndim != 2 or x0.shape[0] != n:
         raise ShapeError("x0 grid must be n x m")
-    step = step_frac * cls.T
+    step = 1e-3 * cls.T
     integrals, resids = [], []
     for tr in neutral_runs(A, B, battery, x0, cls.T, max_step=step):
         v = 0.5 * np.sum(tr.states ** 2, axis=1)
@@ -435,11 +444,10 @@ def check_F_monotone(traj: Trajectory, rho: float, k: float, cls: PeClass,
 
 def f_monotone_battery(cls: PeClass, rho: float, k: float, lam: float,
                        battery, x0_columns, horizon: float,
-                       max_step: float | None = None,
                        battery_info=None) -> Certificate:
     """Run a battery and apply the monotonicity/window-drop check on every
     stay in the outer cones; fails when no run has such a stay to check."""
-    runs = di_runs(cls, rho, k, lam, battery, x0_columns, horizon, max_step)
+    runs = di_runs(cls, rho, k, lam, battery, x0_columns, horizon)
     geom = cone_geometry(rho, k, cls.ratio)
     certs = [check_F_monotone(w, rho, k, cls, lam) for w in _stays(
         runs, lambda x1, x2: geom.cs_quadratic(x1, x2) >= 0.0, 2)]
@@ -483,27 +491,26 @@ def dwell_times(traj: Trajectory, geom: ConeGeometry) -> Certificate:
 
 
 def dwell_scaling(cls: PeClass, rho: float, k: float, lam_over_k: float,
-                  battery, x0_columns, horizon_factor: float = 40.0,
-                  ratio_bound: float = 0.55, battery_info=None) -> Certificate:
+                  battery, x0_columns, battery_info=None) -> Certificate:
     """Doubling the gain scale k (at fixed lam/k) must at least halve the
-    worst outer-cone dwell, within a 10% allowance."""
+    worst outer-cone dwell, within a 10% allowance; each run lasts 40/k."""
 
     def max_dwell(kk: float) -> float:
         lam = lam_over_k * kk
         geom = cone_geometry(rho, kk, cls.ratio)
-        runs = di_runs(cls, rho, kk, lam, battery, x0_columns,
-                       horizon_factor / kk, polar=False)
+        runs = di_runs(cls, rho, kk, lam, battery, x0_columns, 40.0 / kk,
+                       polar=False)
         return max((dwell_times(tr, geom).measured["max_dwell"]
                     for tr in runs), default=0.0)
 
     d1 = max_dwell(k)
     d2 = max_dwell(2.0 * k)
     ratio = d2 / d1 if d1 > 0.0 else math.inf
-    passed = ratio <= ratio_bound
+    passed = ratio <= _DWELL_RATIO_BOUND
     return Certificate(
         "dwell_scaling", passed,
         {"max_dwell_at_k": d1, "max_dwell_at_2k": d2, "ratio": ratio},
-        {"ratio_bound": ratio_bound},
+        {"ratio_bound": _DWELL_RATIO_BOUND},
         battery_info or {"size": len(battery)}, [])
 
 
@@ -611,8 +618,7 @@ def cs_decay_battery(cls: PeClass, rho: float, k: float, lam: float, battery,
 # constant-gate comparison computations
 # ---------------------------------------------------------------------------
 
-def comparison_final0(rho: float, k: float, ratio: float,
-                      horizon: float | None = None) -> Certificate:
+def comparison_final0(rho: float, k: float, ratio: float) -> Certificate:
     """Constant-gate flow started on the shallow central-cone edge must stay
     between that edge and the slow eigendirection and decay to nothing.
 
@@ -621,7 +627,7 @@ def comparison_final0(rho: float, k: float, ratio: float,
     geom = cone_geometry(rho, k, ratio)
     slow = abs(geom.xi_r_minus)
     need = (math.log(1e6) + 2.0) / slow + 5.0 / k
-    H = max(50.0 / k, need, horizon or 0.0)
+    H = max(50.0 / k, need)
     x0 = np.array([-1.0, -geom.xi_s_minus])
     x0 = x0 / np.linalg.norm(x0)
     loop = ClosedLoop(A_DI, B_DI, di_base_gain(rho, k),
@@ -703,8 +709,7 @@ def _axis_representatives(traj: Trajectory) -> list:
     return merged
 
 
-def chain_contraction(traj: Trajectory, k: float,
-                      min_excursion: float = 1.0) -> Certificate:
+def chain_contraction(traj: Trajectory, k: float) -> Certificate:
     """Between consecutive axis visits that are at least one time unit apart
     the norm must at least halve, with the surplus decaying exponentially in
     k; the largest such exponential rate and the global envelope constant
@@ -718,7 +723,7 @@ def chain_contraction(traj: Trajectory, k: float,
     ratios = []
     for t_prev, t_next in zip(reps, reps[1:]):
         dt = t_next - t_prev
-        if dt < min_excursion:
+        if dt < _MIN_EXCURSION:
             continue
         n_prev = float(np.linalg.norm(traj.state_at(t_prev)))
         n_next = float(np.linalg.norm(traj.state_at(t_next)))
@@ -742,11 +747,11 @@ def chain_contraction(traj: Trajectory, k: float,
     measured["C3_sq_hat"] = float(np.max(env))
     passed = (n_qual == 0) or gamma > 0.0
     return Certificate("axis_chain_contraction", passed, measured,
-                       {"min_excursion": min_excursion}, {}, notes)
+                       {"min_excursion": _MIN_EXCURSION}, {}, notes)
 
 
 def chain_battery(cls: PeClass, rho: float, k: float, lam: float, battery,
-                  x0_columns, horizon: float, min_excursion: float = 1.0,
+                  x0_columns, horizon: float,
                   battery_info=None) -> Certificate:
     """Chain certificate over a battery.
 
@@ -756,7 +761,7 @@ def chain_battery(cls: PeClass, rho: float, k: float, lam: float, battery,
     counted, matching the prefix-only semantics of the per-run check."""
     runs = di_runs(cls, rho, k, lam, battery, x0_columns, horizon,
                    polar=False)
-    certs = [chain_contraction(tr, k, min_excursion) for tr in runs]
+    certs = [chain_contraction(tr, k) for tr in runs]
     n_qual = sum(_values(certs, "n_qualifying"))
     notes = [] if n_qual else \
         ["no excursion lasted past the threshold; prefix-only certificate"]
@@ -767,22 +772,20 @@ def chain_battery(cls: PeClass, rho: float, k: float, lam: float, battery,
          "C3_sq_hat": max(_values(certs, "C3_sq_hat"), default=0.0),
          "gamma_star_hat": min(_values(certs, "gamma_star_hat"),
                                default=None)},
-        {"min_excursion": min_excursion}, battery, battery_info, notes)
+        {"min_excursion": _MIN_EXCURSION}, battery, battery_info, notes)
 
 
-def tune(cls: PeClass, rho: float, battery, x0_columns=None, k0: float = 1.0,
-         horizon_periods: float = 12.0, cap: float = 2.0 ** 16,
+def tune(cls: PeClass, rho: float, battery, x0_columns,
          battery_info=None) -> dict:
     """Doubling search for gain parameters that contract every battery run.
 
-    Outer loop doubles k, inner loop doubles lam starting at max(1, k); the
-    first passing pair is returned with a 2x safety margin.  The pass
-    predicate is the fitted envelope of the lam-scaled gain over the battery
-    at the target class.
+    Outer loop doubles k from 1, inner loop doubles lam starting at
+    max(1, k), both up to 2^16; the first passing pair is returned with a 2x
+    safety margin.  The pass predicate is the fitted envelope of the
+    lam-scaled gain over the battery at the target class, on runs of 12
+    windows.
     """
-    if x0_columns is None:
-        x0_columns = unit_circle_grid(4)
-    horizon = horizon_periods * cls.T
+    horizon = _TUNE_HORIZON_PERIODS * cls.T
     trace = []
 
     def candidate_passes(k: float, lam: float) -> bool:
@@ -796,10 +799,10 @@ def tune(cls: PeClass, rho: float, battery, x0_columns=None, k0: float = 1.0,
                     return False
         return True
 
-    k = k0
-    while k <= cap:
+    k = 1.0
+    while k <= _TUNE_CAP:
         lam = max(1.0, k)
-        while lam <= cap:
+        while lam <= _TUNE_CAP:
             ok = candidate_passes(k, lam)
             trace.append({"k": k, "lam": lam, "pass": ok})
             if ok:
@@ -810,7 +813,7 @@ def tune(cls: PeClass, rho: float, battery, x0_columns=None, k0: float = 1.0,
             lam *= 2.0
         k *= 2.0
     raise SimulationError(
-        f"tuning search exhausted the cap {cap}; trace: {trace}")
+        f"tuning search exhausted the cap {_TUNE_CAP}; trace: {trace}")
 
 
 # ---------------------------------------------------------------------------
@@ -818,23 +821,21 @@ def tune(cls: PeClass, rho: float, battery, x0_columns=None, k0: float = 1.0,
 # ---------------------------------------------------------------------------
 
 def rescaling_identity(k1: float, k2: float, alpha: PwcSignal, x0,
-                       horizon: float, lams=(0.5, 2.0, 8.0),
-                       max_step: float = 1e-2) -> Certificate:
+                       horizon: float, lams=(0.5, 2.0, 8.0)) -> Certificate:
     """Exact anisotropic rescaling: Diag(1, lam) x(lam t; K) must equal the
     trajectory of the lam-scaled gain driven by the lam-fast signal, at all
-    shared samples."""
+    shared samples (steps of at most 1e-2 in the fast frame)."""
     x0 = np.asarray(x0, dtype=float)
     K = np.array([[-k1, -k2]])
     base_loop = ClosedLoop(A_DI, B_DI, K, alpha)
     worst = 0.0
     for lam in lams:
         base = propagate(base_loop, 0.0, x0, lam * horizon,
-                         max_step=lam * max_step)
+                         max_step=lam * 1e-2)
         K_lam = np.array([[-lam * lam * k1, -lam * k2]])
         d = np.array([1.0, lam])
         scaled_loop = ClosedLoop(A_DI, B_DI, K_lam, rescale_time(alpha, lam))
-        scaled = propagate(scaled_loop, 0.0, d * x0, horizon,
-                           max_step=max_step)
+        scaled = propagate(scaled_loop, 0.0, d * x0, horizon, max_step=1e-2)
         if len(base.times) != len(scaled.times):
             raise SimulationError("rescaled grids failed to align")
         lhs = base.states * d
@@ -884,20 +885,20 @@ def multi_input_identity(B, k: float, cls: PeClass, battery, x0_list,
 
 
 def weak_star_demo(A, B, K, x0, duty: float = 0.5, exponents=range(11),
-                   horizon: float = 10.0, final_tol: float = 1e-2) -> Certificate:
+                   horizon: float = 10.0) -> Certificate:
     """Fast square waves against their averaged limit.
 
     Square waves of period 1/i and on-fraction `duty` converge (in the
     averaged sense) to the constant `duty`; the closed-loop trajectories must
     converge uniformly on [0, horizon], with the sup-distance decreasing
-    along i and below `final_tol` at the largest i.  An x0 that no gate
+    along i and below 1e-2 at the largest i.  An x0 that no gate
     value moves (A x0 = B K x0 = 0) fails as vacuous."""
     A = as_matrix(A, square=True)
     B = as_matrix(B)
     K = as_matrix(K)
     x0 = np.asarray(x0, dtype=float)
     i_values = [2 ** e for e in exponents]
-    tolerance = {"final_tol": final_tol, "horizon": horizon}
+    tolerance = {"final_tol": _WEAK_STAR_FINAL_TOL, "horizon": horizon}
     info = {"duty": duty, "i_max": i_values[-1]}
     if not np.any(A @ x0) and not np.any(B @ (K @ x0)):
         return Certificate(
@@ -920,7 +921,7 @@ def weak_star_demo(A, B, K, x0, duty: float = 0.5, exponents=range(11),
     # a constant sequence (every member equal to the limit) is flat at zero
     all_zero = max(dists) <= 1e-12
     decreasing = all_zero or all(b < a for a, b in zip(dists, dists[1:]))
-    final_ok = dists[-1] <= final_tol
+    final_ok = dists[-1] <= _WEAK_STAR_FINAL_TOL
     logs = np.polyfit(np.log(i_values), np.log(np.maximum(dists, 1e-300)), 1)
     measured = {f"sup_dist_i_{i}": d for i, d in zip(i_values, dists)}
     measured["rate_hat"] = float(-logs[0])

@@ -233,7 +233,7 @@ def di_gain(cls: PeClass, rho: float, k: float, lam: float = 1.0) -> DIGain:
 
 @dataclass(frozen=True)
 class ConeGeometry:
-    """Slopes and membership tests for the upper-half-plane cones.
+    """Slopes and the membership quadratic for the upper-half-plane cones.
 
     xi_s_plus / xi_s_minus bound the sector in which the vertical component
     contracts like a gated scalar system; the other four slopes are the
@@ -259,14 +259,6 @@ class ConeGeometry:
         """Negative inside the central cone, positive in the outer cones;
         antipodal-invariant, so it classifies mod-pi directions."""
         return (x2 - self.xi_s_plus * x1) * (x2 - self.xi_s_minus * x1)
-
-    def in_cs(self, x, tol: float = 0.0) -> bool:
-        x1, x2 = float(x[0]), float(x[1])
-        return self.cs_quadratic(x1, x2) <= tol * (x1 * x1 + x2 * x2)
-
-    def in_c12(self, x, tol: float = 0.0) -> bool:
-        x1, x2 = float(x[0]), float(x[1])
-        return self.cs_quadratic(x1, x2) >= -tol * (x1 * x1 + x2 * x2)
 
 
 def cone_geometry(rho: float, k: float, ratio: float) -> ConeGeometry:

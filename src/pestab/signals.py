@@ -54,11 +54,6 @@ class PeClass:
     def ratio(self) -> float:
         return self.mu / self.T
 
-    def rescaled(self, lam: float) -> "PeClass":
-        if lam <= 0.0:
-            raise DomainError("rescale factor must be positive")
-        return PeClass(self.T / lam, self.mu / lam)
-
 
 @dataclass(frozen=True)
 class PwcSignal:

@@ -209,6 +209,8 @@ def test_criterion_09_comparison_computations():
 def test_criterion_10_end_to_end_tuning(tuned):
     t0 = time.perf_counter()
     k, lam = tuned["k_star_hat"], tuned["lambda_star_hat"]
+    assert tuned["battery"]["spec"] == \
+        "duty at 8 phases + split + constant ratio"
     gain = di_gain(CLS, 0.2, k, lam)
     fresh = make_battery(CLS, 30, seed=110)
     signals = list(fresh.signals)

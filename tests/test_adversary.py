@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from pestab import adversary, cli, simcore
-from pestab.adversary import (QPartition, ZetaFeedback, _rotation_step,
-                              find_nu, run_destabilizer, worst_case_search)
+from pestab.adversary import (QPartition, _rotation_step, find_nu,
+                              run_destabilizer, worst_case_search)
 from pestab.errors import DegenerateStateError, DomainError
 from pestab.gains import A_DI, A_ROTATION, B_DI, di_base_gain
 from pestab.matkit import expm
@@ -18,14 +18,15 @@ K11 = np.array([[-1.0, -1.0]])
 
 class TestRegions:
     def test_spec_points(self):
-        fb = ZetaFeedback(1.0, 1.0, 0.3)
-        # x2 > 0 on the closed side of the collinearity line: floor value
-        assert fb.value([0.0, 1.0]) == 0.3
-        # below the axis but above the line: full gate
-        assert fb.value([1.0, -0.5]) == 1.0
+        # the destabilizer gates sectors 1 and 3 at the class floor and
+        # sectors 2 and 4 at full strength
+        part = QPartition(1.0, 1.0)
+        # x2 > 0 on the closed side of the collinearity line: floor sector
+        assert part.region([0.0, 1.0]) == 1
+        # below the axis but above the line: full-gate sector
+        assert part.region([1.0, -0.5]) == 2
         # on the line with x2 > 0: the closed side belongs to sector 1
-        assert fb.partition.region([-1.0, 1.0]) == 1
-        assert fb.value([-1.0, 1.0]) == 0.3
+        assert part.region([-1.0, 1.0]) == 1
 
     def test_partition_covers_plane(self):
         part = QPartition(2.0, 3.0)
@@ -50,8 +51,6 @@ class TestRegions:
     def test_gain_signs_enforced(self):
         with pytest.raises(DomainError):
             QPartition(-1.0, 1.0)
-        with pytest.raises(DomainError):
-            ZetaFeedback(1.0, 1.0, 1.5)
 
 
 class TestFindNu:

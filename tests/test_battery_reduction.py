@@ -129,8 +129,7 @@ def ref_quadrant_battery(cls, rho, k, lam, battery, x0_columns, horizon):
                        certify._ENERGY_SLACK, {"size": len(battery)}, notes)
 
 
-def ref_chain_battery(cls, rho, k, lam, battery, x0_columns, horizon,
-                      min_excursion=1.0):
+def ref_chain_battery(cls, rho, k, lam, battery, x0_columns, horizon):
     runs = di_runs(cls, rho, k, lam, battery, x0_columns, horizon,
                    polar=False)
     gamma = math.inf
@@ -139,7 +138,7 @@ def ref_chain_battery(cls, rho, k, lam, battery, x0_columns, horizon,
     n_visits = 0
     all_pass = True
     for tr in runs:
-        cert = chain_contraction(tr, k, min_excursion)
+        cert = chain_contraction(tr, k)
         all_pass = all_pass and cert.passed
         n_qual += int(cert.measured["n_qualifying"])
         n_visits += int(cert.measured["n_axis_visits"])
@@ -153,7 +152,7 @@ def ref_chain_battery(cls, rho, k, lam, battery, x0_columns, horizon,
     notes = [] if n_qual else \
         ["no excursion lasted past the threshold; prefix-only certificate"]
     return Certificate("axis_chain_contraction_battery", all_pass, measured,
-                       {"min_excursion": min_excursion},
+                       {"min_excursion": 1.0},
                        {"size": len(battery)}, notes)
 
 
@@ -235,6 +234,7 @@ def test_dwell_scaling_matches_loop(seed, grid):
     d1 = ref_max_dwell(CLS, RHO, K, 2.0, bat, x0)
     d2 = ref_max_dwell(CLS, RHO, 2.0 * K, 2.0, bat, x0)
     assert d1 > 0.0 and d2 > 0.0
+    assert cert.tolerance == {"ratio_bound": 0.55}
     assert cert.measured["max_dwell_at_k"] == d1
     assert cert.measured["max_dwell_at_2k"] == d2
 
@@ -249,6 +249,7 @@ def test_estimate_eta_matches_member_loop(seed):
     assert cert.measured["eta_hat"] == eta_hat
     assert cert.measured["max_log_energy_residual"] == worst_vint
     assert cert.measured["positivity_margin"] == eta_hat - certify._ETA_MARGIN
+    assert cert.tolerance["quadrature_step"] == 1e-3 * CLS.T
 
 
 # ---------------------------------------------------------------------------

@@ -481,6 +481,7 @@ class TestWeakStar:
                               duty=0.5, exponents=range(0, 7), horizon=5.0)
         assert cert.passed
         assert cert.measured["rate_hat"] > 0.5
+        assert cert.tolerance["final_tol"] == 0.01
 
     @pytest.mark.parametrize("duty, exponents, horizon", [
         (0.5, range(0, 11), 10.0),   # the acceptance case A13

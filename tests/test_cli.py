@@ -4,11 +4,12 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import pestab
-from pestab import certify, reachability, signals, simcore
+from pestab import certify, cli, reachability, signals, simcore
 from pestab.cli import LEMMA_SELECTORS, main
 from pestab.scenarios import validate_scenario
 
@@ -232,6 +233,28 @@ class TestThreshold:
         assert rc == 2
         assert "--t-grid" in capsys.readouterr().err
         assert not (out / "threshold.csv").exists()
+
+    @pytest.mark.parametrize("grid, built", [("0.3,0.5", False),
+                                             ("0.3,0.5,0.7", True)])
+    def test_battery_built_only_above_boundary(self, tmp_path, grid, built):
+        # at or below T - mu = 0.5 threshold_check never reads the battery
+        with mock.patch.object(cli, "make_battery",
+                               wraps=signals.make_battery) as make:
+            rc = main(["threshold", "--preset", "double_integrator",
+                       "--T", "1.0", "--mu", "0.5", "--t-grid", grid,
+                       "--battery-size", "2", "--out-dir", str(tmp_path)])
+        assert rc == 0
+        assert make.called == built
+
+    @pytest.mark.parametrize("grid", ["0.3", "0.7"])
+    def test_battery_size_below_one_refused(self, tmp_path, capsys, grid):
+        out = tmp_path / "o"
+        rc = main(["threshold", "--preset", "double_integrator",
+                   "--T", "1.0", "--mu", "0.5", "--t-grid", grid,
+                   "--battery-size", "0", "--out-dir", str(out)])
+        assert rc == 2
+        assert "--battery-size must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
 
     @pytest.mark.parametrize("flag, value", [("--T", "inf"), ("--T", "nan"),

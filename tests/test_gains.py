@@ -222,16 +222,15 @@ class TestConeGeometry:
 
     def test_membership(self):
         g = cone_geometry(0.2, 4.0, 0.5)
-        # vertical direction is in the sweeping cones, the slopes between
-        # the s-edges are central
-        assert g.in_c12([0.0, 1.0])
-        assert g.in_cs([-1.0, -0.5 * (g.xi_s_plus + g.xi_s_minus) * 1.0]) or \
-            g.in_cs([-1.0, 0.5 * abs(g.xi_s_plus + g.xi_s_minus)])
+        # vertical direction is in the sweeping cones (q >= 0), the slopes
+        # between the s-edges are central (q <= 0)
+        assert g.cs_quadratic(0.0, 1.0) >= 0.0
         mid_slope = 0.5 * (g.xi_s_plus + g.xi_s_minus)
-        assert g.in_cs([-1.0, -mid_slope])
-        assert g.in_c12([-1.0, 0.0]) and g.in_c12([1.0, 0.0])
+        assert g.cs_quadratic(-1.0, -mid_slope) <= 0.0
+        assert g.cs_quadratic(-1.0, 0.0) >= 0.0
+        assert g.cs_quadratic(1.0, 0.0) >= 0.0
         # antipodal invariance
-        assert g.in_cs([1.0, mid_slope])
+        assert g.cs_quadratic(1.0, mid_slope) <= 0.0
 
     def test_invalid_parameters(self):
         with pytest.raises(DomainError):

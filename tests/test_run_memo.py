@@ -41,13 +41,13 @@ def battery(seed, size=6):
     return make_battery(CLS, size, seed=seed).signals
 
 
-def fresh_runs(rho, k, lam, sigs, x0, horizon, max_step=None, polar=False):
+def fresh_runs(rho, k, lam, sigs, x0, horizon, polar=False):
     """di_runs without the memo: one propagate_batch per member."""
     runs = []
     for sig in sigs:
         loop = ClosedLoop(A_DI, B_DI, di_base_gain(rho, k),
                           rescale_time(sig, lam))
-        runs.extend(propagate_batch(loop, 0.0, x0, horizon, max_step))
+        runs.extend(propagate_batch(loop, 0.0, x0, horizon))
     return [polar_lift(tr) for tr in runs] if polar else runs
 
 
@@ -136,7 +136,6 @@ EDITS = {
     "k": lambda a: a.update(k=np.nextafter(K, 5.0)),
     "lam": lambda a: a.update(lam=7.5),
     "horizon": lambda a: a.update(horizon=np.nextafter(5.0, 6.0)),
-    "max_step_given": lambda a: a.update(max_step=1e-3),
     "x0_entry": _vary_x0(lambda x: x + np.array([[0.0], [1e-15]])),
     "x0_signed_zero": _vary_x0(lambda x: _set_x0_entry(x, -0.0)),
     "x0_shape": _vary_x0(lambda x: x[:, :1]),
@@ -154,8 +153,7 @@ EDITS = {
 @pytest.mark.parametrize("edit", sorted(EDITS))
 def test_any_changed_input_misses(edit):
     base = dict(rho=RHO, k=K, lam=LAM, battery=[PwcSignal.constant(1.0), HELD],
-                x0_columns=np.vstack([np.ones(2), np.zeros(2)]), horizon=5.0,
-                max_step=None)
+                x0_columns=np.vstack([np.ones(2), np.zeros(2)]), horizon=5.0)
     x0 = base["x0_columns"]
     assert x0[1, 0] == 0.0 and not np.signbit(x0[1, 0])
     varied = dict(base)
@@ -164,7 +162,7 @@ def test_any_changed_input_misses(edit):
     def call(args):
         return di_runs(CLS, args["rho"], args["k"], args["lam"],
                        args["battery"], args["x0_columns"], args["horizon"],
-                       args["max_step"], polar=False)
+                       polar=False)
 
     call(base)
     with counting_propagations() as calls:
@@ -176,7 +174,7 @@ def test_any_changed_input_misses(edit):
         assert calls.call_count == len(varied["battery"]) + 2
     assert_same_bits(runs, fresh_runs(
         varied["rho"], varied["k"], varied["lam"], varied["battery"],
-        varied["x0_columns"], varied["horizon"], varied["max_step"]))
+        varied["x0_columns"], varied["horizon"]))
 
 
 def test_caller_arrays_are_copied_into_the_key():

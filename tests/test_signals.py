@@ -179,7 +179,7 @@ class TestRescaleTime:
     def test_class_mapping(self):
         bat = make_battery(CLS, 8, seed=7).signals
         for lam in (0.5, 2.0, 10.0):
-            target = CLS.rescaled(lam)
+            target = PeClass(CLS.T / lam, CLS.mu / lam)
             for sig in bat:
                 assert verify_pe(rescale_time(sig, lam), target,
                                  2.0 * target.T).ok
