@@ -1,5 +1,5 @@
-"""Destabilizing state feedback for the double integrator, and adversarial
-signal search.
+"""Destabilizing state feedback for the double integrator, adversarial
+signal search, and the gain-scale search that it hardens.
 
 The feedback gates the loop at full strength where excitation hurts and at
 the class floor where it would help; for a small enough floor the resulting
@@ -16,18 +16,20 @@ import numpy as np
 
 from .errors import (DegenerateStateError, DomainError,
                      InternalConsistencyError, SimulationError)
-from .certify import _TUNE_HORIZON_PERIODS, tune, unit_circle_grid
+from .certify import unit_circle_grid
 from .gains import A_DI, B_DI, di_gain
 from .matkit import as_matrix, expm
-from .signals import PeClass, PwcSignal, make_duty, verify_pe
-from .simcore import (ClosedLoop, Trajectory, _flow, _itp, crossing_time,
-                      propagate_batch)
+from .signals import (PeClass, PwcSignal, _duty_floor, _random_duty,
+                      make_duty, verify_pe)
+from .simcore import (ClosedLoop, Trajectory, _flow, _itp, _row_norms,
+                      crossing_time, propagate_batch)
 
 __all__ = [
     "QPartition",
     "run_destabilizer",
     "find_nu",
     "worst_case_search",
+    "tune",
     "DestabilizerRun",
 ]
 
@@ -36,6 +38,9 @@ _MIN_DWELL = 1e-12
 _MAX_MARCH_STEPS = 4000
 # duty phases per pattern in tune_adversarial's starting battery
 _TUNE_PHASES = 8
+# tune: runs last this many windows; k and lam double up to the cap
+_TUNE_HORIZON_PERIODS = 12.0
+_TUNE_CAP = 2.0 ** 16
 
 
 @dataclass(frozen=True)
@@ -276,6 +281,36 @@ def find_nu(K, tol: float = 1e-10) -> float:
     return math.exp(lo)
 
 
+def tune(cls: PeClass, rho: float, battery, x0_columns) -> dict:
+    """Doubling search for gain parameters that contract every battery run.
+
+    Outer loop doubles k from 1, inner loop doubles lam starting at
+    max(1, k), both up to 2^16; the first passing pair is returned with a 2x
+    safety margin.  A pair passes when the lam-scaled gain at the target
+    class gives every battery member a positive _fitted_rate on runs of 12
+    windows: every run is finite and ends below its start.
+    """
+    horizon = _TUNE_HORIZON_PERIODS * cls.T
+    trace = []
+    k = 1.0
+    while k <= _TUNE_CAP:
+        lam = max(1.0, k)
+        while lam <= _TUNE_CAP:
+            K = di_gain(cls, rho, k, lam).K
+            ok = all(_fitted_rate(propagate_batch(
+                ClosedLoop(A_DI, B_DI, K, sig), 0.0, x0_columns, horizon),
+                horizon) > 0.0 for sig in battery)
+            trace.append({"k": k, "lam": lam, "pass": ok})
+            if ok:
+                return {"k_star_hat": 2.0 * k, "lambda_star_hat": 2.0 * lam,
+                        "first_pass": {"k": k, "lam": lam},
+                        "trace": trace}
+            lam *= 2.0
+        k *= 2.0
+    raise SimulationError(
+        f"tuning search exhausted the cap {_TUNE_CAP}; trace: {trace}")
+
+
 def tune_adversarial(cls: PeClass, rho: float, seed: int = 0,
                      budget: int = 24) -> dict:
     """Gain-scale search hardened by the adversarial signal search.
@@ -289,40 +324,39 @@ def tune_adversarial(cls: PeClass, rho: float, seed: int = 0,
                for j in range(_TUNE_PHASES) for p in ("front", "back")]
     battery.append(make_duty(cls, pattern="split", splits=3))
     battery.append(PwcSignal.constant(cls.ratio))
-    info = {"seed": seed, "size": len(battery),
-            "spec": f"duty at {_TUNE_PHASES} phases + split + constant ratio"}
+    spec = f"duty at {_TUNE_PHASES} phases + split + constant ratio"
     x0s = unit_circle_grid(4)
     horizon = _TUNE_HORIZON_PERIODS * cls.T
 
     for _ in range(3):
-        result = tune(cls, rho, battery, x0s, battery_info=info)
+        result = tune(cls, rho, battery, x0s)
+        result["battery"] = {"seed": seed, "size": len(battery), "spec": spec}
         K = di_gain(cls, rho, result["k_star_hat"],
                     result["lambda_star_hat"]).K
-        x0_list = [x0s[:, j] for j in range(x0s.shape[1])]
-        sig, rep = worst_case_search(A_DI, B_DI, K, cls, x0_list, budget,
+        sig, rep = worst_case_search(A_DI, B_DI, K, cls, list(x0s.T), budget,
                                      horizon, seed)
-        battery.append(sig)
-        info = dict(info, size=len(battery))
         if rep["decay"] > 0.0:
             result["worst_case"] = rep
-            result["battery_signals"] = battery
             return result
+        battery.append(sig)
     raise SimulationError(
         "adversarial search kept defeating the tuned gain after 3 rounds")
 
 
 def _fitted_rate(runs, horizon: float) -> float:
     """Slowest decay -log(|x(horizon)| / |x(0)|) / horizon over the runs,
-    or -inf once a run has a non-finite state or norm or ends at zero."""
+    or -inf once a run has a non-finite state or norm; a run that ends at
+    zero decays at rate +inf."""
     worst = math.inf
     for tr in runs:
         if not np.isfinite(tr.states).all():
             return -math.inf
         with np.errstate(over="ignore"):
-            nrm = np.linalg.norm(tr.states[[0, -1]], axis=1)
-        if not (np.isfinite(nrm).all() and nrm[1] > 0.0):
+            nrm = _row_norms(tr.states[[0, -1]])
+        if not np.isfinite(nrm).all():
             return -math.inf
-        worst = min(worst, -math.log(nrm[1] / nrm[0]) / horizon)
+        if nrm[1] > 0.0:
+            worst = min(worst, -math.log(nrm[1] / nrm[0]) / horizon)
     return worst
 
 
@@ -341,71 +375,48 @@ def worst_case_search(A, B, K, cls: PeClass, x0_list, budget: int,
     B = as_matrix(B)
     K = as_matrix(K)
     rng = np.random.default_rng(seed)
-    T, ratio = cls.T, cls.ratio
-
-    def build(params) -> PwcSignal:
-        pattern, on_value, phase, splits = params
-        sig = make_duty(cls, phase=phase, on_value=on_value,
-                        pattern=pattern, splits=splits)
-        return sig
-
+    T, floor = cls.T, _duty_floor(cls)
     x0_columns = np.column_stack(x0_list)
 
-    def rate_of(sig: PwcSignal) -> float:
-        return _fitted_rate(propagate_batch(ClosedLoop(A, B, K, sig), 0.0,
-                                            x0_columns, horizon), horizon)
+    def rate_of(params: dict) -> tuple:
+        sig = make_duty(cls, **params)
+        runs = propagate_batch(ClosedLoop(A, B, K, sig), 0.0, x0_columns,
+                               horizon)
+        return _fitted_rate(runs, horizon), sig
 
-    base = ("front", 1.0, 0.0, 2)
-    evaluated = []
-    best_params, best_sig = base, build(base)
-    best_rate = rate_of(best_sig)
-    evaluated.append({"params": base, "rate": best_rate})
+    best = {"pattern": "front", "on_value": 1.0, "phase": 0.0, "splits": 2}
+    best_rate, best_sig = rate_of(best)
     n_random = max(0, int(0.7 * (budget - 1)))
     for _ in range(n_random):
-        pattern = ("front", "back", "split")[rng.integers(0, 3)]
-        on_value = float(min(1.0, ratio + (1.0 - ratio) * rng.random())) \
-            if ratio < 1.0 else 1.0
-        on_value = max(on_value, ratio * (1.0 + 1e-9)) if ratio < 1.0 else 1.0
-        params = (pattern, on_value, float(rng.random() * T),
-                  int(rng.integers(2, 5)))
-        sig = build(params)
-        rate = rate_of(sig)
-        evaluated.append({"params": params, "rate": rate})
+        params = _random_duty(cls, rng)
+        rate, sig = rate_of(params)
         if rate < best_rate:
-            best_rate, best_params, best_sig = rate, params, sig
+            best_rate, best, best_sig = rate, params, sig
     # coordinate refinement on phase and on-level
     remaining = budget - 1 - n_random
     step_phase, step_on = T / 8.0, 0.1
     while remaining > 0:
         improved = False
-        pattern, on_value, phase, splits = best_params
-        for cand in (
-            (pattern, on_value, (phase + step_phase) % T, splits),
-            (pattern, on_value, (phase - step_phase) % T, splits),
-            (pattern, min(1.0, on_value + step_on), phase, splits),
-            (pattern, max(ratio * (1.0 + 1e-9) if ratio < 1.0 else 1.0,
-                          on_value - step_on), phase, splits),
-        ):
+        base = best
+        for change in ({"phase": (base["phase"] + step_phase) % T},
+                       {"phase": (base["phase"] - step_phase) % T},
+                       {"on_value": min(1.0, base["on_value"] + step_on)},
+                       {"on_value": max(floor, base["on_value"] - step_on)}):
             if remaining <= 0:
                 break
-            sig = build(cand)
-            rate = rate_of(sig)
-            evaluated.append({"params": cand, "rate": rate})
+            cand = dict(base, **change)
+            rate, sig = rate_of(cand)
             remaining -= 1
             if rate < best_rate:
-                best_rate, best_params, best_sig = rate, cand, sig
+                best_rate, best, best_sig = rate, cand, sig
                 improved = True
         if not improved:
             step_phase *= 0.5
             step_on *= 0.5
             if step_phase < T / 256.0:
                 break
-    rep = verify_pe(best_sig, cls, horizon=2.0 * T)
-    report = {
-        "decay": best_rate,
-        "params": {"pattern": best_params[0], "on_value": best_params[1],
-                   "phase": best_params[2], "splits": best_params[3]},
-        "seed": seed, "budget": budget, "evaluations": len(evaluated),
-        "pe_ok": rep.ok,
+    return best_sig, {
+        "decay": best_rate, "params": best,
+        "seed": seed, "budget": budget, "evaluations": budget - remaining,
+        "pe_ok": verify_pe(best_sig, cls, horizon=2.0 * T).ok,
     }
-    return best_sig, report

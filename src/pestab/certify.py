@@ -17,7 +17,7 @@ import numpy as np
 from .errors import (DomainError, InsufficientDataError, PreconditionError,
                      ShapeError, SimulationError)
 from .gains import (A_DI, B_DI, ConeGeometry, cone_geometry, di_base_gain,
-                    di_gain, multi_input_gain)
+                    multi_input_gain)
 from .matkit import as_matrix, one_norm
 from .reachability import kalman_rank
 from .signals import PeClass, PwcSignal, make_duty, rescale_time
@@ -39,7 +39,6 @@ __all__ = [
     "chain_contraction",
     "kl_envelope",
     "envelope_holds",
-    "tune",
     "weak_star_demo",
     "rescaling_identity",
     "multi_input_identity",
@@ -65,9 +64,6 @@ _DWELL_RATIO_BOUND = 0.55
 _MIN_EXCURSION = 1.0
 # weak_star_demo: the largest sup-distance allowed at the largest i
 _WEAK_STAR_FINAL_TOL = 1e-2
-# tune: runs last this many windows; k and lam double up to the cap
-_TUNE_HORIZON_PERIODS = 12.0
-_TUNE_CAP = 2.0 ** 16
 # (key, runs) of the last di_runs call; see di_runs
 _last_runs = None
 
@@ -126,7 +122,7 @@ def neutral_runs(A, B, battery, x0_columns, horizon: float,
 
 
 def di_runs(cls: PeClass, rho: float, k: float, lam: float, battery,
-            x0_columns, horizon: float, polar: bool = True) -> list:
+            x0_columns, horizon: float) -> list:
     """Double-integrator runs in base-gain coordinates.
 
     The base gain (-rho k^2/2, -k) is driven by the lam-times-faster copies
@@ -134,9 +130,11 @@ def di_runs(cls: PeClass, rho: float, k: float, lam: float, battery,
     which the cone estimates are stated, and it maps onto the user-facing
     lam-scaled gain at class (T, mu) by the exact rescaling identity.
 
-    The unlifted runs of the last call are kept, with read-only arrays, and
-    returned again when the next call has the same inputs to the bit, so
-    consecutive cone certificates on one battery propagate it once.
+    The runs of the last call are kept, with read-only arrays, and
+    returned again in a new list when the next call has the same inputs to
+    the bit, so consecutive cone certificates on one battery propagate it
+    once.  They carry no channels; a caller that needs the angle lifts
+    them with polar_lift.
     """
     global _last_runs
     battery = list(battery)
@@ -161,7 +159,7 @@ def di_runs(cls: PeClass, rho: float, k: float, lam: float, battery,
                 arr.flags.writeable = False
             tr.channels = MappingProxyType(tr.channels)
         _last_runs = (key, runs)
-    return [polar_lift(tr) for tr in runs] if polar else list(runs)
+    return list(runs)
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +445,8 @@ def f_monotone_battery(cls: PeClass, rho: float, k: float, lam: float,
                        battery_info=None) -> Certificate:
     """Run a battery and apply the monotonicity/window-drop check on every
     stay in the outer cones; fails when no run has such a stay to check."""
-    runs = di_runs(cls, rho, k, lam, battery, x0_columns, horizon)
+    runs = [polar_lift(tr) for tr in
+            di_runs(cls, rho, k, lam, battery, x0_columns, horizon)]
     geom = cone_geometry(rho, k, cls.ratio)
     certs = [check_F_monotone(w, rho, k, cls, lam) for w in _stays(
         runs, lambda x1, x2: geom.cs_quadratic(x1, x2) >= 0.0, 2)]
@@ -498,8 +497,7 @@ def dwell_scaling(cls: PeClass, rho: float, k: float, lam_over_k: float,
     def max_dwell(kk: float) -> float:
         lam = lam_over_k * kk
         geom = cone_geometry(rho, kk, cls.ratio)
-        runs = di_runs(cls, rho, kk, lam, battery, x0_columns, 40.0 / kk,
-                       polar=False)
+        runs = di_runs(cls, rho, kk, lam, battery, x0_columns, 40.0 / kk)
         return max((dwell_times(tr, geom).measured["max_dwell"]
                     for tr in runs), default=0.0)
 
@@ -542,8 +540,7 @@ def quadrant_battery(cls: PeClass, rho: float, k: float, lam: float, battery,
                      battery_info=None) -> Certificate:
     """Apply the quadrant-energy check to every maximal stay of every run in
     {x1 <= 0, x2 >= 0}; fails when no run has such a stay to check."""
-    runs = di_runs(cls, rho, k, lam, battery, x0_columns, horizon,
-                   polar=False)
+    runs = di_runs(cls, rho, k, lam, battery, x0_columns, horizon)
     certs = [check_quadrant_V(w, rho, k) for w in _stays(
         runs, lambda x1, x2: (x1 <= 0.0) & (x2 >= 0.0), 1)]
     viol = sum(_values(certs, "violations"))
@@ -596,8 +593,7 @@ def cs_decay_battery(cls: PeClass, rho: float, k: float, lam: float, battery,
                      battery_info=None) -> Certificate:
     """Apply the central-cone decay check to every stay of every run in the
     central cone; fails when no run has such a stay to check."""
-    runs = di_runs(cls, rho, k, lam, battery, x0_columns, horizon,
-                   polar=False)
+    runs = di_runs(cls, rho, k, lam, battery, x0_columns, horizon)
     geom = cone_geometry(rho, k, cls.ratio)
     certs = [check_cs_decay(w, rho, k, cls) for w in _stays(
         runs, lambda x1, x2: geom.cs_quadratic(x1, x2) <= 0.0, 3)]
@@ -759,8 +755,7 @@ def chain_battery(cls: PeClass, rho: float, k: float, lam: float, battery,
     after at most a couple of axis visits, so runs without qualifying
     excursions are the expected outcome; they pass vacuously and are
     counted, matching the prefix-only semantics of the per-run check."""
-    runs = di_runs(cls, rho, k, lam, battery, x0_columns, horizon,
-                   polar=False)
+    runs = di_runs(cls, rho, k, lam, battery, x0_columns, horizon)
     certs = [chain_contraction(tr, k) for tr in runs]
     n_qual = sum(_values(certs, "n_qualifying"))
     notes = [] if n_qual else \
@@ -773,47 +768,6 @@ def chain_battery(cls: PeClass, rho: float, k: float, lam: float, battery,
          "gamma_star_hat": min(_values(certs, "gamma_star_hat"),
                                default=None)},
         {"min_excursion": _MIN_EXCURSION}, battery, battery_info, notes)
-
-
-def tune(cls: PeClass, rho: float, battery, x0_columns,
-         battery_info=None) -> dict:
-    """Doubling search for gain parameters that contract every battery run.
-
-    Outer loop doubles k from 1, inner loop doubles lam starting at
-    max(1, k), both up to 2^16; the first passing pair is returned with a 2x
-    safety margin.  The pass predicate is the fitted envelope of the
-    lam-scaled gain over the battery at the target class, on runs of 12
-    windows.
-    """
-    horizon = _TUNE_HORIZON_PERIODS * cls.T
-    trace = []
-
-    def candidate_passes(k: float, lam: float) -> bool:
-        K = di_gain(cls, rho, k, lam).K
-        for sig in battery:
-            loop = ClosedLoop(A_DI, B_DI, K, sig)
-            runs = propagate_batch(loop, 0.0, x0_columns, horizon)
-            for tr in runs:
-                nrm = tr.norms()
-                if not np.all(np.isfinite(nrm)) or nrm[-1] >= nrm[0]:
-                    return False
-        return True
-
-    k = 1.0
-    while k <= _TUNE_CAP:
-        lam = max(1.0, k)
-        while lam <= _TUNE_CAP:
-            ok = candidate_passes(k, lam)
-            trace.append({"k": k, "lam": lam, "pass": ok})
-            if ok:
-                return {"k_star_hat": 2.0 * k, "lambda_star_hat": 2.0 * lam,
-                        "first_pass": {"k": k, "lam": lam},
-                        "trace": trace,
-                        "battery": battery_info or {"size": len(battery)}}
-            lam *= 2.0
-        k *= 2.0
-    raise SimulationError(
-        f"tuning search exhausted the cap {_TUNE_CAP}; trace: {trace}")
 
 
 # ---------------------------------------------------------------------------

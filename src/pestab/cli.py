@@ -156,18 +156,37 @@ def _certify_dispatch(selector: str, sc: dict, seed: int):
     rho, k, lam = _di_params(sc, cls)
     p = sc.get("params", {})
 
-    if selector == "claim1":
-        A, B = build_system(sc)
-        battery = make_battery(cls, size, bseed)
-        grid = certify.sphere_grid(A.shape[0], int(p.get("grid", 16)), bseed)
-        return certify.estimate_eta(A, B, cls, battery.signals, grid,
-                                    battery_info=battery.info)
     if selector == "multi":
         sig = build_signal(sc, cls)
         x0 = np.asarray((sc.get("x0") or [[1.0, 0.5]])[0], dtype=float)
         return certify.rescaling_identity(rho * k * k / 2.0, k, sig, x0,
                                           horizon=sc.get("horizon", 4.0 * cls.T))
+    if selector == "final0":
+        return certify.comparison_final0(rho, k, cls.ratio)
+    if selector == "c2":
+        return certify.comparison_c2(rho, k, cls.ratio)
+    if selector == "technic":
+        A, B = build_system(sc)
+        K = build_gain(sc, A, B, cls) if sc.get("gain") else -B.T
+        x0 = np.asarray((sc.get("x0") or [[1.0] + [0.0] * (A.shape[0] - 1)])[0],
+                        dtype=float)
+        return certify.weak_star_demo(A, B, K, x0,
+                                      duty=float(p.get("duty", 0.5)))
+    # the remaining selectors read one battery each
     battery = make_battery(cls, size, bseed)
+    if selector == "claim1":
+        A, B = build_system(sc)
+        grid = certify.sphere_grid(A.shape[0], int(p.get("grid", 16)), bseed)
+        return certify.estimate_eta(A, B, cls, battery.signals, grid,
+                                    battery_info=battery.info)
+    if selector == "q1yes":
+        A, B = build_system(sc)
+        x0s = [np.asarray(v, dtype=float) for v in
+               (sc.get("x0") or [[1.0, 0.0], [0.3, -0.7]])]
+        return certify.multi_input_identity(B, float(p.get("k", 1.0)), cls,
+                                            battery.signals, x0s,
+                                            horizon=sc.get("horizon", 5.0 * cls.T),
+                                            battery_info=battery.info)
     grid = certify.unit_circle_grid(int(p.get("grid", 8)))
     if selector == "finite":
         return certify.dwell_scaling(cls, rho, k, lam / k, battery.signals,
@@ -180,30 +199,10 @@ def _certify_dispatch(selector: str, sc: dict, seed: int):
         return certify.cs_decay_battery(cls, rho, k, lam, battery.signals,
                                         grid, horizon=30.0 / k,
                                         battery_info=battery.info)
-    if selector == "final0":
-        return certify.comparison_final0(rho, k, cls.ratio)
-    if selector == "c2":
-        return certify.comparison_c2(rho, k, cls.ratio)
     if selector == "ouf0":
         horizon = float(p.get("horizon", 20.0))
         return certify.chain_battery(cls, rho, k, lam, battery.signals, grid,
                                      horizon, battery_info=battery.info)
-    if selector == "technic":
-        A, B = build_system(sc)
-        K = build_gain(sc, A, B, cls) if sc.get("gain") else -B.T
-        x0 = np.asarray((sc.get("x0") or [[1.0] + [0.0] * (A.shape[0] - 1)])[0],
-                        dtype=float)
-        return certify.weak_star_demo(A, B, K, x0,
-                                      duty=float(p.get("duty", 0.5)))
-    if selector == "q1yes":
-        A, B = build_system(sc)
-        x0s = [np.asarray(v, dtype=float) for v in
-               (sc.get("x0") or [[1.0, 0.0], [0.3, -0.7]])]
-        battery = make_battery(cls, size, bseed)
-        return certify.multi_input_identity(B, float(p.get("k", 1.0)), cls,
-                                            battery.signals, x0s,
-                                            horizon=sc.get("horizon", 5.0 * cls.T),
-                                            battery_info=battery.info)
     raise DomainError(f"unknown selector {selector!r}; valid: "
                       + ", ".join(LEMMA_SELECTORS))
 
@@ -233,19 +232,26 @@ def cmd_certify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _parse_grid(spec: str) -> list:
-    """Horizons from a:b:step (step > 0) or a comma-separated list."""
+    """Finite positive horizons from a:b:step (step > 0) or a
+    comma-separated list."""
+    s = 1.0  # a list has no step
     try:
         if ":" not in spec:
-            return [float(v) for v in spec.split(",")]
-        a, b, s = (float(v) for v in spec.split(":"))
-        n = int(round((b - a) / s)) + 1 if s > 0.0 else 0
+            grid = [float(v) for v in spec.split(",")]
+        else:
+            a, b, s = (float(v) for v in spec.split(":"))
+            n = int(round((b - a) / s)) + 1 if s > 0.0 else 0
+            grid = [a + i * s for i in range(n) if a + i * s <= b + 1e-12]
     except (ValueError, OverflowError):
         raise DomainError(f"malformed --t-grid {spec!r}") from None
     if not s > 0.0:
         raise DomainError(f"--t-grid step must be positive, got {s!r}")
-    grid = [a + i * s for i in range(n) if a + i * s <= b + 1e-12]
     if not grid:
         raise DomainError(f"--t-grid {spec!r} holds no horizon")
+    for t in grid:
+        if not (math.isfinite(t) and t > 0.0):
+            raise DomainError(
+                f"--t-grid horizons must be finite and positive, got {t!r}")
     return grid
 
 

@@ -316,26 +316,25 @@ def make_duty(cls: PeClass, phase: float = 0.0, on_value: float = 1.0,
 
 
 def shift(alpha: PwcSignal, t0: float) -> PwcSignal:
-    """The signal s -> alpha(t0 + s)."""
+    """The signal s -> alpha(t0 + s), read off alpha.segments."""
     if t0 < 0.0:
         raise DomainError("shift must be non-negative")
     if t0 == 0.0:
         return alpha
-    if alpha.period is not None:
-        p = alpha.period
-        s = t0 - math.floor(t0 / p) * p
-        if s == 0.0 or s >= p:
+    p = alpha.period
+    if p is None:
+        end = alpha.breakpoints[-1]
+        if t0 >= end:
+            return PwcSignal.constant(alpha.hold)
+    else:
+        t0 -= math.floor(t0 / p) * p
+        if t0 == 0.0 or t0 >= p:
             return alpha
-        pieces = list(alpha.segments(s, s + p))
-        bp = [a - s for a, _, _ in pieces] + [p]
-        vals = [v for _, _, v in pieces]
-        return PwcSignal.periodic(tuple(bp), tuple(vals))
-    bp = alpha.breakpoints
-    if t0 >= bp[-1]:
-        return PwcSignal.constant(alpha.hold)
-    new_bp = [0.0] + [b - t0 for b in bp if b > t0]
-    new_vals = [alpha.value_at(t0 + s) for s in new_bp[:-1]]
-    return PwcSignal(tuple(new_bp), tuple(new_vals), hold=alpha.hold)
+        end = t0 + p
+    pieces = list(alpha.segments(t0, end))
+    bp = [a - t0 for a, _, _ in pieces] + [end - t0 if p is None else p]
+    return PwcSignal(tuple(bp), tuple(v for _, _, v in pieces), period=p,
+                     hold=alpha.hold)
 
 
 def rescale_time(alpha: PwcSignal, lam: float) -> PwcSignal:
@@ -346,6 +345,24 @@ def rescale_time(alpha: PwcSignal, lam: float) -> PwcSignal:
     if alpha.period is not None:
         return PwcSignal(bp, alpha.values, period=bp[-1])
     return PwcSignal(bp, alpha.values, hold=alpha.hold)
+
+
+def _duty_floor(cls: PeClass) -> float:
+    """The lowest on-level of a random duty: just above the ratio, at most 1."""
+    return min(1.0, cls.ratio * (1.0 + 1e-9))
+
+
+def _random_duty(cls: PeClass, rng) -> dict:
+    """make_duty keywords drawn from rng in the order pattern, on-level,
+    phase, splits: the on-level is uniform above the class ratio and at
+    least _duty_floor, the phase uniform in [0, T), and 2 to 4 splits."""
+    pattern = ("front", "back", "split")[rng.integers(0, 3)]
+    ratio = cls.ratio
+    on_value = ratio + (1.0 - ratio) * rng.random() if ratio < 1.0 else 1.0
+    return {"pattern": pattern,
+            "on_value": float(max(on_value, _duty_floor(cls))),
+            "phase": float(rng.random() * cls.T),
+            "splits": int(rng.integers(2, 5))}
 
 
 class Battery(NamedTuple):
@@ -371,12 +388,7 @@ def make_battery(cls: PeClass, size: int, seed: int = 0) -> Battery:
     while len(sigs) < size:
         kind = rng.integers(0, 4)
         if kind == 0:  # duty with random pattern/phase/level
-            pattern = ("front", "back", "split")[rng.integers(0, 3)]
-            on_value = ratio + (1.0 - ratio) * rng.random() if ratio < 1.0 else 1.0
-            on_value = min(1.0, max(on_value, ratio * (1.0 + 1e-9)))
-            sigs.append(make_duty(cls, phase=float(rng.random() * T),
-                                  on_value=float(on_value), pattern=pattern,
-                                  splits=int(rng.integers(2, 5))))
+            sigs.append(make_duty(cls, **_random_duty(cls, rng)))
         elif kind == 1:  # multi-level periodic profile with integral mu
             m = int(rng.integers(2, 6))
             cuts = np.sort(rng.random(m - 1)) * T

@@ -43,6 +43,20 @@ _MATS_CAP = 256
 _CSV_BLOCK = 512
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of x.  np.linalg.norm's squares underflow
+    below about 1e-154, so a nonzero row can read 0; rows that read below
+    1e-150 are measured again divided by their largest entry (a zero row
+    by the least subnormal), and every other row keeps its bits."""
+    nrm = np.linalg.norm(x, axis=1)
+    tiny = np.flatnonzero(nrm < 1e-150)
+    if tiny.size:
+        scale = np.maximum(np.abs(x[tiny]).max(axis=1), 5e-324)
+        nrm[tiny] = scale * np.linalg.norm(x[tiny] / scale[:, np.newaxis],
+                                           axis=1)
+    return nrm
+
+
 @dataclass(eq=False)
 class ClosedLoop:
     """The loop x' = (A + alpha(t) B K) x."""
@@ -106,7 +120,7 @@ class Trajectory:
         return self.states.shape[1]
 
     def norms(self) -> np.ndarray:
-        return np.linalg.norm(self.states, axis=1)
+        return _row_norms(self.states)
 
     def state_at(self, t: float) -> np.ndarray:
         """Exact state at any time inside the sampled range."""

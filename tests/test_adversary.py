@@ -253,6 +253,25 @@ class TestWorstCase:
                                      budget=30, horizon=20.0, seed=0)
         assert rep["decay"] <= 0.0
 
+    def test_on_level_floor_stays_at_most_one(self):
+        # mu/T within 1e-9 of 1 puts ratio * (1 + 1e-9) above 1; the floor
+        # of the random and refined on-levels is capped at 1
+        cls = PeClass(1.0, 1.0 - 1e-10)
+        x0s = [np.array([1.0, 0.0])]
+        sig, rep = worst_case_search(A_DI, B_DI, di_base_gain(0.2, 2.0), cls,
+                                     x0s, budget=4, horizon=8.0, seed=0)
+        assert rep["evaluations"] == 4
+        assert cls.ratio < rep["params"]["on_value"] <= 1.0
+        assert rep["pe_ok"]
+
+    def test_decay_below_square_underflow(self):
+        # the end state is about 3.9e-183, whose square is 0.0
+        cls = PeClass(1.0, 0.5)
+        sig, rep = worst_case_search([[-10.0]], [[1.0]], [[-1.0]], cls,
+                                     [np.array([1.0])], budget=1,
+                                     horizon=40.0)
+        assert rep["decay"] == pytest.approx(10.5, rel=1e-12)
+
     def test_deterministic_under_seed(self):
         cls = PeClass(1.0, 0.5)
         x0s = [np.array([1.0, 0.0])]
@@ -303,8 +322,9 @@ class TestFittedRate:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, 1e300])
     def test_non_finite_or_vanishing_runs(self, bad):
-        # a non-finite state anywhere, an end at zero and norms that
-        # overflow at the end all give -inf, as the full-norm version did
+        # a non-finite state anywhere and norms that overflow at the end
+        # give -inf, as the full-norm version did; a finite run that ends at
+        # zero has decayed, at rate +inf, as tune has always judged it
         tr = propagate(ClosedLoop(A_DI, B_DI, K11, PwcSignal.constant(0.5)),
                        0.0, [1.0, 0.0], 2.0)
         states = tr.states.copy()
@@ -315,7 +335,13 @@ class TestFittedRate:
         else:
             states[len(states) // 2, 1] = bad
         bent = simcore.Trajectory(tr.loop, tr.times, states, tr.seg_alpha)
+        got = adversary._fitted_rate([tr, bent], 2.0)
+        if bad == 0.0:
+            assert adversary._fitted_rate([bent], 2.0) == math.inf
+            assert got == adversary._fitted_rate([tr], 2.0)
+            assert math.isfinite(got)
+            return
         with np.errstate(over="ignore"):
             want = reference_fitted_rate([tr, bent], 2.0)
         assert want == -math.inf
-        assert adversary._fitted_rate([tr, bent], 2.0) == -math.inf
+        assert got == -math.inf

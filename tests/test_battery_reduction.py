@@ -21,7 +21,7 @@ from pestab.certify import (Certificate, c12_sojourns, c_rho_closed_form,
                             dwell_times, unit_circle_grid)
 from pestab.gains import A_ROTATION, cone_geometry
 from pestab.signals import PeClass, PwcSignal, make_battery
-from pestab.simcore import ClosedLoop, propagate_batch
+from pestab.simcore import ClosedLoop, polar_lift, propagate_batch
 
 CLS = PeClass(1.0, 0.5)
 RHO, K, LAM = 0.2, 4.0, 8.0
@@ -47,7 +47,8 @@ SLOW_GATE = PwcSignal.periodic((0.0, 0.5, 2.0), (1.0, 0.0))
 # ---------------------------------------------------------------------------
 
 def ref_f_monotone_battery(cls, rho, k, lam, battery, x0_columns, horizon):
-    runs = di_runs(cls, rho, k, lam, battery, x0_columns, horizon)
+    runs = [polar_lift(tr) for tr in
+            di_runs(cls, rho, k, lam, battery, x0_columns, horizon)]
     geom = cone_geometry(rho, k, cls.ratio)
     total_viol = 0
     worst_step = -math.inf
@@ -78,8 +79,7 @@ def ref_f_monotone_battery(cls, rho, k, lam, battery, x0_columns, horizon):
 
 
 def ref_cs_decay_battery(cls, rho, k, lam, battery, x0_columns, horizon):
-    runs = di_runs(cls, rho, k, lam, battery, x0_columns, horizon,
-                   polar=False)
+    runs = di_runs(cls, rho, k, lam, battery, x0_columns, horizon)
     geom = cone_geometry(rho, k, cls.ratio)
     all_ok = True
     w_min, w_max = math.inf, -math.inf
@@ -108,8 +108,7 @@ def ref_cs_decay_battery(cls, rho, k, lam, battery, x0_columns, horizon):
 
 
 def ref_quadrant_battery(cls, rho, k, lam, battery, x0_columns, horizon):
-    runs = di_runs(cls, rho, k, lam, battery, x0_columns, horizon,
-                   polar=False)
+    runs = di_runs(cls, rho, k, lam, battery, x0_columns, horizon)
     viol = 0
     worst = -math.inf
     n_checked = 0
@@ -130,8 +129,7 @@ def ref_quadrant_battery(cls, rho, k, lam, battery, x0_columns, horizon):
 
 
 def ref_chain_battery(cls, rho, k, lam, battery, x0_columns, horizon):
-    runs = di_runs(cls, rho, k, lam, battery, x0_columns, horizon,
-                   polar=False)
+    runs = di_runs(cls, rho, k, lam, battery, x0_columns, horizon)
     gamma = math.inf
     c3 = 0.0
     n_qual = 0
@@ -161,7 +159,7 @@ def ref_max_dwell(cls, rho, kk, lam_over_k, battery, x0_columns,
     """dwell_scaling's worst outer-cone dwell at one gain scale."""
     geom = cone_geometry(rho, kk, cls.ratio)
     runs = di_runs(cls, rho, kk, lam_over_k * kk, battery, x0_columns,
-                   horizon_factor / kk, polar=False)
+                   horizon_factor / kk)
     worst = 0.0
     for tr in runs:
         cert = dwell_times(tr, geom)

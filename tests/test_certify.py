@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from pestab import certify
+from pestab.adversary import tune
 from pestab.certify import (c_rho_closed_form, chain_contraction,
                             check_cs_decay, check_F_monotone,
                             check_quadrant_V, check_V_neutral,
                             comparison_c2, comparison_final0, decay_rate,
                             dwell_times, envelope_holds, estimate_eta,
                             kl_envelope, multi_input_identity, neutral_runs,
-                            rescaling_identity, tune, unit_circle_grid,
+                            rescaling_identity, unit_circle_grid,
                             weak_star_demo)
 from pestab.errors import InsufficientDataError, PreconditionError
 from pestab.gains import (A_DI, A_ROTATION, B_DI, cone_geometry,
@@ -240,8 +241,7 @@ class TestQuadrant:
         # these off-grid states decay without entering {x1 <= 0, x2 >= 0}
         bat = make_battery(CLS, 6, seed=19).signals
         x0 = np.array([[1.0, 2.0], [-0.5, -1.0]])
-        for tr in certify.di_runs(CLS, 0.2, 4.0, 8.0, bat, x0, 5.0,
-                                  polar=False):
+        for tr in certify.di_runs(CLS, 0.2, 4.0, 8.0, bat, x0, 5.0):
             x1, x2 = tr.states[:, 0], tr.states[:, 1]
             assert not np.any((x1 <= 0.0) & (x2 >= 0.0))
         cert = certify.quadrant_battery(CLS, 0.2, 4.0, 8.0, bat, x0,
@@ -387,6 +387,17 @@ class TestKlEnvelope:
         cert = kl_envelope([tr])
         slowest = 0.5 * (1.0 - math.sqrt(1.0 - 2.0 * 0.2))  # |max Re eig|
         assert cert.measured["gamma_hat"] >= 0.9 * slowest
+
+
+    def test_end_state_below_square_underflow(self):
+        # the end state is about 3.9e-183, whose square is 0.0: the end
+        # rate is the duty's average 10.5, not a log of zero
+        loop = ClosedLoop([[-10.0]], [[1.0]], [[-1.0]], make_duty(CLS))
+        tr = propagate(loop, 0.0, [1.0], 40.0)
+        cert = kl_envelope([tr])
+        assert cert.passed
+        assert cert.measured["min_end_rate"] == pytest.approx(10.5,
+                                                              rel=1e-12)
 
 
 class TestTune:

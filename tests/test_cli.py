@@ -31,6 +31,24 @@ DI_SCENARIO = {
 }
 
 
+# the certify selectors that read a battery
+BATTERY_SELECTORS = ("claim1", "finite", "ff00", "ff01", "ouf0", "q1yes")
+
+
+def selector_scenario(selector):
+    """A small scenario on which the selector passes."""
+    sc = {"system": {"preset": "double_integrator"},
+          "pe_class": {"T": 1.0, "mu": 0.5},
+          "battery": {"size": 4, "seed": 3}}
+    if selector in ("claim1", "technic"):
+        sc["system"] = {"preset": "rotation"}
+    if selector == "q1yes":
+        # the multi-input gain needs a rank-2 input matrix
+        sc["system"] = {"A": [[0.0, 1.0], [0.0, 0.0]],
+                        "B": [[1.0, 0.0], [0.0, 1.0]]}
+    return sc
+
+
 class TestSimulate:
     def test_decaying_run(self, tmp_path, capsys):
         sc = write_scenario(tmp_path, DI_SCENARIO)
@@ -45,6 +63,20 @@ class TestSimulate:
             header = next(csv.reader(fh))
         assert header == ["t", "x1", "x2", "alpha", "V", "r", "theta",
                           "F_theta"]
+
+    def test_state_below_square_underflow(self, tmp_path):
+        # the end state is about 3.9e-183, whose square is 0.0
+        sc = {"system": {"A": [[-10.0]], "B": [[1.0]]},
+              "pe_class": {"T": 1.0, "mu": 0.5},
+              "gain": {"kind": "explicit", "K": [[-1.0]]},
+              "signal": {"kind": "duty", "pattern": "front"},
+              "horizon": 40.0, "x0": [[1.0]]}
+        out = tmp_path / "out"
+        assert main(["simulate", "--scenario", write_scenario(tmp_path, sc),
+                     "--out-dir", str(out)]) == 0
+        run = json.loads((out / "summary.json").read_text())["runs"][0]
+        assert run["decaying"]
+        assert run["gamma_hat"] == pytest.approx(10.5, rel=1e-2)
 
     def test_zero_gate_flagged_nondecaying(self, tmp_path):
         sc = dict(DI_SCENARIO)
@@ -158,23 +190,26 @@ class TestCertify:
 
     @pytest.mark.parametrize("selector", LEMMA_SELECTORS)
     def test_every_selector_passes(self, tmp_path, capsys, selector):
-        sc = {"system": {"preset": "double_integrator"},
-              "pe_class": {"T": 1.0, "mu": 0.5},
-              "battery": {"size": 4, "seed": 3}}
-        if selector in ("claim1", "technic"):
-            sc["system"] = {"preset": "rotation"}
-        if selector == "q1yes":
-            # the multi-input gain needs a rank-2 input matrix
-            sc["system"] = {"A": [[0.0, 1.0], [0.0, 0.0]],
-                            "B": [[1.0, 0.0], [0.0, 1.0]]}
+        sc = selector_scenario(selector)
         out = tmp_path / "o"
-        assert main(["certify", "--scenario", write_scenario(tmp_path, sc),
-                     "--lemma", selector, "--out-dir", str(out)]) == 0
+        with mock.patch.object(cli, "make_battery",
+                               wraps=signals.make_battery) as make:
+            assert main(["certify", "--scenario",
+                         write_scenario(tmp_path, sc), "--lemma", selector,
+                         "--out-dir", str(out)]) == 0
         payload = json.loads(
             (out / f"certificate_{selector}.json").read_text())
         assert payload["selector"] == selector
         assert payload["certificate"]["pass"] is True
         assert f"[{selector}] PASS" in capsys.readouterr().out
+        # the battery is built once, and only for the selectors that read it
+        if selector in BATTERY_SELECTORS:
+            assert make.call_count == 1
+            info = signals.make_battery(signals.PeClass(1.0, 0.5), 4, 3).info
+            assert payload["certificate"]["battery"] == json.loads(
+                json.dumps(info))
+        else:
+            assert make.call_count == 0
 
     def test_technic_at_an_equilibrium_is_vacuous(self, tmp_path, capsys):
         # the double-integrator preset with no gain and no x0: K = -B^T =
@@ -222,17 +257,20 @@ class TestThreshold:
         assert lines[0].startswith("# tool=pestab")
 
     @pytest.mark.parametrize("grid", ["0:1:0", "0:1:-0.1", "1:0:0.1",
-                                      "0:1", "0.3,x"])
+                                      "0:1", "0.3,x", "nan", "inf", "-inf",
+                                      "0", "-1", "0.3,nan", "-1:1:0.5"])
     def test_degenerate_range_refused(self, tmp_path, capsys, grid):
         # a zero step divided by zero; a reversed range wrote a header-only
-        # table and passed vacuously; a malformed spec raised ValueError
+        # table and passed vacuously; a malformed spec raised ValueError;
+        # a horizon that is not finite and positive failed in the Gramian
+        # with a message that did not name --t-grid
         out = tmp_path / "o"
         rc = main(["threshold", "--preset", "double_integrator",
-                   "--T", "1.0", "--mu", "0.5", "--t-grid", grid,
+                   "--T", "1.0", "--mu", "0.5", f"--t-grid={grid}",
                    "--battery-size", "2", "--out-dir", str(out)])
         assert rc == 2
         assert "--t-grid" in capsys.readouterr().err
-        assert not (out / "threshold.csv").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("grid, built", [("0.3,0.5", False),
                                              ("0.3,0.5,0.7", True)])

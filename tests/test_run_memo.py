@@ -1,8 +1,8 @@
 """The last-call run memo of `certify.di_runs`.
 
 Consecutive cone certificates on one battery, grid, horizon and gain ask
-`di_runs` for the same runs; the memo keeps the unlifted runs of the last
-call and hands them out again.  A hit must give the bits a fresh
+`di_runs` for the same runs; the memo keeps the runs of the last call and
+hands them out again, and a caller that needs the angle lifts them.  A hit must give the bits a fresh
 `propagate_batch` gives, any change to an input that decides those bits
 must miss, and nobody may write into the cached runs.
 """
@@ -41,6 +41,10 @@ def battery(seed, size=6):
     return make_battery(CLS, size, seed=seed).signals
 
 
+def lifted(runs, polar):
+    return [polar_lift(tr) for tr in runs] if polar else runs
+
+
 def fresh_runs(rho, k, lam, sigs, x0, horizon, polar=False):
     """di_runs without the memo: one propagate_batch per member."""
     runs = []
@@ -48,7 +52,7 @@ def fresh_runs(rho, k, lam, sigs, x0, horizon, polar=False):
         loop = ClosedLoop(A_DI, B_DI, di_base_gain(rho, k),
                           rescale_time(sig, lam))
         runs.extend(propagate_batch(loop, 0.0, x0, horizon))
-    return [polar_lift(tr) for tr in runs] if polar else runs
+    return lifted(runs, polar)
 
 
 def assert_same_bits(runs, ref):
@@ -73,11 +77,11 @@ def counting_propagations():
 @pytest.mark.parametrize("polar", [False, True])
 def test_hit_matches_fresh_propagation(seed, horizon, polar):
     sigs = battery(seed)
-    first = di_runs(CLS, RHO, K, LAM, sigs, GRID, horizon, polar=polar)
+    first = lifted(di_runs(CLS, RHO, K, LAM, sigs, GRID, horizon), polar)
     with counting_propagations() as calls:
-        hit = di_runs(CLS, RHO, K, LAM, sigs, GRID, horizon, polar=polar)
-        flipped = di_runs(CLS, RHO, K, LAM, sigs, GRID, horizon,
-                          polar=not polar)
+        hit = lifted(di_runs(CLS, RHO, K, LAM, sigs, GRID, horizon), polar)
+        flipped = lifted(di_runs(CLS, RHO, K, LAM, sigs, GRID, horizon),
+                         not polar)
     assert calls.call_count == 0
     ref = fresh_runs(RHO, K, LAM, sigs, GRID, horizon, polar=polar)
     assert_same_bits(first, ref)
@@ -161,8 +165,7 @@ def test_any_changed_input_misses(edit):
 
     def call(args):
         return di_runs(CLS, args["rho"], args["k"], args["lam"],
-                       args["battery"], args["x0_columns"], args["horizon"],
-                       polar=False)
+                       args["battery"], args["x0_columns"], args["horizon"])
 
     call(base)
     with counting_propagations() as calls:
@@ -180,19 +183,19 @@ def test_any_changed_input_misses(edit):
 def test_caller_arrays_are_copied_into_the_key():
     x0 = GRID.copy()
     sigs = battery(3, size=4)
-    di_runs(CLS, RHO, K, LAM, sigs, x0, 5.0, polar=False)
+    di_runs(CLS, RHO, K, LAM, sigs, x0, 5.0)
     x0[0, 0] = 0.5
     with counting_propagations() as calls:
-        runs = di_runs(CLS, RHO, K, LAM, sigs, x0, 5.0, polar=False)
+        runs = di_runs(CLS, RHO, K, LAM, sigs, x0, 5.0)
     assert calls.call_count == len(sigs)
     assert runs[0].states[0].tolist() == [0.5, 0.0]
 
 
 def test_a_failed_call_drops_the_entry():
     sigs = battery(3, size=4)
-    di_runs(CLS, RHO, K, LAM, sigs, GRID, 5.0, polar=False)
+    di_runs(CLS, RHO, K, LAM, sigs, GRID, 5.0)
     with pytest.raises(DomainError):
-        di_runs(CLS, RHO, K, LAM, sigs, GRID, -1.0, polar=False)
+        di_runs(CLS, RHO, K, LAM, sigs, GRID, -1.0)
     assert certify._last_runs is None
 
 
@@ -200,7 +203,7 @@ def test_a_failed_call_drops_the_entry():
 def test_returned_runs_are_read_only(polar):
     sigs = battery(3, size=4)
     for _ in range(2):  # the miss, then the hit
-        runs = di_runs(CLS, RHO, K, LAM, sigs, GRID, 5.0, polar=polar)
+        runs = lifted(di_runs(CLS, RHO, K, LAM, sigs, GRID, 5.0), polar)
         for tr in runs + [runs[0].window(1, 4)]:
             for arr in (tr.times, tr.states, tr.seg_alpha):
                 with pytest.raises(ValueError):
@@ -212,14 +215,14 @@ def test_returned_runs_are_read_only(polar):
 
 def test_cached_runs_carry_no_polar_channels():
     sigs = battery(3, size=4)
-    lifted = di_runs(CLS, RHO, K, LAM, sigs, GRID, 5.0)
-    assert all({"r", "theta"} <= tr.channels.keys() for tr in lifted)
-    lifted[0].channels["F_theta"] = lifted[0].channels["theta"]
+    polar = lifted(di_runs(CLS, RHO, K, LAM, sigs, GRID, 5.0), True)
+    assert all({"r", "theta"} <= tr.channels.keys() for tr in polar)
+    polar[0].channels["F_theta"] = polar[0].channels["theta"]
     cached = certify._last_runs[1]
     assert all(not tr.channels for tr in cached)
     with pytest.raises(TypeError):
-        cached[0].channels["theta"] = lifted[0].channels["theta"]
-    plain = di_runs(CLS, RHO, K, LAM, sigs, GRID, 5.0, polar=False)
+        cached[0].channels["theta"] = polar[0].channels["theta"]
+    plain = di_runs(CLS, RHO, K, LAM, sigs, GRID, 5.0)
     assert all(not tr.channels for tr in plain)
 
 
@@ -254,8 +257,7 @@ def test_threads_never_swap_run_sets():
         try:
             for _ in range(6):
                 assert_same_bits(
-                    di_runs(CLS, RHO, K, LAM, sigs, GRID, horizon,
-                            polar=False), refs[i])
+                    di_runs(CLS, RHO, K, LAM, sigs, GRID, horizon), refs[i])
         except Exception as exc:
             errors.append(exc)
 

@@ -264,3 +264,16 @@ def test_value_at_where_the_fold_rounds_below_zero(t):
 def test_value_at_equals_the_scalar_lookup(sig, t):
     for u in (t, *(b for b in sig.breakpoints)):
         assert repr(sig.value_at(u)) == repr(reference_value_at(sig, u))
+
+
+def test_shift_of_a_hold_signal_keeps_a_piece_an_ulp_off():
+    # t0 + (1.76 - t0) rounds one ulp below the breakpoint 1.76, so a value
+    # read there finds the 0 piece and drops the 0.5 piece after it
+    sig = PwcSignal((0.0, 0.5, 1.0, 1.75, 1.76, 2.26),
+                    (0.0, 0.0, 0.0, 0.0, 0.5), hold=0.0)
+    t0 = 0.5144361930836366
+    assert t0 + (1.76 - t0) < 1.76
+    got = shift(sig, t0)
+    assert abs(integrate_signal(got, 0.0, 2.0) - 0.25) <= 1e-12
+    assert abs(integrate_signal(got, 0.0, 2.0)
+               - integrate_signal(sig, t0, t0 + 2.0)) <= 1e-12

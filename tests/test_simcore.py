@@ -338,3 +338,26 @@ def reference_to_csv(tr, path):
             for name in ("V", "r", "theta", "F_theta"):
                 row.append(repr(float(chans[name][j])) if name in chans else "")
             w.writerow(row)
+
+
+class TestRowNorms:
+    def test_rows_below_square_underflow(self):
+        # squares of entries below about 1e-154 underflow; the norms here
+        # are what the rescaled rows give
+        x = np.array([[3e-200, 4e-200], [0.0, 0.0], [1e-160, 0.0],
+                      [5e-324, 0.0], [-3e-170, 4e-170]])
+        nrm = simcore._row_norms(x)
+        assert np.linalg.norm(x[0]) == 0.0
+        assert nrm[0] == pytest.approx(5e-200, rel=1e-15)
+        assert nrm[1] == 0.0
+        assert nrm[2] == 1e-160
+        assert nrm[3] == 5e-324
+        assert nrm[4] == pytest.approx(5e-170, rel=1e-15)
+
+    def test_other_rows_keep_their_bits(self):
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((200, 3)) * 10.0 ** rng.uniform(
+            -140, 140, (200, 1))
+        x[::7] = np.nan
+        want = np.linalg.norm(x, axis=1)
+        assert simcore._row_norms(x).tobytes() == want.tobytes()
