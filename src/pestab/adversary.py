@@ -21,7 +21,7 @@ from .gains import A_DI, B_DI, di_gain
 from .matkit import as_matrix, expm
 from .signals import (PeClass, PwcSignal, _duty_floor, _random_duty,
                       make_duty, verify_pe)
-from .simcore import (ClosedLoop, Trajectory, _flow, _itp, _row_norms,
+from .simcore import (ClosedLoop, Trajectory, _fitted_rate, _flow, _itp,
                       crossing_time, propagate_batch)
 
 __all__ = [
@@ -341,23 +341,6 @@ def tune_adversarial(cls: PeClass, rho: float, seed: int = 0,
         battery.append(sig)
     raise SimulationError(
         "adversarial search kept defeating the tuned gain after 3 rounds")
-
-
-def _fitted_rate(runs, horizon: float) -> float:
-    """Slowest decay -log(|x(horizon)| / |x(0)|) / horizon over the runs,
-    or -inf once a run has a non-finite state or norm; a run that ends at
-    zero decays at rate +inf."""
-    worst = math.inf
-    for tr in runs:
-        if not np.isfinite(tr.states).all():
-            return -math.inf
-        with np.errstate(over="ignore"):
-            nrm = _row_norms(tr.states[[0, -1]])
-        if not np.isfinite(nrm).all():
-            return -math.inf
-        if nrm[1] > 0.0:
-            worst = min(worst, -math.log(nrm[1] / nrm[0]) / horizon)
-    return worst
 
 
 def worst_case_search(A, B, K, cls: PeClass, x0_list, budget: int,

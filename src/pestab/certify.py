@@ -2,8 +2,8 @@
 
 Every "there exists a constant" statement is certified as a measured
 constant over a declared battery; certificates record what was measured,
-the tolerances used and the battery that produced them, and are
-reproducible bit-for-bit from (seed, tolerance) configuration.
+the tolerances used and the size of the battery that produced them, and
+are reproducible bit-for-bit from (seed, tolerance) configuration.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from .gains import (A_DI, B_DI, ConeGeometry, cone_geometry, di_base_gain,
 from .matkit import as_matrix, one_norm
 from .reachability import kalman_rank
 from .signals import PeClass, PwcSignal, make_duty, rescale_time
-from .simcore import (ClosedLoop, Trajectory, crossing_time, fmap_F,
-                      polar_lift, propagate, propagate_batch)
+from .simcore import (ClosedLoop, Trajectory, _fitted_rate, crossing_time,
+                      fmap_F, polar_lift, propagate, propagate_batch)
 
 __all__ = [
     "Certificate",
@@ -64,6 +64,8 @@ _DWELL_RATIO_BOUND = 0.55
 _MIN_EXCURSION = 1.0
 # weak_star_demo: the largest sup-distance allowed at the largest i
 _WEAK_STAR_FINAL_TOL = 1e-2
+# rescaling_identity: the time scales checked
+_RESCALING_LAMS = (0.5, 2.0, 8.0)
 # (key, runs) of the last di_runs call; see di_runs
 _last_runs = None
 
@@ -88,6 +90,15 @@ class Certificate:
             "battery": self.battery,
             "notes": list(self.notes),
         }
+
+
+def _battery_certificate(name: str, passed: bool, measured: dict, tolerance,
+                         battery, notes=()) -> Certificate:
+    """A certificate over a battery, which it records by size; measured
+    entries that no stay or run produced (None) are left out."""
+    return Certificate(name, passed,
+                       {k: v for k, v in measured.items() if v is not None},
+                       tolerance, {"size": len(battery)}, list(notes))
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +199,8 @@ def kl_envelope(trajs) -> Certificate:
 
     The fitted pair carries explicit margins (rate shrunk by 5%, constant
     inflated by 25%) so that it transfers to a fresh battery of the same
-    class; finite batches cannot pin the extremal envelope exactly.
+    class; finite batches cannot pin the extremal envelope exactly.  A run
+    that ends at zero (end rate +inf) bounds no rate.
     """
     if len(trajs) < 1:
         raise InsufficientDataError("empty batch")
@@ -203,9 +215,10 @@ def kl_envelope(trajs) -> Certificate:
             culprit = i
             rates.append(-math.inf)
             continue
-        span = tr.times[-1] - tr.times[0]
-        rates.append(-math.log(nrm[-1] / n0) / span)
+        rates.append(_fitted_rate([tr], tr.times[-1] - tr.times[0]))
     min_rate = float(min(rates))
+    if min_rate == math.inf:
+        raise InsufficientDataError("no run bounds the rate; all end at zero")
     worst = int(np.argmin(rates))
     gamma_hat = (1.0 - _KL_RATE_MARGIN) * min_rate if min_rate > 0.0 else min_rate
     c_tight = 0.0
@@ -297,8 +310,7 @@ def check_V_neutral(traj: Trajectory, B, r: float = 1.0) -> Certificate:
         _ENERGY_SLACK, {}, [])
 
 
-def estimate_eta(A, B, cls: PeClass, battery, x0_grid,
-                 battery_info=None) -> Certificate:
+def estimate_eta(A, B, cls: PeClass, battery, x0_grid) -> Certificate:
     """Battery-infimum of the one-window excitation-energy integral
     int_0^T alpha ||B^T x||^2 / v dt along unit-sphere initial states.
 
@@ -330,13 +342,12 @@ def estimate_eta(A, B, cls: PeClass, battery, x0_grid,
     eta_hat = min(integrals, default=math.inf)
     worst_vint = max(resids, default=0.0)
     passed = eta_hat > _ETA_MARGIN and worst_vint <= 2e-5 * (1.0 + eta_hat)
-    return Certificate(
+    return _battery_certificate(
         "excitation_energy_floor", passed,
         {"eta_hat": eta_hat, "positivity_margin": eta_hat - _ETA_MARGIN,
          "max_log_energy_residual": worst_vint,
          "grid_size": x0.shape[1]},
-        {"eta_margin": _ETA_MARGIN, "quadrature_step": step},
-        battery_info or {"size": len(battery)}, [])
+        {"eta_margin": _ETA_MARGIN, "quadrature_step": step}, battery)
 
 
 # ---------------------------------------------------------------------------
@@ -361,16 +372,6 @@ def _stays(runs, inside, min_steps: int):
 def _values(certs, key: str) -> list:
     """The measured `key` of every certificate that reports it."""
     return [c.measured[key] for c in certs if key in c.measured]
-
-
-def _battery_certificate(name: str, passed: bool, measured: dict, tolerance,
-                         battery, battery_info, notes=()) -> Certificate:
-    """A battery certificate; measured entries that no stay or run produced
-    (None) are left out."""
-    return Certificate(name, passed,
-                       {k: v for k, v in measured.items() if v is not None},
-                       tolerance, battery_info or {"size": len(battery)},
-                       list(notes))
 
 
 def c12_sojourns(traj: Trajectory, geom: ConeGeometry) -> list:
@@ -441,8 +442,7 @@ def check_F_monotone(traj: Trajectory, rho: float, k: float, cls: PeClass,
 
 
 def f_monotone_battery(cls: PeClass, rho: float, k: float, lam: float,
-                       battery, x0_columns, horizon: float,
-                       battery_info=None) -> Certificate:
+                       battery, x0_columns, horizon: float) -> Certificate:
     """Run a battery and apply the monotonicity/window-drop check on every
     stay in the outer cones; fails when no run has such a stay to check."""
     runs = [polar_lift(tr) for tr in
@@ -463,7 +463,7 @@ def f_monotone_battery(cls: PeClass, rho: float, k: float, lam: float,
                            default=None),
          "n_sojourns": len(certs), "n_windows": n_windows, "c_hat": c_hat,
          "c_closed_form": c_rho_closed_form(rho) if n_windows else None},
-        {"f_slack": _F_SLACK}, battery, battery_info, notes)
+        {"f_slack": _F_SLACK}, battery, notes)
 
 
 def dwell_times(traj: Trajectory, geom: ConeGeometry) -> Certificate:
@@ -490,7 +490,7 @@ def dwell_times(traj: Trajectory, geom: ConeGeometry) -> Certificate:
 
 
 def dwell_scaling(cls: PeClass, rho: float, k: float, lam_over_k: float,
-                  battery, x0_columns, battery_info=None) -> Certificate:
+                  battery, x0_columns) -> Certificate:
     """Doubling the gain scale k (at fixed lam/k) must at least halve the
     worst outer-cone dwell, within a 10% allowance; each run lasts 40/k."""
 
@@ -505,11 +505,10 @@ def dwell_scaling(cls: PeClass, rho: float, k: float, lam_over_k: float,
     d2 = max_dwell(2.0 * k)
     ratio = d2 / d1 if d1 > 0.0 else math.inf
     passed = ratio <= _DWELL_RATIO_BOUND
-    return Certificate(
+    return _battery_certificate(
         "dwell_scaling", passed,
         {"max_dwell_at_k": d1, "max_dwell_at_2k": d2, "ratio": ratio},
-        {"ratio_bound": _DWELL_RATIO_BOUND},
-        battery_info or {"size": len(battery)}, [])
+        {"ratio_bound": _DWELL_RATIO_BOUND}, battery)
 
 
 def check_quadrant_V(traj: Trajectory, rho: float, k: float) -> Certificate:
@@ -536,8 +535,7 @@ def check_quadrant_V(traj: Trajectory, rho: float, k: float) -> Certificate:
 
 
 def quadrant_battery(cls: PeClass, rho: float, k: float, lam: float, battery,
-                     x0_columns, horizon: float,
-                     battery_info=None) -> Certificate:
+                     x0_columns, horizon: float) -> Certificate:
     """Apply the quadrant-energy check to every maximal stay of every run in
     {x1 <= 0, x2 >= 0}; fails when no run has such a stay to check."""
     runs = di_runs(cls, rho, k, lam, battery, x0_columns, horizon)
@@ -552,7 +550,7 @@ def quadrant_battery(cls: PeClass, rho: float, k: float, lam: float, battery,
          "worst_increase": max(_values(certs, "worst_increase"),
                                default=None),
          "stays_checked": len(certs)},
-        _ENERGY_SLACK, battery, battery_info, notes)
+        _ENERGY_SLACK, battery, notes)
 
 
 def check_cs_decay(traj: Trajectory, rho: float, k: float,
@@ -589,8 +587,7 @@ def check_cs_decay(traj: Trajectory, rho: float, k: float,
 
 
 def cs_decay_battery(cls: PeClass, rho: float, k: float, lam: float, battery,
-                     x0_columns, horizon: float,
-                     battery_info=None) -> Certificate:
+                     x0_columns, horizon: float) -> Certificate:
     """Apply the central-cone decay check to every stay of every run in the
     central cone; fails when no run has such a stay to check."""
     runs = di_runs(cls, rho, k, lam, battery, x0_columns, horizon)
@@ -607,7 +604,7 @@ def cs_decay_battery(cls: PeClass, rho: float, k: float, lam: float, battery,
          "w_max": max(_values(certs, "w_max"), default=None),
          "gamma_hat_min": min(_values(certs, "gamma_hat"), default=None),
          "C2_hat_max": max(_values(certs, "C2_hat"), default=None)},
-        None, battery, battery_info, notes)
+        None, battery, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -747,8 +744,7 @@ def chain_contraction(traj: Trajectory, k: float) -> Certificate:
 
 
 def chain_battery(cls: PeClass, rho: float, k: float, lam: float, battery,
-                  x0_columns, horizon: float,
-                  battery_info=None) -> Certificate:
+                  x0_columns, horizon: float) -> Certificate:
     """Chain certificate over a battery.
 
     In the well-tuned regime trajectories are captured by the central cone
@@ -767,7 +763,7 @@ def chain_battery(cls: PeClass, rho: float, k: float, lam: float, battery,
          "C3_sq_hat": max(_values(certs, "C3_sq_hat"), default=0.0),
          "gamma_star_hat": min(_values(certs, "gamma_star_hat"),
                                default=None)},
-        {"min_excursion": _MIN_EXCURSION}, battery, battery_info, notes)
+        {"min_excursion": _MIN_EXCURSION}, battery, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -775,7 +771,7 @@ def chain_battery(cls: PeClass, rho: float, k: float, lam: float, battery,
 # ---------------------------------------------------------------------------
 
 def rescaling_identity(k1: float, k2: float, alpha: PwcSignal, x0,
-                       horizon: float, lams=(0.5, 2.0, 8.0)) -> Certificate:
+                       horizon: float) -> Certificate:
     """Exact anisotropic rescaling: Diag(1, lam) x(lam t; K) must equal the
     trajectory of the lam-scaled gain driven by the lam-fast signal, at all
     shared samples (steps of at most 1e-2 in the fast frame)."""
@@ -783,7 +779,7 @@ def rescaling_identity(k1: float, k2: float, alpha: PwcSignal, x0,
     K = np.array([[-k1, -k2]])
     base_loop = ClosedLoop(A_DI, B_DI, K, alpha)
     worst = 0.0
-    for lam in lams:
+    for lam in _RESCALING_LAMS:
         base = propagate(base_loop, 0.0, x0, lam * horizon,
                          max_step=lam * 1e-2)
         K_lam = np.array([[-lam * lam * k1, -lam * k2]])
@@ -798,11 +794,11 @@ def rescaling_identity(k1: float, k2: float, alpha: PwcSignal, x0,
         worst = max(worst, float(np.max(err / scale)))
     return Certificate("anisotropic_rescaling", worst <= 1e-9,
                        {"max_rel_error": worst},
-                       {"bound": 1e-9, "lams": list(lams)}, {}, [])
+                       {"bound": 1e-9, "lams": list(_RESCALING_LAMS)}, {}, [])
 
 
 def multi_input_identity(B, k: float, cls: PeClass, battery, x0_list,
-                         horizon: float, battery_info=None) -> Certificate:
+                         horizon: float) -> Certificate:
     """For a full-rank planar input matrix, the drift-stripped state must
     contract exactly like exp(-k int alpha), and the raw state must obey the
     induced envelope ||x|| <= ||e^{At}|| exp(-k int alpha) ||x0||."""
@@ -831,11 +827,10 @@ def multi_input_identity(B, k: float, cls: PeClass, battery, x0_list,
             gap = np.linalg.norm(x, axis=1) - bound * (1.0 + 1e-9)
             worst_bound = max(worst_bound, float(np.max(gap)))
     passed = worst_identity <= 1e-9 and worst_bound <= 0.0
-    return Certificate("gated_contraction_identity", passed,
-                       {"max_identity_rel_error": worst_identity,
-                        "worst_envelope_gap": worst_bound},
-                       {"identity_bound": 1e-9},
-                       battery_info or {"size": len(battery)}, [])
+    return _battery_certificate("gated_contraction_identity", passed,
+                                {"max_identity_rel_error": worst_identity,
+                                 "worst_envelope_gap": worst_bound},
+                                {"identity_bound": 1e-9}, battery)
 
 
 def weak_star_demo(A, B, K, x0, duty: float = 0.5, exponents=range(11),

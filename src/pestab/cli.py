@@ -20,10 +20,10 @@ from . import (__version__, adversary, certify, reachability, signals,
                simcore)
 from .errors import (ConstructionError, DegenerateStateError, DomainError,
                      InsufficientDataError, InternalConsistencyError,
-                     NotNeutrallyStable, PestabError, PreconditionError,
-                     ShapeError, SimulationError)
+                     NotNeutrallyStable, PreconditionError, ShapeError,
+                     SimulationError)
 from .gains import di_gain
-from .reachability import threshold_check
+from .reachability import _below_threshold, threshold_check
 from .scenarios import (build_gain, build_run, build_signal, build_system,
                         load_scenario, scenario_hash)
 from .signals import PeClass, make_battery
@@ -172,39 +172,38 @@ def _certify_dispatch(selector: str, sc: dict, seed: int):
                         dtype=float)
         return certify.weak_star_demo(A, B, K, x0,
                                       duty=float(p.get("duty", 0.5)))
+    if selector not in LEMMA_SELECTORS:
+        raise DomainError(f"unknown selector {selector!r}; valid: "
+                          + ", ".join(LEMMA_SELECTORS))
     # the remaining selectors read one battery each
     battery = make_battery(cls, size, bseed)
+    grid = certify.unit_circle_grid(int(p.get("grid", 8)))
     if selector == "claim1":
         A, B = build_system(sc)
         grid = certify.sphere_grid(A.shape[0], int(p.get("grid", 16)), bseed)
-        return certify.estimate_eta(A, B, cls, battery.signals, grid,
-                                    battery_info=battery.info)
-    if selector == "q1yes":
+        cert = certify.estimate_eta(A, B, cls, battery.signals, grid)
+    elif selector == "q1yes":
         A, B = build_system(sc)
         x0s = [np.asarray(v, dtype=float) for v in
                (sc.get("x0") or [[1.0, 0.0], [0.3, -0.7]])]
-        return certify.multi_input_identity(B, float(p.get("k", 1.0)), cls,
-                                            battery.signals, x0s,
-                                            horizon=sc.get("horizon", 5.0 * cls.T),
-                                            battery_info=battery.info)
-    grid = certify.unit_circle_grid(int(p.get("grid", 8)))
-    if selector == "finite":
-        return certify.dwell_scaling(cls, rho, k, lam / k, battery.signals,
-                                     grid, battery_info=battery.info)
-    if selector == "ff00":
-        return certify.quadrant_battery(cls, rho, k, lam, battery.signals,
-                                        grid, horizon=30.0 / k,
-                                        battery_info=battery.info)
-    if selector == "ff01":
-        return certify.cs_decay_battery(cls, rho, k, lam, battery.signals,
-                                        grid, horizon=30.0 / k,
-                                        battery_info=battery.info)
-    if selector == "ouf0":
-        horizon = float(p.get("horizon", 20.0))
-        return certify.chain_battery(cls, rho, k, lam, battery.signals, grid,
-                                     horizon, battery_info=battery.info)
-    raise DomainError(f"unknown selector {selector!r}; valid: "
-                      + ", ".join(LEMMA_SELECTORS))
+        cert = certify.multi_input_identity(
+            B, float(p.get("k", 1.0)), cls, battery.signals, x0s,
+            horizon=sc.get("horizon", 5.0 * cls.T))
+    elif selector == "finite":
+        cert = certify.dwell_scaling(cls, rho, k, lam / k, battery.signals,
+                                     grid)
+    elif selector == "ff00":
+        cert = certify.quadrant_battery(cls, rho, k, lam, battery.signals,
+                                        grid, horizon=30.0 / k)
+    elif selector == "ff01":
+        cert = certify.cs_decay_battery(cls, rho, k, lam, battery.signals,
+                                        grid, horizon=30.0 / k)
+    else:
+        cert = certify.chain_battery(cls, rho, k, lam, battery.signals, grid,
+                                     float(p.get("horizon", 20.0)))
+    # the certificate records only the size; record the seed, class and spec
+    cert.battery = battery.info
+    return cert
 
 
 def cmd_certify(args) -> int:
@@ -268,8 +267,7 @@ def cmd_threshold(args) -> int:
     if args.battery_size < 1:
         raise DomainError("--battery-size must be >= 1")
     boundary = cls.T - cls.mu
-    # threshold_check reads the battery only where t <= T - mu + 1e-12 fails
-    battery = ([] if all(t <= boundary + 1e-12 for t in grid)
+    battery = ([] if all(_below_threshold(cls, t) for t in grid)
                else make_battery(cls, args.battery_size, seed).signals)
     out = _out_dir(args)
     rows = []

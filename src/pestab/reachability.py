@@ -159,6 +159,11 @@ class ThresholdReport:
                 "claim": self.claim, "evidence": self.evidence}
 
 
+def _below_threshold(cls: PeClass, t: float) -> bool:
+    """Whether t <= T - mu, within 1e-12: threshold_check reads no battery."""
+    return t <= cls.T - cls.mu + 1e-12
+
+
 def threshold_check(A, B, cls: PeClass, t: float, battery,
                     tol: float = _CTRL_TOL) -> ThresholdReport:
     """Controllability dichotomy at horizon t.
@@ -167,7 +172,7 @@ def threshold_check(A, B, cls: PeClass, t: float, battery,
     Gramian singular; the witness residual is evaluated only where that gate
     is nonzero, so here it is 0 by construction. t > T - mu: certify the
     Gramian nonsingular for every battery member and report the smallest
-    min_sv seen.
+    min_sv seen; an empty battery is refused there.
     """
     _check_tol(tol)
     A = as_matrix(A, square=True)
@@ -175,8 +180,7 @@ def threshold_check(A, B, cls: PeClass, t: float, battery,
     n = A.shape[0]
     if kalman_rank(A, B) != n:
         raise PreconditionError("(A, B) must be a controllable pair")
-    boundary = cls.T - cls.mu
-    if t <= boundary + 1e-12:
+    if _below_threshold(cls, t):
         adv = adversarial_signal(cls)
         rep = gramian(A, B, adv, t, tol)
         singular = not rep.controllable
@@ -186,6 +190,8 @@ def threshold_check(A, B, cls: PeClass, t: float, battery,
             ev["witness"] = [float(v) for v in rep.witness]
             ev["witness_residual"] = witness_residual(A, B, adv, t, rep.witness)
         return ThresholdReport(t, cls, singular, ev)
+    if not battery:
+        raise DomainError(f"t = {t!r} lies above T - mu: the battery is empty")
     worst = math.inf
     all_ok = True
     for sig in battery:

@@ -57,6 +57,23 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     return nrm
 
 
+def _fitted_rate(runs, horizon: float) -> float:
+    """Slowest decay -log(|x(horizon)| / |x(0)|) / horizon over the runs,
+    or -inf once a run has a non-finite state or norm; a run that ends at
+    zero decays at rate +inf."""
+    worst = math.inf
+    for tr in runs:
+        if not np.isfinite(tr.states).all():
+            return -math.inf
+        with np.errstate(over="ignore"):
+            nrm = _row_norms(tr.states[[0, -1]])
+        if not np.isfinite(nrm).all():
+            return -math.inf
+        if nrm[1] > 0.0:
+            worst = min(worst, -math.log(nrm[1] / nrm[0]) / horizon)
+    return worst
+
+
 @dataclass(eq=False)
 class ClosedLoop:
     """The loop x' = (A + alpha(t) B K) x."""

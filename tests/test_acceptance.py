@@ -108,7 +108,7 @@ def test_criterion_04_neutral_uniform_decay():
     t0 = time.perf_counter()
     battery = make_battery(CLS, 200, seed=4)
     eta_cert = estimate_eta(A_ROTATION, B_ROT, CLS, battery.signals,
-                            unit_circle_grid(32), battery_info=battery.info)
+                            unit_circle_grid(32))
     grid = unit_circle_grid(2)
     runs = certify.neutral_runs(A_ROTATION, B_ROT, battery.signals, grid,
                                 horizon=30.0, max_step=0.01)
@@ -155,8 +155,7 @@ def test_criterion_05_cone_slope_ordering():
 def test_criterion_06_rescaling_identity():
     t0 = time.perf_counter()
     sig = make_duty(CLS, phase=0.25, on_value=0.8, pattern="split", splits=2)
-    cert = rescaling_identity(0.16, 0.8, sig, [1.0, 0.4], horizon=3.0,
-                              lams=(0.5, 2.0, 8.0))
+    cert = rescaling_identity(0.16, 0.8, sig, [1.0, 0.4], horizon=3.0)
     report("A6 rescaling-identity", cert.passed,
            f"max relative error = {cert.measured['max_rel_error']:.3g} "
            "over lam in {0.5, 2, 8}", 5.0, time.perf_counter() - t0)
@@ -169,8 +168,7 @@ def test_criterion_07_f_monotonicity(tuned):
     battery = make_battery(CLS, 25, seed=7)
     cert = certify.f_monotone_battery(CLS, 0.2, k, lam, battery.signals,
                                       unit_circle_grid(4),
-                                      horizon=30.0 / k,
-                                      battery_info=battery.info)
+                                      horizon=30.0 / k)
     ok = cert.passed and cert.measured["violations"] == 0 \
         and cert.measured.get("c_hat", 0.0) > 0.0
     report("A7 angle-reparam-monotone", ok,
@@ -184,8 +182,7 @@ def test_criterion_08_dwell_scaling():
     t0 = time.perf_counter()
     battery = make_battery(CLS, 25, seed=8)
     cert = certify.dwell_scaling(CLS, 0.2, 4.0, 4.0, battery.signals,
-                                 unit_circle_grid(4),
-                                 battery_info=battery.info)
+                                 unit_circle_grid(4))
     report("A8 dwell-scaling", cert.passed,
            f"max dwell {cert.measured['max_dwell_at_k']:.4g} -> "
            f"{cert.measured['max_dwell_at_2k']:.4g}, ratio = "
@@ -258,8 +255,7 @@ def test_criterion_12_multi_input():
         B = rng.standard_normal((2, m))
         B = B + np.hstack([2.0 * np.eye(2), np.zeros((2, m - 2))])
         cert = multi_input_identity(B, 1.2, CLS, battery.signals,
-                                    [np.array([1.0, 0.0])], horizon=6.0,
-                                    battery_info=battery.info)
+                                    [np.array([1.0, 0.0])], horizon=6.0)
         ok = ok and cert.passed
         worst_id = max(worst_id, cert.measured["max_identity_rel_error"])
     report("A12 multi-input", ok,

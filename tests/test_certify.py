@@ -399,6 +399,30 @@ class TestKlEnvelope:
         assert cert.measured["min_end_rate"] == pytest.approx(10.5,
                                                               rel=1e-12)
 
+    @staticmethod
+    def scalar_run(a):
+        loop = ClosedLoop([[a]], [[1.0]], [[-1.0]], make_duty(CLS))
+        return propagate(loop, 0.0, [1.0], 40.0)
+
+    def test_run_ending_at_zero_alone_is_refused(self):
+        # every entry of the end state underflows to 0.0: the end rate is
+        # +inf, which bounds nothing; the log of zero raised ValueError
+        tr = self.scalar_run(-30.0)
+        assert tr.states[-1, 0] == 0.0
+        with pytest.raises(InsufficientDataError, match="no run bounds"):
+            kl_envelope([tr])
+
+    def test_run_ending_at_zero_bounds_no_rate(self):
+        zero, slow = self.scalar_run(-30.0), self.scalar_run(-1.0)
+        cert = kl_envelope([zero, slow])
+        alone = kl_envelope([slow])
+        assert cert.passed and alone.passed
+        assert cert.measured["worst_index"] == 1
+        for key in ("gamma_hat", "C_hat", "C_tight", "min_end_rate"):
+            assert cert.measured[key] == alone.measured[key]
+        assert cert.measured["min_end_rate"] == pytest.approx(1.5,
+                                                              rel=1e-12)
+
 
 class TestTune:
     def test_finds_finite_pair(self):
@@ -523,6 +547,35 @@ class TestWeakStar:
                             + np.sum(e2.states ** 2, axis=1))
         dev = np.linalg.norm(b.states - a.states, axis=1)
         assert np.all(dev <= fund_gain * np.linalg.norm(delta) * (1 + 1e-9))
+
+
+class TestBatteryRecord:
+    """A certificate over a battery records it by size; the caller that
+    built the battery records the rest."""
+
+    BAT = tuple(make_battery(CLS, 3, seed=5).signals)
+    GRID = unit_circle_grid(4)
+
+    @pytest.mark.parametrize("certify_battery", [
+        lambda bat, grid: estimate_eta(A_ROTATION, B_ROT, CLS, bat, grid),
+        lambda bat, grid: certify.f_monotone_battery(CLS, 0.2, 4.0, 8.0, bat,
+                                                     grid, 7.5),
+        lambda bat, grid: certify.dwell_scaling(CLS, 0.2, 4.0, 2.0, bat,
+                                                grid),
+        lambda bat, grid: certify.quadrant_battery(CLS, 0.2, 4.0, 8.0, bat,
+                                                   grid, 7.5),
+        lambda bat, grid: certify.cs_decay_battery(CLS, 0.2, 4.0, 8.0, bat,
+                                                   grid, 7.5),
+        lambda bat, grid: certify.chain_battery(CLS, 0.2, 4.0, 8.0, bat,
+                                                grid, 7.5),
+        lambda bat, grid: multi_input_identity(np.eye(2), 1.0, CLS, bat,
+                                               list(grid.T), 5.0),
+    ], ids=["estimate_eta", "f_monotone_battery", "dwell_scaling",
+            "quadrant_battery", "cs_decay_battery", "chain_battery",
+            "multi_input_identity"])
+    def test_records_the_battery_size(self, certify_battery):
+        cert = certify_battery(self.BAT, self.GRID)
+        assert cert.to_json()["battery"] == {"size": len(self.BAT)}
 
 
 class TestIdentities:

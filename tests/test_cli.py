@@ -284,6 +284,26 @@ class TestThreshold:
         assert rc == 0
         assert make.called == built
 
+    @pytest.mark.parametrize("offset, above", [(0.0, False), (5e-13, False),
+                                               (2e-12, True)])
+    def test_boundary_agrees_with_threshold_check(self, tmp_path, offset,
+                                                  above):
+        # the CLI builds the battery exactly where threshold_check reads it
+        t = 0.5 + offset
+        cls = signals.PeClass(1.0, 0.5)
+        with mock.patch.object(cli, "make_battery",
+                               wraps=signals.make_battery) as make:
+            main(["threshold", "--preset", "double_integrator", "--T", "1.0",
+                  "--mu", "0.5", f"--t-grid={t!r}", "--battery-size", "2",
+                  "--out-dir", str(tmp_path)])
+        assert make.called == above
+        row = json.loads((tmp_path / "threshold.json").read_text())
+        battery = signals.make_battery(cls, 2, 0).signals if above else []
+        rep = reachability.threshold_check(
+            [[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]], cls, t, battery)
+        assert row["results"] == [json.loads(json.dumps(rep.to_json()))]
+        assert rep.evidence["kind"] == ("battery" if above else "adversarial")
+
     @pytest.mark.parametrize("grid", ["0.3", "0.7"])
     def test_battery_size_below_one_refused(self, tmp_path, capsys, grid):
         out = tmp_path / "o"

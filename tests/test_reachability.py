@@ -248,6 +248,13 @@ class TestThreshold:
             assert rep.claim
             assert rep.evidence["worst_relative_min_sv"] > 1e-9
 
+    @pytest.mark.parametrize("t", [0.5 + 2e-12, 0.8])
+    def test_empty_battery_above_boundary_refused(self, t):
+        # the battery branch over no signal claimed controllability with
+        # worst_relative_min_sv = inf
+        with pytest.raises(DomainError, match="battery is empty"):
+            threshold_check(A_DI, B_DI, CLS, t, [])
+
     def test_constant_one_always_controllable(self):
         for t in (0.05, 0.2, 1.0):
             rep = gramian(A_DI, B_DI, PwcSignal.constant(1.0), t)
