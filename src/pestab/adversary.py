@@ -15,14 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DegenerateStateError, DomainError,
-                     InternalConsistencyError, SimulationError)
+                     InternalConsistencyError, ShapeError, SimulationError)
 from .certify import unit_circle_grid
 from .gains import A_DI, B_DI, di_gain
 from .matkit import as_matrix, expm
 from .signals import (PeClass, PwcSignal, _duty_floor, _random_duty,
                       make_duty, verify_pe)
-from .simcore import (ClosedLoop, Trajectory, _fitted_rate, _flow, _itp,
-                      crossing_time, propagate_batch)
+from .simcore import (ClosedLoop, Trajectory, _end_rate, _flow, _itp,
+                      crossing_time)
 
 __all__ = [
     "QPartition",
@@ -287,8 +287,9 @@ def tune(cls: PeClass, rho: float, battery, x0_columns) -> dict:
     Outer loop doubles k from 1, inner loop doubles lam starting at
     max(1, k), both up to 2^16; the first passing pair is returned with a 2x
     safety margin.  A pair passes when the lam-scaled gain at the target
-    class gives every battery member a positive _fitted_rate on runs of 12
-    windows: every run is finite and ends below its start.
+    class gives every battery member a positive simcore._end_rate on runs
+    of 12 windows: every run is finite and ends below its start.  Every
+    column of x0_columns must be a nonzero state.
     """
     horizon = _TUNE_HORIZON_PERIODS * cls.T
     trace = []
@@ -297,9 +298,8 @@ def tune(cls: PeClass, rho: float, battery, x0_columns) -> dict:
         lam = max(1.0, k)
         while lam <= _TUNE_CAP:
             K = di_gain(cls, rho, k, lam).K
-            ok = all(_fitted_rate(propagate_batch(
-                ClosedLoop(A_DI, B_DI, K, sig), 0.0, x0_columns, horizon),
-                horizon) > 0.0 for sig in battery)
+            ok = all(_end_rate(ClosedLoop(A_DI, B_DI, K, sig), x0_columns,
+                               horizon) > 0.0 for sig in battery)
             trace.append({"k": k, "lam": lam, "pass": ok})
             if ok:
                 return {"k_star_hat": 2.0 * k, "lambda_star_hat": 2.0 * lam,
@@ -349,11 +349,16 @@ def worst_case_search(A, B, K, cls: PeClass, x0_list, budget: int,
 
     Random candidates over (pattern, on-level, phase, splits) followed by
     coordinate refinement around the best; deterministic under the seed, and
-    every candidate is verified to belong to the class.  Returns
-    (signal, report) with the measured decay of the winner.
+    every candidate is verified to belong to the class.  A candidate's
+    decay is simcore._end_rate over the nonzero states x0_list, read from
+    each run's end state.  budget is an int >= 1.  Returns (signal,
+    report) with the measured decay of the winner.
     """
-    if budget < 1:
-        raise DomainError("budget must be >= 1")
+    if (isinstance(budget, bool) or not isinstance(budget, (int, np.integer))
+            or budget < 1):
+        raise DomainError(f"budget must be an int >= 1, got {budget!r}")
+    if len(x0_list) == 0:
+        raise ShapeError("need at least one initial state")
     A = as_matrix(A, square=True)
     B = as_matrix(B)
     K = as_matrix(K)
@@ -363,9 +368,7 @@ def worst_case_search(A, B, K, cls: PeClass, x0_list, budget: int,
 
     def rate_of(params: dict) -> tuple:
         sig = make_duty(cls, **params)
-        runs = propagate_batch(ClosedLoop(A, B, K, sig), 0.0, x0_columns,
-                               horizon)
-        return _fitted_rate(runs, horizon), sig
+        return _end_rate(ClosedLoop(A, B, K, sig), x0_columns, horizon), sig
 
     best = {"pattern": "front", "on_value": 1.0, "phase": 0.0, "splits": 2}
     best_rate, best_sig = rate_of(best)

@@ -8,9 +8,13 @@ then works on arrays: one stacked expm gives phi for every distinct
 extended precision, one small product per piece chains the piece-end
 states, and one matrix product fills the samples of all pieces with equal
 (alpha, step, count).  So there is no integration error beyond expm
-accuracy and no per-sample Python loop.  crossing_time, the one crossing
-root-finder, runs an ITP bracketing search whose every evaluation is on
-exponential dense output, never on interpolated samples.
+accuracy and no per-sample Python loop.  A caller that reads only the end
+state takes the endpoint path, _end_state and _end_rate: the same tables
+and chain, no fill, and the same end state bit for bit; where the chain
+cannot rule out a sample overflowing inside a piece, it falls back to the
+full run.  crossing_time, the one crossing root-finder, runs an ITP
+bracketing search whose every evaluation is on exponential dense output,
+never on interpolated samples.
 """
 
 from __future__ import annotations
@@ -41,6 +45,9 @@ _CROSSING_REL_TOL = 1e-12
 _MATS_CAP = 256
 # rows formatted at a time by Trajectory.to_csv
 _CSV_BLOCK = 512
+# _end_state vouches for runs whose samples all stay below e^700; the
+# largest double is about e^709.78
+_END_LOG_CAP = 700.0
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
@@ -57,21 +64,28 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     return nrm
 
 
-def _fitted_rate(runs, horizon: float) -> float:
-    """Slowest decay -log(|x(horizon)| / |x(0)|) / horizon over the runs,
-    or -inf once a run has a non-finite state or norm; a run that ends at
-    zero decays at rate +inf."""
+def _ends_rate(pairs, horizon: float) -> float:
+    """The rate rule: slowest decay -log(|x1| / |x0|) / horizon over the
+    (x0, x1) pairs of finite start and end states, or -inf once a norm
+    overflows; a run that ends at zero decays at rate +inf."""
     worst = math.inf
-    for tr in runs:
-        if not np.isfinite(tr.states).all():
-            return -math.inf
+    for x0, x1 in pairs:
         with np.errstate(over="ignore"):
-            nrm = _row_norms(tr.states[[0, -1]])
+            nrm = _row_norms(np.array([x0, x1]))
         if not np.isfinite(nrm).all():
             return -math.inf
         if nrm[1] > 0.0:
             worst = min(worst, -math.log(nrm[1] / nrm[0]) / horizon)
     return worst
+
+
+def _fitted_rate(runs, horizon: float) -> float:
+    """_ends_rate of the runs' first and last states, or -inf once a run
+    has a non-finite state."""
+    if not all(np.isfinite(tr.states).all() for tr in runs):
+        return -math.inf
+    return _ends_rate(((tr.states[0], tr.states[-1]) for tr in runs),
+                      horizon)
 
 
 @dataclass(eq=False)
@@ -226,45 +240,61 @@ def _power_tables(phis: np.ndarray, sizes: list) -> list:
         ext = np.concatenate((ext, top.reshape(grow.shape)), axis=1)
 
 
+def _keyed_tables(matrix, levels: np.ndarray, widths: np.ndarray,
+                  nsub: np.ndarray) -> tuple:
+    """(key, mats, tables) of the pieces of levels[j] held over widths[j]
+    in nsub[j] steps: key[j] indexes piece j's distinct (a, h), mats[q] is
+    key q's matrix(a), and tables[q] its powers [phi, ..., phi^longest]
+    of phi = exp(h matrix(a)), all from one stacked expm."""
+    keys: dict = {}
+    key = [keys.setdefault(ah, len(keys))
+           for ah in zip(levels.tolist(), (widths / nsub).tolist())]
+    need = [0] * len(keys)
+    for q, s in zip(key, nsub.tolist()):
+        need[q] = max(need[q], s)
+    mats = np.array([matrix(a) for a, _ in keys])
+    phis = expm(mats * np.array([kh for _, kh in keys])[:, np.newaxis,
+                                                         np.newaxis])
+    return key, mats, _power_tables(phis, need)
+
+
+def _chain(key: list, steps: list, tables: list, x0: np.ndarray) -> tuple:
+    """Piece-start states (k, n, m) and the end state of the pieces that
+    each map their start x to tables[key[j]][steps[j] - 1] @ x."""
+    starts = np.empty((len(key),) + x0.shape)
+    x = x0
+    for j, (q, s) in enumerate(zip(key, steps)):
+        starts[j] = x
+        x = tables[q][s - 1] @ x
+    return starts, x
+
+
 def _flow(matrix, levels: np.ndarray, cuts: np.ndarray, widths: np.ndarray,
           nsub: np.ndarray, x0: np.ndarray, ends: np.ndarray | None = None):
     """Samples of x' = matrix(a) x over consecutive constant pieces.
 
     Piece j holds level levels[j] from cuts[j] to cuts[j + 1] in nsub[j]
     steps of h = widths[j] / nsub[j]; its sample times are cuts[j] + i h,
-    the last one exactly cuts[j + 1].  One stacked expm gives
-    phi = exp(h matrix(a)) for every distinct (a, h), and _power_tables
-    their powers up to each one's longest piece.  x0 (n, m) is the state
-    at cuts[0]; piece j starts where piece j - 1 ends, at phi^nsub x, or,
-    when the piece-end states ends (k, n, m) are given, at ends[j - 1],
-    with ends[j] as its last sample.  Pieces of equal (a, h, nsub) are
-    filled by one matrix product.  Returns times (N,), states (N, n, m)
-    and seg_alpha (N - 1,), with N = 1 + sum(nsub).
+    the last one exactly cuts[j + 1].  _keyed_tables gives the powers of
+    phi = exp(h matrix(a)) for every distinct (a, h).  x0 (n, m) is the
+    state at cuts[0]; piece j starts where piece j - 1 ends, at phi^nsub x
+    (the _chain), or, when the piece-end states ends (k, n, m) are given,
+    at ends[j - 1], with ends[j] as its last sample.  Pieces of equal
+    (a, h, nsub) are filled by one matrix product.  Returns times (N,),
+    states (N, n, m) and seg_alpha (N - 1,), with N = 1 + sum(nsub).
     """
-    h = widths / nsub
     steps = nsub.tolist()
-    keys: dict = {}
-    key = [keys.setdefault(ah, len(keys))
-           for ah in zip(levels.tolist(), h.tolist())]
-    need = [0] * len(keys)
-    groups: dict = {}
-    for j, (q, s) in enumerate(zip(key, steps)):
-        need[q] = max(need[q], s)
-        groups.setdefault((q, s), []).append(j)
-    phis = expm(np.array([matrix(a) for a, _ in keys])
-                * np.array([kh for _, kh in keys])[:, np.newaxis, np.newaxis])
-    tables = _power_tables(phis, need)
+    key, _, tables = _keyed_tables(matrix, levels, widths, nsub)
     # the chain and the fill read one memory layout: BLAS can round a
     # product with a transposed operand differently
     x0 = np.ascontiguousarray(x0)
     if ends is None:
-        starts = np.empty((len(key),) + x0.shape)
-        x = x0
-        for j, (q, s) in enumerate(zip(key, steps)):
-            starts[j] = x
-            x = tables[q][s - 1] @ x
+        starts, _ = _chain(key, steps, tables, x0)
     else:
         starts = np.concatenate((x0[np.newaxis], ends[:-1]))
+    groups: dict = {}
+    for j, qs in enumerate(zip(key, steps)):
+        groups.setdefault(qs, []).append(j)
     parts = [x0[np.newaxis]] + [None] * len(key)
     n = x0.shape[0]
     for (q, s), js in groups.items():
@@ -275,6 +305,7 @@ def _flow(matrix, levels: np.ndarray, cuts: np.ndarray, widths: np.ndarray,
     last = np.cumsum(nsub)
     if ends is not None:
         states[last] = ends
+    h = widths / nsub
     times = np.empty(len(states))
     times[0] = cuts[0]
     times[1:] = np.repeat(cuts[:-1], nsub) + np.repeat(h, nsub) * (
@@ -283,11 +314,12 @@ def _flow(matrix, levels: np.ndarray, cuts: np.ndarray, widths: np.ndarray,
     return times, states, np.repeat(levels, nsub)
 
 
-def _propagate_states(loop: ClosedLoop, t0: float, x0: np.ndarray, t1: float,
-                      max_step: float | None):
-    """Shared driver; x0 has shape (n, m) and states come back (N, n, m)."""
-    if not (0.0 <= t0 < t1):
-        raise DomainError("need 0 <= t0 < t1")
+def _pieces(loop: ClosedLoop, t0: float, t1: float,
+            max_step: float | None) -> tuple:
+    """(levels, cuts, widths, nsub): the constant pieces of loop.alpha on
+    [t0, t1], each cut into nsub equal steps of at most max_step."""
+    if not (0.0 <= t0 < t1 and math.isfinite(t1)):
+        raise DomainError("need 0 <= t0 < t1 with t1 finite")
     if max_step is None:
         max_step = loop.default_max_step()
     if not max_step > 0.0:
@@ -295,7 +327,63 @@ def _propagate_states(loop: ClosedLoop, t0: float, x0: np.ndarray, t1: float,
     s, e, a = np.array(list(loop.alpha.segments(t0, t1))).T
     widths = e - s
     nsub = np.maximum(1, np.ceil(widths / max_step - 1e-12)).astype(int)
-    return _flow(loop.matrix, a, np.append(s, e[-1]), widths, nsub, x0)
+    return a, np.append(s, e[-1]), widths, nsub
+
+
+def _propagate_states(loop: ClosedLoop, t0: float, x0: np.ndarray, t1: float,
+                      max_step: float | None):
+    """Shared driver; x0 has shape (n, m) and states come back (N, n, m)."""
+    return _flow(loop.matrix, *_pieces(loop, t0, t1, max_step), x0)
+
+
+def _end_state(loop: ClosedLoop, t0: float, x0: np.ndarray, t1: float,
+               max_step: float | None):
+    """The last sample of _propagate_states, bit for bit, from the
+    piece-end chain alone; None when the chain cannot vouch that every
+    sample the full run fills is finite."""
+    levels, _, widths, nsub = _pieces(loop, t0, t1, max_step)
+    key, mats, tables = _keyed_tables(loop.matrix, levels, widths, nsub)
+    starts, x = _chain(key, nsub.tolist(), tables, np.ascontiguousarray(x0))
+    # |exp(t M)|_inf <= exp(t |M|_inf): on piece j every power of phi, and
+    # every sum of products a fill forms from one, stays below
+    # exp(width_j |M_j|_inf) times the largest entry of the start (at
+    # least 1), which must stay well below the largest double
+    with np.errstate(over="ignore", divide="ignore"):
+        growth = np.abs(mats).sum(axis=2).max(axis=1)[key] * widths
+        size = np.log(np.abs(starts).max(axis=(1, 2)))
+    if np.isfinite(x).all() and np.all(
+            np.maximum(size, 0.0) + growth < _END_LOG_CAP):
+        return x
+    return None
+
+
+def _end_rate(loop: ClosedLoop, x0_columns, horizon: float) -> float:
+    """_fitted_rate(propagate_batch(loop, 0.0, x0_columns, horizon),
+    horizon), bit for bit, read from _end_state without filling a sample;
+    a run whose chain cannot rule out an overflowing sample is run in
+    full.  Every column must be nonzero: a zero state has no rate."""
+    x0 = _columns(loop, x0_columns)
+    if x0.shape[1] == 0:
+        raise ShapeError("need at least one initial state")
+    if not x0.any(axis=0).all():
+        raise DegenerateStateError("a zero initial state has no decay rate")
+    x1 = _end_state(loop, 0.0, x0, horizon, None)
+    if x1 is None:
+        states = _propagate_states(loop, 0.0, x0, horizon, None)[1]
+        if not np.isfinite(states).all():
+            return -math.inf
+        x1 = states[-1]
+    return _ends_rate(zip(x0.T, x1.T), horizon)
+
+
+def _columns(loop: ClosedLoop, x0_columns) -> np.ndarray:
+    """x0_columns as a finite float (n, m) array."""
+    x0m = np.asarray(x0_columns, dtype=float)
+    if x0m.ndim != 2 or x0m.shape[0] != loop.n:
+        raise ShapeError(f"x0 columns must form an {loop.n} x m array")
+    if not np.all(np.isfinite(x0m)):
+        raise ShapeError("x0 has non-finite entries")
+    return x0m
 
 
 def propagate(loop: ClosedLoop, t0: float, x0, t1: float,
@@ -317,11 +405,7 @@ def propagate_batch(loop: ClosedLoop, t0: float, x0_columns, t1: float,
 
     Returns one Trajectory per column; they share times and seg_alpha arrays.
     """
-    x0m = np.asarray(x0_columns, dtype=float)
-    if x0m.ndim != 2 or x0m.shape[0] != loop.n:
-        raise ShapeError(f"x0 columns must form an {loop.n} x m array")
-    if not np.all(np.isfinite(x0m)):
-        raise ShapeError("x0 has non-finite entries")
+    x0m = _columns(loop, x0_columns)
     times, states, seg_alpha = _propagate_states(loop, t0, x0m, t1, max_step)
     return [Trajectory(loop, times, states[:, :, j], seg_alpha)
             for j in range(x0m.shape[1])]

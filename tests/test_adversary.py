@@ -7,10 +7,10 @@ import pytest
 from pestab import adversary, cli, simcore
 from pestab.adversary import (QPartition, _rotation_step, find_nu,
                               run_destabilizer, worst_case_search)
-from pestab.errors import DegenerateStateError, DomainError
+from pestab.errors import DegenerateStateError, DomainError, ShapeError
 from pestab.gains import A_DI, A_ROTATION, B_DI, di_base_gain
 from pestab.matkit import expm
-from pestab.signals import PeClass, PwcSignal, verify_pe
+from pestab.signals import PeClass, PwcSignal, make_duty, verify_pe
 from pestab.simcore import ClosedLoop, propagate
 
 K11 = np.array([[-1.0, -1.0]])
@@ -211,7 +211,6 @@ class TestDestabilizer:
 
 class TestWorstCase:
     def test_budget_one_is_seeded_candidate(self):
-        from pestab.signals import make_duty
         cls = PeClass(1.0, 0.5)
         x0s = [np.array([1.0, 0.0])]
         K = di_base_gain(0.2, 2.0)
@@ -272,6 +271,45 @@ class TestWorstCase:
                                      horizon=40.0)
         assert rep["decay"] == pytest.approx(10.5, rel=1e-12)
 
+    def test_infinite_horizon_refused(self):
+        # the duty gate's segments raised an untyped OverflowError
+        with pytest.raises(DomainError, match="finite"):
+            worst_case_search(A_DI, B_DI, K11, PeClass(1.0, 0.5),
+                              [np.array([1.0, 0.0])], budget=1,
+                              horizon=math.inf)
+
+    def test_no_initial_state_refused(self):
+        # the search raised an untyped ValueError from np.column_stack, and
+        # tune passed the first gain it tried
+        cls = PeClass(1.0, 0.5)
+        with pytest.raises(ShapeError, match="initial state"):
+            worst_case_search(A_DI, B_DI, K11, cls, [], budget=1,
+                              horizon=8.0)
+        with pytest.raises(ShapeError, match="initial state"):
+            adversary.tune(cls, 0.2, [make_duty(cls)], np.zeros((2, 0)))
+
+    def test_zero_initial_state_refused(self):
+        # a zero state reported decay = inf, and tune passed the first gain
+        # it tried
+        cls = PeClass(1.0, 0.5)
+        with pytest.raises(DegenerateStateError):
+            worst_case_search(A_DI, B_DI, K11, cls, [np.zeros(2)], budget=1,
+                              horizon=8.0)
+        with pytest.raises(DegenerateStateError):
+            worst_case_search(A_DI, B_DI, K11, cls,
+                              [np.array([1.0, 0.0]), np.zeros(2)], budget=1,
+                              horizon=8.0)
+        with pytest.raises(DegenerateStateError):
+            adversary.tune(cls, 0.2, [make_duty(cls)], np.zeros((2, 1)))
+
+    @pytest.mark.parametrize("budget", [1.5, 2.0, True])
+    def test_budget_must_be_an_int(self, budget):
+        # 1.5 ran and reported 2.0 evaluations; True ran as 1
+        with pytest.raises(DomainError, match="budget"):
+            worst_case_search(A_DI, B_DI, K11, PeClass(1.0, 0.5),
+                              [np.array([1.0, 0.0])], budget=budget,
+                              horizon=8.0)
+
     def test_deterministic_under_seed(self):
         cls = PeClass(1.0, 0.5)
         x0s = [np.array([1.0, 0.0])]
@@ -296,27 +334,34 @@ def reference_fitted_rate(runs, horizon):
 class TestFittedRate:
     @pytest.mark.parametrize("seed", [0, 3, 7])
     def test_search_equals_the_full_norm_rate(self, seed):
-        # every candidate's rate, and so the whole report, is unchanged
+        # every candidate's rate, and so the whole report, is the one
+        # fitted from every sample's norm of full propagate_batch runs
         cls = PeClass(1.0, 0.3)
         x0s = [np.array([1.0, 0.0]), np.array([0.3, -0.8])]
         K = di_base_gain(0.2, 2.0)
+        evaluated = []
+
+        def full_run_rate(loop, x0_columns, horizon):
+            evaluated.append(loop.alpha)
+            runs = simcore.propagate_batch(loop, 0.0, x0_columns, horizon)
+            return reference_fitted_rate(runs, horizon)
+
         got = worst_case_search(A_DI, B_DI, K, cls, x0s, 10, 9.0, seed=seed)
-        with mock.patch.object(adversary, "_fitted_rate",
-                               reference_fitted_rate):
+        with mock.patch.object(adversary, "_end_rate", full_run_rate):
             want = worst_case_search(A_DI, B_DI, K, cls, x0s, 10, 9.0,
                                      seed=seed)
+        assert len(evaluated) == want[1]["evaluations"] == 10
         assert got[0].to_json() == want[0].to_json()
         assert got[1] == want[1]
 
     def test_rates_of_growing_and_decaying_runs(self):
-        from pestab.signals import make_duty
         cls = PeClass(1.0, 0.08)
         cols = np.array([[1.0, 0.0, 0.6], [0.0, 1.0, -0.8]])
         for K in (K11, di_base_gain(0.2, 2.0)):
             for sig in (make_duty(cls), make_duty(cls, pattern="back")):
                 runs = simcore.propagate_batch(
                     ClosedLoop(A_DI, B_DI, K, sig), 0.0, cols, 20.0)
-                got = adversary._fitted_rate(runs, 20.0)
+                got = simcore._fitted_rate(runs, 20.0)
                 assert repr(got) == repr(reference_fitted_rate(runs, 20.0))
                 assert math.isfinite(got)
 
@@ -335,10 +380,10 @@ class TestFittedRate:
         else:
             states[len(states) // 2, 1] = bad
         bent = simcore.Trajectory(tr.loop, tr.times, states, tr.seg_alpha)
-        got = adversary._fitted_rate([tr, bent], 2.0)
+        got = simcore._fitted_rate([tr, bent], 2.0)
         if bad == 0.0:
-            assert adversary._fitted_rate([bent], 2.0) == math.inf
-            assert got == adversary._fitted_rate([tr], 2.0)
+            assert simcore._fitted_rate([bent], 2.0) == math.inf
+            assert got == simcore._fitted_rate([tr], 2.0)
             assert math.isfinite(got)
             return
         with np.errstate(over="ignore"):

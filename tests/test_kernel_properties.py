@@ -5,6 +5,9 @@ Random periodic and held piecewise-constant signals drive random loops;
 `scipy.linalg.expm` factors, with `solve_ivp`, with the sample grid of a
 plain per-sample loop, and bit for bit with the per-piece loop the kernel
 replaced, which also checks `run_destabilizer` and `witness_residual`.
+The endpoint path, which chains the piece ends without filling a sample,
+is compared bit for bit with the last sample of the full run and with the
+rate `_fitted_rate` reads from it.
 """
 
 import contextlib
@@ -343,3 +346,55 @@ def test_witness_residual_equals_the_segment_table(grid):
         _, ys = reference_segment({}, 0.0, -A_DI.T, y, 0.0, t, h, grid)
         want = float(np.max(gate * np.max(np.abs(ys @ B_DI), axis=1)))
         assert witness_residual(A_DI, B_DI, sig, t, p, grid) == want
+
+
+@st.composite
+def end_cases(draw):
+    """Like cases and short_piece_cases, with 1 to 4 columns."""
+    loop, t0, _, t1, max_step = draw(st.one_of(cases(), short_piece_cases()))
+    n, width = loop.n, draw(st.integers(1, 4))
+    cols = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n * width,
+                                  max_size=n * width))).reshape(n, width)
+    cols[0] += 2.0
+    return loop, t0, cols, t1, max_step
+
+
+@PROPERTY
+@given(end_cases())
+def test_end_state_is_the_last_sample(case):
+    want = np.stack([tr.states[-1] for tr in propagate_batch(*case)], axis=1)
+    assert_same_bits((simcore._end_state(*case),), (want,))
+
+
+@PROPERTY
+@given(end_cases())
+def test_end_rate_is_the_fitted_rate(case):
+    loop, _, cols, t1, _ = case
+    want = simcore._fitted_rate(propagate_batch(loop, 0.0, cols, t1), t1)
+    assert repr(simcore._end_rate(loop, cols, t1)) == repr(want)
+
+
+_ROTOR = ([[0.0, 20.0], [-0.05, 0.0]], [[0.0], [1.0]], [[0.0, 0.0]])
+
+
+@pytest.mark.parametrize("loop, x0, t1, overflows", [
+    # ends beyond the largest double
+    (([[1.0]], [[1.0]], [[0.0]]), [[1e306]], 10.0, True),
+    # x1 peaks at 20 x2(0) = 2e308 a quarter turn in, and the run ends near
+    # where it started: only interior samples overflow
+    (_ROTOR, [[0.0], [1e307]], 2.0 * math.pi, True),
+    # finite throughout, but 36 |M|_inf = 720 is too much growth to vouch
+    # for
+    (_ROTOR, [[0.0], [1.0]], 36.0, False),
+], ids=["end-overflows", "interior-overflows", "finite"])
+def test_end_rate_falls_back_to_the_full_run(loop, x0, t1, overflows):
+    loop = ClosedLoop(*loop, PwcSignal.constant(1.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = simcore._fitted_rate(propagate_batch(loop, 0.0, x0, t1), t1)
+        assert simcore._end_state(loop, 0.0, x0, t1, None) is None
+        with mock.patch.object(simcore, "_propagate_states",
+                               wraps=simcore._propagate_states) as full:
+            got = simcore._end_rate(loop, x0, t1)
+    assert full.call_count == 1
+    assert repr(got) == repr(want)
+    assert (want == -math.inf) == overflows

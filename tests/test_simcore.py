@@ -117,6 +117,18 @@ class TestPropagate:
             propagate(di_loop(PwcSignal.constant(1.0)), 0.0, [1.0, 0.0], 1.0,
                       max_step=step)
 
+    @pytest.mark.parametrize("sig", [PwcSignal.constant(1.0),
+                                     make_duty(PeClass(1.0, 0.5))],
+                             ids=["constant", "duty"])
+    def test_infinite_horizon_refused(self, sig):
+        # the constant gate raised ShapeError from expm, after two
+        # RuntimeWarnings, and the duty gate an untyped OverflowError
+        loop = di_loop(sig)
+        with pytest.raises(DomainError, match="finite"):
+            propagate(loop, 0.0, [1.0, 0.0], math.inf)
+        with pytest.raises(DomainError, match="finite"):
+            propagate_batch(loop, 0.0, np.eye(2), math.inf)
+
 
 class TestRescalingIdentity:
     def test_trajectory_identity(self):
