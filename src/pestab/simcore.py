@@ -7,12 +7,13 @@ then works on arrays: one stacked expm gives phi for every distinct
 (alpha, step), their power tables are built together by doubling in
 extended precision, one small product per piece chains the piece-end
 states, and one matrix product fills the samples of all pieces with equal
-(alpha, step, count).  So there is no integration error beyond expm
-accuracy and no per-sample Python loop.  A caller that reads only the end
-state takes the endpoint path, _end_state and _end_rate: the same tables
-and chain, no fill, and the same end state bit for bit; where the chain
-cannot rule out a sample overflowing inside a piece, it falls back to the
-full run.  crossing_time, the one crossing root-finder, runs an ITP
+(alpha, step, count), ending each piece at its chained state.  So there
+is no integration error beyond expm accuracy and no per-sample Python
+loop.  A caller that reads only the end rate takes the endpoint path,
+_end_rate: the same tables and chain, so the same end state bit for bit,
+and no fill; where the chain cannot rule out a sample overflowing inside
+a piece, it fills the samples from those tables as the full run does.
+crossing_time, the one crossing root-finder, runs an ITP
 bracketing search whose every evaluation is on exponential dense output,
 never on interpolated samples.
 """
@@ -45,8 +46,8 @@ _CROSSING_REL_TOL = 1e-12
 _MATS_CAP = 256
 # rows formatted at a time by Trajectory.to_csv
 _CSV_BLOCK = 512
-# _end_state vouches for runs whose samples all stay below e^700; the
-# largest double is about e^709.78
+# _end_rate vouches without a fill for runs whose samples all stay below
+# e^700; the largest double is about e^709.78
 _END_LOG_CAP = 700.0
 
 
@@ -258,40 +259,24 @@ def _keyed_tables(matrix, levels: np.ndarray, widths: np.ndarray,
     return key, mats, _power_tables(phis, need)
 
 
-def _chain(key: list, steps: list, tables: list, x0: np.ndarray) -> tuple:
-    """Piece-start states (k, n, m) and the end state of the pieces that
-    each map their start x to tables[key[j]][steps[j] - 1] @ x."""
-    starts = np.empty((len(key),) + x0.shape)
+def _chain(key: list, steps: list, tables: list, x0: np.ndarray) -> np.ndarray:
+    """Piece-end states (k, n, m) of the pieces that each map their start
+    x, x0 for the first and the previous end after it, to
+    tables[key[j]][steps[j] - 1] @ x."""
+    ends = np.empty((len(key),) + x0.shape)
     x = x0
     for j, (q, s) in enumerate(zip(key, steps)):
-        starts[j] = x
-        x = tables[q][s - 1] @ x
-    return starts, x
+        x = ends[j] = tables[q][s - 1] @ x
+    return ends
 
 
-def _flow(matrix, levels: np.ndarray, cuts: np.ndarray, widths: np.ndarray,
-          nsub: np.ndarray, x0: np.ndarray, ends: np.ndarray | None = None):
-    """Samples of x' = matrix(a) x over consecutive constant pieces.
-
-    Piece j holds level levels[j] from cuts[j] to cuts[j + 1] in nsub[j]
-    steps of h = widths[j] / nsub[j]; its sample times are cuts[j] + i h,
-    the last one exactly cuts[j + 1].  _keyed_tables gives the powers of
-    phi = exp(h matrix(a)) for every distinct (a, h).  x0 (n, m) is the
-    state at cuts[0]; piece j starts where piece j - 1 ends, at phi^nsub x
-    (the _chain), or, when the piece-end states ends (k, n, m) are given,
-    at ends[j - 1], with ends[j] as its last sample.  Pieces of equal
-    (a, h, nsub) are filled by one matrix product.  Returns times (N,),
-    states (N, n, m) and seg_alpha (N - 1,), with N = 1 + sum(nsub).
-    """
-    steps = nsub.tolist()
-    key, _, tables = _keyed_tables(matrix, levels, widths, nsub)
-    # the chain and the fill read one memory layout: BLAS can round a
-    # product with a transposed operand differently
-    x0 = np.ascontiguousarray(x0)
-    if ends is None:
-        starts, _ = _chain(key, steps, tables, x0)
-    else:
-        starts = np.concatenate((x0[np.newaxis], ends[:-1]))
+def _fill(key: list, steps: list, tables: list, x0: np.ndarray,
+          ends: np.ndarray) -> np.ndarray:
+    """States (N, n, m), N = 1 + sum(steps), of the pieces that start at x0
+    and at ends[:-1]: sample i of piece j is tables[key[j]][i] @ its start,
+    pieces of equal (key, steps) are filled by one matrix product, and each
+    piece's last sample is its end state ends[j]."""
+    starts = np.concatenate((x0[np.newaxis], ends[:-1]))
     groups: dict = {}
     for j, qs in enumerate(zip(key, steps)):
         groups.setdefault(qs, []).append(j)
@@ -302,9 +287,33 @@ def _flow(matrix, levels: np.ndarray, cuts: np.ndarray, widths: np.ndarray,
         for j, x in zip(js, xs.reshape((len(js), s) + x0.shape)):
             parts[j + 1] = x
     states = np.concatenate(parts)
+    states[np.cumsum(steps)] = ends
+    return states
+
+
+def _flow(matrix, levels: np.ndarray, cuts: np.ndarray, widths: np.ndarray,
+          nsub: np.ndarray, x0: np.ndarray, ends: np.ndarray | None = None):
+    """Samples of x' = matrix(a) x over consecutive constant pieces.
+
+    Piece j holds level levels[j] from cuts[j] to cuts[j + 1] in nsub[j]
+    steps of h = widths[j] / nsub[j]; its sample times are cuts[j] + i h,
+    the last one exactly cuts[j + 1].  _keyed_tables gives the powers of
+    phi = exp(h matrix(a)) for every distinct (a, h).  x0 (n, m) is the
+    state at cuts[0]; the piece-end states ends (k, n, m) are the _chain
+    of phi^nsub products unless given, and _fill fills the samples from
+    them, so each piece ends at ends[j] and the next starts there.
+    Returns times (N,), states (N, n, m) and seg_alpha (N - 1,), with
+    N = 1 + sum(nsub).
+    """
+    steps = nsub.tolist()
+    key, _, tables = _keyed_tables(matrix, levels, widths, nsub)
+    # the chain and the fill read one memory layout: BLAS can round a
+    # product with a transposed operand differently
+    x0 = np.ascontiguousarray(x0)
+    if ends is None:
+        ends = _chain(key, steps, tables, x0)
+    states = _fill(key, steps, tables, x0, ends)
     last = np.cumsum(nsub)
-    if ends is not None:
-        states[last] = ends
     h = widths / nsub
     times = np.empty(len(states))
     times[0] = cuts[0]
@@ -336,44 +345,34 @@ def _propagate_states(loop: ClosedLoop, t0: float, x0: np.ndarray, t1: float,
     return _flow(loop.matrix, *_pieces(loop, t0, t1, max_step), x0)
 
 
-def _end_state(loop: ClosedLoop, t0: float, x0: np.ndarray, t1: float,
-               max_step: float | None):
-    """The last sample of _propagate_states, bit for bit, from the
-    piece-end chain alone; None when the chain cannot vouch that every
-    sample the full run fills is finite."""
-    levels, _, widths, nsub = _pieces(loop, t0, t1, max_step)
+def _end_rate(loop: ClosedLoop, x0_columns, horizon: float) -> float:
+    """_fitted_rate(propagate_batch(loop, 0.0, x0_columns, horizon),
+    horizon), bit for bit, read from the piece-end chain without filling a
+    sample; where the chain cannot vouch that every sample of the full run
+    is finite, the samples are filled from the same tables.  Every column
+    must be nonzero: a zero state has no rate."""
+    x0 = np.ascontiguousarray(_columns(loop, x0_columns))
+    if x0.shape[1] == 0:
+        raise ShapeError("need at least one initial state")
+    if not x0.any(axis=0).all():
+        raise DegenerateStateError("a zero initial state has no decay rate")
+    levels, _, widths, nsub = _pieces(loop, 0.0, horizon, None)
+    steps = nsub.tolist()
     key, mats, tables = _keyed_tables(loop.matrix, levels, widths, nsub)
-    starts, x = _chain(key, nsub.tolist(), tables, np.ascontiguousarray(x0))
+    ends = _chain(key, steps, tables, x0)
     # |exp(t M)|_inf <= exp(t |M|_inf): on piece j every power of phi, and
     # every sum of products a fill forms from one, stays below
     # exp(width_j |M_j|_inf) times the largest entry of the start (at
     # least 1), which must stay well below the largest double
     with np.errstate(over="ignore", divide="ignore"):
         growth = np.abs(mats).sum(axis=2).max(axis=1)[key] * widths
-        size = np.log(np.abs(starts).max(axis=(1, 2)))
-    if np.isfinite(x).all() and np.all(
-            np.maximum(size, 0.0) + growth < _END_LOG_CAP):
-        return x
-    return None
-
-
-def _end_rate(loop: ClosedLoop, x0_columns, horizon: float) -> float:
-    """_fitted_rate(propagate_batch(loop, 0.0, x0_columns, horizon),
-    horizon), bit for bit, read from _end_state without filling a sample;
-    a run whose chain cannot rule out an overflowing sample is run in
-    full.  Every column must be nonzero: a zero state has no rate."""
-    x0 = _columns(loop, x0_columns)
-    if x0.shape[1] == 0:
-        raise ShapeError("need at least one initial state")
-    if not x0.any(axis=0).all():
-        raise DegenerateStateError("a zero initial state has no decay rate")
-    x1 = _end_state(loop, 0.0, x0, horizon, None)
-    if x1 is None:
-        states = _propagate_states(loop, 0.0, x0, horizon, None)[1]
-        if not np.isfinite(states).all():
+        size = np.log(np.abs(np.concatenate(
+            (x0[np.newaxis], ends[:-1]))).max(axis=(1, 2)))
+    if not (np.isfinite(ends[-1]).all() and np.all(
+            np.maximum(size, 0.0) + growth < _END_LOG_CAP)):
+        if not np.isfinite(_fill(key, steps, tables, x0, ends)).all():
             return -math.inf
-        x1 = states[-1]
-    return _ends_rate(zip(x0.T, x1.T), horizon)
+    return _ends_rate(zip(x0.T, ends[-1].T), horizon)
 
 
 def _columns(loop: ClosedLoop, x0_columns) -> np.ndarray:

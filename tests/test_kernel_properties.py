@@ -5,9 +5,11 @@ Random periodic and held piecewise-constant signals drive random loops;
 `scipy.linalg.expm` factors, with `solve_ivp`, with the sample grid of a
 plain per-sample loop, and bit for bit with the per-piece loop the kernel
 replaced, which also checks `run_destabilizer` and `witness_residual`.
-The endpoint path, which chains the piece ends without filling a sample,
-is compared bit for bit with the last sample of the full run and with the
-rate `_fitted_rate` reads from it.
+The full run ends every piece at the chained piece-end state.  The
+endpoint path, which chains the piece ends without filling a sample, is
+compared bit for bit with the last sample of the full run and with the
+rate `_fitted_rate` reads from it, and its fallback fills from the tables
+it built.
 """
 
 import contextlib
@@ -348,30 +350,74 @@ def test_witness_residual_equals_the_segment_table(grid):
         assert witness_residual(A_DI, B_DI, sig, t, p, grid) == want
 
 
+@PROPERTY
+@given(cases())
+def test_pieces_end_at_the_chained_states(case):
+    # the fill ends each piece at the chain's state, whatever its own
+    # product would round to: a one-ulp nudge of the chain shows up there
+    loop, t0, cols, t1, max_step = case
+    chain, nudged = simcore._chain, []
+
+    def nudge(*args):
+        nudged.append(np.nextafter(chain(*args), np.inf))
+        return nudged[-1]
+
+    with mock.patch.object(simcore, "_chain", nudge):
+        runs = propagate_batch(*case)
+    last = np.cumsum(simcore._pieces(loop, t0, t1, max_step)[3])
+    states = np.stack([tr.states for tr in runs], axis=2)
+    assert_same_bits((states[last],), tuple(nudged))
+
+
 @st.composite
 def end_cases(draw):
-    """Like cases and short_piece_cases, with 1 to 4 columns."""
-    loop, t0, _, t1, max_step = draw(st.one_of(cases(), short_piece_cases()))
+    """(loop, x0 columns, horizon) from cases and short_piece_cases, with
+    1 to 4 columns: _end_rate runs from 0 at the loop's default step."""
+    loop, _, _, t1, _ = draw(st.one_of(cases(), short_piece_cases()))
     n, width = loop.n, draw(st.integers(1, 4))
     cols = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n * width,
                                   max_size=n * width))).reshape(n, width)
     cols[0] += 2.0
-    return loop, t0, cols, t1, max_step
+    return loop, cols, t1
+
+
+def end_rate_seen(loop, cols, horizon):
+    """_end_rate(loop, cols, horizon), the end states it hands the rate
+    rule as columns, and its calls of _keyed_tables and _fill."""
+    rule, seen = simcore._ends_rate, []
+
+    def spy(pairs, horizon):
+        pairs = list(pairs)
+        seen.extend(x1 for _, x1 in pairs)
+        return rule(pairs, horizon)
+
+    with mock.patch.object(simcore, "_ends_rate", spy), \
+            mock.patch.object(simcore, "_keyed_tables",
+                              wraps=simcore._keyed_tables) as tables, \
+            mock.patch.object(simcore, "_fill", wraps=simcore._fill) as fill:
+        rate = simcore._end_rate(loop, cols, horizon)
+    ends = np.stack(seen, axis=1) if seen else None
+    return rate, ends, tables.call_count, fill.call_count
 
 
 @PROPERTY
 @given(end_cases())
 def test_end_state_is_the_last_sample(case):
-    want = np.stack([tr.states[-1] for tr in propagate_batch(*case)], axis=1)
-    assert_same_bits((simcore._end_state(*case),), (want,))
+    # no fill: these loops grow far too little to trip the overflow bound
+    loop, cols, t1 = case
+    want = np.stack([tr.states[-1]
+                     for tr in propagate_batch(loop, 0.0, cols, t1)], axis=1)
+    _, ends, tables, fills = end_rate_seen(*case)
+    assert (tables, fills) == (1, 0)
+    assert_same_bits((ends,), (want,))
 
 
 @PROPERTY
 @given(end_cases())
 def test_end_rate_is_the_fitted_rate(case):
-    loop, _, cols, t1, _ = case
+    loop, cols, t1 = case
     want = simcore._fitted_rate(propagate_batch(loop, 0.0, cols, t1), t1)
-    assert repr(simcore._end_rate(loop, cols, t1)) == repr(want)
+    assert repr(simcore._end_rate(*case)) == repr(want)
 
 
 _ROTOR = ([[0.0, 20.0], [-0.05, 0.0]], [[0.0], [1.0]], [[0.0, 0.0]])
@@ -388,13 +434,11 @@ _ROTOR = ([[0.0, 20.0], [-0.05, 0.0]], [[0.0], [1.0]], [[0.0, 0.0]])
     (_ROTOR, [[0.0], [1.0]], 36.0, False),
 ], ids=["end-overflows", "interior-overflows", "finite"])
 def test_end_rate_falls_back_to_the_full_run(loop, x0, t1, overflows):
+    # the fallback fills the samples from the tables it already built
     loop = ClosedLoop(*loop, PwcSignal.constant(1.0))
     with np.errstate(over="ignore", invalid="ignore"):
         want = simcore._fitted_rate(propagate_batch(loop, 0.0, x0, t1), t1)
-        assert simcore._end_state(loop, 0.0, x0, t1, None) is None
-        with mock.patch.object(simcore, "_propagate_states",
-                               wraps=simcore._propagate_states) as full:
-            got = simcore._end_rate(loop, x0, t1)
-    assert full.call_count == 1
+        got, _, tables, fills = end_rate_seen(loop, x0, t1)
+    assert (tables, fills) == (1, 1)
     assert repr(got) == repr(want)
     assert (want == -math.inf) == overflows
