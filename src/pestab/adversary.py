@@ -197,13 +197,10 @@ def run_destabilizer(K, cls: PeClass, x0=(-1.0, 0.0),
         bp.append(t)
         crossings.append({"t": t, "region_from": region})
         # committed sector cycle: 4 -> 1 -> 2 -> 3 -> 4 ...
-        if region in (2, 4):
-            region = 1 if region == 4 else 3
-        else:
-            region = 2 if region == 1 else 4
-            if region == 4:
-                # back on the negative axis: one full revolution
-                rev_norms.append(float(np.linalg.norm(x)))
+        region = region % 4 + 1
+        if region == 4:
+            # back on the negative axis: one full revolution
+            rev_norms.append(float(np.linalg.norm(x)))
 
     induced = PwcSignal.held(tuple(bp), tuple(vals), hold=vals[-1])
     horizon = t
@@ -289,8 +286,11 @@ def tune(cls: PeClass, rho: float, battery, x0_columns) -> dict:
     safety margin.  A pair passes when the lam-scaled gain at the target
     class gives every battery member a positive simcore._end_rate on runs
     of 12 windows: every run is finite and ends below its start.  Every
-    column of x0_columns must be a nonzero state.
+    column of x0_columns must be a nonzero state, and an empty battery is
+    refused: no gain would be tested.
     """
+    if not battery:
+        raise DomainError("the battery is empty: no gain can be tested")
     horizon = _TUNE_HORIZON_PERIODS * cls.T
     trace = []
     k = 1.0

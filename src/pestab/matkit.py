@@ -1,9 +1,9 @@
 """Dense linear algebra for small real matrices (n <= 8).
 
-Matrix exponential (scipy's, of one matrix or a stack), eigenvalues,
-smallest singular value and quadratic roots.  Everything operates on plain
-float64 numpy arrays; validation helpers turn loose input into checked
-arrays.
+Matrix exponential (scipy's, of one matrix or a stack), eigenvalues
+(numpy's), smallest singular value and quadratic roots.  Everything
+operates on plain float64 numpy arrays; validation helpers turn loose input
+into checked arrays.
 """
 
 from __future__ import annotations
@@ -65,31 +65,11 @@ def expm(m, t: float = 1.0) -> np.ndarray:
 
 
 def eig(m) -> np.ndarray:
-    """Eigenvalues with algebraic multiplicity, sorted by (real, imag).
-
-    n <= 2 uses the closed-form characteristic polynomial; larger sizes go
-    through LAPACK's QR iteration.
-    """
-    a = as_matrix(m, square=True, name="eig argument")
-    n = a.shape[0]
-    if n == 0:
-        vals = np.zeros(0, dtype=complex)
-    elif n == 1:
-        vals = np.array([complex(a[0, 0])])
-    elif n == 2:
-        tr = a[0, 0] + a[1, 1]
-        det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-        disc = 0.25 * tr * tr - det
-        if disc >= 0.0:
-            rt = math.sqrt(disc)
-            vals = np.array([complex(0.5 * tr + rt), complex(0.5 * tr - rt)])
-        else:
-            rt = math.sqrt(-disc)
-            vals = np.array([complex(0.5 * tr, -rt), complex(0.5 * tr, rt)])
-    else:
-        vals = np.linalg.eigvals(a)
-    order = np.lexsort((vals.imag, vals.real))
-    return vals[order]
+    """Eigenvalues with algebraic multiplicity (numpy's), sorted by
+    (real, imag)."""
+    vals = np.linalg.eigvals(
+        as_matrix(m, square=True, name="eig argument")).astype(complex)
+    return vals[np.lexsort((vals.imag, vals.real))]
 
 
 def quad_roots(a1: float, a0: float):

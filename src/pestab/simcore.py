@@ -41,9 +41,6 @@ __all__ = [
 ]
 
 _CROSSING_REL_TOL = 1e-12
-# ClosedLoop.matrix caches A + a BK per level; a signal with many distinct
-# levels would otherwise grow the cache without bound.
-_MATS_CAP = 256
 # rows formatted at a time by Trajectory.to_csv
 _CSV_BLOCK = 512
 # _end_rate vouches without a fill for runs whose samples all stay below
@@ -109,28 +106,18 @@ class ClosedLoop:
             raise ShapeError(
                 f"K must be {self.B.shape[1]}x{n}, got {self.K.shape}")
         self._bk = self.B @ self.K
-        self._mats: dict = {}
 
     @property
     def n(self) -> int:
         return self.A.shape[0]
 
     def matrix(self, a: float) -> np.ndarray:
-        m = self._mats.get(a)
-        if m is None:
-            if len(self._mats) >= _MATS_CAP:
-                self._mats.clear()
-            m = self.A + a * self._bk
-            self._mats[a] = m
-        return m
-
-    def norm_scale(self) -> float:
-        return max(one_norm(self.A) + one_norm(self._bk), 1e-9)
+        return self.A + a * self._bk
 
     def default_max_step(self) -> float:
         # 1e-2 of the characteristic time; also keeps per-step angle swings
         # far below the pi/2 that polar_lift refuses.
-        return 1e-2 / self.norm_scale()
+        return 1e-2 / max(one_norm(self.A) + one_norm(self._bk), 1e-9)
 
 
 @dataclass(eq=False)
@@ -339,12 +326,6 @@ def _pieces(loop: ClosedLoop, t0: float, t1: float,
     return a, np.append(s, e[-1]), widths, nsub
 
 
-def _propagate_states(loop: ClosedLoop, t0: float, x0: np.ndarray, t1: float,
-                      max_step: float | None):
-    """Shared driver; x0 has shape (n, m) and states come back (N, n, m)."""
-    return _flow(loop.matrix, *_pieces(loop, t0, t1, max_step), x0)
-
-
 def _end_rate(loop: ClosedLoop, x0_columns, horizon: float) -> float:
     """_fitted_rate(propagate_batch(loop, 0.0, x0_columns, horizon),
     horizon), bit for bit, read from the piece-end chain without filling a
@@ -391,10 +372,9 @@ def propagate(loop: ClosedLoop, t0: float, x0, t1: float,
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.shape != (loop.n,):
         raise ShapeError(f"x0 must have length {loop.n}")
-    if not np.all(np.isfinite(x0)):
-        raise ShapeError("x0 has non-finite entries")
-    times, states, seg_alpha = _propagate_states(
-        loop, t0, x0.reshape(-1, 1), t1, max_step)
+    x0m = _columns(loop, x0.reshape(-1, 1))
+    times, states, seg_alpha = _flow(loop.matrix,
+                                     *_pieces(loop, t0, t1, max_step), x0m)
     return Trajectory(loop, times, states[:, :, 0], seg_alpha)
 
 
@@ -405,7 +385,8 @@ def propagate_batch(loop: ClosedLoop, t0: float, x0_columns, t1: float,
     Returns one Trajectory per column; they share times and seg_alpha arrays.
     """
     x0m = _columns(loop, x0_columns)
-    times, states, seg_alpha = _propagate_states(loop, t0, x0m, t1, max_step)
+    times, states, seg_alpha = _flow(loop.matrix,
+                                     *_pieces(loop, t0, t1, max_step), x0m)
     return [Trajectory(loop, times, states[:, :, j], seg_alpha)
             for j in range(x0m.shape[1])]
 

@@ -302,6 +302,12 @@ class TestWorstCase:
         with pytest.raises(DegenerateStateError):
             adversary.tune(cls, 0.2, [make_duty(cls)], np.zeros((2, 1)))
 
+    def test_empty_battery_refused(self):
+        # all() over no members passed the first gain, (k, lam) = (1, 1),
+        # with nothing run
+        with pytest.raises(DomainError, match="battery is empty"):
+            adversary.tune(PeClass(1.0, 0.5), 0.2, [], np.eye(2))
+
     @pytest.mark.parametrize("budget", [1.5, 2.0, True])
     def test_budget_must_be_an_int(self, budget):
         # 1.5 ran and reported 2.0 evaluations; True ran as 1

@@ -90,14 +90,17 @@ class TestPropagate:
             assert np.allclose(batch[j].states, single.states,
                                rtol=1e-13, atol=1e-15)
 
-    def test_level_matrix_cache_is_bounded(self):
-        loop = di_loop(PwcSignal.constant(0.0))
-        levels = np.linspace(0.0, 1.0, 3 * simcore._MATS_CAP + 1)
-        for a in levels:
-            m = loop.matrix(float(a))
-            assert len(loop._mats) <= simcore._MATS_CAP
-        np.testing.assert_array_equal(m, loop.A + levels[-1] * loop.B @ loop.K)
-        assert loop.matrix(1.0) is m
+    def test_level_matrix_is_fresh_and_exact(self):
+        loop = di_loop(PwcSignal.constant(0.7))
+        for a in np.linspace(-1.0, 2.0, 769):
+            np.testing.assert_array_equal(loop.matrix(float(a)),
+                                          loop.A + a * loop.B @ loop.K)
+        before = propagate(loop, 0.0, [1.0, 0.0], 2.0).states
+        # a caller that edits a level's matrix in place leaves the loop as
+        # it was
+        loop.matrix(0.7)[:] = 0.0
+        np.testing.assert_array_equal(
+            propagate(loop, 0.0, [1.0, 0.0], 2.0).states, before)
 
     def test_shape_errors(self):
         with pytest.raises(ShapeError):
