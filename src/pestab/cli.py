@@ -25,7 +25,7 @@ from .errors import (ConstructionError, DegenerateStateError, DomainError,
 from .gains import di_gain
 from .reachability import _below_threshold, threshold_check
 from .scenarios import (build_gain, build_run, build_signal, build_system,
-                        load_scenario, scenario_hash)
+                        load_scenario, scenario_hash, validate_scenario)
 from .signals import PeClass, make_battery
 from .simcore import fmap_F, polar_lift, propagate
 
@@ -341,15 +341,28 @@ def cmd_destabilize(args) -> int:
 def _set_path(obj: dict, dotted: str, value) -> None:
     keys = dotted.split(".")
     node = obj
-    for key in keys[:-1]:
+    for i, key in enumerate(keys[:-1]):
         node = node.setdefault(key, {})
+        if not isinstance(node, dict):
+            raise DomainError(f"--param {dotted}: /{'/'.join(keys[:i + 1])} "
+                              "is not an object")
     node[keys[-1]] = value
 
 
-def _sweep_cell(sc: dict, overrides) -> dict:
+def _cell_scenario(sc: dict, overrides) -> dict:
+    """A copy of sc with one cell's overrides, checked against the schema."""
     sc = json.loads(json.dumps(sc))
     for path, value in overrides:
         _set_path(sc, path, value)
+    problems = validate_scenario(sc)
+    if problems:
+        cell = ", ".join(f"{path}={value!r}" for path, value in overrides)
+        raise DomainError(f"sweep cell {cell}: scenario schema violation: "
+                          + "; ".join(problems))
+    return sc
+
+
+def _sweep_cell(sc: dict) -> dict:
     loop, horizon, x0_list = build_run(sc)
     tr = propagate(loop, 0.0, np.asarray(x0_list[0], dtype=float), horizon,
                    sc.get("max_step"))
@@ -389,7 +402,8 @@ def cmd_sweep(args) -> int:
         if len(cells) > args.max_cells:
             cells = cells[:args.max_cells]
             partial = True
-    results = [_sweep_cell(sc, cell) for cell in cells]
+    scenarios = [_cell_scenario(sc, cell) for cell in cells]
+    results = [_sweep_cell(cell_sc) for cell_sc in scenarios]
     out = _out_dir(args)
     csv_path = out / "sweep.csv"
     names = [p for p, _ in params]

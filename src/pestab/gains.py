@@ -32,6 +32,11 @@ B_DI = np.array([[0.0], [1.0]])
 A_ROTATION = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
+def _positive(value: float, name: str) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise DomainError(f"{name} must be finite and positive, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # neutrally stable systems
 # ---------------------------------------------------------------------------
@@ -47,7 +52,6 @@ class NeutralDecomposition:
     A1: np.ndarray
     A2: np.ndarray
     A3: np.ndarray
-    B1: np.ndarray
     B3: np.ndarray
 
 
@@ -89,14 +93,15 @@ def neutral_decompose(A, B) -> NeutralDecomposition:
     """Split off the Hurwitz part and realize the oscillatory part as an
     honest skew-symmetric block.
 
-    Ordered real Schur form puts the strictly stable eigenvalues first; the
-    trailing quasi-triangular block, which is semisimple with purely
-    imaginary spectrum, is then straightened into skew form through its real
-    eigenvector pairs.
+    Ordered real Schur form puts the strictly stable eigenvalues first.  The
+    trailing quasi-triangular block R22 is semisimple with purely imaginary
+    spectrum, so its unit eigenvectors V form a basis and G = V V* is real
+    and positive definite, with R22 G + G R22^T = V (L + L*) V* = 0 for the
+    eigenvalues L.  P3 is the transposed R factor of one QR of
+    [Re V, Im V]^T, so P3 P3^T = G and P3^-1 R22 P3 is skew-symmetric.
     """
     A = as_matrix(A, square=True, name="A")
     B = as_matrix(B, name="B")
-    n = A.shape[0]
     axis_tol = 1e-10 * max(one_norm(A), 1.0)
     vals = eig(A)
     bad = [v for v in vals if v.real > axis_tol]
@@ -106,68 +111,24 @@ def neutral_decompose(A, B) -> NeutralDecomposition:
 
     R, Z, n1 = scipy.linalg.schur(
         A, output="real", sort=lambda re, im: re < -axis_tol)
-    nc = n - n1
-    if nc == 0:
-        S = Z.T
-        S_inv = Z
-        A3 = np.zeros((0, 0))
-        A2 = np.zeros((n1, 0))
-    else:
-        R22 = R[n1:, n1:]
-        w, V = np.linalg.eig(R22)
-        cols = []
-        used = np.zeros(nc, dtype=bool)
-        order = np.argsort(-w.imag, kind="stable")
-        pair_tol = 1e-9 * max(one_norm(R22), 1.0)
-        for i in order:
-            if used[i]:
-                continue
-            if w[i].imag > pair_tol:
-                j = None
-                for cand in range(nc):
-                    if not used[cand] and cand != i and \
-                            abs(w[cand] - w[i].conjugate()) <= 1e-6 * max(abs(w[i]), 1.0):
-                        j = cand
-                        break
-                if j is None:
-                    raise InternalConsistencyError("unpaired complex eigenvalue")
-                used[i] = used[j] = True
-                v = V[:, i]
-                scale = math.sqrt(2.0) / np.linalg.norm(v)
-                cols.append(v.real * scale)
-                cols.append(v.imag * scale)
-            elif abs(w[i].imag) <= pair_tol:
-                used[i] = True
-                v = V[:, i].real
-                cols.append(v / np.linalg.norm(v))
-        P3 = np.column_stack(cols)
-        if P3.shape != (nc, nc):
-            raise InternalConsistencyError("center basis has wrong size")
-        P3_inv = np.linalg.inv(P3)
-        A3 = P3_inv @ R22 @ P3
-        A2 = R[:n1, n1:] @ P3
-        S = np.block([
-            [np.eye(n1), np.zeros((n1, nc))],
-            [np.zeros((nc, n1)), P3_inv],
-        ]) @ Z.T
-        S_inv = Z @ np.block([
-            [np.eye(n1), np.zeros((n1, nc))],
-            [np.zeros((nc, n1)), P3],
-        ])
-    A1 = R[:n1, :n1]
-    Bn = S @ B
-    return NeutralDecomposition(S, S_inv, n1, A1, A2, A3, Bn[:n1], Bn[n1:])
+    R22 = R[n1:, n1:]
+    _, V = np.linalg.eig(R22)
+    P3 = np.linalg.qr(np.hstack((V.real, V.imag)).T, mode="r").T
+    P3_inv = np.linalg.inv(P3)
+    S = scipy.linalg.block_diag(np.eye(n1), P3_inv) @ Z.T
+    S_inv = Z @ scipy.linalg.block_diag(np.eye(n1), P3)
+    return NeutralDecomposition(S, S_inv, n1, R[:n1, :n1], R[:n1, n1:] @ P3,
+                                P3_inv @ R22 @ P3, (S @ B)[n1:])
 
 
 def neutral_gain(A, B, r: float = 1.0) -> np.ndarray:
     """Gain that damps the oscillatory part: zero on the Hurwitz coordinates,
     -r times the transposed input block on the skew coordinates.  Valid for
     every excitation class; reduces to -r B^T when A is skew-symmetric."""
-    if r <= 0.0:
-        raise DomainError("gain scale r must be positive")
+    _positive(r, "gain scale r")
     dec = neutral_decompose(A, B)
-    m = dec.B3.shape[1] if dec.B3.size else as_matrix(B).shape[1]
-    K_dec = np.hstack([np.zeros((m, dec.n_stable)), -r * dec.B3.T])
+    K_dec = np.hstack([np.zeros((dec.B3.shape[1], dec.n_stable)),
+                       -r * dec.B3.T])
     return K_dec @ dec.S
 
 
@@ -198,10 +159,9 @@ class DIGain:
         if not (0.0 < self.rho < bound):
             raise DomainError(
                 f"rho must lie in (0, {bound}) for this class, got {self.rho}")
-        if self.k <= 0.0:
-            raise DomainError("k must be positive")
-        if self.lam < 1.0:
-            raise DomainError("lam must be >= 1")
+        _positive(self.k, "k")
+        if not (math.isfinite(self.lam) and self.lam >= 1.0):
+            raise DomainError(f"lam must be finite and >= 1, got {self.lam!r}")
         # closed-loop eigenvalues stay real and negative across the whole
         # effective gate range [mu/T, 1]
         for a in (self.cls.ratio, 1.0):
@@ -269,8 +229,7 @@ def cone_geometry(rho: float, k: float, ratio: float) -> ConeGeometry:
         raise DomainError("ratio must lie in (0, 1]")
     if not (0.0 < rho < ratio / 2.0):
         raise DomainError(f"rho must lie in (0, {ratio / 2.0})")
-    if k <= 0.0:
-        raise DomainError("k must be positive")
+    _positive(k, "k")
     xi_s_plus = -0.5 * k * (1.0 + math.sqrt(1.0 - rho))
     xi_s_minus = -0.5 * k * (1.0 - math.sqrt(1.0 - (2.0 - rho / 2.0) * rho))
     r1 = quad_roots(k, rho * k * k / 2.0)
@@ -308,8 +267,7 @@ def multi_input_gain(B, k: float) -> np.ndarray:
     B = as_matrix(B, name="B")
     if B.shape[0] != 2:
         raise ShapeError("multi-input gain expects a 2 x m input matrix")
-    if k <= 0.0:
-        raise DomainError("k must be positive")
+    _positive(k, "k")
     scale = max(one_norm(B), 1e-300)
     if B.shape[1] < 2 or min_sv(B) <= 1e-10 * scale:
         raise DomainError(

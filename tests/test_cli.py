@@ -406,6 +406,21 @@ class TestSweep:
         assert "--max-cells" in capsys.readouterr().err
         assert not (out / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("param, pointer", [
+        ("gain.kk=1,2", "/gain: "), ("gain.k=2,abc", "/gain/k: "),
+        ("horizon.x=1", "/horizon ")])
+    def test_cell_outside_schema_refused(self, tmp_path, capsys, param,
+                                         pointer):
+        # a misspelt key used to write identical rows and exit 0, a
+        # non-numeric value or a path through a number to crash
+        sc = write_scenario(tmp_path, DI_SCENARIO)
+        out = tmp_path / "o"
+        rc = main(["sweep", "--scenario", sc, "--param", param,
+                   "--out-dir", str(out)])
+        assert rc == 2
+        assert pointer in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
+
     def test_workers_option_removed(self, tmp_path, capsys):
         sc = write_scenario(tmp_path, DI_SCENARIO)
         with pytest.raises(SystemExit) as exc:

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from pestab.errors import DomainError, NotNeutrallyStable, ShapeError
-from pestab.gains import (A_DI, A_ROTATION, B_DI, cone_geometry,
-                          di_base_gain, di_gain, multi_input_gain,
-                          neutral_decompose, neutral_gain)
+from pestab.errors import (DomainError, InternalConsistencyError,
+                           NotNeutrallyStable, PestabError, ShapeError)
+from pestab.gains import (A_DI, A_ROTATION, B_DI, NeutralDecomposition,
+                          _semisimple_on_axis, cone_geometry, di_base_gain,
+                          di_gain, multi_input_gain, neutral_decompose,
+                          neutral_gain)
 from pestab.matkit import eig, one_norm, quad_roots
 from pestab.signals import PeClass
 
@@ -21,6 +24,82 @@ def block_diag(*mats):
         out[i:i + m.shape[0], i:i + m.shape[0]] = m
         i += m.shape[0]
     return out
+
+
+def reference_neutral_decompose(A, B) -> NeutralDecomposition:
+    """The conjugate-pairing construction: over the unit eigenvectors v of
+    the trailing Schur block, columns sqrt(2) Re v, sqrt(2) Im v for each
+    eigenvalue in the upper half plane (matched to a conjugate partner
+    within 1e-6 relative) and v for each real one.  The input checks are
+    neutral_decompose's; raises InternalConsistencyError when a complex
+    eigenvalue finds no partner."""
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    n = A.shape[0]
+    axis_tol = 1e-10 * max(one_norm(A), 1.0)
+    if any(v.real > axis_tol for v in eig(A)):
+        raise NotNeutrallyStable("eigenvalue with positive real part")
+    _semisimple_on_axis(A, axis_tol)
+    R, Z, n1 = scipy.linalg.schur(
+        A, output="real", sort=lambda re, im: re < -axis_tol)
+    nc = n - n1
+    R22 = R[n1:, n1:]
+    w, V = np.linalg.eig(R22)
+    cols = []
+    used = np.zeros(nc, dtype=bool)
+    order = np.argsort(-w.imag, kind="stable")
+    pair_tol = 1e-9 * max(one_norm(R22), 1.0)
+    for i in order:
+        if used[i]:
+            continue
+        if w[i].imag > pair_tol:
+            j = None
+            for cand in range(nc):
+                if not used[cand] and cand != i and \
+                        abs(w[cand] - w[i].conjugate()) <= 1e-6 * max(abs(w[i]), 1.0):
+                    j = cand
+                    break
+            if j is None:
+                raise InternalConsistencyError("unpaired complex eigenvalue")
+            used[i] = used[j] = True
+            v = V[:, i]
+            scale = math.sqrt(2.0) / np.linalg.norm(v)
+            cols.append(v.real * scale)
+            cols.append(v.imag * scale)
+        elif abs(w[i].imag) <= pair_tol:
+            used[i] = True
+            v = V[:, i].real
+            cols.append(v / np.linalg.norm(v))
+    P3 = np.column_stack(cols) if cols else np.zeros((0, 0))
+    if P3.shape != (nc, nc):
+        raise InternalConsistencyError("center basis has wrong size")
+    P3_inv = np.linalg.inv(P3)
+    S = block_diag(np.eye(n1), P3_inv) @ Z.T
+    S_inv = Z @ block_diag(np.eye(n1), P3)
+    return NeutralDecomposition(S, S_inv, n1, R[:n1, :n1], R[:n1, n1:] @ P3,
+                                P3_inv @ R22 @ P3, (S @ B)[n1:])
+
+
+def decomposition_gain(dec, r):
+    """neutral_gain's formula on a given decomposition."""
+    return np.hstack([np.zeros((dec.B3.shape[1], dec.n_stable)),
+                      -r * dec.B3.T]) @ dec.S
+
+
+def seeded_neutral_system(seed):
+    """A Hurwitz block of size 1-3, a center with a repeated pair, a second
+    pair and a zero eigenvalue, under a random similarity; 1 or 2 inputs."""
+    rng = np.random.default_rng(seed)
+    nh = int(rng.integers(1, 4))
+    H = rng.standard_normal((nh, nh))
+    H -= (max(np.linalg.eigvals(H).real) + rng.uniform(0.1, 2.0)) * np.eye(nh)
+    w1, w2 = rng.uniform(0.2, 5.0, 2)
+    core = block_diag(H, w1 * A_ROTATION, w1 * A_ROTATION, w2 * A_ROTATION,
+                      np.zeros((1, 1)))
+    n = core.shape[0]
+    P = rng.standard_normal((n, n)) + 3.0 * np.eye(n)
+    A = P @ core @ np.linalg.inv(P)
+    return A, rng.standard_normal((n, int(rng.integers(1, 3))))
 
 
 def check_decomposition(A, dec):
@@ -156,6 +235,45 @@ class TestNeutralGain:
         with pytest.raises(DomainError):
             neutral_gain(A_ROTATION, B_DI, 0.0)
 
+    @pytest.mark.parametrize("r", [math.nan, math.inf])
+    def test_nonfinite_scale_rejected(self, r):
+        # both used to return [[nan, nan]]
+        with pytest.raises(DomainError, match="gain scale r"):
+            neutral_gain(A_ROTATION, B_DI, r)
+
+    def test_close_frequencies_give_transpose(self):
+        # the pairing construction could not match +-i with +-1.000001i
+        # within its 1e-6 partner tolerance and refused this skew A
+        A = block_diag(A_ROTATION, 1.000001 * A_ROTATION)
+        B = np.ones((4, 1))
+        with pytest.raises(InternalConsistencyError):
+            reference_neutral_decompose(A, B)
+        assert np.max(np.abs(neutral_gain(A, B) + B.T)) < 1e-12
+        dec = neutral_decompose(A, B)
+        assert one_norm(dec.A3 + dec.A3.T) < 1e-12
+        check_decomposition(A, dec)
+
+    def test_matches_pairing_reference_on_seeded_systems(self):
+        # where the pairing construction succeeds, the gains agree up to
+        # rounding: both equal -r B^T Z2 G^-1 Z2^T with G = V V*
+        compared = 0
+        for seed in range(200):
+            A, B = seeded_neutral_system(seed)
+            try:
+                ref = reference_neutral_decompose(A, B)
+            except PestabError:
+                continue
+            dec = neutral_decompose(A, B)
+            K_ref = decomposition_gain(ref, 2.5)
+            K = neutral_gain(A, B, 2.5)
+            assert one_norm(K - K_ref) <= 1e-12 * one_norm(K_ref), seed
+            assert dec.n_stable == ref.n_stable == A.shape[0] - 7
+            assert one_norm(dec.A3 + dec.A3.T) <= \
+                1e-12 * max(one_norm(A), 1.0), seed
+            check_decomposition(A, dec)
+            compared += 1
+        assert compared >= 190
+
 
 class TestDIGain:
     def test_gain_formula(self):
@@ -177,6 +295,15 @@ class TestDIGain:
         for a in (CLS.ratio, 0.7, 1.0):
             roots = quad_roots(a * g.k2, a * g.k1)
             assert roots is not None and roots[1] < 0.0
+
+    @pytest.mark.parametrize("name, value", [
+        ("k", math.nan), ("k", math.inf), ("lam", math.nan),
+        ("lam", math.inf)])
+    def test_nonfinite_scale_rejected(self, name, value):
+        # used to return a NaN or infinite K
+        args = {"k": 4.0, "lam": 1.0, name: value}
+        with pytest.raises(DomainError, match=f"^{name} must be finite"):
+            di_gain(CLS, 0.2, args["k"], args["lam"])
 
     def test_round_trip_scaling(self):
         g = di_gain(CLS, 0.2, 4.0, 8.0)
@@ -239,6 +366,13 @@ class TestConeGeometry:
             cone_geometry(0.2, -1.0, 0.5)
 
 
+    @pytest.mark.parametrize("k", [math.nan, math.inf])
+    def test_nonfinite_k_rejected(self, k):
+        # both used to surface as InternalConsistencyError
+        with pytest.raises(DomainError, match="^k must be finite"):
+            cone_geometry(0.2, k, 0.5)
+
+
 class TestMultiInputGain:
     def test_identity_block(self):
         B = np.hstack([np.eye(2), np.zeros((2, 1))])
@@ -270,3 +404,9 @@ class TestMultiInputGain:
     def test_wrong_row_count(self):
         with pytest.raises(ShapeError):
             multi_input_gain(np.eye(3), 1.0)
+
+    @pytest.mark.parametrize("k", [math.nan, math.inf])
+    def test_nonfinite_k_rejected(self, k):
+        # used to return a NaN or infinite K
+        with pytest.raises(DomainError, match="^k must be finite"):
+            multi_input_gain(np.eye(2), k)
