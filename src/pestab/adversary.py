@@ -4,7 +4,8 @@ signal search, and the gain-scale search that it hardens.
 The feedback gates the loop at full strength where excitation hurts and at
 the class floor where it would help; for a small enough floor the resulting
 trajectory grows by a fixed factor every revolution, and the induced gate is
-itself an admissible excitation signal.
+itself an admissible excitation signal.  The crossings of one revolution
+are searched; by homogeneity the later revolutions replay it.
 """
 
 from __future__ import annotations
@@ -142,6 +143,11 @@ def run_destabilizer(K, cls: PeClass, x0=(-1.0, 0.0),
     pure matrix exponentials, and crossing_time locates each sector
     crossing on their dense output; committing to the entered sector until
     the next crossing (minimum dwell 1e-12) rules out chattering artifacts.
+
+    Crossings are searched through the first revolution from the negative
+    axis; by homogeneity each later one repeats its switch times and is
+    replayed, phase j through its flow expm(m_j, tc_j).  A state whose norm
+    overflows raises SimulationError naming its revolution.
     """
     if revolutions < 1:
         raise DomainError("need at least one revolution")
@@ -156,16 +162,13 @@ def run_destabilizer(K, cls: PeClass, x0=(-1.0, 0.0),
     phis = {a: expm(mats[a], dt) for a, dt in steps.items()}
 
     x = np.asarray(x0, dtype=float)
-    if np.linalg.norm(x) == 0.0:
+    if not x.any():
         raise DegenerateStateError("cannot start at the origin")
     region = part.region(x)
-    t = 0.0
-    bp = [0.0]
-    vals = []
-    widths, counts, ends = [], [], []
+    # (level, duration, steps, end state, sector left) of each phase
+    phases = []
     on_neg_axis = x[1] == 0.0 and x[0] < 0.0
-    rev_norms = [float(np.linalg.norm(x))] if on_neg_axis else []
-    crossings = []
+    rev_norms = [math.hypot(*x)] if on_neg_axis else []
 
     def axis_fn(y):
         return float(y[1])
@@ -173,45 +176,56 @@ def run_destabilizer(K, cls: PeClass, x0=(-1.0, 0.0),
     def dline_fn(y):
         return float(y[1] + (k1 / k2) * y[0])
 
-    while len(rev_norms) <= revolutions:
+    # search the crossings up to the end of the first revolution that
+    # starts on the negative axis
+    while len(rev_norms) < 2:
         a = 1.0 if region in (2, 4) else ratio
-        m = mats[a]
         fn = dline_fn if region in (2, 4) else axis_fn
         dt = steps[a]
-        vals.append(a)
-        res = _phase_crossing(m, x, fn, dt, phis[a])
+        res = _phase_crossing(mats[a], x, fn, dt, phis[a])
         if res is None:
             raise SimulationError(
                 "trajectory converges to an eigendirection and stops "
                 "revolving; the sector feedback cannot destabilize here")
-        tc, xc = res
+        tc, x = res
         if tc < _MIN_DWELL:
             raise InternalConsistencyError(
                 "two sector crossings within 1e-12: chattering detected")
         # in-phase samples, re-marched on an exact uniform sub-grid below
-        widths.append(tc)
-        counts.append(max(1, int(math.ceil(tc / dt))))
-        ends.append(xc)
-        t += tc
-        x = xc
-        bp.append(t)
-        crossings.append({"t": t, "region_from": region})
+        phases.append((a, tc, max(1, int(math.ceil(tc / dt))), x, region))
         # committed sector cycle: 4 -> 1 -> 2 -> 3 -> 4 ...
         region = region % 4 + 1
         if region == 4:
             # back on the negative axis: one full revolution
-            rev_norms.append(float(np.linalg.norm(x)))
-
-    induced = PwcSignal.held(tuple(bp), tuple(vals), hold=vals[-1])
-    horizon = t
+            rev_norms.append(math.hypot(*x))
+    rev = phases[-4:]
+    flows = [expm(mats[a], tc) for a, tc, *_ in rev]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(2, revolutions + 1):
+            for (a, tc, n, _, r), flow in zip(rev, flows):
+                x = flow @ x
+                phases.append((a, tc, n, x, r))
+            rev_norms.append(math.hypot(*x))
+        vals, widths, counts, ends, regions = zip(*phases)
+        bp = np.concatenate(([0.0], np.cumsum(widths)))
+        times, states, seg_alpha = _flow(
+            mats.__getitem__, np.array(vals), bp, np.array(widths),
+            np.array(counts), np.asarray(x0, dtype=float)[:, np.newaxis],
+            np.array(ends)[:, :, np.newaxis])
+        bad = ~np.isfinite(np.hypot(*states[:, :, 0].T))
+    if bad.any():
+        # the phase of the first sample whose norm overflows
+        p = np.searchsorted(np.cumsum(counts), bad.argmax())
+        raise SimulationError("the state overflows in revolution "
+                              f"{on_neg_axis + regions[:p].count(3)}")
+    induced = PwcSignal.held(tuple(bp.tolist()), vals, hold=vals[-1])
+    horizon = bp[-1]
     pe_ok = (verify_pe(induced, cls, horizon).ok
              if horizon >= cls.T else False)
     factors = [b / a for a, b in zip(rev_norms, rev_norms[1:])]
     growth = factors[-1] if factors else math.nan
-    times, states, seg_alpha = _flow(
-        mats.__getitem__, np.array(vals), np.array(bp), np.array(widths),
-        np.array(counts), np.asarray(x0, dtype=float)[:, np.newaxis],
-        np.array(ends)[:, :, np.newaxis])
+    crossings = [{"t": t, "region_from": r}
+                 for t, r in zip(bp[1:].tolist(), regions)]
     loop = ClosedLoop(A_DI, B_DI, Kmat, induced)
     traj = Trajectory(loop, times, states[:, :, 0], seg_alpha)
     return DestabilizerRun(traj, induced, growth, factors, pe_ok, crossings)

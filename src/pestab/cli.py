@@ -8,6 +8,7 @@ set and the scenario hash, which together reproduce the run bit-for-bit.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -480,13 +481,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run a scenario and export CSV")
     common(p)
     tol_option(p, "fit residual bound of clean_exponential (1e-2)")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("certify", help="run one certificate selector")
     common(p)
     p.add_argument("--lemma", required=True,
                    help="selector: " + ", ".join(LEMMA_SELECTORS))
-    p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("threshold", help="controllability horizon dichotomy")
     common(p, scenario=False)
@@ -499,7 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-grid", required=True,
                    help="a:b:step or comma-separated horizons")
     p.add_argument("--battery-size", type=int, default=50)
-    p.set_defaults(func=cmd_threshold)
 
     p = sub.add_parser("destabilize", help="sector-feedback growth demo")
     common(p, scenario=False)
@@ -510,14 +508,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=float, required=True)
     p.add_argument("--mu", type=float, required=True)
     p.add_argument("--revolutions", type=int, default=10)
-    p.set_defaults(func=cmd_destabilize)
 
     p = sub.add_parser("sweep", help="cross-product parameter sweep")
     common(p)
     p.add_argument("--param", action="append",
                    help="dotted.path=v1,v2,... (repeatable)")
     p.add_argument("--max-cells", type=int, default=None)
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("tune", help="search a stabilizing gain scale pair")
     common(p, scenario=False)
@@ -525,14 +521,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=float, required=True)
     p.add_argument("--rho", type=float, default=None)
     p.add_argument("--budget", type=int, default=24)
-    p.set_defaults(func=cmd_tune)
     return ap
 
 
+# one parser per process, built at the first main call
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up at call time, so a rebound cmd_* is the one that runs
+        return globals()[f"cmd_{args.command}"](args)
     except _INPUT_ERRORS as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2

@@ -162,6 +162,11 @@ class DIGain:
         _positive(self.k, "k")
         if not (math.isfinite(self.lam) and self.lam >= 1.0):
             raise DomainError(f"lam must be finite and >= 1, got {self.lam!r}")
+        try:
+            _positive(self.k1, "k1 = lam^2 rho k^2 / 2")
+        except OverflowError:
+            raise DomainError(f"k1 = lam^2 rho k^2 / 2 overflows for k = "
+                              f"{self.k!r}, lam = {self.lam!r}") from None
         # closed-loop eigenvalues stay real and negative across the whole
         # effective gate range [mu/T, 1]
         for a in (self.cls.ratio, 1.0):

@@ -5,15 +5,42 @@ import numpy as np
 import pytest
 
 from pestab import adversary, cli, simcore
-from pestab.adversary import (QPartition, _rotation_step, find_nu,
-                              run_destabilizer, worst_case_search)
-from pestab.errors import DegenerateStateError, DomainError, ShapeError
+from pestab.adversary import (QPartition, _phase_crossing, _rotation_step,
+                              find_nu, run_destabilizer, worst_case_search)
+from pestab.errors import (DegenerateStateError, DomainError, ShapeError,
+                           SimulationError)
 from pestab.gains import A_DI, A_ROTATION, B_DI, di_base_gain
 from pestab.matkit import expm
 from pestab.signals import PeClass, PwcSignal, make_duty, verify_pe
 from pestab.simcore import ClosedLoop, propagate
 
 K11 = np.array([[-1.0, -1.0]])
+
+# (k1, k2, mu) of destabilized classes
+REPLAY_CASES = [(1.0, 1.0, 0.05), (2.0, 1.0, 0.03), (1.0, 3.0, 0.02)]
+
+
+def _search_every_phase(k1, k2, mu, x0, revolutions):
+    """Crossing times and end states of the sector march with a crossing
+    search at every phase, up to the revolutions-th return to the negative
+    axis."""
+    bk = B_DI @ np.array([[-k1, -k2]])
+    x = np.asarray(x0, dtype=float)
+    region = QPartition(k1, k2).region(x)
+    arrivals = int(x[1] == 0.0 and x[0] < 0.0)
+    t, times, ends = 0.0, [], []
+    while arrivals <= revolutions:
+        full = region in (2, 4)
+        m = A_DI + (1.0 if full else mu) * bk
+        fn = (lambda y: float(y[1] + (k1 / k2) * y[0])) if full else (
+            lambda y: float(y[1]))
+        tc, x = _phase_crossing(m, x, fn, _rotation_step(m))
+        t += tc
+        times.append(t)
+        ends.append(x)
+        region = region % 4 + 1
+        arrivals += region == 4
+    return np.array(times), np.array(ends)
 
 
 class TestRegions:
@@ -167,19 +194,29 @@ class TestDestabilizer:
 
     def test_one_step_exponential_per_gate_level(self):
         # every phase on a level marches the same step, so its exponential
-        # is taken once per level; the rest are one per sector crossing
-        calls = []
+        # is taken once per level; each searched phase takes one more for
+        # its end state, and the replayed revolutions share one flow per
+        # phase of the searched revolution: the count does not grow with
+        # the revolutions
+        steps = {_rotation_step(A_DI + a * B_DI @ K11) for a in (1.0, 0.03)}
         real = adversary.expm
+        calls = []
 
         def counting(m, t=1.0):
             calls.append(t)
             return real(m, t)
 
-        with mock.patch.object(adversary, "expm", counting):
-            run = run_destabilizer(K11, PeClass(1.0, 0.03), revolutions=10)
-        assert len(calls) == 2 + len(run.crossings)
-        steps = {_rotation_step(A_DI + a * B_DI @ K11) for a in (1.0, 0.03)}
-        assert sorted(calls[:2]) == sorted(steps)
+        for revolutions in (3, 10):
+            calls.clear()
+            with mock.patch.object(adversary, "expm", counting):
+                run = run_destabilizer(K11, PeClass(1.0, 0.03),
+                                       revolutions=revolutions)
+            # from the negative axis one revolution, 4 phases, is searched
+            assert len(calls) == 2 + 4 + 4
+            assert len(run.crossings) == 4 * revolutions
+            assert sorted(calls[:2]) == sorted(steps)
+            durations = np.diff([0.0] + [c["t"] for c in run.crossings[:4]])
+            np.testing.assert_allclose(calls[-4:], durations, rtol=1e-15)
 
     def test_bad_gain_rejected(self):
         with pytest.raises(DomainError, match="Hurwitz"):
@@ -189,9 +226,10 @@ class TestDestabilizer:
         # each sector switch lies within crossing_rel of its march step of
         # the true zero of the switching functional, and coarsening the
         # module constant coarsens the switches: the run uses that constant
+        # over 10 revolutions, so the replayed switches are checked too
         cls = PeClass(1.0, 0.05)
         tol = cli.TOLERANCES["crossing_rel"]
-        run = run_destabilizer(K11, cls, revolutions=2)
+        run = run_destabilizer(K11, cls, revolutions=10)
         bk = B_DI @ K11
         x_at = dict(zip(run.traj.times.tolist(), run.traj.states))
         for c in run.crossings:
@@ -203,10 +241,69 @@ class TestDestabilizer:
             after = fn(expm(m, delta) @ x_at[c["t"]])
             assert before * after < 0.0
         monkeypatch.setattr(simcore, "_CROSSING_REL_TOL", 1e-4)
-        coarse = run_destabilizer(K11, cls, revolutions=2)
+        coarse = run_destabilizer(K11, cls, revolutions=10)
         shift = max(abs(a["t"] - b["t"])
                     for a, b in zip(run.crossings, coarse.crossings))
         assert 1e-9 < shift < 1e-3
+
+
+    @pytest.mark.parametrize("k1, k2, mu", REPLAY_CASES)
+    @pytest.mark.parametrize("x0", [(-1.0, 0.0), (0.3, 0.8)])
+    def test_replay_matches_a_search_at_every_phase(self, k1, k2, mu, x0):
+        # the replayed revolutions agree with a crossing search run at
+        # every phase, from the axis and from a state off it
+        K = np.array([[-k1, -k2]])
+        run = run_destabilizer(K, PeClass(1.0, mu), x0=x0, revolutions=10)
+        ref_t, ref_x = _search_every_phase(k1, k2, mu, x0, 10)
+        got_t = np.array([c["t"] for c in run.crossings])
+        np.testing.assert_allclose(got_t, ref_t, rtol=1e-12, atol=0.0)
+        x_at = dict(zip(run.traj.times.tolist(), run.traj.states))
+        got_x = np.array([x_at[t] for t in got_t.tolist()])
+        gap = np.abs(got_x - ref_x).max(axis=1)
+        assert np.all(gap <= 1e-12 * np.abs(ref_x).max(axis=1))
+
+    @pytest.mark.parametrize("k1, k2, mu", REPLAY_CASES)
+    def test_monodromy_of_last_revolution_is_growth(self, k1, k2, mu):
+        # the product of the last revolution's four phase flows, taken from
+        # the reported crossings and the induced levels, has spectral
+        # radius growth_per_rev
+        cls = PeClass(1.0, mu)
+        K = np.array([[-k1, -k2]])
+        run = run_destabilizer(K, cls, revolutions=10)
+        bk = B_DI @ K
+        ts = [c["t"] for c in run.crossings[-5:]]
+        mono = np.eye(2)
+        for c, t0, t1 in zip(run.crossings[-4:], ts, ts[1:]):
+            a = 1.0 if c["region_from"] in (2, 4) else cls.ratio
+            mono = expm(A_DI + a * bk, t1 - t0) @ mono
+        rho = np.max(np.abs(np.linalg.eigvals(mono)))
+        assert run.growth_per_rev > 1.0
+        assert rho == pytest.approx(run.growth_per_rev, rel=1e-12)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_many_revolutions_keep_finite_factors(self):
+        # the norms squared overflowed above about 1e154, so the factors
+        # of a 200-revolution run read inf / inf = nan
+        run = run_destabilizer(K11, PeClass(1.0, 0.03), revolutions=200)
+        assert np.isfinite(run.factors).all()
+        assert run.growth_per_rev == pytest.approx(run.factors[0], rel=1e-9)
+        # the end state's squares overflow
+        assert np.abs(run.traj.states[-1]).max() > 1e155
+        assert np.isfinite(run.traj.states).all()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("x0, rev", [((-1.0, 0.0), 354),
+                                         ((0.3, 0.8), 353)])
+    def test_overflow_names_its_revolution(self, x0, rev):
+        # growth 7.46 per revolution overflows the largest double in
+        # revolution 354 from (-1, 0); the search used to stop there with
+        # "converges to an eigendirection"
+        with pytest.raises(SimulationError,
+                           match=f"overflows in revolution {rev}$"):
+            run_destabilizer(K11, PeClass(1.0, 0.03), x0=x0,
+                             revolutions=400)
+        run_destabilizer(K11, PeClass(1.0, 0.03), x0=x0,
+                         revolutions=rev - 1)
 
 
 class TestWorstCase:

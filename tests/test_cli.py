@@ -64,6 +64,16 @@ class TestSimulate:
         assert header == ["t", "x1", "x2", "alpha", "V", "r", "theta",
                           "F_theta"]
 
+    def test_overflowing_gain_exits_2(self, tmp_path, capsys):
+        # k1 = lam^2 rho k^2 / 2 raised an untyped OverflowError, which
+        # ended in a traceback
+        sc = write_scenario(tmp_path, dict(
+            DI_SCENARIO, gain={"kind": "di", "rho": 0.2, "k": 1e200}))
+        out = tmp_path / "out"
+        assert main(["simulate", "--scenario", sc, "--out-dir", str(out)]) == 2
+        assert "invalid input: k1 = lam^2 rho k^2 / 2 overflows" in \
+            capsys.readouterr().err
+
     def test_state_below_square_underflow(self, tmp_path):
         # the end state is about 3.9e-183, whose square is 0.0
         sc = {"system": {"A": [[-10.0]], "B": [[1.0]]},
@@ -357,6 +367,35 @@ class TestDestabilize:
         assert rep["ratio_exceeds_nu"]
         assert rep["growth_per_rev"] < 1.0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_many_revolutions_write_finite_factors(self, tmp_path):
+        # the revolution norms overflowed above about 1e154, and the
+        # report read "growth_per_rev": NaN
+        out = tmp_path / "o"
+        assert main(["destabilize", "--k1", "1", "--k2", "1", "--T", "1",
+                     "--mu", "0.03", "--revolutions", "200",
+                     "--out-dir", str(out)]) == 0
+        text = (out / "destabilizer.json").read_text()
+        assert "NaN" not in text and "Infinity" not in text
+        rep = json.loads(text)
+        assert len(rep["revolution_factors"]) == 200
+        assert 7.4 < rep["growth_per_rev"] < 7.5
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_stops_with_its_revolution(self, tmp_path, capsys):
+        # the states overflowed and the run stopped with "converges to an
+        # eigendirection"
+        out = tmp_path / "o"
+        assert main(["destabilize", "--k1", "1", "--k2", "1", "--T", "1",
+                     "--mu", "0.03", "--revolutions", "400",
+                     "--out-dir", str(out)]) == 0
+        text = (out / "destabilizer.json").read_text()
+        assert "NaN" not in text
+        rep = json.loads(text)
+        assert rep["note"] == "the state overflows in revolution 354"
+        assert "growth_per_rev" not in rep
+        assert "revolution 354" in capsys.readouterr().out
+
     def test_wrong_sign_exits_2(self, tmp_path, capsys):
         rc = main(["destabilize", "--k1", "-1.0", "--k2", "1.0",
                    "--T", "1.0", "--mu", "0.5",
@@ -501,6 +540,29 @@ class TestMetadata:
                      "--out-dir", str(out)]) == 0
         meta = json.loads((out / "summary.json").read_text())["meta"]
         assert meta["tol_override"] == 1e-3
+
+    def test_second_call_drops_tol_override(self, tmp_path):
+        # the parser is built once per process; its namespace must not
+        # carry one call's --tol into the next
+        sc = write_scenario(tmp_path, DI_SCENARIO)
+        metas = []
+        for i, extra in enumerate((["--tol", "1e-3"], [])):
+            out = tmp_path / f"out{i}"
+            assert main(["simulate", "--scenario", sc, *extra,
+                         "--out-dir", str(out)]) == 0
+            metas.append(json.loads((out / "summary.json").read_text())["meta"])
+        assert metas[0]["tol_override"] == 1e-3
+        assert "tol_override" not in metas[1]
+        assert cli._parser() is cli._parser()
+
+    def test_rebound_command_is_the_one_that_runs(self, tmp_path):
+        # the command is looked up when main runs, not when the parser was
+        # built, so a patched or traced cmd_* binding runs
+        sc = write_scenario(tmp_path, DI_SCENARIO)
+        argv = ["simulate", "--scenario", sc, "--out-dir", str(tmp_path)]
+        assert main(argv) == 0
+        with mock.patch.object(cli, "cmd_simulate", lambda args: 7):
+            assert main(argv) == 7
 
     def test_tolerances_are_the_module_constants(self, tmp_path):
         sc = write_scenario(tmp_path, DI_SCENARIO)

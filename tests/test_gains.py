@@ -305,6 +305,14 @@ class TestDIGain:
         with pytest.raises(DomainError, match=f"^{name} must be finite"):
             di_gain(CLS, 0.2, args["k"], args["lam"])
 
+    @pytest.mark.parametrize("k, lam", [(1e200, 1.0), (1.0, 1e200),
+                                        (1e100, 1e100)])
+    def test_overflowing_k1_rejected(self, k, lam):
+        # k ** 2 or lam ** 2 raised an untyped OverflowError; a product
+        # that overflows to inf read as "rho bound breached"
+        with pytest.raises(DomainError, match="^k1 = lam"):
+            di_gain(CLS, 0.2, k, lam)
+
     def test_round_trip_scaling(self):
         g = di_gain(CLS, 0.2, 4.0, 8.0)
         K = g.K
