@@ -72,13 +72,14 @@ class QPartition:
 
 def _phase_crossing(m: np.ndarray, x0: np.ndarray, fn, dt: float,
                     phi: np.ndarray | None = None):
-    """March a constant flow in steps of dt until fn(x) changes sign, then
-    locate the crossing with crossing_time.
+    """March a constant planar flow in steps of dt until fn(x) changes sign,
+    then locate the crossing with crossing_time.
 
     phi is the step's expm(m, dt); a caller that marches the same flow
     many times computes it once.  Returns (t_cross, x_cross), or None when
     no crossing appears within _MAX_MARCH_STEPS (the flow converges to an
-    eigendirection instead)."""
+    eigendirection instead).  The march stops at the first marched state
+    that is not finite and returns it with its time."""
     f_prev = fn(x0)
     t_prev, x_prev = 0.0, x0
     if phi is None:
@@ -86,6 +87,9 @@ def _phase_crossing(m: np.ndarray, x0: np.ndarray, fn, dt: float,
     for i in range(1, _MAX_MARCH_STEPS + 1):
         t = i * dt
         x = phi @ x_prev
+        # two scalar tests cost a tenth of np.isfinite(x).all() per step
+        if not (math.isfinite(x[0]) and math.isfinite(x[1])):
+            return t, x
         f = fn(x)
         if f == 0.0 or (f > 0.0) != (f_prev > 0.0):
             tc = crossing_time(m, x_prev, t_prev, t, fn)
@@ -162,6 +166,8 @@ def run_destabilizer(K, cls: PeClass, x0=(-1.0, 0.0),
     phis = {a: expm(mats[a], dt) for a, dt in steps.items()}
 
     x = np.asarray(x0, dtype=float)
+    if not np.isfinite(x).all():
+        raise DomainError(f"x0 must be finite, got {x0!r}")
     if not x.any():
         raise DegenerateStateError("cannot start at the origin")
     region = part.region(x)
@@ -176,31 +182,36 @@ def run_destabilizer(K, cls: PeClass, x0=(-1.0, 0.0),
     def dline_fn(y):
         return float(y[1] + (k1 / k2) * y[0])
 
-    # search the crossings up to the end of the first revolution that
-    # starts on the negative axis
-    while len(rev_norms) < 2:
-        a = 1.0 if region in (2, 4) else ratio
-        fn = dline_fn if region in (2, 4) else axis_fn
-        dt = steps[a]
-        res = _phase_crossing(mats[a], x, fn, dt, phis[a])
-        if res is None:
-            raise SimulationError(
-                "trajectory converges to an eigendirection and stops "
-                "revolving; the sector feedback cannot destabilize here")
-        tc, x = res
-        if tc < _MIN_DWELL:
-            raise InternalConsistencyError(
-                "two sector crossings within 1e-12: chattering detected")
-        # in-phase samples, re-marched on an exact uniform sub-grid below
-        phases.append((a, tc, max(1, int(math.ceil(tc / dt))), x, region))
-        # committed sector cycle: 4 -> 1 -> 2 -> 3 -> 4 ...
-        region = region % 4 + 1
-        if region == 4:
-            # back on the negative axis: one full revolution
-            rev_norms.append(math.hypot(*x))
-    rev = phases[-4:]
-    flows = [expm(mats[a], tc) for a, tc, *_ in rev]
     with np.errstate(over="ignore", invalid="ignore"):
+        # search the crossings up to the end of the first revolution that
+        # starts on the negative axis
+        while len(rev_norms) < 2:
+            a = 1.0 if region in (2, 4) else ratio
+            fn = dline_fn if region in (2, 4) else axis_fn
+            dt = steps[a]
+            res = _phase_crossing(mats[a], x, fn, dt, phis[a])
+            if res is None:
+                raise SimulationError(
+                    "trajectory converges to an eigendirection and stops "
+                    "revolving; the sector feedback cannot destabilize here")
+            tc, x = res
+            if not np.isfinite(x).all():
+                # rev_norms holds one norm per negative-axis arrival
+                raise SimulationError("the state overflows in revolution "
+                                      f"{len(rev_norms)}")
+            if tc < _MIN_DWELL:
+                raise InternalConsistencyError(
+                    "two sector crossings within 1e-12: chattering detected")
+            # in-phase samples, re-marched on an exact uniform sub-grid below
+            phases.append((a, tc, max(1, int(math.ceil(tc / dt))), x,
+                           region))
+            # committed sector cycle: 4 -> 1 -> 2 -> 3 -> 4 ...
+            region = region % 4 + 1
+            if region == 4:
+                # back on the negative axis: one full revolution
+                rev_norms.append(math.hypot(*x))
+        rev = phases[-4:]
+        flows = [expm(mats[a], tc) for a, tc, *_ in rev]
         for _ in range(2, revolutions + 1):
             for (a, tc, n, _, r), flow in zip(rev, flows):
                 x = flow @ x

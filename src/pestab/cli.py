@@ -80,9 +80,7 @@ def _out_dir(args) -> Path:
 
 
 def _write_json(path: Path, obj: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _sha256(path: Path) -> str:

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 
 import numpy as np
-from jsonschema import Draft7Validator
 
 from .errors import DomainError
 from .gains import (A_DI, A_ROTATION, B_DI, di_gain, multi_input_gain,
@@ -95,16 +95,18 @@ SCENARIO_SCHEMA = {
     },
 }
 
-_validator = Draft7Validator(SCENARIO_SCHEMA)
+
+@functools.cache
+def _validator():
+    from jsonschema import Draft7Validator
+    return Draft7Validator(SCENARIO_SCHEMA)
 
 
 def validate_scenario(obj: dict) -> list:
     """Schema violations as '<json pointer>: <message>' strings."""
-    out = []
-    for err in sorted(_validator.iter_errors(obj), key=lambda e: list(e.path)):
-        pointer = "/" + "/".join(str(p) for p in err.absolute_path)
-        out.append(f"{pointer or '/'}: {err.message}")
-    return out
+    errs = sorted(_validator().iter_errors(obj), key=lambda e: list(e.path))
+    return ["/" + "/".join(map(str, e.absolute_path)) + f": {e.message}"
+            for e in errs]
 
 
 def load_scenario(path) -> dict:

@@ -305,6 +305,24 @@ class TestDestabilizer:
         run_destabilizer(K11, PeClass(1.0, 0.03), x0=x0,
                          revolutions=rev - 1)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("x0, rev", [((-1e308, 0.0), 1),
+                                         ((0.0, 1e308), 0)])
+    def test_overflow_in_searched_revolution(self, x0, rev):
+        # the march of the searched revolution overflows; it used to warn
+        # and stop with "converges to an eigendirection"
+        with pytest.raises(SimulationError,
+                           match=f"overflows in revolution {rev}$"):
+            run_destabilizer(K11, PeClass(1.0, 0.03), x0=x0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("x0", [(math.nan, 0.0), (-math.inf, 0.0),
+                                    (-1.0, math.nan)])
+    def test_non_finite_start_refused(self, x0):
+        # a non-finite start is an input fault, not an overflow of the run
+        with pytest.raises(DomainError, match="x0 must be finite"):
+            run_destabilizer(K11, PeClass(1.0, 0.03), x0=x0)
+
 
 class TestWorstCase:
     def test_budget_one_is_seeded_candidate(self):

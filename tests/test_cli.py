@@ -11,7 +11,7 @@ import pytest
 import pestab
 from pestab import certify, cli, reachability, signals, simcore
 from pestab.cli import LEMMA_SELECTORS, main
-from pestab.scenarios import validate_scenario
+from pestab.scenarios import SCENARIO_SCHEMA, validate_scenario
 
 
 def write_scenario(tmp_path, obj, name="scenario.json"):
@@ -113,6 +113,25 @@ class TestSimulate:
                      "--out-dir", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "/pe_class" in err
+
+    def test_schema_violations_exit_2_in_pointer_order(self, tmp_path,
+                                                       capsys):
+        sc = {"system": {"preset": "double_integrator", "extra": 1},
+              "pe_class": {"T": 1.0, "mu": "half"}, "horizon": -1}
+        path = write_scenario(tmp_path, sc)
+        assert main(["simulate", "--scenario", path,
+                     "--out-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "invalid input: scenario schema violation: "
+            "/horizon: -1 is less than or equal to the minimum of 0; "
+            "/pe_class/mu: 'half' is not of type 'number'; "
+            "/system: Additional properties are not allowed "
+            "('extra' was unexpected)\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_schema_is_valid_draft7(self):
+        from jsonschema import Draft7Validator
+        Draft7Validator.check_schema(SCENARIO_SCHEMA)
 
     def test_unknown_key_rejected(self):
         problems = validate_scenario({"system": {"preset": "rotation"},
@@ -475,17 +494,31 @@ class TestVersion:
             main(["--version"])
         assert exc.value.code == 0
 
-    def test_import_skips_optimize_and_integrate(self):
-        # both cost start-up time and no command needs them
+    @staticmethod
+    def fresh_stdout(code: str) -> str:
+        """stdout of code run in a fresh interpreter on this package."""
         src = str(Path(pestab.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        return subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True,
+                              check=True).stdout
+
+    def test_import_skips_optimize_and_integrate(self):
+        # both cost start-up time and no command needs them
         code = ("import sys, pestab.cli; print(sorted(m for m in sys.modules "
                 "if m.split('.')[:2] in (['scipy', 'optimize'], "
                 "['scipy', 'integrate'])))")
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "[]"
+        assert self.fresh_stdout(code).strip() == "[]"
+
+    def test_jsonschema_loads_at_first_validation(self):
+        # only the commands that read a scenario pay for its import
+        code = ("import sys, pestab.cli; print('jsonschema' in sys.modules); "
+                "from pestab.scenarios import validate_scenario; "
+                "print(validate_scenario({'system': {}})); "
+                "print('jsonschema' in sys.modules)")
+        assert self.fresh_stdout(code).splitlines() == [
+            "False", '["/: \'pe_class\' is a required property"]', "True"]
 
 
 class TestMetadata:
