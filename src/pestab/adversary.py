@@ -132,6 +132,8 @@ def _unpack_gain(K) -> tuple:
     arr = np.asarray(K, dtype=float).reshape(-1)
     if arr.size != 2:
         raise DomainError("gain must have exactly two entries")
+    if not np.isfinite(arr).all():
+        raise DomainError(f"gain K must be finite, got {arr.tolist()}")
     k1, k2 = -arr[0], -arr[1]
     if k1 <= 0.0 or k2 <= 0.0:
         raise DomainError("A+bK is not Hurwitz: gain entries must make "

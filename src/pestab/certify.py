@@ -797,7 +797,7 @@ def rescaling_identity(k1: float, k2: float, alpha: PwcSignal, x0,
                        {"bound": 1e-9, "lams": list(_RESCALING_LAMS)}, {}, [])
 
 
-def multi_input_identity(B, k: float, cls: PeClass, battery, x0_list,
+def multi_input_identity(B, k: float, battery, x0_list,
                          horizon: float) -> Certificate:
     """For a full-rank planar input matrix, the drift-stripped state must
     contract exactly like exp(-k int alpha), and the raw state must obey the

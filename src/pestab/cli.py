@@ -186,7 +186,7 @@ def _certify_dispatch(selector: str, sc: dict, seed: int):
         x0s = [np.asarray(v, dtype=float) for v in
                (sc.get("x0") or [[1.0, 0.0], [0.3, -0.7]])]
         cert = certify.multi_input_identity(
-            B, float(p.get("k", 1.0)), cls, battery.signals, x0s,
+            B, float(p.get("k", 1.0)), battery.signals, x0s,
             horizon=sc.get("horizon", 5.0 * cls.T))
     elif selector == "finite":
         cert = certify.dwell_scaling(cls, rho, k, lam / k, battery.signals,
@@ -250,10 +250,10 @@ def _parse_grid(spec: str) -> list:
 
 
 def cmd_threshold(args) -> int:
-    if args.preset:
-        sc = {"system": {"preset": args.preset}}
-    else:
-        sc = {"system": {"A": json.loads(args.A), "B": json.loads(args.B)}}
+    if (args.A is None) != (args.B is None):
+        raise DomainError("--A and --B must be given together")
+    sc = {"system": {"preset": args.preset} if args.preset else
+          {"A": json.loads(args.A), "B": json.loads(args.B)}}
     tol = _tol(args, 1e-9)
     A, B = build_system(sc)
     cls = PeClass(args.T, args.mu)
@@ -488,8 +488,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("threshold", help="controllability horizon dichotomy")
     common(p, scenario=False)
     tol_option(p, "Gramian rank tolerance (1e-9)")
-    p.add_argument("--preset", choices=["double_integrator", "rotation"])
-    p.add_argument("--A", help="JSON matrix")
+    system = p.add_mutually_exclusive_group(required=True)
+    system.add_argument("--preset", choices=["double_integrator", "rotation"])
+    system.add_argument("--A", help="JSON matrix (with --B)")
     p.add_argument("--B", help="JSON matrix")
     p.add_argument("--T", type=float, required=True)
     p.add_argument("--mu", type=float, required=True)

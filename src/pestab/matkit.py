@@ -1,9 +1,8 @@
 """Dense linear algebra for small real matrices (n <= 8).
 
-Matrix exponential (scipy's, of one matrix or a stack), eigenvalues
-(numpy's), smallest singular value and quadratic roots.  Everything
-operates on plain float64 numpy arrays; validation helpers turn loose input
-into checked arrays.
+Matrix exponential (scipy's, of one matrix or a stack), smallest singular
+value and quadratic roots.  Everything operates on plain float64 numpy
+arrays; validation helpers turn loose input into checked arrays.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ __all__ = [
     "as_matrix",
     "one_norm",
     "expm",
-    "eig",
     "quad_roots",
     "min_sv",
 ]
@@ -62,14 +60,6 @@ def expm(m, t: float = 1.0) -> np.ndarray:
     if not np.isfinite(t):
         raise ShapeError("expm time must be finite")
     return scipy.linalg.expm(t * a)
-
-
-def eig(m) -> np.ndarray:
-    """Eigenvalues with algebraic multiplicity (numpy's), sorted by
-    (real, imag)."""
-    vals = np.linalg.eigvals(
-        as_matrix(m, square=True, name="eig argument")).astype(complex)
-    return vals[np.lexsort((vals.imag, vals.real))]
 
 
 def quad_roots(a1: float, a0: float):

@@ -254,7 +254,7 @@ def test_criterion_12_multi_input():
     for m in (2, 3):
         B = rng.standard_normal((2, m))
         B = B + np.hstack([2.0 * np.eye(2), np.zeros((2, m - 2))])
-        cert = multi_input_identity(B, 1.2, CLS, battery.signals,
+        cert = multi_input_identity(B, 1.2, battery.signals,
                                     [np.array([1.0, 0.0])], horizon=6.0)
         ok = ok and cert.passed
         worst_id = max(worst_id, cert.measured["max_identity_rel_error"])

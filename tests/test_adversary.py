@@ -222,6 +222,21 @@ class TestDestabilizer:
         with pytest.raises(DomainError, match="Hurwitz"):
             run_destabilizer(np.array([[1.0, -1.0]]), PeClass(1.0, 0.5))
 
+    @pytest.mark.parametrize("entry", [0, 1])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("run", [
+        adversary.find_nu,
+        lambda K: run_destabilizer(K, PeClass(1.0, 0.5), revolutions=1)],
+        ids=["find_nu", "run_destabilizer"])
+    def test_non_finite_gain_rejected(self, run, bad, entry):
+        # NaN passed the k1, k2 > 0 test and stopped in expm with "expm
+        # argument has non-finite entries"; an infinite k1 or k2 (entry
+        # -inf) raised a RuntimeWarning on B K first
+        K = np.array([[-1.0, -1.0]])
+        K[0, entry] = bad
+        with pytest.raises(DomainError, match="^gain K must be finite"):
+            run(K)
+
     def test_crossings_bisected_to_reported_tolerance(self, monkeypatch):
         # each sector switch lies within crossing_rel of its march step of
         # the true zero of the switching functional, and coarsening the

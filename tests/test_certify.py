@@ -568,7 +568,7 @@ class TestBatteryRecord:
                                                    grid, 7.5),
         lambda bat, grid: certify.chain_battery(CLS, 0.2, 4.0, 8.0, bat,
                                                 grid, 7.5),
-        lambda bat, grid: multi_input_identity(np.eye(2), 1.0, CLS, bat,
+        lambda bat, grid: multi_input_identity(np.eye(2), 1.0, bat,
                                                list(grid.T), 5.0),
     ], ids=["estimate_eta", "f_monotone_battery", "dwell_scaling",
             "quadrant_battery", "cs_decay_battery", "chain_battery",
@@ -590,7 +590,7 @@ class TestIdentities:
         B = rng.standard_normal((2, 3)) + np.hstack([2 * np.eye(2),
                                                      np.zeros((2, 1))])
         bat = make_battery(CLS, 5, seed=3).signals
-        cert = multi_input_identity(B, 1.5, CLS, bat,
+        cert = multi_input_identity(B, 1.5, bat,
                                     [np.array([1.0, 0.0]),
                                      np.array([-0.4, 0.8])], horizon=4.0)
         assert cert.passed
@@ -603,7 +603,7 @@ class TestIdentities:
         for m in (2, 3):
             B = rng.standard_normal((2, m)) + np.hstack(
                 [2.0 * np.eye(2), np.zeros((2, m - 2))])
-            cert = multi_input_identity(B, 1.2, CLS, bat, x0s, horizon=6.0)
+            cert = multi_input_identity(B, 1.2, bat, x0s, horizon=6.0)
             ref = reference_multi_input_measured(B, 1.2, bat, x0s, 6.0)
             assert cert.measured.keys() == ref.keys()
             for key, v in ref.items():

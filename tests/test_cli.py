@@ -344,6 +344,45 @@ class TestThreshold:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("system", [["--A", "[[0, 1], [0, 0]]"],
+                                        ["--preset", "rotation",
+                                         "--B", "[[0], [1]]"]])
+    def test_lone_matrix_refused(self, tmp_path, capsys, system):
+        # a lone --A ended in a TypeError traceback from json.loads(None)
+        # with the property-failure code 1
+        out = tmp_path / "o"
+        rc = main(["threshold", *system, "--T", "1", "--mu", "0.5",
+                   "--t-grid", "0.8", "--out-dir", str(out)])
+        assert rc == 2
+        assert ("invalid input: --A and --B must be given together"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("system, message", [
+        (["--B", "[[0], [1]]"], "one of the arguments --preset --A"),
+        ([], "one of the arguments --preset --A"),
+        (["--preset", "rotation", "--A", "[[0, 1], [0, 0]]",
+          "--B", "[[0], [1]]"], "not allowed with argument --preset")])
+    def test_system_options_exclusive_and_required(self, tmp_path, capsys,
+                                                   system, message):
+        # --preset with --A and --B used to ignore the matrices and exit 0
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["threshold", *system, "--T", "1", "--mu", "0.5",
+                  "--t-grid", "0.8", "--out-dir", str(out)])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_explicit_matrices_run(self, tmp_path):
+        out = tmp_path / "o"
+        rc = main(["threshold", "--A", "[[0, 1], [0, 0]]", "--B", "[[0], [1]]",
+                   "--T", "1", "--mu", "0.5", "--t-grid", "0.3,0.8",
+                   "--battery-size", "2", "--out-dir", str(out)])
+        assert rc == 0
+        report = json.loads((out / "threshold.json").read_text())
+        assert [r["claim"] for r in report["results"]] == [True, True]
+
     @pytest.mark.parametrize("flag, value", [("--T", "inf"), ("--T", "nan"),
                                              ("--mu", "nan")])
     def test_non_finite_class_names_the_field(self, tmp_path, capsys, flag,

@@ -7,10 +7,9 @@ import scipy.linalg
 from pestab.errors import (DomainError, InternalConsistencyError,
                            NotNeutrallyStable, PestabError, ShapeError)
 from pestab.gains import (A_DI, A_ROTATION, B_DI, NeutralDecomposition,
-                          _semisimple_on_axis, cone_geometry, di_base_gain,
-                          di_gain, multi_input_gain, neutral_decompose,
-                          neutral_gain)
-from pestab.matkit import eig, one_norm, quad_roots
+                          cone_geometry, di_base_gain, di_gain,
+                          multi_input_gain, neutral_decompose, neutral_gain)
+from pestab.matkit import one_norm, quad_roots
 from pestab.signals import PeClass
 
 CLS = PeClass(1.0, 0.5)
@@ -26,6 +25,47 @@ def block_diag(*mats):
     return out
 
 
+def eig(m):
+    """Eigenvalues with algebraic multiplicity, sorted by (real, imag)."""
+    vals = np.linalg.eigvals(m).astype(complex)
+    return vals[np.lexsort((vals.imag, vals.real))]
+
+
+def semisimple_on_axis(A: np.ndarray, axis_tol: float) -> None:
+    """The reference's own semisimplicity check: raise unless every
+    eigenvalue within axis_tol of the imaginary axis is semisimple.  Pairs
+    +-i*omega are tested through the real kernel of A^2 + omega^2 I; the
+    zero eigenvalue through the kernel of A itself."""
+    n = A.shape[0]
+    vals = eig(A)
+    center = [v for v in vals if abs(v.real) <= axis_tol]
+    if not center:
+        return
+    scale = max(one_norm(A), 1.0)
+    omegas = sorted(abs(v.imag) for v in center)
+    clusters: list[list[float]] = []
+    for w in omegas:
+        if clusters and w - clusters[-1][-1] <= 1e-7 * scale:
+            clusters[-1].append(w)
+        else:
+            clusters.append([w])
+    for group in clusters:
+        w = float(np.mean(group))
+        count = len(group)
+        if w <= 1e-7 * scale:
+            M = A
+            rank_tol = 1e-8 * scale
+        else:
+            M = A @ A + (w * w) * np.eye(n)
+            rank_tol = 1e-8 * scale * scale
+        sv = np.linalg.svd(M, compute_uv=False)
+        kdim = int(np.sum(sv <= rank_tol)) if sv.size else n
+        if kdim != count:
+            raise NotNeutrallyStable(
+                f"imaginary-axis eigenvalue (omega={w:.6g}) has a nontrivial "
+                f"Jordan block: kernel dim {kdim}, multiplicity {count}")
+
+
 def reference_neutral_decompose(A, B) -> NeutralDecomposition:
     """The conjugate-pairing construction: over the unit eigenvectors v of
     the trailing Schur block, columns sqrt(2) Re v, sqrt(2) Im v for each
@@ -39,7 +79,7 @@ def reference_neutral_decompose(A, B) -> NeutralDecomposition:
     axis_tol = 1e-10 * max(one_norm(A), 1.0)
     if any(v.real > axis_tol for v in eig(A)):
         raise NotNeutrallyStable("eigenvalue with positive real part")
-    _semisimple_on_axis(A, axis_tol)
+    semisimple_on_axis(A, axis_tol)
     R, Z, n1 = scipy.linalg.schur(
         A, output="real", sort=lambda re, im: re < -axis_tol)
     nc = n - n1
@@ -152,6 +192,54 @@ class TestNeutralDecompose:
         with pytest.raises(NotNeutrallyStable):
             neutral_decompose(A, np.ones((4, 1)))
 
+    # defective centers: a Jordan pair at several frequencies, a nilpotent
+    # 2-block beside a Hurwitz block and a rotation, the double integrator,
+    # a nilpotent 3-block
+    DEFECTIVE = {
+        **{f"jordan-{w}": np.block([[w * A_ROTATION, np.eye(2)],
+                                    [np.zeros((2, 2)), w * A_ROTATION]])
+           for w in (0.01, 1.0, 50.0, 500.0, 5000.0)},
+        "hurwitz-nilpotent-rotation": block_diag(
+            np.array([[-1.0, 0.5], [0.0, -2.0]]), A_DI, 2.0 * A_ROTATION),
+        "double-integrator": A_DI,
+        "nilpotent-3": np.diag([1.0, 1.0], 1),
+    }
+
+    @pytest.mark.parametrize("name", DEFECTIVE)
+    def test_defective_center_refused_under_similarities(self, name):
+        # the Jordan pair at omega = 5000 reaches a basis singular value
+        # ratio of about 1e-6, a decade under _BASIS_TOL; on some of the
+        # Hurwitz-nilpotent similarities the Schur reordering itself fails
+        core = self.DEFECTIVE[name]
+        n = core.shape[0]
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            P = rng.standard_normal((n, n)) + 3.0 * np.eye(n)
+            A = P @ core @ np.linalg.inv(P)
+            with pytest.raises(NotNeutrallyStable):
+                neutral_decompose(A, np.ones((n, 1)))
+
+    def test_schur_reordering_failure_refused(self, monkeypatch):
+        # scipy's sorted Schur form raises LinAlgError when reordering
+        # cannot separate close eigenvalues, as on a defective center
+        def failing_schur(*args, **kwargs):
+            raise np.linalg.LinAlgError("reordering failed")
+        monkeypatch.setattr(scipy.linalg, "schur", failing_schur)
+        with pytest.raises(NotNeutrallyStable, match="reordering failed"):
+            neutral_decompose(A_ROTATION, B_DI)
+
+    @pytest.mark.parametrize("seed", [84, 834, 1217])
+    def test_seeded_systems_the_kernel_count_refused(self, seed):
+        # semisimple by construction; the pairing reference's kernel count
+        # refuses them, and seed 1217 has the smallest basis singular value
+        # ratio of seeds 0-1999 (6.2e-5)
+        A, B = seeded_neutral_system(seed)
+        with pytest.raises(NotNeutrallyStable, match="Jordan block"):
+            reference_neutral_decompose(A, B)
+        dec = neutral_decompose(A, B)
+        assert dec.n_stable == A.shape[0] - 7
+        check_decomposition(A, dec)
+
     def test_semisimple_repeated_pair_accepted(self):
         A = block_diag(A_ROTATION, A_ROTATION)
         dec = neutral_decompose(A, np.eye(4))
@@ -252,6 +340,16 @@ class TestNeutralGain:
         dec = neutral_decompose(A, B)
         assert one_norm(dec.A3 + dec.A3.T) < 1e-12
         check_decomposition(A, dec)
+
+    @pytest.mark.parametrize("g", [1e-7, 3e-8])
+    def test_frequencies_inside_the_cluster_gap_give_transpose(self, g):
+        # the kernel count clustered 1 and 1 + g at 1e-7 ||A||_1 and found
+        # no kernel at its rank tolerance: "kernel dim 0, multiplicity 4"
+        A = block_diag(A_ROTATION, (1.0 + g) * A_ROTATION)
+        B = np.ones((4, 1))
+        with pytest.raises(NotNeutrallyStable, match="kernel dim 0"):
+            semisimple_on_axis(A, 1e-10 * one_norm(A))
+        assert np.max(np.abs(neutral_gain(A, B) + B.T)) < 1e-12
 
     def test_matches_pairing_reference_on_seeded_systems(self):
         # where the pairing construction succeeds, the gains agree up to

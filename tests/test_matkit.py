@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pestab.errors import ShapeError
-from pestab.matkit import eig, expm, min_sv, one_norm, quad_roots
+from pestab.matkit import expm, min_sv, one_norm, quad_roots
 
 A_DI = np.array([[0.0, 1.0], [0.0, 0.0]])
 ROT = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -108,32 +108,6 @@ class TestExpm:
         stack[2, 1, 0] = bad
         with pytest.raises(ShapeError, match="non-finite"):
             expm(stack)
-
-
-class TestEig:
-    def test_diagonal(self):
-        vals = eig(np.diag([-1.0, 2.0]))
-        assert np.allclose(vals, [-1.0, 2.0])
-
-    def test_nilpotent(self):
-        assert np.allclose(eig(A_DI), [0.0, 0.0])
-
-    def test_quadratic_oracle(self):
-        # companion-style matrix of sigma^2 + sigma + 0.1
-        m = np.array([[0.0, 1.0], [-0.1, -1.0]])
-        disc = 1.0 - 0.4
-        expected = sorted([(-1.0 - math.sqrt(disc)) / 2.0,
-                           (-1.0 + math.sqrt(disc)) / 2.0])
-        assert np.allclose(eig(m), expected, atol=1e-10)
-
-    def test_sorted_and_multiplicity(self):
-        vals = eig(np.diag([2.0, -1.0, 2.0, 0.0]))
-        assert np.allclose(vals, [-1.0, 0.0, 2.0, 2.0])
-
-    def test_complex_pair_ordering(self):
-        vals = eig(ROT)
-        assert vals[0] == pytest.approx(-1j)
-        assert vals[1] == pytest.approx(1j)
 
 
 class TestQuadRoots:
