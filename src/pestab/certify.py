@@ -289,7 +289,7 @@ def check_V_neutral(traj: Trajectory, B, r: float = 1.0) -> Certificate:
     cd = (V[j + 1] - V[j - 1]) / (h1 + h2)
     model = -r * aj * bn2[j]
     growth = np.empty_like(aj)
-    for lvl in set(aj.tolist()):
+    for lvl in np.unique(aj).tolist():
         growth[aj == lvl] = (one_norm(traj.loop.matrix(lvl)) + 1.0) ** 3
     tol = 2.0 * h1 * h1 * (growth * (2.0 * V[j])) + 1e-300
     err = np.abs(cd - model)

@@ -47,6 +47,9 @@ def _positive(value: float, name: str) -> None:
 # random similarities each (a Jordan pair at omega from 0.01 to 5000, a
 # nilpotent 2- or 3-block) stay below 1.1e-6.
 _BASIS_TOL = 1e-5
+# Largest positive real part, relative to max(||A||_1, 1), that a refusal
+# names as a possibly defective imaginary-axis eigenvalue
+_SPLIT_TOL = math.sqrt(np.finfo(float).eps)
 
 
 @dataclass(eq=False)
@@ -90,8 +93,13 @@ def neutral_decompose(A, B) -> NeutralDecomposition:
     R22 = R[n1:, n1:]
     w, V = np.linalg.eig(R22)
     if np.any(w.real > axis_tol):
+        worst = w[w.real.argmax()]
+        # a similar copy of a defective center splits its eigenvalue by
+        # about the square root of the rounding error
+        hint = "" if worst.real > _SPLIT_TOL * max(one_norm(A), 1.0) else \
+            " (it may be a split copy of a defective imaginary-axis eigenvalue)"
         raise NotNeutrallyStable(
-            f"eigenvalue {w[w.real.argmax()]} has positive real part")
+            f"eigenvalue {worst} has positive real part{hint}")
     P3 = np.linalg.qr(np.hstack((V.real, V.imag)).T, mode="r").T
     sv = np.linalg.svd(P3, compute_uv=False)
     if sv.size and sv[-1] <= _BASIS_TOL * sv[0]:

@@ -5,15 +5,27 @@ equal steps of at most max_step, and signal breakpoints are mandatory
 samples.  The one kernel, _flow, lists a propagation's pieces first and
 then works on arrays: one stacked expm gives phi for every distinct
 (alpha, step), their power tables are built together by doubling in
-extended precision, one small product per piece chains the piece-end
-states, and one matrix product fills the samples of all pieces with equal
-(alpha, step, count), ending each piece at its chained state.  So there
-is no integration error beyond expm accuracy and no per-sample Python
-loop.  A caller that reads only the end rate takes the endpoint path,
-_end_rate: the same tables and chain, so the same end state bit for bit,
-and no fill; where the chain cannot rule out a sample overflowing inside
-a piece, it fills the samples from those tables as the full run does.
-crossing_time, the one crossing root-finder, runs an ITP
+extended precision, and one matrix product fills the samples of all
+pieces with equal (alpha, step, count), ending each piece at its
+piece-end state.  So there is no integration error beyond expm accuracy
+and no per-sample Python loop.
+
+A periodic gate's piece-end states come from its period (_period_states):
+the run is cut at every breakpoint, the exponentials of those sub-pieces
+ride in the same stacked expm, and after a head up to the first period
+boundary the whole periods start at M^k times the head's end, with M the
+monodromy and its powers doubled in extended precision, and end their
+inner pieces by one product with the period's partial products; a tail
+ends the run.  A held gate has no period, and one small product per piece
+chains its piece-end states from the power tables.  monodromy and
+floquet_rate give a periodic gate's one-period flow and any gate's exact
+asymptotic decay rate.
+
+A caller that reads only the end rate takes the endpoint path, _end_rate:
+the same piece-end states, so the same end state bit for bit, and no fill
+(for a periodic gate no sample grid either); where they cannot rule out a
+sample overflowing inside a piece, it fills the samples as the full run
+does.  crossing_time, the one crossing root-finder, runs an ITP
 bracketing search whose every evaluation is on exponential dense output,
 never on interpolated samples.
 """
@@ -23,6 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,6 +48,8 @@ __all__ = [
     "Trajectory",
     "propagate",
     "propagate_batch",
+    "monodromy",
+    "floquet_rate",
     "crossing_time",
     "polar_lift",
     "fmap_F",
@@ -46,6 +61,7 @@ _CSV_BLOCK = 512
 # _end_rate vouches without a fill for runs whose samples all stay below
 # e^700; the largest double is about e^709.78
 _END_LOG_CAP = 700.0
+_TINY = float(np.finfo(float).tiny)
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
@@ -65,15 +81,21 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
 def _ends_rate(pairs, horizon: float) -> float:
     """The rate rule: slowest decay -log(|x1| / |x0|) / horizon over the
     (x0, x1) pairs of finite start and end states, or -inf once a norm
-    overflows; a run that ends at zero decays at rate +inf."""
+    overflows; a run that ends at zero decays at rate +inf.  A ratio
+    beyond the normal doubles is taken as the difference of the logs."""
     worst = math.inf
     for x0, x1 in pairs:
         with np.errstate(over="ignore"):
             nrm = _row_norms(np.array([x0, x1]))
         if not np.isfinite(nrm).all():
             return -math.inf
-        if nrm[1] > 0.0:
-            worst = min(worst, -math.log(nrm[1] / nrm[0]) / horizon)
+        n0, n1 = nrm.tolist()
+        if n1 > 0.0:
+            # a Python float ratio overflows and underflows without a warning
+            ratio = n1 / n0
+            log_ratio = math.log(ratio) if _TINY <= ratio < math.inf else \
+                math.log(n1) - math.log(n0)
+            worst = min(worst, -log_ratio / horizon)
     return worst
 
 
@@ -228,21 +250,28 @@ def _power_tables(phis: np.ndarray, sizes: list) -> list:
         ext = np.concatenate((ext, top.reshape(grow.shape)), axis=1)
 
 
+def _keyed_exps(matrix, levels: np.ndarray, steps: np.ndarray) -> tuple:
+    """(key, mats, phis): key[j] indexes the distinct (a, h) = (levels[j],
+    steps[j]), mats[q] is key q's matrix(a) and phis[q] = exp(h
+    matrix(a)), all from one stacked expm."""
+    keys: dict = {}
+    key = [keys.setdefault(ah, len(keys))
+           for ah in zip(levels.tolist(), steps.tolist())]
+    mats = np.array([matrix(a) for a, _ in keys])
+    phis = expm(mats * np.array([h for _, h in keys])[:, np.newaxis,
+                                                      np.newaxis])
+    return key, mats, phis
+
+
 def _keyed_tables(matrix, levels: np.ndarray, widths: np.ndarray,
                   nsub: np.ndarray) -> tuple:
     """(key, mats, tables) of the pieces of levels[j] held over widths[j]
-    in nsub[j] steps: key[j] indexes piece j's distinct (a, h), mats[q] is
-    key q's matrix(a), and tables[q] its powers [phi, ..., phi^longest]
-    of phi = exp(h matrix(a)), all from one stacked expm."""
-    keys: dict = {}
-    key = [keys.setdefault(ah, len(keys))
-           for ah in zip(levels.tolist(), (widths / nsub).tolist())]
-    need = [0] * len(keys)
+    in nsub[j] steps: _keyed_exps of the steps h = widths[j] / nsub[j],
+    with tables[q] key q's powers [phi, ..., phi^longest]."""
+    key, mats, phis = _keyed_exps(matrix, levels, widths / nsub)
+    need = [0] * len(mats)
     for q, s in zip(key, nsub.tolist()):
         need[q] = max(need[q], s)
-    mats = np.array([matrix(a) for a, _ in keys])
-    phis = expm(mats * np.array([kh for _, kh in keys])[:, np.newaxis,
-                                                         np.newaxis])
     return key, mats, _power_tables(phis, need)
 
 
@@ -279,24 +308,39 @@ def _fill(key: list, steps: list, tables: list, x0: np.ndarray,
 
 
 def _flow(matrix, levels: np.ndarray, cuts: np.ndarray, widths: np.ndarray,
-          nsub: np.ndarray, x0: np.ndarray, ends: np.ndarray | None = None):
+          nsub: np.ndarray, x0: np.ndarray, ends: np.ndarray | None = None,
+          period: _Period | None = None):
     """Samples of x' = matrix(a) x over consecutive constant pieces.
 
     Piece j holds level levels[j] from cuts[j] to cuts[j + 1] in nsub[j]
     steps of h = widths[j] / nsub[j]; its sample times are cuts[j] + i h,
     the last one exactly cuts[j + 1].  _keyed_tables gives the powers of
     phi = exp(h matrix(a)) for every distinct (a, h).  x0 (n, m) is the
-    state at cuts[0]; the piece-end states ends (k, n, m) are the _chain
-    of phi^nsub products unless given, and _fill fills the samples from
+    state at cuts[0]; the piece-end states ends (k, n, m) are given, or
+    read from _period_states when a period plan of the same run is given
+    (its sub-pieces ride in the same stacked expm as one-step pieces), or
+    else the _chain of phi^nsub products; _fill fills the samples from
     them, so each piece ends at ends[j] and the next starts there.
     Returns times (N,), states (N, n, m) and seg_alpha (N - 1,), with
     N = 1 + sum(nsub).
     """
     steps = nsub.tolist()
-    key, _, tables = _keyed_tables(matrix, levels, widths, nsub)
     # the chain and the fill read one memory layout: BLAS can round a
     # product with a transposed operand differently
     x0 = np.ascontiguousarray(x0)
+    if period is None:
+        key, _, tables = _keyed_tables(matrix, levels, widths, nsub)
+    else:
+        k = len(steps)
+        key, _, tables = _keyed_tables(
+            matrix, np.append(levels, period.levels),
+            np.append(widths, period.widths),
+            np.append(nsub, np.ones(len(period.levels), int)))
+        sub = _period_states(
+            period, np.array([tables[q][0] for q in key[k:]]), x0)
+        key = key[:k]
+        if sub is not None:
+            ends = _piece_ends(period, sub, cuts)
     if ends is None:
         ends = _chain(key, steps, tables, x0)
     states = _fill(key, steps, tables, x0, ends)
@@ -310,37 +354,176 @@ def _flow(matrix, levels: np.ndarray, cuts: np.ndarray, widths: np.ndarray,
     return times, states, np.repeat(levels, nsub)
 
 
-def _pieces(loop: ClosedLoop, t0: float, t1: float,
-            max_step: float | None) -> tuple:
-    """(levels, cuts, widths, nsub): the constant pieces of loop.alpha on
-    [t0, t1], each cut into nsub equal steps of at most max_step."""
+def _span(loop: ClosedLoop, t0: float, t1: float,
+          max_step: float | None) -> float:
+    """max_step, the loop's default when None, once 0 <= t0 < t1 with t1
+    finite, max_step > 0, and the run's step and period counts fit in
+    int64."""
     if not (0.0 <= t0 < t1 and math.isfinite(t1)):
         raise DomainError("need 0 <= t0 < t1 with t1 finite")
     if max_step is None:
         max_step = loop.default_max_step()
     if not max_step > 0.0:
         raise DomainError("max_step must be positive")
+    count = (t1 - t0) / min(max_step, loop.alpha.period or math.inf)
+    if not count < 2.0 ** 63:
+        raise DomainError(
+            f"a run to t1={t1!r} at max_step={max_step!r} takes {count:.3g} "
+            "steps or periods, more than int64 counts")
+    return max_step
+
+
+def _pieces(loop: ClosedLoop, t0: float, t1: float,
+            max_step: float | None) -> tuple:
+    """(levels, cuts, widths, nsub): the constant pieces of loop.alpha on
+    [t0, t1], each cut into nsub equal steps of at most max_step."""
+    max_step = _span(loop, t0, t1, max_step)
     s, e, a = np.array(list(loop.alpha.segments(t0, t1))).T
     widths = e - s
     nsub = np.maximum(1, np.ceil(widths / max_step - 1e-12)).astype(int)
     return a, np.append(s, e[-1]), widths, nsub
 
 
+class _Period(NamedTuple):
+    """A run of a periodic gate cut at every breakpoint j p + b inside it,
+    the cut times PwcSignal.segments reads: sub-piece s holds levels[s]
+    over widths[s] and ends at times[s], the last at the run's end.  The
+    first `head` sub-pieces lead up to a period boundary, the next
+    J * periods are whole periods over the breakpoints' own widths, and
+    the rest is the tail; the first and the last sub-piece are cut at the
+    run's ends."""
+
+    levels: np.ndarray
+    widths: np.ndarray
+    times: np.ndarray
+    J: int
+    head: int
+    periods: int
+
+
+def _period_plan(alpha: PwcSignal, t0: float, t1: float) -> _Period:
+    """The _Period of the periodic alpha on [t0, t1]."""
+    bp, p, J = np.array(alpha.breakpoints), alpha.period, len(alpha.values)
+    # the cuts j p + b of the cycles j from floor(t0 / p), in order
+    cand = np.add.outer(
+        np.arange(math.floor(t0 / p), math.floor(t1 / p) + 2) * p,
+        bp[:-1]).ravel()
+    s0 = int(np.searchsorted(cand, t0, "right"))
+    s1 = int(np.searchsorted(cand, t1, "left"))
+    edges = np.concatenate(([t0], cand[s0:s1], [t1]))
+    # sub-piece s is piece (s0 - 1 + s) mod J of its cycle
+    i = np.arange(s0 - 1, s1) % J
+    widths = np.diff(bp)[i]
+    widths[0] = edges[1] - edges[0]
+    widths[-1] = edges[-1] - edges[-2]
+    # a run from 0 starts on a period boundary, and its first width,
+    # bp[1] - 0, is the breakpoints' own: it has no head
+    head = J - (s0 - 1) % J if t0 else 0
+    return _Period(np.array(alpha.values)[i], widths, edges[1:], J, head,
+                   max(0, (len(i) - 1 - head) // J))
+
+
+def _partial_products(exps: np.ndarray) -> np.ndarray:
+    """The stack [E_0, E_1 E_0, ..., E_(J-1) ... E_0] of exps (J, n, n)."""
+    out = np.empty_like(exps)
+    m = out[0] = exps[0]
+    for j in range(1, len(exps)):
+        m = out[j] = exps[j] @ m
+    return out
+
+
+def _period_states(period: _Period, exps: np.ndarray, x0: np.ndarray):
+    """States (S, n, m) at the ends of period's S sub-pieces from x0
+    (n, m), with exps[s] the exponential of sub-piece s.  The head and the
+    tail are chained piece by piece.  Whole period k starts at M^k x_head,
+    k = 0, ..., periods, with M the period's monodromy and its powers from
+    _power_tables' extended-precision doubling, and its inner piece ends
+    come from one product with the period's partial products.  None when
+    a power of M is not finite."""
+    J, head, periods = period.J, period.head, period.periods
+    ends = np.empty((len(exps),) + x0.shape)
+    x = x0
+    for s in range(min(head, len(exps))):
+        x = ends[s] = exps[s] @ x
+    if periods:
+        partial = _partial_products(exps[head:head + J])
+        with np.errstate(over="ignore"):
+            powers = _power_tables(partial[-1:], [periods])[0]
+        if not np.isfinite(powers).all():
+            return None
+        starts = np.concatenate((x[np.newaxis], powers[:-1] @ x))
+        body = ends[head:head + J * periods].reshape((periods, J) + x.shape)
+        body[:, :-1] = np.matmul(partial[:-1], starts[:, np.newaxis])
+        body[:, -1] = powers @ x
+        x = body[-1, -1]
+    for s in range(head + J * periods, len(exps)):
+        x = ends[s] = exps[s] @ x
+    return ends
+
+
+def _piece_ends(period: _Period, sub: np.ndarray,
+                cuts: np.ndarray) -> np.ndarray:
+    """The sub-piece end states sub at the end times cuts[1:] of the
+    run's pieces, every one of them a sub-piece end time."""
+    return sub[np.searchsorted(period.times, cuts[1:], "right") - 1]
+
+
+def monodromy(loop: ClosedLoop) -> np.ndarray:
+    """The monodromy matrix M = exp(w_J M(a_J)) ... exp(w_1 M(a_1)) of a
+    periodic gate over one period's pieces (a_j, w_j) as its breakpoints
+    give them, from one stacked expm: x((k + 1) p) = M x(k p).  A held
+    gate has no period: DomainError."""
+    alpha = loop.alpha
+    if alpha.period is None:
+        raise DomainError("a held gate has no period and no monodromy")
+    key, _, phis = _keyed_exps(loop.matrix, np.array(alpha.values),
+                               np.diff(alpha.breakpoints))
+    return _partial_products(phis[key])[-1]
+
+
+def floquet_rate(loop: ClosedLoop) -> float:
+    """The loop's exact asymptotic decay rate, with no samples, horizon or
+    fit: -log rho(M) / p for a periodic gate of period p and monodromy M,
+    and -max Re lambda(A + hold B K) for a held gate."""
+    alpha = loop.alpha
+    if alpha.period is None:
+        return -float(np.linalg.eigvals(loop.matrix(alpha.hold)).real.max())
+    rho = float(np.abs(np.linalg.eigvals(monodromy(loop))).max())
+    return -math.log(rho) / alpha.period if rho > 0.0 else math.inf
+
+
 def _end_rate(loop: ClosedLoop, x0_columns, horizon: float) -> float:
     """_fitted_rate(propagate_batch(loop, 0.0, x0_columns, horizon),
-    horizon), bit for bit, read from the piece-end chain without filling a
-    sample; where the chain cannot vouch that every sample of the full run
-    is finite, the samples are filled from the same tables.  Every column
-    must be nonzero: a zero state has no rate."""
+    horizon), bit for bit, read from the piece-end states without filling
+    a sample.  A periodic gate's come from _period_states, with no sample
+    grid, and a held gate's from the chain of the grid's tables.  Where
+    the piece ends cannot vouch that every sample of the full run is
+    finite, the samples are filled as the full run fills them; a periodic
+    gate whose monodromy powers are not finite takes the held gates'
+    chain.  Every column must be nonzero: a zero state has no rate."""
     x0 = np.ascontiguousarray(_columns(loop, x0_columns))
     if x0.shape[1] == 0:
         raise ShapeError("need at least one initial state")
     if not x0.any(axis=0).all():
         raise DegenerateStateError("a zero initial state has no decay rate")
-    levels, _, widths, nsub = _pieces(loop, 0.0, horizon, None)
-    steps = nsub.tolist()
-    key, mats, tables = _keyed_tables(loop.matrix, levels, widths, nsub)
-    ends = _chain(key, steps, tables, x0)
+    sub = None
+    if loop.alpha.period is not None:
+        _span(loop, 0.0, horizon, None)
+        period = _period_plan(loop.alpha, 0.0, horizon)
+        key, mats, phis = _keyed_exps(loop.matrix, period.levels,
+                                      period.widths)
+        sub = _period_states(period, phis[key], x0)
+    if sub is not None:
+        # the run's pieces: sub-pieces merged while the level holds
+        last = np.append(np.flatnonzero(period.levels[1:]
+                                        != period.levels[:-1]), len(sub) - 1)
+        ends = sub[last]
+        widths = np.diff(np.append(0.0, period.times[last]))
+        key = np.asarray(key)[np.append(0, last[:-1] + 1)]
+    else:
+        levels, _, widths, nsub = _pieces(loop, 0.0, horizon, None)
+        key, mats, tables = _keyed_tables(loop.matrix, levels, widths, nsub)
+        ends = _chain(key, nsub.tolist(), tables, x0)
     # |exp(t M)|_inf <= exp(t |M|_inf): on piece j every power of phi, and
     # every sum of products a fill forms from one, stays below
     # exp(width_j |M_j|_inf) times the largest entry of the start (at
@@ -351,7 +534,12 @@ def _end_rate(loop: ClosedLoop, x0_columns, horizon: float) -> float:
             (x0[np.newaxis], ends[:-1]))).max(axis=(1, 2)))
     if not (np.isfinite(ends[-1]).all() and np.all(
             np.maximum(size, 0.0) + growth < _END_LOG_CAP)):
-        if not np.isfinite(_fill(key, steps, tables, x0, ends)).all():
+        if sub is not None:
+            levels, cuts, widths, nsub = _pieces(loop, 0.0, horizon, None)
+            key, _, tables = _keyed_tables(loop.matrix, levels, widths, nsub)
+            ends = _piece_ends(period, sub, cuts)
+        if not np.isfinite(_fill(key, nsub.tolist(), tables, x0,
+                                 ends)).all():
             return -math.inf
     return _ends_rate(zip(x0.T, ends[-1].T), horizon)
 
@@ -366,15 +554,25 @@ def _columns(loop: ClosedLoop, x0_columns) -> np.ndarray:
     return x0m
 
 
+def _run(loop: ClosedLoop, t0: float, x0_columns, t1: float,
+         max_step: float | None) -> tuple:
+    """_flow over the pieces of [t0, t1], with a periodic gate's piece-end
+    states from its period plan."""
+    x0m = _columns(loop, x0_columns)
+    pieces = _pieces(loop, t0, t1, max_step)
+    period = None if loop.alpha.period is None else \
+        _period_plan(loop.alpha, t0, t1)
+    return _flow(loop.matrix, *pieces, x0m, period=period)
+
+
 def propagate(loop: ClosedLoop, t0: float, x0, t1: float,
               max_step: float | None = None) -> Trajectory:
     """Propagate a single initial state; exact on constant-alpha pieces."""
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.shape != (loop.n,):
         raise ShapeError(f"x0 must have length {loop.n}")
-    x0m = _columns(loop, x0.reshape(-1, 1))
-    times, states, seg_alpha = _flow(loop.matrix,
-                                     *_pieces(loop, t0, t1, max_step), x0m)
+    times, states, seg_alpha = _run(loop, t0, x0.reshape(-1, 1), t1,
+                                    max_step)
     return Trajectory(loop, times, states[:, :, 0], seg_alpha)
 
 
@@ -384,11 +582,9 @@ def propagate_batch(loop: ClosedLoop, t0: float, x0_columns, t1: float,
 
     Returns one Trajectory per column; they share times and seg_alpha arrays.
     """
-    x0m = _columns(loop, x0_columns)
-    times, states, seg_alpha = _flow(loop.matrix,
-                                     *_pieces(loop, t0, t1, max_step), x0m)
+    times, states, seg_alpha = _run(loop, t0, x0_columns, t1, max_step)
     return [Trajectory(loop, times, states[:, :, j], seg_alpha)
-            for j in range(x0m.shape[1])]
+            for j in range(states.shape[2])]
 
 
 def _itp(g, lo: float, hi: float, g_lo: float, g_hi: float, n_max: int,
@@ -477,7 +673,7 @@ def polar_lift(traj: Trajectory) -> Trajectory:
     if traj.n != 2:
         raise ShapeError("polar lift requires a planar trajectory")
     steps = np.diff(traj.times)
-    for a in sorted(set(traj.seg_alpha.tolist())):
+    for a in np.unique(traj.seg_alpha):
         h = steps[traj.seg_alpha == a].max()
         if np.linalg.norm(traj.loop.matrix(a), 2) * h >= 0.5 * np.pi:
             raise DegenerateStateError(

@@ -74,6 +74,20 @@ class TestSimulate:
         assert "invalid input: k1 = lam^2 rho k^2 / 2 overflows" in \
             capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("signal", [
+        {"kind": "duty", "pattern": "front"},
+        {"kind": "constant", "value": 1.0}], ids=["duty", "constant"])
+    def test_horizon_beyond_int64_steps_exits_2(self, tmp_path, capsys,
+                                                signal):
+        # a finite horizon of 1e300 overflowed the step-count cast, with an
+        # untyped IndexError after the warning
+        sc = write_scenario(tmp_path, dict(DI_SCENARIO, signal=signal,
+                                           horizon=1e300))
+        out = tmp_path / "out"
+        assert main(["simulate", "--scenario", sc, "--out-dir", str(out)]) == 2
+        assert "t1=1e+300 at max_step=" in capsys.readouterr().err
+
     def test_state_below_square_underflow(self, tmp_path):
         # the end state is about 3.9e-183, whose square is 0.0
         sc = {"system": {"A": [[-10.0]], "B": [[1.0]]},

@@ -219,6 +219,32 @@ class TestNeutralDecompose:
             with pytest.raises(NotNeutrallyStable):
                 neutral_decompose(A, np.ones((n, 1)))
 
+    @pytest.mark.parametrize("name, hinted", [("jordan-0.01", 193),
+                                              ("double-integrator", 94)])
+    def test_split_defective_center_named_in_refusal(self, name, hinted):
+        # most similar copies split the defective eigenvalue by about the
+        # square root of the rounding error, which read only as "positive
+        # real part"; those refusals now name the defective center too,
+        # and the rest fail the basis test
+        core = self.DEFECTIVE[name]
+        n = core.shape[0]
+        messages = []
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            P = rng.standard_normal((n, n)) + 3.0 * np.eye(n)
+            with pytest.raises(NotNeutrallyStable) as exc:
+                neutral_decompose(P @ core @ np.linalg.inv(P), np.ones((n, 1)))
+            messages.append(str(exc.value))
+        split = [m for m in messages if "positive real part" in m]
+        assert len(split) == hinted
+        assert all("defective imaginary-axis eigenvalue" in m for m in split)
+        assert all("not semisimple" in m for m in messages if m not in split)
+
+    def test_unstable_eigenvalue_has_no_defective_hint(self):
+        with pytest.raises(NotNeutrallyStable) as exc:
+            neutral_decompose(np.diag([1e-6, -1.0]), np.ones((2, 1)))
+        assert str(exc.value) == "eigenvalue 1e-06 has positive real part"
+
     def test_schur_reordering_failure_refused(self, monkeypatch):
         # scipy's sorted Schur form raises LinAlgError when reordering
         # cannot separate close eigenvalues, as on a defective center

@@ -3,15 +3,18 @@
 Random periodic and held piecewise-constant signals drive random loops;
 `propagate` and `propagate_batch` are compared with a sequential product of
 `scipy.linalg.expm` factors, with `solve_ivp`, with the sample grid of a
-plain per-sample loop, and bit for bit with the per-piece loop the kernel
-replaced, which also checks `run_destabilizer` and `witness_residual`.
-The full run ends every piece at the chained piece-end state.  The
-endpoint path, which chains the piece ends without filling a sample, is
+plain per-sample loop, and with the per-piece loop the kernel replaced:
+bit for bit on held gates, which also checks `run_destabilizer` and
+`witness_residual`, and within the sequential product's bound on periodic
+gates, whose piece ends come from monodromy powers.  The full run ends
+every piece at its piece-end state, chained or from the period.  The
+endpoint path, which reads the piece ends without filling a sample, is
 compared bit for bit with the last sample of the full run and with the
 rate `_fitted_rate` reads from it, and its fallback fills from the tables
 it built.
 """
 
+import bisect
 import contextlib
 import math
 from unittest import mock
@@ -233,18 +236,40 @@ def test_seg_alpha_matches_per_segment_fill(case):
     assert seg_alpha.tobytes() == ref.tobytes()
 
 
+def period_sub_pieces(sig, t0, t1):
+    """The distinct (alpha, w) of a periodic gate's pieces on [t0, t1] cut
+    at every breakpoint j p + b: the first and the last at their widths
+    in the run, every other one at its breakpoints' width."""
+    p, bp = sig.period, sig.breakpoints
+    cuts = sorted({j * p + b for j in range(math.floor(t0 / p),
+                                            math.floor(t1 / p) + 2)
+                   for b in bp[:-1] if t0 < j * p + b < t1})
+    edges = [t0] + cuts + [t1]
+    out = set()
+    for k, (s, e) in enumerate(zip(edges, edges[1:])):
+        i = bisect.bisect_right(bp, (0.5 * (s + e)) % p) - 1
+        w = e - s if k in (0, len(edges) - 2) else bp[i + 1] - bp[i]
+        out.add((sig.values[i], w))
+    return out
+
+
 @PROPERTY
 @given(cases())
 def test_one_expm_per_distinct_piece(case):
-    # one stacked call per propagation, one slice per distinct (alpha, h)
+    # one stacked call per propagation: one slice per distinct (alpha, h)
+    # of the sample grid and, for a periodic gate, per distinct (alpha, w)
+    # of the period's pieces that the grid does not hold already
     loop, t0, _, t1, max_step = case
     _, _, pieces = per_sample_grid(loop, t0, t1, max_step)
+    keys = {(a, h) for a, h, _ in pieces}
+    if loop.alpha.period is not None:
+        keys |= period_sub_pieces(loop.alpha, t0, t1)
     with counting_expm() as calls:
         run(*case)
     assert len(calls) == 1
     stack, t = calls[0]
     assert t == 1.0
-    assert len(stack) == len({(a, h) for a, h, _ in pieces})
+    assert len(stack) == len(keys)
 
 
 def test_power_table_grows_for_a_longer_segment():
@@ -293,8 +318,16 @@ def test_long_segment_matches_sequential_product(width):
 @PROPERTY
 @given(st.one_of(cases(), short_piece_cases()))
 def test_equals_the_per_piece_loop(case):
+    # bit for bit on held gates; a periodic gate's piece ends come from its
+    # monodromy powers, so its states are held to the bound of the
+    # sequential product, and its grid stays bit for bit
     times, states, seg_alpha = run(*case)
-    assert_same_bits((times, states, seg_alpha), reference_propagate(*case))
+    ref_times, ref_states, ref_alpha = reference_propagate(*case)
+    if case[0].alpha.period is None:
+        assert_same_bits((states,), (ref_states,))
+    else:
+        assert relative_deviation(states, ref_states) <= 1e-12
+    assert_same_bits((times, seg_alpha), (ref_times, ref_alpha))
 
 
 @pytest.mark.parametrize("width", [1, 4])
@@ -403,12 +436,14 @@ def end_rate_seen(loop, cols, horizon):
 @PROPERTY
 @given(end_cases())
 def test_end_state_is_the_last_sample(case):
-    # no fill: these loops grow far too little to trip the overflow bound
+    # no fill: these loops grow far too little to trip the overflow bound;
+    # a periodic gate's end state comes from its period plan, with no
+    # power table of the sample step
     loop, cols, t1 = case
     want = np.stack([tr.states[-1]
                      for tr in propagate_batch(loop, 0.0, cols, t1)], axis=1)
     _, ends, tables, fills = end_rate_seen(*case)
-    assert (tables, fills) == (1, 0)
+    assert (tables, fills) == (int(loop.alpha.period is None), 0)
     assert_same_bits((ends,), (want,))
 
 
@@ -442,3 +477,49 @@ def test_end_rate_falls_back_to_the_full_run(loop, x0, t1, overflows):
     assert (tables, fills) == (1, 1)
     assert repr(got) == repr(want)
     assert (want == -math.inf) == overflows
+
+
+@PROPERTY
+@given(st.one_of(cases(), short_piece_cases()))
+def test_periodic_pieces_end_at_the_period_states(case):
+    # a periodic gate's fill ends each piece at the state _period_states
+    # gives for its end time: a one-ulp nudge of those states shows up
+    # there, and no piece-end chain is run
+    loop, t0, cols, t1, max_step = case
+    if loop.alpha.period is None:
+        return
+    states_of, seen = simcore._period_states, []
+
+    def nudge(period, exps, x0):
+        seen.append((period, np.nextafter(states_of(period, exps, x0),
+                                          np.inf)))
+        return seen[-1][1]
+
+    with mock.patch.object(simcore, "_period_states", nudge), \
+            mock.patch.object(simcore, "_chain") as chain:
+        runs = propagate_batch(*case)
+    assert chain.call_count == 0
+    (period, nudged), = seen
+    _, cuts, _, nsub = simcore._pieces(loop, t0, t1, max_step)
+    at = [np.flatnonzero(period.times == c)[-1] for c in cuts[1:].tolist()]
+    states = np.stack([tr.states for tr in runs], axis=2)
+    assert_same_bits((states[np.cumsum(nsub)],), (nudged[at],))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_monodromy_power_takes_the_chain():
+    # M = e^2 over each period of 2: M^399 = e^798 is beyond the largest
+    # double, but the state from 1e-300 stays finite (about e^109), so the
+    # run takes the chain and fill of a held gate and its rate is finite
+    sig = PwcSignal.periodic((0.0, 0.5, 2.0), (1.0, 0.25))
+    loop = ClosedLoop([[1.0]], [[1.0]], [[0.0]], sig)
+    x0 = np.array([[1e-300, -3e-300]])
+    with mock.patch.object(simcore, "_chain",
+                           wraps=simcore._chain) as chain:
+        runs = propagate_batch(loop, 0.0, x0, 800.0)
+        got = simcore._end_rate(loop, x0, 800.0)
+    assert chain.call_count == 2
+    assert all(np.isfinite(tr.states).all() for tr in runs)
+    want = simcore._fitted_rate(runs, 800.0)
+    assert repr(got) == repr(want)
+    assert got == pytest.approx(-1.0, rel=1e-12)

@@ -4,8 +4,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.integrate import solve_ivp
 
 from pestab import simcore
+from pestab.adversary import run_destabilizer
 from pestab.errors import DegenerateStateError, DomainError, ShapeError
 from pestab.gains import A_DI, A_ROTATION, B_DI, di_base_gain
 from pestab.matkit import expm
@@ -131,6 +134,109 @@ class TestPropagate:
             propagate(loop, 0.0, [1.0, 0.0], math.inf)
         with pytest.raises(DomainError, match="finite"):
             propagate_batch(loop, 0.0, np.eye(2), math.inf)
+
+
+class TestStepCounts:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("sig", [PwcSignal.constant(1.0),
+                                     make_duty(PeClass(1.0, 0.5))],
+                             ids=["constant", "duty"])
+    def test_horizon_beyond_int64_steps_refused(self, sig):
+        # the step count of a 1e300 horizon overflowed its int64 cast: a
+        # RuntimeWarning, then an untyped IndexError
+        loop = di_loop(sig)
+        step = repr(loop.default_max_step())
+        for call in (lambda: propagate(loop, 0.0, [1.0, 0.0], 1e300),
+                     lambda: propagate_batch(loop, 0.0, np.eye(2), 1e300),
+                     lambda: simcore._end_rate(loop, np.eye(2), 1e300)):
+            with pytest.raises(DomainError,
+                               match=f"t1=1e\\+300 at max_step={step}"):
+                call()
+
+    def test_period_count_beyond_int64_refused(self):
+        # steps of 1 but periods of 1e-20: the period count is the larger
+        loop = di_loop(PwcSignal.periodic((0.0, 5e-21, 1e-20), (1.0, 0.0)))
+        with pytest.raises(DomainError, match="steps or periods"):
+            propagate(loop, 0.0, [1.0, 0.0], 1e3, max_step=1.0)
+        propagate(loop, 0.0, [1.0, 0.0], 1e-18, max_step=1.0)
+
+
+class TestFloquet:
+    """The monodromy of a periodic gate and the exact decay rates read from
+    it, against independent oracles."""
+
+    GATES = [make_duty(CLS, phase=0.3, on_value=0.8),
+             make_duty(CLS, on_value=0.7, pattern="split", splits=3),
+             PwcSignal.periodic((0.0, 0.1, 0.35, 0.6, 1.3),
+                                (0.2, 1.0, 0.0, 0.55))]
+
+    @pytest.mark.parametrize("sig", GATES)
+    @pytest.mark.parametrize("k", [1.0, 4.0])
+    def test_monodromy_is_the_sequential_expm_product(self, sig, k):
+        loop = di_loop(sig, k=k)
+        want = np.eye(2)
+        bp = sig.breakpoints
+        for a, s, e in zip(sig.values, bp, bp[1:]):
+            want = scipy.linalg.expm((e - s) * loop.matrix(a)) @ want
+        got = simcore.monodromy(loop)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("sig", GATES)
+    @pytest.mark.parametrize("periods", [1, 7, 20])
+    def test_monodromy_powers_match_solve_ivp(self, sig, periods):
+        # x(N p) = M^N x0, at the bounds of the kernel's solve_ivp oracle
+        loop = di_loop(sig, k=2.0)
+        x = np.array([1.0, -0.4])
+        want = np.linalg.matrix_power(simcore.monodromy(loop), periods) @ x
+        for j in range(periods):
+            for a, s, e in zip(sig.values, sig.breakpoints,
+                               sig.breakpoints[1:]):
+                m = loop.matrix(a)
+                x = solve_ivp(lambda t, y: m @ y, (s, e), x, method="DOP853",
+                              rtol=1e-13, atol=1e-15 * np.abs(x).max()
+                              ).y[:, -1]
+        np.testing.assert_allclose(want, x, rtol=1e-10,
+                                   atol=1e-10 * np.abs(x).max())
+        # the run's state at N p is read from the same powers
+        end = propagate(loop, 0.0, [1.0, -0.4], periods * sig.period)
+        np.testing.assert_allclose(end.states[-1], want, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("a", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("k", [0.5, 2.0])
+    def test_constant_gate_rate_is_the_spectral_abscissa(self, a, k):
+        loop = di_loop(PwcSignal.constant(a), k=k)
+        want = -np.linalg.eigvals(loop.A + a * loop.B @ loop.K).real.max()
+        assert simcore.floquet_rate(loop) == want
+        periodic = di_loop(PwcSignal.periodic((0.0, 0.7), (a,)), k=k)
+        assert simcore.floquet_rate(periodic) == pytest.approx(
+            want, rel=1e-9, abs=1e-9)
+
+    def test_held_gate_has_no_monodromy(self):
+        for sig in (PwcSignal.constant(0.5),
+                    PwcSignal.held((0.0, 1.0, 2.0), (1.0, 0.0))):
+            with pytest.raises(DomainError, match="no period"):
+                simcore.monodromy(di_loop(sig))
+
+    @pytest.mark.parametrize("k1, k2, mu", [(1.0, 1.0, 0.05),
+                                            (2.0, 1.0, 0.03),
+                                            (1.0, 3.0, 0.02)])
+    def test_destabilizer_revolution_monodromy_is_growth(self, k1, k2, mu):
+        # the gate the destabilizer induces repeats its last four phases;
+        # the monodromy of that period has spectral radius growth_per_rev
+        cls = PeClass(1.0, mu)
+        K = np.array([[-k1, -k2]])
+        run = run_destabilizer(K, cls, revolutions=10)
+        ts = np.array([c["t"] for c in run.crossings[-5:]])
+        levels = [1.0 if c["region_from"] in (2, 4) else cls.ratio
+                  for c in run.crossings[-4:]]
+        sig = PwcSignal.periodic(ts - ts[0], levels)
+        M = simcore.monodromy(ClosedLoop(A_DI, B_DI, K, sig))
+        rho = np.max(np.abs(np.linalg.eigvals(M)))
+        assert run.growth_per_rev > 1.0
+        assert rho == pytest.approx(run.growth_per_rev, rel=1e-12)
+        assert simcore.floquet_rate(ClosedLoop(A_DI, B_DI, K, sig)) == \
+            pytest.approx(-math.log(rho) / sig.period, rel=1e-15)
 
 
 class TestRescalingIdentity:
@@ -376,3 +482,23 @@ class TestRowNorms:
         x[::7] = np.nan
         want = np.linalg.norm(x, axis=1)
         assert simcore._row_norms(x).tobytes() == want.tobytes()
+
+
+class TestRateRule:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("x0, x1", [(1e-300, 1e100), (1e100, 1e-300),
+                                        (1e-300, 1e10), (5e-324, 1.0)])
+    def test_ratio_beyond_the_doubles(self, x0, x1):
+        # |x1| / |x0| overflowed (a RuntimeWarning, then rate -inf) or
+        # underflowed to 0 (a ValueError from math.log) on finite states
+        got = simcore._ends_rate([(np.array([x0, 0.0]), np.array([0.0, x1]))],
+                                 2.0)
+        assert got == pytest.approx(-(math.log(x1) - math.log(x0)) / 2.0,
+                                    rel=1e-15)
+
+    def test_normal_ratios_keep_their_bits(self):
+        rng = np.random.default_rng(5)
+        for x0, x1 in rng.standard_normal((200, 2, 3)) * 10.0 ** rng.uniform(
+                -100, 100, (200, 2, 1)):
+            want = -math.log(np.linalg.norm(x1) / np.linalg.norm(x0)) / 3.0
+            assert simcore._ends_rate([(x0, x1)], 3.0) == want
