@@ -29,10 +29,6 @@ __all__ = [
 ]
 
 _PE_SLACK = 1e-12
-# PwcSignal.segments finds the cuts of a range with more candidates than
-# this as arrays, and scans fewer in Python; the two take about the same
-# time between 50 and 80 candidates
-_SCAN_CUTS = 64
 
 
 @dataclass(frozen=True)
@@ -165,9 +161,8 @@ class PwcSignal:
         The cuts are the breakpoints j p + b of every cycle j in range, and
         each piece's value is read at its midpoint: cut times regenerated
         from other cycles can land an ulp off a breakpoint, and midpoints
-        are immune to that.  Over more than _SCAN_CUTS candidate cuts the
-        cuts and values are found as arrays; below that numpy's per-call
-        cost outweighs a Python scan of the same cuts.
+        are immune to that.  The propagation kernel plans a periodic gate's
+        runs from the same cuts and midpoints without listing them here.
         """
         if not (0.0 <= t0 < t1):
             raise DomainError("need 0 <= t0 < t1")
@@ -176,21 +171,10 @@ class PwcSignal:
         cycles = [0] if p is None else [
             j for j in range(math.floor(t0 / p), math.floor(t1 / p) + 2)
             if j * p < t1]
-        if len(cycles) * len(bp) > _SCAN_CUTS:
-            cand = np.unique(bp if p is None else
-                             np.add.outer(np.array(cycles) * p, bp[:-1]))
-            cuts = np.concatenate(([t0], cand[(t0 < cand) & (cand < t1)], [t1]))
-            mids = 0.5 * (cuts[:-1] + cuts[1:])
-            if p is not None:
-                mids -= np.floor(mids / p) * p
-            vals = np.asarray(self._table)[
-                np.searchsorted(bp, mids, side="right")].tolist()
-            cuts = cuts.tolist()
-        else:
-            cand = bp if p is None else \
-                {j * p + b for j in cycles for b in bp[:-1]}
-            cuts = [t0, *sorted(c for c in cand if t0 < c < t1), t1]
-            vals = [self.value_at(0.5 * (s + e)) for s, e in zip(cuts, cuts[1:])]
+        cand = bp if p is None else \
+            {j * p + b for j in cycles for b in bp[:-1]}
+        cuts = [t0, *sorted(c for c in cand if t0 < c < t1), t1]
+        vals = [self.value_at(0.5 * (s + e)) for s, e in zip(cuts, cuts[1:])]
         run_start, run_val = cuts[0], vals[0]
         for s, v in zip(cuts[1:-1], vals[1:]):
             if v != run_val:

@@ -2,32 +2,33 @@
 
 Every maximal interval where the signal is constant is a piece, cut into
 equal steps of at most max_step, and signal breakpoints are mandatory
-samples.  The one kernel, _flow, lists a propagation's pieces first and
-then works on arrays: one stacked expm gives phi for every distinct
-(alpha, step), their power tables are built together by doubling in
-extended precision, and one matrix product fills the samples of all
-pieces with equal (alpha, step, count), ending each piece at its
-piece-end state.  So there is no integration error beyond expm accuracy
-and no per-sample Python loop.
+samples.  One plan, _plan, lists a run's pieces: a held gate's from
+PwcSignal.segments, a periodic gate's from its period plan, the run cut at
+every breakpoint into sub-pieces and merged while the level holds.  The
+one kernel, _flow, then works on arrays: one stacked expm gives phi for
+every distinct (alpha, step) and every sub-piece, their power tables are
+built together by doubling in extended precision, and one matrix product
+fills the samples of all pieces with equal (alpha, step, count), ending
+each piece at its piece-end state.  So there is no integration error
+beyond expm accuracy and no per-sample Python loop.
 
-A periodic gate's piece-end states come from its period (_period_states):
-the run is cut at every breakpoint, the exponentials of those sub-pieces
-ride in the same stacked expm, and after a head up to the first period
-boundary the whole periods start at M^k times the head's end, with M the
-monodromy and its powers doubled in extended precision, and end their
-inner pieces by one product with the period's partial products; a tail
-ends the run.  A held gate has no period, and one small product per piece
-chains its piece-end states from the power tables.  monodromy and
+One chain, _chain, gives the piece-end states.  A held gate's pieces
+chain one by one through the tables' phi^nsub.  A periodic gate's chain
+runs over its sub-pieces: a head up to the first period boundary, whole
+periods that start at M^k times the head's end, with M the monodromy and
+its powers doubled in extended precision, and end their inner pieces by
+one product with the period's partial products, and a tail; when a power
+of M is not finite, every sub-piece chains one by one.  monodromy and
 floquet_rate give a periodic gate's one-period flow and any gate's exact
 asymptotic decay rate.
 
 A caller that reads only the end rate takes the endpoint path, _end_rate:
-the same piece-end states, so the same end state bit for bit, and no fill
-(for a periodic gate no sample grid either); where they cannot rule out a
-sample overflowing inside a piece, it fills the samples as the full run
-does.  crossing_time, the one crossing root-finder, runs an ITP
-bracketing search whose every evaluation is on exponential dense output,
-never on interpolated samples.
+the same plan and chain, so the same end state bit for bit, and no fill
+(for a periodic gate no power table of the sample step either); where the
+piece ends cannot rule out a sample overflowing inside a piece, it fills
+the samples as the full run does.  crossing_time, the one crossing
+root-finder, runs an ITP bracketing search whose every evaluation is on
+exponential dense output, never on interpolated samples.
 """
 
 from __future__ import annotations
@@ -65,16 +66,20 @@ _TINY = float(np.finfo(float).tiny)
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norms of the rows of x.  np.linalg.norm's squares underflow
-    below about 1e-154, so a nonzero row can read 0; rows that read below
-    1e-150 are measured again divided by their largest entry (a zero row
-    by the least subnormal), and every other row keeps its bits."""
-    nrm = np.linalg.norm(x, axis=1)
-    tiny = np.flatnonzero(nrm < 1e-150)
-    if tiny.size:
-        scale = np.maximum(np.abs(x[tiny]).max(axis=1), 5e-324)
-        nrm[tiny] = scale * np.linalg.norm(x[tiny] / scale[:, np.newaxis],
-                                           axis=1)
+    """Euclidean norms of the rows of x.  np.linalg.norm squares the
+    entries, so a nonzero row can read 0 (below about 1e-154) and a finite
+    row inf (above about 1.3e154); rows that read below 1e-150 or at least
+    1e150 are measured again divided by their largest entry (a zero row by
+    the least subnormal), and every other row, and every row with an
+    infinite entry, keeps its bits."""
+    with np.errstate(over="ignore"):
+        nrm = np.linalg.norm(x, axis=1)
+        odd = np.flatnonzero((nrm < 1e-150) | (nrm >= 1e150))
+        if odd.size:
+            scale = np.maximum(np.abs(x[odd]).max(axis=1), 5e-324)
+            odd, scale = odd[scale < math.inf], scale[scale < math.inf]
+            nrm[odd] = scale * np.linalg.norm(x[odd] / scale[:, np.newaxis],
+                                              axis=1)
     return nrm
 
 
@@ -83,13 +88,12 @@ def _ends_rate(pairs, horizon: float) -> float:
     (x0, x1) pairs of finite start and end states, or -inf once a norm
     overflows; a run that ends at zero decays at rate +inf.  A ratio
     beyond the normal doubles is taken as the difference of the logs."""
+    rows = [x for pair in pairs for x in pair]
+    nrm = _row_norms(np.array(rows)) if rows else np.zeros(0)
+    if not np.isfinite(nrm).all():
+        return -math.inf
     worst = math.inf
-    for x0, x1 in pairs:
-        with np.errstate(over="ignore"):
-            nrm = _row_norms(np.array([x0, x1]))
-        if not np.isfinite(nrm).all():
-            return -math.inf
-        n0, n1 = nrm.tolist()
+    for n0, n1 in nrm.reshape(-1, 2).tolist():
         if n1 > 0.0:
             # a Python float ratio overflows and underflows without a warning
             ratio = n1 / n0
@@ -275,14 +279,33 @@ def _keyed_tables(matrix, levels: np.ndarray, widths: np.ndarray,
     return key, mats, _power_tables(phis, need)
 
 
-def _chain(key: list, steps: list, tables: list, x0: np.ndarray) -> np.ndarray:
-    """Piece-end states (k, n, m) of the pieces that each map their start
-    x, x0 for the first and the previous end after it, to
-    tables[key[j]][steps[j] - 1] @ x."""
-    ends = np.empty((len(key),) + x0.shape)
+def _chain(exps, x0: np.ndarray, J: int = 0, head: int = 0,
+           periods: int = 0) -> np.ndarray:
+    """States (S, n, m) at the ends of S pieces that each map their start
+    x, x0 for the first and the previous end after it, to exps[s] @ x.
+    When the `periods` whole periods of J pieces after the first `head`
+    pieces are given, period k starts at M^k x_head, with M the period's
+    monodromy and its powers from _power_tables' extended-precision
+    doubling, and its inner piece ends come from one product with the
+    period's partial products; when a power of M is not finite, those
+    pieces are chained too."""
+    ends = np.empty((len(exps),) + x0.shape)
     x = x0
-    for j, (q, s) in enumerate(zip(key, steps)):
-        x = ends[j] = tables[q][s - 1] @ x
+    for s in range(min(head, len(exps))):
+        x = ends[s] = exps[s] @ x
+    if periods:
+        partial = _partial_products(exps[head:head + J])
+        with np.errstate(over="ignore"):
+            powers = _power_tables(partial[-1:], [periods])[0]
+        if np.isfinite(powers).all():
+            starts = np.concatenate((x[np.newaxis], powers[:-1] @ x))
+            body = ends[head:head + J * periods].reshape((periods, J) + x.shape)
+            body[:, :-1] = np.matmul(partial[:-1], starts[:, np.newaxis])
+            body[:, -1] = powers @ x
+            x = body[-1, -1]
+            head += J * periods
+    for s in range(min(head, len(exps)), len(exps)):
+        x = ends[s] = exps[s] @ x
     return ends
 
 
@@ -317,12 +340,12 @@ def _flow(matrix, levels: np.ndarray, cuts: np.ndarray, widths: np.ndarray,
     the last one exactly cuts[j + 1].  _keyed_tables gives the powers of
     phi = exp(h matrix(a)) for every distinct (a, h).  x0 (n, m) is the
     state at cuts[0]; the piece-end states ends (k, n, m) are given, or
-    read from _period_states when a period plan of the same run is given
-    (its sub-pieces ride in the same stacked expm as one-step pieces), or
-    else the _chain of phi^nsub products; _fill fills the samples from
-    them, so each piece ends at ends[j] and the next starts there.
-    Returns times (N,), states (N, n, m) and seg_alpha (N - 1,), with
-    N = 1 + sum(nsub).
+    are the _chain of the period plan's sub-pieces when one of the same
+    run is given (their exponentials ride in the same stacked expm as
+    one-step pieces), or else the _chain of the phi^nsub; _fill fills the
+    samples from them, so each piece ends at ends[j] and the next starts
+    there.  Returns times (N,), states (N, n, m) and seg_alpha (N - 1,),
+    with N = 1 + sum(nsub).
     """
     steps = nsub.tolist()
     # the chain and the fill read one memory layout: BLAS can round a
@@ -330,19 +353,17 @@ def _flow(matrix, levels: np.ndarray, cuts: np.ndarray, widths: np.ndarray,
     x0 = np.ascontiguousarray(x0)
     if period is None:
         key, _, tables = _keyed_tables(matrix, levels, widths, nsub)
+        if ends is None:
+            ends = _chain([tables[q][s - 1] for q, s in zip(key, steps)], x0)
     else:
         k = len(steps)
         key, _, tables = _keyed_tables(
             matrix, np.append(levels, period.levels),
             np.append(widths, period.widths),
             np.append(nsub, np.ones(len(period.levels), int)))
-        sub = _period_states(
-            period, np.array([tables[q][0] for q in key[k:]]), x0)
+        ends = _chain(np.array([tables[q][0] for q in key[k:]]), x0,
+                      period.J, period.head, period.periods)[period.last]
         key = key[:k]
-        if sub is not None:
-            ends = _piece_ends(period, sub, cuts)
-    if ends is None:
-        ends = _chain(key, steps, tables, x0)
     states = _fill(key, steps, tables, x0, ends)
     last = np.cumsum(nsub)
     h = widths / nsub
@@ -373,53 +394,79 @@ def _span(loop: ClosedLoop, t0: float, t1: float,
     return max_step
 
 
-def _pieces(loop: ClosedLoop, t0: float, t1: float,
-            max_step: float | None) -> tuple:
-    """(levels, cuts, widths, nsub): the constant pieces of loop.alpha on
-    [t0, t1], each cut into nsub equal steps of at most max_step."""
+def _plan(loop: ClosedLoop, t0: float, t1: float,
+          max_step: float | None) -> tuple:
+    """(levels, cuts, widths, nsub, period): the constant pieces of
+    loop.alpha on [t0, t1], piece j holding levels[j] from cuts[j] to
+    cuts[j + 1] in nsub[j] equal steps of at most max_step, and the gate's
+    _Period of the run, or None for a held gate, whose pieces come from
+    PwcSignal.segments."""
     max_step = _span(loop, t0, t1, max_step)
-    s, e, a = np.array(list(loop.alpha.segments(t0, t1))).T
-    widths = e - s
+    period = None
+    if loop.alpha.period is None:
+        s, e, levels = np.array(list(loop.alpha.segments(t0, t1))).T
+        cuts = np.concatenate((s, e[-1:]))
+    else:
+        period = _period_plan(loop.alpha, t0, t1)
+        levels = period.levels[period.first]
+        cuts = np.concatenate(([t0], period.times[period.last]))
+    widths = cuts[1:] - cuts[:-1]
     nsub = np.maximum(1, np.ceil(widths / max_step - 1e-12)).astype(int)
-    return a, np.append(s, e[-1]), widths, nsub
+    return levels, cuts, widths, nsub, period
 
 
 class _Period(NamedTuple):
-    """A run of a periodic gate cut at every breakpoint j p + b inside it,
-    the cut times PwcSignal.segments reads: sub-piece s holds levels[s]
-    over widths[s] and ends at times[s], the last at the run's end.  The
-    first `head` sub-pieces lead up to a period boundary, the next
-    J * periods are whole periods over the breakpoints' own widths, and
-    the rest is the tail; the first and the last sub-piece are cut at the
-    run's ends."""
+    """A run of a periodic gate cut at every breakpoint j p + b inside it:
+    sub-piece s holds levels[s] over widths[s] and ends at times[s], the
+    last at the run's end.  The first `head` sub-pieces lead up to a
+    period boundary, the next J * periods are whole periods over the
+    breakpoints' own widths, and the rest is the tail; the first and the
+    last sub-piece are cut at the run's ends.  The run's pieces start at
+    the sub-pieces `first` and end at the sub-pieces `last`."""
 
     levels: np.ndarray
     widths: np.ndarray
     times: np.ndarray
+    first: np.ndarray
+    last: np.ndarray
     J: int
     head: int
     periods: int
 
 
 def _period_plan(alpha: PwcSignal, t0: float, t1: float) -> _Period:
-    """The _Period of the periodic alpha on [t0, t1]."""
+    """The _Period of the periodic alpha on [t0, t1], with the cuts and
+    levels PwcSignal.segments reads: the cut times j p + b, and each
+    sub-piece's level at its midpoint."""
     bp, p, J = np.array(alpha.breakpoints), alpha.period, len(alpha.values)
-    # the cuts j p + b of the cycles j from floor(t0 / p), in order
+    # the cuts j p + b of the cycles j from floor(t0 / p), in order; a
+    # cycle's last cut can round past the next cycle's first
     cand = np.add.outer(
         np.arange(math.floor(t0 / p), math.floor(t1 / p) + 2) * p,
         bp[:-1]).ravel()
-    s0 = int(np.searchsorted(cand, t0, "right"))
-    s1 = int(np.searchsorted(cand, t1, "left"))
+    cand.sort()
+    s0 = int(cand.searchsorted(t0, "right"))
+    s1 = int(cand.searchsorted(t1, "left"))
     edges = np.concatenate(([t0], cand[s0:s1], [t1]))
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    levels = np.asarray(alpha._table)[
+        bp.searchsorted(mids - np.floor(mids / p) * p, "right")]
+    # a piece ends where the level changes between sub-pieces of positive
+    # length; one of no length (two cycles cut at one float) ends with the
+    # one before it
+    pos = (edges[1:] > edges[:-1]).nonzero()[0]
+    lv = levels[pos]
+    new = pos[1:][lv[1:] != lv[:-1]]
     # sub-piece s is piece (s0 - 1 + s) mod J of its cycle
     i = np.arange(s0 - 1, s1) % J
-    widths = np.diff(bp)[i]
+    widths = (bp[1:] - bp[:-1])[i]
     widths[0] = edges[1] - edges[0]
     widths[-1] = edges[-1] - edges[-2]
     # a run from 0 starts on a period boundary, and its first width,
     # bp[1] - 0, is the breakpoints' own: it has no head
     head = J - (s0 - 1) % J if t0 else 0
-    return _Period(np.array(alpha.values)[i], widths, edges[1:], J, head,
+    return _Period(levels, widths, edges[1:], np.concatenate(([0], new)),
+                   np.concatenate((new - 1, [len(i) - 1])), J, head,
                    max(0, (len(i) - 1 - head) // J))
 
 
@@ -430,42 +477,6 @@ def _partial_products(exps: np.ndarray) -> np.ndarray:
     for j in range(1, len(exps)):
         m = out[j] = exps[j] @ m
     return out
-
-
-def _period_states(period: _Period, exps: np.ndarray, x0: np.ndarray):
-    """States (S, n, m) at the ends of period's S sub-pieces from x0
-    (n, m), with exps[s] the exponential of sub-piece s.  The head and the
-    tail are chained piece by piece.  Whole period k starts at M^k x_head,
-    k = 0, ..., periods, with M the period's monodromy and its powers from
-    _power_tables' extended-precision doubling, and its inner piece ends
-    come from one product with the period's partial products.  None when
-    a power of M is not finite."""
-    J, head, periods = period.J, period.head, period.periods
-    ends = np.empty((len(exps),) + x0.shape)
-    x = x0
-    for s in range(min(head, len(exps))):
-        x = ends[s] = exps[s] @ x
-    if periods:
-        partial = _partial_products(exps[head:head + J])
-        with np.errstate(over="ignore"):
-            powers = _power_tables(partial[-1:], [periods])[0]
-        if not np.isfinite(powers).all():
-            return None
-        starts = np.concatenate((x[np.newaxis], powers[:-1] @ x))
-        body = ends[head:head + J * periods].reshape((periods, J) + x.shape)
-        body[:, :-1] = np.matmul(partial[:-1], starts[:, np.newaxis])
-        body[:, -1] = powers @ x
-        x = body[-1, -1]
-    for s in range(head + J * periods, len(exps)):
-        x = ends[s] = exps[s] @ x
-    return ends
-
-
-def _piece_ends(period: _Period, sub: np.ndarray,
-                cuts: np.ndarray) -> np.ndarray:
-    """The sub-piece end states sub at the end times cuts[1:] of the
-    run's pieces, every one of them a sub-piece end time."""
-    return sub[np.searchsorted(period.times, cuts[1:], "right") - 1]
 
 
 def monodromy(loop: ClosedLoop) -> np.ndarray:
@@ -494,36 +505,28 @@ def floquet_rate(loop: ClosedLoop) -> float:
 
 def _end_rate(loop: ClosedLoop, x0_columns, horizon: float) -> float:
     """_fitted_rate(propagate_batch(loop, 0.0, x0_columns, horizon),
-    horizon), bit for bit, read from the piece-end states without filling
-    a sample.  A periodic gate's come from _period_states, with no sample
-    grid, and a held gate's from the chain of the grid's tables.  Where
-    the piece ends cannot vouch that every sample of the full run is
-    finite, the samples are filled as the full run fills them; a periodic
-    gate whose monodromy powers are not finite takes the held gates'
-    chain.  Every column must be nonzero: a zero state has no rate."""
+    horizon), bit for bit, read from the same _plan and _chain without
+    filling a sample: a periodic gate's chain runs over the sub-pieces,
+    with no power table of the sample step, and a held gate's over the
+    grid's tables.  Where the piece ends cannot vouch that every sample of
+    the full run is finite, the samples are filled as the full run fills
+    them.  Every column must be nonzero: a zero state has no rate."""
     x0 = np.ascontiguousarray(_columns(loop, x0_columns))
     if x0.shape[1] == 0:
         raise ShapeError("need at least one initial state")
     if not x0.any(axis=0).all():
         raise DegenerateStateError("a zero initial state has no decay rate")
-    sub = None
-    if loop.alpha.period is not None:
-        _span(loop, 0.0, horizon, None)
-        period = _period_plan(loop.alpha, 0.0, horizon)
+    levels, _, widths, nsub, period = _plan(loop, 0.0, horizon, None)
+    steps = nsub.tolist()
+    if period is None:
+        key, mats, tables = _keyed_tables(loop.matrix, levels, widths, nsub)
+        ends = _chain([tables[q][s - 1] for q, s in zip(key, steps)], x0)
+    else:
         key, mats, phis = _keyed_exps(loop.matrix, period.levels,
                                       period.widths)
-        sub = _period_states(period, phis[key], x0)
-    if sub is not None:
-        # the run's pieces: sub-pieces merged while the level holds
-        last = np.append(np.flatnonzero(period.levels[1:]
-                                        != period.levels[:-1]), len(sub) - 1)
-        ends = sub[last]
-        widths = np.diff(np.append(0.0, period.times[last]))
-        key = np.asarray(key)[np.append(0, last[:-1] + 1)]
-    else:
-        levels, _, widths, nsub = _pieces(loop, 0.0, horizon, None)
-        key, mats, tables = _keyed_tables(loop.matrix, levels, widths, nsub)
-        ends = _chain(key, nsub.tolist(), tables, x0)
+        ends = _chain(phis[key], x0, period.J, period.head,
+                      period.periods)[period.last]
+        key = np.asarray(key)[period.first]
     # |exp(t M)|_inf <= exp(t |M|_inf): on piece j every power of phi, and
     # every sum of products a fill forms from one, stays below
     # exp(width_j |M_j|_inf) times the largest entry of the start (at
@@ -534,12 +537,9 @@ def _end_rate(loop: ClosedLoop, x0_columns, horizon: float) -> float:
             (x0[np.newaxis], ends[:-1]))).max(axis=(1, 2)))
     if not (np.isfinite(ends[-1]).all() and np.all(
             np.maximum(size, 0.0) + growth < _END_LOG_CAP)):
-        if sub is not None:
-            levels, cuts, widths, nsub = _pieces(loop, 0.0, horizon, None)
+        if period is not None:
             key, _, tables = _keyed_tables(loop.matrix, levels, widths, nsub)
-            ends = _piece_ends(period, sub, cuts)
-        if not np.isfinite(_fill(key, nsub.tolist(), tables, x0,
-                                 ends)).all():
+        if not np.isfinite(_fill(key, steps, tables, x0, ends)).all():
             return -math.inf
     return _ends_rate(zip(x0.T, ends[-1].T), horizon)
 
@@ -556,12 +556,9 @@ def _columns(loop: ClosedLoop, x0_columns) -> np.ndarray:
 
 def _run(loop: ClosedLoop, t0: float, x0_columns, t1: float,
          max_step: float | None) -> tuple:
-    """_flow over the pieces of [t0, t1], with a periodic gate's piece-end
-    states from its period plan."""
+    """_flow over the _plan of [t0, t1]."""
     x0m = _columns(loop, x0_columns)
-    pieces = _pieces(loop, t0, t1, max_step)
-    period = None if loop.alpha.period is None else \
-        _period_plan(loop.alpha, t0, t1)
+    *pieces, period = _plan(loop, t0, t1, max_step)
     return _flow(loop.matrix, *pieces, x0m, period=period)
 
 

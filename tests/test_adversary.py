@@ -501,17 +501,20 @@ class TestFittedRate:
                 assert repr(got) == repr(reference_fitted_rate(runs, 20.0))
                 assert math.isfinite(got)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, 1e300])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, 1e300,
+                                     1.5e308])
     def test_non_finite_or_vanishing_runs(self, bad):
         # a non-finite state anywhere and norms that overflow at the end
         # give -inf, as the full-norm version did; a finite run that ends at
-        # zero has decayed, at rate +inf, as tune has always judged it
+        # zero has decayed, at rate +inf, as tune has always judged it; an
+        # end state of 1e300 has a finite norm, whose squares overflow, and
+        # so a finite rate
         tr = propagate(ClosedLoop(A_DI, B_DI, K11, PwcSignal.constant(0.5)),
                        0.0, [1.0, 0.0], 2.0)
         states = tr.states.copy()
         if bad == 0.0:
             states[-1] = 0.0
-        elif bad == 1e300:
+        elif bad >= 1e300:
             states[-1] = bad
         else:
             states[len(states) // 2, 1] = bad
@@ -521,6 +524,11 @@ class TestFittedRate:
             assert simcore._fitted_rate([bent], 2.0) == math.inf
             assert got == simcore._fitted_rate([tr], 2.0)
             assert math.isfinite(got)
+            return
+        if bad == 1e300:
+            assert got == reference_fitted_rate([tr, bent], 2.0)
+            assert got == pytest.approx(-math.log(math.sqrt(2.0) * 1e300)
+                                        / 2.0, rel=1e-15)
             return
         with np.errstate(over="ignore"):
             want = reference_fitted_rate([tr, bent], 2.0)

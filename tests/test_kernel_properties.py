@@ -7,11 +7,12 @@ plain per-sample loop, and with the per-piece loop the kernel replaced:
 bit for bit on held gates, which also checks `run_destabilizer` and
 `witness_residual`, and within the sequential product's bound on periodic
 gates, whose piece ends come from monodromy powers.  The full run ends
-every piece at its piece-end state, chained or from the period.  The
-endpoint path, which reads the piece ends without filling a sample, is
-compared bit for bit with the last sample of the full run and with the
-rate `_fitted_rate` reads from it, and its fallback fills from the tables
-it built.
+every piece at the state of its one chain, over the grid's tables for a
+held gate and over the period plan's sub-pieces for a periodic one, whose
+pieces are those `PwcSignal.segments` lists.  The endpoint path, which
+reads the piece ends without filling a sample, is compared bit for bit
+with the last sample of the full run and with the rate `_fitted_rate`
+reads from it, and its fallback fills from the tables it built.
 """
 
 import bisect
@@ -384,7 +385,7 @@ def test_witness_residual_equals_the_segment_table(grid):
 
 
 @PROPERTY
-@given(cases())
+@given(st.one_of(cases(), short_piece_cases()))
 def test_pieces_end_at_the_chained_states(case):
     # the fill ends each piece at the chain's state, whatever its own
     # product would round to: a one-ulp nudge of the chain shows up there
@@ -397,9 +398,12 @@ def test_pieces_end_at_the_chained_states(case):
 
     with mock.patch.object(simcore, "_chain", nudge):
         runs = propagate_batch(*case)
-    last = np.cumsum(simcore._pieces(loop, t0, t1, max_step)[3])
+    *_, nsub, period = simcore._plan(loop, t0, t1, max_step)
+    ends, = nudged
+    if period is not None:
+        ends = ends[period.last]
     states = np.stack([tr.states for tr in runs], axis=2)
-    assert_same_bits((states[last],), tuple(nudged))
+    assert_same_bits((states[np.cumsum(nsub)],), (ends,))
 
 
 @st.composite
@@ -482,25 +486,26 @@ def test_end_rate_falls_back_to_the_full_run(loop, x0, t1, overflows):
 @PROPERTY
 @given(st.one_of(cases(), short_piece_cases()))
 def test_periodic_pieces_end_at_the_period_states(case):
-    # a periodic gate's fill ends each piece at the state _period_states
-    # gives for its end time: a one-ulp nudge of those states shows up
-    # there, and no piece-end chain is run
+    # a periodic gate's one chain runs over its period plan's sub-pieces,
+    # never over the grid's tables, and the fill ends each piece at the
+    # chain's state for the piece's end time: a one-ulp nudge of those
+    # states shows up there
     loop, t0, cols, t1, max_step = case
     if loop.alpha.period is None:
         return
-    states_of, seen = simcore._period_states, []
+    chain, seen = simcore._chain, []
 
-    def nudge(period, exps, x0):
-        seen.append((period, np.nextafter(states_of(period, exps, x0),
-                                          np.inf)))
-        return seen[-1][1]
+    def nudge(exps, x0, *plan):
+        seen.append((len(exps), plan,
+                     np.nextafter(chain(exps, x0, *plan), np.inf)))
+        return seen[-1][2]
 
-    with mock.patch.object(simcore, "_period_states", nudge), \
-            mock.patch.object(simcore, "_chain") as chain:
+    with mock.patch.object(simcore, "_chain", nudge):
         runs = propagate_batch(*case)
-    assert chain.call_count == 0
-    (period, nudged), = seen
-    _, cuts, _, nsub = simcore._pieces(loop, t0, t1, max_step)
+    (count, plan, nudged), = seen
+    _, cuts, _, nsub, period = simcore._plan(loop, t0, t1, max_step)
+    assert (count, plan) == (len(period.levels),
+                             (period.J, period.head, period.periods))
     at = [np.flatnonzero(period.times == c)[-1] for c in cuts[1:].tolist()]
     states = np.stack([tr.states for tr in runs], axis=2)
     assert_same_bits((states[np.cumsum(nsub)],), (nudged[at],))
@@ -509,17 +514,75 @@ def test_periodic_pieces_end_at_the_period_states(case):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_monodromy_power_takes_the_chain():
     # M = e^2 over each period of 2: M^399 = e^798 is beyond the largest
-    # double, but the state from 1e-300 stays finite (about e^109), so the
-    # run takes the chain and fill of a held gate and its rate is finite
+    # double, but the state from 1e-300 stays finite (about e^109), so both
+    # paths chain every sub-piece one by one and the rate is finite
     sig = PwcSignal.periodic((0.0, 0.5, 2.0), (1.0, 0.25))
     loop = ClosedLoop([[1.0]], [[1.0]], [[0.0]], sig)
     x0 = np.array([[1e-300, -3e-300]])
-    with mock.patch.object(simcore, "_chain",
-                           wraps=simcore._chain) as chain:
+    chain, seen = simcore._chain, []
+
+    def spy(exps, x0, *plan):
+        seen.append((exps, x0, plan, chain(exps, x0, *plan)))
+        return seen[-1][3]
+
+    with mock.patch.object(simcore, "_chain", spy):
         runs = propagate_batch(loop, 0.0, x0, 800.0)
         got = simcore._end_rate(loop, x0, 800.0)
-    assert chain.call_count == 2
+    assert len(seen) == 2
+    for exps, x, plan, ends in seen:
+        assert plan == (2, 0, 399)
+        for e, end in zip(exps, ends):
+            x = e @ x
+            assert end.tobytes() == x.tobytes()
     assert all(np.isfinite(tr.states).all() for tr in runs)
     want = simcore._fitted_rate(runs, 800.0)
     assert repr(got) == repr(want)
     assert got == pytest.approx(-1.0, rel=1e-12)
+
+
+# The cut 3 * 0.1 = 0.30000000000000004 leaves a first sub-piece 4e-17
+# long from 0.3, whose midpoint reads the next cycle's level 0.0.  When
+# the last piece starts one ulp short of 0.7, the cut 5 * 0.7 + its start
+# rounds to 4.2, past the next cycle's first cut 6 * 0.7 =
+# 4.199999999999999; two ulps short, 2 * 0.7 + its start rounds to 3 * 0.7,
+# so two cycles cut at one float.
+_ULP_P = (np.nextafter(0.7, 0.0), np.nextafter(np.nextafter(0.7, 0.0), 0.0))
+_ULP_GATES = [
+    (PwcSignal.periodic((0.0, 0.05, 0.1), (0.0, 0.25)), 0.3, 0.72),
+    (PwcSignal.periodic((0.0, 0.35, _ULP_P[0], 0.7), (0.5, 0.25, 0.5)),
+     1.25, 4.25),
+    (PwcSignal.periodic((0.0, _ULP_P[1], 0.7), (0.25, 0.0)), 1.25, 4.25),
+]
+
+
+@st.composite
+def plan_cases(draw):
+    """(gate, t0, t1) from cases and short_piece_cases, periodic gates
+    only, or a gate whose cuts land an ulp off its breakpoints."""
+    loop, t0, _, t1, _ = draw(st.one_of(cases(), short_piece_cases()))
+    if loop.alpha.period is None:
+        return draw(st.sampled_from(_ULP_GATES))
+    return loop.alpha, t0, t1
+
+
+@PROPERTY
+@given(plan_cases())
+def test_periodic_plan_is_the_segments(case):
+    # a periodic gate's plan lists the pieces segments lists, bit for bit,
+    # from 0 and from t0; no run and no end rate asks segments for them
+    sig, t0, t1 = case
+    for start in (0.0, t0):
+        levels, cuts, widths, _, _ = simcore._plan(
+            ClosedLoop([[0.0]], [[1.0]], [[1.0]], sig), start, t1, 10.0)
+        got = list(zip(cuts[:-1].tolist(), cuts[1:].tolist(),
+                       levels.tolist()))
+        want = list(sig.segments(start, t1))
+        assert [tuple(map(repr, g)) for g in got] == \
+            [tuple(map(repr, w)) for w in want]
+        assert widths.tolist() == [e - s for s, e, _ in want]
+    loop = ClosedLoop([[-0.5, 1.0], [0.0, -1.0]], [[0.0], [1.0]],
+                      [[0.3, -0.2]], sig)
+    with mock.patch.object(PwcSignal, "segments") as segments:
+        propagate(loop, t0, [1.0, -0.5], t1)
+        simcore._end_rate(loop, [[1.0], [-0.5]], t1)
+    assert segments.call_count == 0

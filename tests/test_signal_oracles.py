@@ -1,6 +1,6 @@
 """Signal-layer oracles: the exact PE window scan against a brute-force dense
 scan, time shifts and rescalings against the integral they transform, and
-the array-built `PwcSignal.segments` against the per-cut loop it replaced.
+`PwcSignal.segments` against the per-cut loop it replaced.
 
 The dense scan evaluates the window integral at evenly spaced starts from a
 cumulative integral built with numpy from the raw breakpoints, without
@@ -9,13 +9,11 @@ cumulative integral built with numpy from the raw breakpoints, without
 
 import math
 from bisect import bisect_right
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pestab import signals as signals_module
 from pestab.signals import (PeClass, PwcSignal, integrate_signal,
                             rescale_time, shift, verify_pe)
 
@@ -206,12 +204,9 @@ def same_pieces(got, want):
        st.floats(1e-3, 9.0))
 def test_segments_equal_the_per_cut_loop(sig, t0, width):
     # t0 anywhere, also inside a later cycle of a periodic signal, where
-    # regenerated cuts land ulps off the breakpoints; both the array path
-    # and the Python scan of short ranges
-    want = list(reference_segments(sig, t0, t0 + width))
-    for scan in (0, 10**9):
-        with mock.patch.object(signals_module, "_SCAN_CUTS", scan):
-            same_pieces(list(sig.segments(t0, t0 + width)), want)
+    # regenerated cuts land ulps off the breakpoints
+    same_pieces(list(sig.segments(t0, t0 + width)),
+                list(reference_segments(sig, t0, t0 + width)))
 
 
 @PROPERTY
@@ -224,28 +219,24 @@ def test_segments_of_many_short_pieces(period, duty, t0):
     same_pieces(got, list(reference_segments(sig, t0, t0 + 3.0)))
 
 
-@pytest.mark.parametrize("scan", [0, 10**9])
-def test_segments_merge_equal_neighbours_and_signed_zeros(scan):
+def test_segments_merge_equal_neighbours_and_signed_zeros():
     sig = PwcSignal.held((0.0, 0.5, 1.0, 1.5, 2.0), (-0.0, 0.0, 1.0, 1.0),
                          hold=1.0)
-    with mock.patch.object(signals_module, "_SCAN_CUTS", scan):
-        got = list(sig.segments(0.0, 3.0))
+    got = list(sig.segments(0.0, 3.0))
     assert [tuple(map(repr, g)) for g in got] == \
         [("0.0", "1.0", "-0.0"), ("1.0", "3.0", "1.0")]
     same_pieces(got, list(reference_segments(sig, 0.0, 3.0)))
 
 
-@pytest.mark.parametrize("scan", [0, 10**9])
 @pytest.mark.parametrize("t0, t1", [(0.0, 0.5), (0.15, 0.35), (0.0, 3.0)])
-def test_segments_where_two_cycles_cut_at_one_float(scan, t0, t1):
+def test_segments_where_two_cycles_cut_at_one_float(t0, t1):
     # the last piece is one ulp wide, so 1 * 0.1 + its start rounds to
     # 2 * 0.1: the cut 0.2 comes from two cycles and must be taken once
     sig = PwcSignal.periodic((0.0, 0.05, np.nextafter(0.1, 0.0), 0.1),
                              (0.2, 0.6, 1.0))
     assert 1 * 0.1 + sig.breakpoints[2] == 2 * 0.1
-    with mock.patch.object(signals_module, "_SCAN_CUTS", scan):
-        got = list(sig.segments(t0, t1))
-    same_pieces(got, list(reference_segments(sig, t0, t1)))
+    same_pieces(list(sig.segments(t0, t1)),
+                list(reference_segments(sig, t0, t1)))
 
 
 @pytest.mark.parametrize("t", [1.7, 3.4, 3.9])

@@ -10,9 +10,10 @@ from scipy.integrate import solve_ivp
 from pestab import simcore
 from pestab.adversary import run_destabilizer
 from pestab.errors import DegenerateStateError, DomainError, ShapeError
-from pestab.gains import A_DI, A_ROTATION, B_DI, di_base_gain
+from pestab.gains import A_DI, A_ROTATION, B_DI, di_base_gain, di_gain
 from pestab.matkit import expm
-from pestab.signals import PeClass, PwcSignal, make_duty, rescale_time
+from pestab.signals import (PeClass, PwcSignal, integrate_signal,
+                            make_battery, make_duty, rescale_time)
 from pestab.simcore import (ClosedLoop, crossing_time, fmap_F, polar_lift,
                             propagate, propagate_batch)
 
@@ -211,6 +212,20 @@ class TestFloquet:
         periodic = di_loop(PwcSignal.periodic((0.0, 0.7), (a,)), k=k)
         assert simcore.floquet_rate(periodic) == pytest.approx(
             want, rel=1e-9, abs=1e-9)
+
+    def test_monodromy_determinant_is_liouville(self):
+        # det M = exp(p tr A + tr(BK) int_0^p alpha), with no exponential
+        cls = PeClass(1.0, 0.5)
+        K = np.asarray(di_gain(cls, 0.2, 2.0, 4.0).K)
+        members = [sig for sig in make_battery(cls, 200, 0).signals
+                   if sig.period is not None]
+        assert len(members) > 150
+        for sig in members:
+            loop = ClosedLoop(A_DI, B_DI, K, sig)
+            want = math.exp(sig.period * np.trace(A_DI) + np.trace(B_DI @ K)
+                            * integrate_signal(sig, 0.0, sig.period))
+            got = np.linalg.det(simcore.monodromy(loop))
+            assert got == pytest.approx(want, rel=1e-12)
 
     def test_held_gate_has_no_monodromy(self):
         for sig in (PwcSignal.constant(0.5),
@@ -482,6 +497,30 @@ class TestRowNorms:
         x[::7] = np.nan
         want = np.linalg.norm(x, axis=1)
         assert simcore._row_norms(x).tobytes() == want.tobytes()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rows_above_square_overflow(self):
+        # squares of entries above about 1.3e154 overflow; a row with an
+        # infinite entry, or a norm beyond the largest double, reads inf
+        x = np.array([[3e200, 4e200], [1e300, 1e300], [1e150, 0.0],
+                      [-3e170, 4e170], [np.inf, 1.0], [1.5e308, 1.5e308]])
+        nrm = simcore._row_norms(x)
+        assert nrm[0] == pytest.approx(5e200, rel=1e-15)
+        assert nrm[1] == pytest.approx(math.sqrt(2.0) * 1e300, rel=1e-15)
+        assert nrm[2] == 1e150
+        assert nrm[3] == pytest.approx(5e170, rel=1e-15)
+        assert nrm[4] == math.inf and nrm[5] == math.inf
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_finite_run_beyond_square_overflow_keeps_its_rate(self):
+        # x' = x ends at e^400, about 5e173: its norm read inf, so the
+        # rate read -inf, and norms() warned of an overflow
+        loop = ClosedLoop([[1.0]], [[1.0]], [[0.0]], PwcSignal.constant(1.0))
+        runs = propagate_batch(loop, 0.0, [[1.0]], 400.0)
+        assert runs[0].norms()[-1] == runs[0].states[-1, 0] > 5e173
+        for rate in (simcore._end_rate(loop, [[1.0]], 400.0),
+                     simcore._fitted_rate(runs, 400.0)):
+            assert rate == pytest.approx(-1.0, rel=1e-12)
 
 
 class TestRateRule:
