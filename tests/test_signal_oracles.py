@@ -219,22 +219,28 @@ def test_segments_of_many_short_pieces(period, duty, t0):
     same_pieces(got, list(reference_segments(sig, t0, t0 + 3.0)))
 
 
-def test_segments_merge_equal_neighbours_and_signed_zeros():
+@pytest.mark.parametrize("tail", [0, 10**9])
+def test_segments_merge_equal_neighbours_and_signed_zeros(tail):
+    # the hold merges with the last equal piece however far the range runs
     sig = PwcSignal.held((0.0, 0.5, 1.0, 1.5, 2.0), (-0.0, 0.0, 1.0, 1.0),
                          hold=1.0)
-    got = list(sig.segments(0.0, 3.0))
+    t1 = 3.0 + tail
+    got = list(sig.segments(0.0, t1))
     assert [tuple(map(repr, g)) for g in got] == \
-        [("0.0", "1.0", "-0.0"), ("1.0", "3.0", "1.0")]
-    same_pieces(got, list(reference_segments(sig, 0.0, 3.0)))
+        [("0.0", "1.0", "-0.0"), ("1.0", repr(t1), "1.0")]
+    same_pieces(got, list(reference_segments(sig, 0.0, t1)))
 
 
+@pytest.mark.parametrize("cycles", [0, 10**9])
 @pytest.mark.parametrize("t0, t1", [(0.0, 0.5), (0.15, 0.35), (0.0, 3.0)])
-def test_segments_where_two_cycles_cut_at_one_float(t0, t1):
+def test_segments_where_two_cycles_cut_at_one_float(cycles, t0, t1):
     # the last piece is one ulp wide, so 1 * 0.1 + its start rounds to
-    # 2 * 0.1: the cut 0.2 comes from two cycles and must be taken once
+    # 2 * 0.1: the cut 0.2 comes from two cycles and must be taken once;
+    # `cycles` periods later the regenerated cuts round far coarser
     sig = PwcSignal.periodic((0.0, 0.05, np.nextafter(0.1, 0.0), 0.1),
                              (0.2, 0.6, 1.0))
     assert 1 * 0.1 + sig.breakpoints[2] == 2 * 0.1
+    t0, t1 = cycles * 0.1 + t0, cycles * 0.1 + t1
     same_pieces(list(sig.segments(t0, t1)),
                 list(reference_segments(sig, t0, t1)))
 
