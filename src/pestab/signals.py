@@ -167,6 +167,10 @@ class PwcSignal:
         if not (0.0 <= t0 < t1):
             raise DomainError("need 0 <= t0 < t1")
         bp, p = self.breakpoints, self.period
+        if p is not None and not (t1 - t0) / p < 2.0 ** 63:
+            raise DomainError(
+                f"[{t0!r}, {t1!r}] spans {(t1 - t0) / p:.3g} periods of the "
+                "gate, more than int64 counts")
         # the cycles j with j p < t1; bp[-1] == p is the next cycle's 0
         cycles = [0] if p is None else [
             j for j in range(math.floor(t0 / p), math.floor(t1 / p) + 2)
@@ -222,7 +226,9 @@ def verify_pe(alpha: PwcSignal, cls: PeClass, horizon: float) -> PeReport:
     the start time, so its minimum over an interval is attained where either
     window edge meets a breakpoint; scanning those candidates is exact.
     Periodic signals are scanned over one period (the scan is then valid for
-    every t >= 0); hold signals are scanned over [0, horizon - T].
+    every t >= 0); hold signals are scanned over [0, horizon - T].  The
+    floor is met within _PE_SLACK * max(1, T): window integrals of size up
+    to T carry rounding relative to T.
     """
     T = cls.T
     if horizon < T:
@@ -249,7 +255,7 @@ def verify_pe(alpha: PwcSignal, cls: PeClass, horizon: float) -> PeReport:
         ((t, integrate_signal(alpha, t, t + T)) for t in starts),
         key=lambda pair: (pair[1], pair[0]),
     )
-    return PeReport(worst >= cls.mu - _PE_SLACK, worst_t, worst)
+    return PeReport(worst >= cls.mu - _PE_SLACK * max(1.0, T), worst_t, worst)
 
 
 def make_duty(cls: PeClass, phase: float = 0.0, on_value: float = 1.0,

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -396,6 +397,25 @@ class TestThreshold:
         assert rc == 0
         report = json.loads((out / "threshold.json").read_text())
         assert [r["claim"] for r in report["results"]] == [True, True]
+
+    @pytest.mark.parametrize("system, grid, message", [
+        (["--A", "[[5.0]]", "--B", "[[1.0]]"], "100",
+         "the Gramian over [0, 100.0] is not finite"),
+        (["--preset", "double_integrator"], "1e308",
+         "[0.0, 1e+308] spans 1e+308 periods of the gate")])
+    def test_unrepresentable_horizon_exits_2(self, tmp_path, capsys, system,
+                                             grid, message):
+        # the overflowing Gramian printed a RuntimeWarning and blamed
+        # min_sv's argument; at 1e308 only the battery's first member, a
+        # constant, kept the periodic members' piece listing from never
+        # ending
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(["threshold", *system, "--T", "1", "--mu", "0.5",
+                       "--t-grid", grid, "--battery-size", "4",
+                       "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert f"invalid input: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag, value", [("--T", "inf"), ("--T", "nan"),
                                              ("--mu", "nan")])

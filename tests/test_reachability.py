@@ -1,4 +1,5 @@
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -72,6 +73,47 @@ def reference_witness_residual(A, B, alpha, t, p, grid=2000):
         worst = max(worst, float(val))
         y = step @ y
     return worst
+
+
+def reference_gramian(A, B, alpha, t):
+    """The per-gate recursion gramian ran before one call served a whole
+    battery: one stacked exponential over this gate's own piece widths."""
+    n = A.shape[0]
+    pieces = [(e - s, a) for s, e, a in alpha.segments(0.0, t)]
+    widths = list(dict.fromkeys(h for h, _ in pieces))
+    phis, Hs = reachability._segment_gramian(A, B @ B.T, np.array(widths))
+    flows = dict(zip(widths, zip(phis, Hs)))
+    W = np.zeros((n, n))
+    for h, a in pieces:
+        phi, H = flows[h]
+        W = phi @ W @ phi.T + (a * a) * H
+    return 0.5 * (W + W.T)
+
+
+def reference_battery_check(A, B, t, battery):
+    """The per-member gramian loop threshold_check ran above T - mu:
+    (claim, worst_relative_min_sv)."""
+    n = A.shape[0]
+    worst, all_ok = math.inf, True
+    for sig in battery:
+        rep = gramian(A, B, sig, t)
+        worst = min(worst, rep.min_sv / max(float(np.trace(rep.W)) / n, 1e-300))
+        all_ok = all_ok and rep.controllable
+    return all_ok, worst
+
+
+@st.composite
+def battery_horizons(draw):
+    """(class, battery, horizon): make_battery members over seeds and sizes,
+    some of them repeated, at a horizon on either side of T - mu."""
+    cls = draw(st.sampled_from((CLS, PeClass(2.0, 0.3), PeClass(1.0, 0.9))))
+    size = draw(st.integers(1, 12))
+    sigs = make_battery(cls, size, draw(st.integers(0, 30))).signals
+    repeats = draw(st.lists(st.integers(0, size - 1), max_size=4))
+    t = draw(st.one_of(
+        st.sampled_from((cls.T - cls.mu, cls.T - cls.mu + 2e-12, cls.T)),
+        st.floats(0.02, 3.0).map(lambda x: x * cls.T)))
+    return cls, sigs + [sigs[i] for i in repeats], t
 
 
 @st.composite
@@ -149,14 +191,49 @@ class TestGramian:
 
 
     @PROPERTY
-    @given(gated_horizons())
+    @given(gated_horizons(), st.integers(0, 30))
     @pytest.mark.parametrize("preset", sorted(PRESETS))
-    def test_matches_quad_vec(self, preset, case):
+    def test_matches_quad_vec(self, preset, case, seed):
         A, B = PRESETS[preset]
         sig, t = case
-        W = quad_vec_gramian(A, B, sig, t)
-        got = gramian(A, B, sig, t).W
-        assert np.max(np.abs(got - W)) <= 1e-11 * np.max(np.abs(W)) + 1e-15
+        members = make_battery(CLS, 7, seed).signals[4:]  # the drawn ones
+        batched = reachability._gramians(A, B, members, t)
+        for gate, got in [(sig, gramian(A, B, sig, t).W),
+                          *zip(members, batched)]:
+            W = quad_vec_gramian(A, B, gate, t)
+            assert np.max(np.abs(got - W)) <= 1e-11 * np.max(np.abs(W)) + 1e-15
+
+    @PROPERTY
+    @given(battery_horizons())
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_battery_gramians_keep_the_per_gate_bits(self, preset, case):
+        A, B = PRESETS[preset]
+        cls, battery, t = case
+        Ws = reachability._gramians(A, B, battery, t)
+        for W, sig in zip(Ws, battery):
+            assert W.tobytes() == reference_gramian(A, B, sig, t).tobytes()
+        assert gramian(A, B, battery[0], t).W.tobytes() == Ws[0].tobytes()
+        if not reachability._below_threshold(cls, t):
+            rep = threshold_check(A, B, cls, t, battery)
+            claim, worst = reference_battery_check(A, B, t, battery)
+            assert rep.claim == claim
+            assert repr(rep.evidence["worst_relative_min_sv"]) == repr(worst)
+
+    @pytest.mark.parametrize("call", [
+        lambda A, B: gramian(A, B, PwcSignal.constant(1.0), 100.0),
+        lambda A, B: threshold_check(A, B, PeClass(200.0, 100.0), 100.0, []),
+        lambda A, B: threshold_check(A, B, CLS, 100.0,
+                                     make_battery(CLS, 5).signals)],
+        ids=["gramian", "adversarial", "battery"])
+    def test_overflow_refused(self, call):
+        # e^{10 t} overflows: the Gramian printed RuntimeWarnings and was
+        # refused as min_sv's argument, and the batched SVD of its inf
+        # entries reads nan, which compares as a verdict
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError, match=r"the Gramian over "
+                               r"\[0, 100.0\] is not finite"):
+                call([[5.0]], [[1.0]])
 
 
 class TestWitnessResidual:
@@ -254,6 +331,16 @@ class TestThreshold:
         # worst_relative_min_sv = inf
         with pytest.raises(DomainError, match="battery is empty"):
             threshold_check(A_DI, B_DI, CLS, t, [])
+
+    def test_battery_takes_one_stacked_exponential(self):
+        bat = make_battery(CLS, 20, seed=11).signals
+        with mock.patch.object(reachability, "_segment_gramian",
+                               wraps=reachability._segment_gramian) as seg, \
+                mock.patch.object(reachability, "gramian",
+                                  wraps=reachability.gramian) as one:
+            assert threshold_check(A_DI, B_DI, CLS, 0.8, bat).claim
+        assert seg.call_count == 1
+        assert one.call_count == 0
 
     def test_constant_one_always_controllable(self):
         for t in (0.05, 0.2, 1.0):

@@ -230,8 +230,36 @@ class TestBattery:
         for sig in bat.signals:
             assert verify_pe(sig, PeClass(2.0, 0.3), 4.0).ok
 
+    @pytest.mark.parametrize("T", [1e4, 1e6])
+    def test_long_windows_build(self, T):
+        # an absolute 1e-12 slack refused a duty member whose window
+        # integral came out one ulp of T/4 short, for every seed tried
+        cls = PeClass(T, T / 2)
+        for seed in (0, 1, 2):
+            bat = make_battery(cls, 50, seed)
+            assert all(verify_pe(sig, cls, 2.0 * T).ok for sig in bat.signals)
+
+    @pytest.mark.parametrize("T", [1.0, 1e4, 1e6])
+    def test_slack_scales_with_the_window(self, T):
+        # a gate 1e-6 T short of the floor is refused at every window length,
+        # one short by a tenth of the scaled slack is not
+        cls = PeClass(T, T / 2)
+        for short, ok in ((1e-6 * T, False), (1e-13 * max(1.0, T), True)):
+            sig = PwcSignal.periodic((0.0, T / 2, T), (1.0 - 2.0 * short / T,
+                                                       0.0))
+            rep = verify_pe(sig, cls, 2.0 * T)
+            assert rep.worst_integral < cls.mu
+            assert rep.ok == ok
+
 
 class TestValidation:
+    @pytest.mark.parametrize("t1", [2.0 ** 63, 1e308, math.inf])
+    def test_segments_refuse_int64_many_cycles(self, t1):
+        # every cycle is listed in Python: at 1e308 the listing never ended
+        sig = PwcSignal.periodic((0.0, 0.5, 1.0), (1.0, 0.0))
+        with pytest.raises(DomainError, match="more than int64 counts"):
+            next(sig.segments(0.0, t1))
+
     def test_breakpoints_must_start_at_zero(self):
         with pytest.raises(DomainError):
             PwcSignal((0.5, 1.0), (1.0,), hold=0.0)
