@@ -256,7 +256,7 @@ def find_nu(K, tol: float = 1e-10) -> float:
 
     xi behaves like C / sqrt(nu): an interpolating search on xi over nu
     falls back to bisection, but log xi is nearly linear in log nu.  So
-    simcore._itp runs on g(u) = log xi(e^u) over [log 1e-12, 0], in 10-15
+    simcore._itp runs on g(u) = log xi(e^u) over [log 1e-12, 0], in 9-14
     evaluations for moderate gains where bisection took 36.  It stops when
     e^u_hi - e^u_lo <= tol (finite, positive, absolute in nu) or no float
     lies between u_lo and u_hi, and returns e^u_lo, a level xi was
@@ -300,8 +300,12 @@ def find_nu(K, tol: float = 1e-10) -> float:
         return 1.0
     # a bracket no wider than tol in u is no wider than tol in nu <= 1
     n_bis = math.ceil(math.log2(hi - lo) - math.log2(tol))
-    lo, _ = _itp(g, lo, hi, g_lo, g_hi, n_bis + 1,
-                 lambda lo, hi: math.exp(hi) - math.exp(lo) <= tol)
+    # kappa1 = 0.2 / (hi - lo): crossing_time's 0.02 took up to 18
+    # evaluations of xi at 1e-10 here; the stop accepts brackets up to
+    # hi - lo = log1p(tol e^-lo) wide, the width that floors the truncation
+    lo, _ = _itp(g, lo, hi, g_lo, g_hi, n_bis + 1, 0.2,
+                 lambda lo, hi: math.exp(hi) - math.exp(lo) <= tol,
+                 lambda lo: math.log1p(tol * math.exp(-lo)))
     return math.exp(lo)
 
 

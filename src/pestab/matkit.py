@@ -35,7 +35,7 @@ def as_matrix(a, square: bool = False, name: str = "matrix",
             f"{name} must be {2 + stack}-dimensional, got shape {m.shape}")
     if square and m.shape[-2] != m.shape[-1]:
         raise ShapeError(f"{name} must be square, got shape {m.shape}")
-    if m.size and not np.all(np.isfinite(m)):
+    if m.size and not np.isfinite(m).all():
         raise ShapeError(f"{name} has non-finite entries")
     return m
 
@@ -57,7 +57,7 @@ def expm(m, t: float = 1.0) -> np.ndarray:
     """
     a = as_matrix(m, square=True, name="expm argument",
                   stack=np.ndim(m) == 3)
-    if not np.isfinite(t):
+    if not math.isfinite(t):
         raise ShapeError("expm time must be finite")
     return scipy.linalg.expm(t * a)
 

@@ -209,20 +209,29 @@ class Trajectory:
         names = ("V", "r", "theta", "F_theta")
         header = ["t"] + [f"x{i+1}" for i in range(self.n)] + ["alpha", *names]
         N = len(self.times)
+        # alpha takes few levels: each is formatted once, keyed by its bits
+        # so that 0.0 and -0.0 stay apart
+        bits = np.asarray(self.seg_alpha, dtype=float).view(np.int64)
+        levels, level_of = np.unique(bits, return_inverse=True)
+        level_text = np.array([repr(a) for a in levels.view(float).tolist()],
+                              dtype=object)
         # sample j reads seg_alpha[j]; the last sample repeats the last value
-        last = len(self.seg_alpha) - 1
-        alpha = self.seg_alpha[np.minimum(np.arange(N), last)]
-        columns = [self.times, *self.states.T, alpha] + \
-            [self.channels.get(name) for name in names]
+        alpha = level_text[level_of[np.minimum(np.arange(N), len(bits) - 1)]]
+        channels = [self.channels.get(name) for name in names]
+
+        def text(c, block):
+            return itertools.repeat("") if c is None else \
+                map(repr, np.asarray(c[block], dtype=float).tolist())
+
         with open(path, "w", newline="") as fh:
             fh.write(",".join(header) + "\r\n")
             # whole columns are formatted a block of rows at a time, which
             # bounds the string lists held at once
             for b in range(0, N, _CSV_BLOCK):
-                cells = [itertools.repeat("") if c is None else
-                         map(repr, np.asarray(c[b:b + _CSV_BLOCK],
-                                              dtype=float).tolist())
-                         for c in columns]
+                block = slice(b, b + _CSV_BLOCK)
+                cells = [text(c, block) for c in (self.times, *self.states.T)]
+                cells.append(alpha[block].tolist())
+                cells += [text(c, block) for c in channels]
                 rows = zip(*cells)
                 fh.write("".join(",".join(row) + "\r\n" for row in rows))
 
@@ -585,10 +594,16 @@ def propagate_batch(loop: ClosedLoop, t0: float, x0_columns, t1: float,
 
 
 def _itp(g, lo: float, hi: float, g_lo: float, g_hi: float, n_max: int,
-         done) -> tuple:
+         k1: float, done, width) -> tuple:
     """ITP search (Oliveira & Takahashi, ACM TOMS 47(1), 2020; kappa1 =
-    0.2 / (hi - lo), kappa2 = 2, bisection's projection radius) on the
+    k1 / (hi - lo), kappa2 = 2, bisection's projection radius) on the
     sign-change bracket [lo, hi] of g, with g(lo) = g_lo and g(hi) = g_hi.
+
+    The truncation is floored at 0.45 width(lo), just under half the width
+    of a bracket from lo that done accepts.  Once the interpolation sits on the
+    root, the truncated point then lands past it and the far end of the
+    bracket closes in a step or two; a truncation below rounding level
+    would evaluate the same point again and again.
 
     Returns the bracket once done(lo, hi) holds, no float lies strictly
     inside it, or n_max steps are taken; a zero of g at s returns (s, s).
@@ -605,7 +620,7 @@ def _itp(g, lo: float, hi: float, g_lo: float, g_hi: float, n_max: int,
         s_f = lo + (hi - lo) * g_lo / (g_lo - g_hi) \
             if math.isfinite(g_hi) else mid
         sigma = math.copysign(1.0, mid - s_f)
-        delta = 0.2 * (hi - lo) ** 2 / span
+        delta = max(k1 * (hi - lo) ** 2 / span, 0.45 * width(lo))
         s_t = s_f + sigma * delta if delta <= abs(mid - s_f) else mid
         r = math.ldexp(span, -j) - 0.5 * (hi - lo)
         s = s_t if abs(s_t - mid) <= r else mid - sigma * r
@@ -628,14 +643,14 @@ def crossing_time(m: np.ndarray, x_lo: np.ndarray, t_lo: float, t_hi: float,
     """Zero of fn(x(t)) on [t_lo, t_hi] for the flow x' = m x, x(t_lo) = x_lo.
 
     fn is evaluated on the exact dense output expm(m, t - t_lo) @ x_lo and
-    must change sign across the interval.  The ITP search _itp shrinks a
-    sign-change bracket until it is no wider than _CROSSING_REL_TOL of the
-    interval, and the midpoint of that bracket is returned (rounded to a
-    float time, which near a large t_lo may be coarser): about 11
-    evaluations per root, never more than bisection to the same width plus
-    two.  A zero at either end is returned as that end; when the dense
-    output at t_hi does not change sign (it disagrees with the caller's
-    sample by rounding), t_hi is.
+    must change sign across the interval.  The ITP search _itp, with
+    kappa1 = 0.02 / (t_hi - t_lo), shrinks a sign-change bracket until it
+    is no wider than _CROSSING_REL_TOL of the interval, and the midpoint of
+    that bracket is returned (rounded to a float time, which near a large
+    t_lo may be coarser): about 7 evaluations per root, never more than
+    bisection to the same width plus two.  A zero at either end is
+    returned as that end; when the dense output at t_hi does not change
+    sign (it disagrees with the caller's sample by rounding), t_hi is.
     """
     f_lo = fn(x_lo)
     if f_lo == 0.0:
@@ -651,7 +666,8 @@ def crossing_time(m: np.ndarray, x_lo: np.ndarray, t_lo: float, t_hi: float,
     # n_max = n_bis + 1 steps end below tol even after rounding
     n_bis = math.ceil(-math.log2(_CROSSING_REL_TOL))
     lo, hi = _itp(lambda s: fn(expm(m, s) @ x_lo), 0.0, span, f_lo, f_hi,
-                  n_bis + 1, lambda lo, hi: hi - lo <= tol)
+                  n_bis + 1, 0.02, lambda lo, hi: hi - lo <= tol,
+                  lambda lo: tol)
     return t_lo + 0.5 * (lo + hi)
 
 

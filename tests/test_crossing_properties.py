@@ -4,9 +4,9 @@ Random 2x2 flows (rotating, real-eigenvalue, defective) with linear and
 quadratic functionals that vanish at a chosen time inside the interval.  The
 interval is short enough that the sign change there is the only root, so the
 ITP search and the plain bisection it replaced, kept here as the reference,
-must agree to the tolerance; the ITP loop crossing_time ran inline before
-it moved into simcore._itp is kept as a bit-for-bit reference.  The dense output used to check signs is an
-independent `scipy.linalg.expm`.
+must agree to the tolerance; the ITP loop crossing_time runs through
+simcore._itp, written out inline, is a bit-for-bit reference.  The dense
+output used to check signs is an independent `scipy.linalg.expm`.
 """
 
 import math
@@ -16,8 +16,10 @@ import numpy as np
 import scipy.linalg
 from hypothesis import assume, given, settings, strategies as st
 
-from pestab import adversary, simcore
-from pestab.simcore import crossing_time
+from pestab import adversary, certify, simcore
+from pestab.gains import A_DI, B_DI, di_gain
+from pestab.signals import PeClass, make_battery
+from pestab.simcore import ClosedLoop, crossing_time, propagate
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
                     database=None)
@@ -45,8 +47,8 @@ def reference_crossing_time(m, x_lo, t_lo, t_hi, fn):
 
 
 def reference_itp_crossing_time(m, x_lo, t_lo, t_hi, fn):
-    """The ITP loop crossing_time ran inline before it moved into
-    simcore._itp."""
+    """The ITP loop crossing_time runs through simcore._itp, inline:
+    kappa1 = 0.02 / span, and the truncation floored at 0.45 tol."""
     f_lo = fn(x_lo)
     if f_lo == 0.0:
         return t_lo
@@ -63,7 +65,7 @@ def reference_itp_crossing_time(m, x_lo, t_lo, t_hi, fn):
         mid = 0.5 * (lo + hi)
         s_f = lo + (hi - lo) * f_lo / (f_lo - f_hi)
         sigma = math.copysign(1.0, mid - s_f)
-        delta = 0.2 * (hi - lo) ** 2 / span
+        delta = max(0.02 * (hi - lo) ** 2 / span, 0.45 * tol)
         s_t = s_f + sigma * delta if delta <= abs(mid - s_f) else mid
         r = span / 2.0 ** j - 0.5 * (hi - lo)
         s = s_t if abs(s_t - mid) <= r else mid - sigma * r
@@ -237,10 +239,11 @@ def test_expm_calls_bounded_per_root(drawn):
 
 
 def test_find_nu_roots_take_few_evaluations():
-    # the point of the ITP search: about 12 evaluations per root of the
+    # the point of the ITP search: about 7.7 evaluations per root of the
     # nu threshold search where bisection takes 40, also once fn is down at
     # rounding level near the root (an interpolation step that lands on an
-    # end of the bracket there took about 19)
+    # end of the bracket there took about 19, and a truncation below
+    # rounding that never closed the far end about 12.7)
     roots = []
     real = adversary.crossing_time
 
@@ -252,4 +255,37 @@ def test_find_nu_roots_take_few_evaluations():
             mock.patch.object(simcore, "expm", wraps=simcore.expm) as counted:
         for k1, k2 in ((1.0, 1.0), (0.5, 0.5), (3.0, 2.0)):
             adversary.find_nu(np.array([[-k1, -k2]]))
-    assert counted.call_count <= 15 * len(roots)
+    assert counted.call_count <= 10 * len(roots)
+
+
+def test_fixed_crossings_take_few_exponentials():
+    # the destabilizer's sector crossings and the chain certificate's axis
+    # crossings: the interpolation has the root after 6-7 steps, and the
+    # truncation floored under half the stopping width then closes the far
+    # end of the bracket, about 7.8 exponentials per root; a truncation of
+    # 0.2 w^2 / span alone fell below rounding and took about 12.5 here
+    counts = []
+    real = simcore.crossing_time
+
+    def counting(*args):
+        before = counted.call_count
+        t = real(*args)
+        counts.append(counted.call_count - before)
+        return t
+
+    cls = PeClass(1.0, 0.5)
+    with mock.patch.object(adversary, "crossing_time", counting), \
+            mock.patch.object(certify, "crossing_time", counting), \
+            mock.patch.object(simcore, "expm", wraps=simcore.expm) as counted:
+        for k1, k2 in ((0.5, 0.5), (0.5, 1.0), (1.0, 0.5), (1.0, 1.0),
+                       (2.0, 1.0), (2.0, 1.5), (3.0, 1.0), (3.0, 2.0)):
+            adversary.run_destabilizer(np.array([[-k1, -k2]]),
+                                       PeClass(1.0, 0.03))
+        K = di_gain(cls, 0.2, 4.0, 8.0).K
+        for sig in make_battery(cls, 6, seed=3).signals:
+            traj = propagate(ClosedLoop(A_DI, B_DI, K, sig), 0.0,
+                             [-1.0, 0.3], 10.0)
+            certify._axis_representatives(traj)
+    assert len(counts) >= 60
+    assert max(counts) <= _MAX_EXPM_PER_ROOT
+    assert sum(counts) <= 8 * len(counts)

@@ -72,8 +72,17 @@ class TestExpm:
 
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_time(self, t):
-        with pytest.raises(ShapeError, match="time"):
-            expm(ROT, t)
+        # a Python float, a numpy scalar and a 0-d array alike, for one
+        # matrix and for a stack
+        for time in (t, np.float64(t), np.array(t)):
+            with pytest.raises(ShapeError, match="time"):
+                expm(ROT, time)
+            with pytest.raises(ShapeError, match="time"):
+                expm(np.stack([ROT, ROT]), time)
+
+    @pytest.mark.parametrize("kind", [np.float64, np.array])
+    def test_numpy_time_keeps_the_float_bits(self, kind):
+        assert expm(ROT, kind(0.3)).tobytes() == expm(ROT, 0.3).tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_stack_slices_equal_their_own_calls(self, n):
@@ -108,6 +117,8 @@ class TestExpm:
         stack[2, 1, 0] = bad
         with pytest.raises(ShapeError, match="non-finite"):
             expm(stack)
+        with pytest.raises(ShapeError, match="non-finite"):
+            expm(stack, 0.5)
 
 
 class TestQuadRoots:

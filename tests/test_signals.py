@@ -1,9 +1,12 @@
+import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from pestab.errors import DomainError
+from pestab import signals
+from pestab.errors import ConstructionError, DomainError
 from pestab.signals import (PeClass, PwcSignal, integrate_signal,
                             make_battery, make_duty, rescale_time, shift,
                             verify_pe)
@@ -217,7 +220,78 @@ class TestJson:
         assert obj["extension"] == {"periodic": 1.0}
 
 
+def reference_make_battery(cls, size, seed=0):
+    """The make_battery loop that rebuilt the shifted members' base duty
+    each time and verified every member at the end, duty members too."""
+    rng = np.random.default_rng(seed)
+    T, mu, ratio = cls.T, cls.mu, cls.ratio
+    sigs = [PwcSignal.constant(1.0), PwcSignal.constant(ratio),
+            make_duty(cls, pattern="front"), make_duty(cls, pattern="back")]
+    while len(sigs) < size:
+        kind = rng.integers(0, 4)
+        if kind == 0:
+            sigs.append(make_duty(cls, **signals._random_duty(cls, rng)))
+        elif kind == 1:
+            m = int(rng.integers(2, 6))
+            cuts = np.sort(rng.random(m - 1)) * T
+            bp = np.concatenate([[0.0], cuts, [T]])
+            if np.any(np.diff(bp) <= 1e-9 * T):
+                continue
+            dur = np.diff(bp)
+            raw = rng.random(m)
+            total = float(raw @ dur)
+            if total <= 0.0:
+                continue
+            v = raw * (mu / total)
+            if v.max() > 1.0:
+                excess = v[v > ratio]
+                tmix = min(1.0, float(np.min((1.0 - ratio)
+                                             / (excess - ratio))) * 0.999)
+                v = ratio + tmix * (v - ratio)
+            sigs.append(PwcSignal.periodic(tuple(bp[:-1]) + (T,), tuple(v)))
+        elif kind == 2:
+            j = int(rng.integers(2, 5))
+            sigs.append(make_duty(PeClass(T / j, mu / j),
+                                  phase=float(rng.random() * T / j),
+                                  on_value=1.0, pattern="front"))
+        else:
+            base = make_duty(cls, on_value=1.0, pattern="front")
+            sigs.append(shift(base, float(rng.random() * 3.0 * T)))
+    sigs = sigs[:size]
+    for sig in sigs:
+        if not verify_pe(sig, cls, horizon=2.0 * T).ok:
+            raise ConstructionError("battery member fails verification")
+    return sigs
+
+
 class TestBattery:
+    @pytest.mark.parametrize("cls", [CLS, PeClass(1.0, 0.4),
+                                     PeClass(2.0, 0.3), PeClass(1e4, 5e3),
+                                     PeClass(0.5, 0.5)])
+    def test_matches_the_per_member_loop(self, cls):
+        for seed in (0, 1, 7, 11):
+            for size in (1, 3, 4, 5, 17, 50):
+                got = make_battery(cls, size, seed)
+                want = reference_make_battery(cls, size, seed)
+                # json carries every float's repr, so -0.0 and 0.0 differ
+                assert json.dumps([s.to_json() for s in got.signals]) == \
+                    json.dumps([s.to_json() for s in want])
+
+    def test_each_member_verified_once_per_class(self):
+        # the shifted members' base duty is built once, and make_duty's
+        # members are not verified again against the class and horizon it
+        # already checked them against
+        checks = []
+        real = signals.verify_pe
+
+        def recording(alpha, cls, horizon):
+            checks.append((json.dumps(alpha.to_json()), cls, horizon))
+            return real(alpha, cls, horizon)
+
+        with mock.patch.object(signals, "verify_pe", recording):
+            make_battery(PeClass(1.0, 0.4), 50, seed=7)
+        assert len(checks) == len(set(checks))
+
     def test_deterministic(self):
         a = make_battery(CLS, 30, seed=5)
         b = make_battery(CLS, 30, seed=5)

@@ -442,21 +442,29 @@ class TestCsv:
                                                       "F_theta")])
     def test_bytes_match_csv_writer_reference(self, tmp_path, n, names):
         # more rows than two write blocks, with signed zeros and non-finite
-        # channel values
-        rng = np.random.default_rng(n)
-        loop = ClosedLoop(rng.normal(size=(n, n)), np.ones((n, 1)),
-                          np.zeros((1, n)), make_duty(CLS))
-        tr = propagate(loop, 0.0, rng.normal(size=n), 3.0, max_step=0.0025)
-        assert len(tr.times) > 2 * simcore._CSV_BLOCK
-        special = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300]
-        tr = tr.with_channels(**{
-            name: np.concatenate((special, rng.normal(size=len(tr.times)
-                                                      - len(special))))
-            for name in names})
-        tr.to_csv(tmp_path / "fast.csv")
-        reference_to_csv(tr, tmp_path / "ref.csv")
-        assert (tmp_path / "fast.csv").read_bytes() == \
-            (tmp_path / "ref.csv").read_bytes()
+        # channel values; the second gate's levels include 0.0, -0.0 and
+        # one that takes 17 digits, each formatted once for all its samples
+        signed = PwcSignal.periodic((0.0, 0.25, 0.5, 0.75, 1.0),
+                                    (0.0, 0.1 + 0.2, -0.0, 1.0))
+        for sig in (make_duty(CLS), signed):
+            rng = np.random.default_rng(n)
+            loop = ClosedLoop(rng.normal(size=(n, n)), np.ones((n, 1)),
+                              np.zeros((1, n)), sig)
+            tr = propagate(loop, 0.0, rng.normal(size=n), 3.0,
+                           max_step=0.0025)
+            assert len(tr.times) > 2 * simcore._CSV_BLOCK
+            special = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300]
+            tr = tr.with_channels(**{
+                name: np.concatenate((special, rng.normal(
+                    size=len(tr.times) - len(special))))
+                for name in names})
+            tr.to_csv(tmp_path / "fast.csv")
+            reference_to_csv(tr, tmp_path / "ref.csv")
+            assert (tmp_path / "fast.csv").read_bytes() == \
+                (tmp_path / "ref.csv").read_bytes()
+        with open(tmp_path / "fast.csv") as fh:
+            alpha = {row[n + 1] for row in list(csv.reader(fh))[1:]}
+        assert alpha == {"0.0", "-0.0", "0.30000000000000004", "1.0"}
 
 
 def reference_to_csv(tr, path):
