@@ -179,8 +179,7 @@ def _certify_dispatch(selector: str, sc: dict, seed: int):
     grid = certify.unit_circle_grid(int(p.get("grid", 8)))
     if selector == "claim1":
         A, B = build_system(sc)
-        grid = certify.sphere_grid(A.shape[0], int(p.get("grid", 16)), bseed)
-        cert = certify.estimate_eta(A, B, cls, battery.signals, grid)
+        cert = certify.estimate_eta(A, B, cls, battery.signals)
     elif selector == "q1yes":
         A, B = build_system(sc)
         x0s = [np.asarray(v, dtype=float) for v in

@@ -107,8 +107,7 @@ def test_criterion_03_energy_identity():
 def test_criterion_04_neutral_uniform_decay():
     t0 = time.perf_counter()
     battery = make_battery(CLS, 200, seed=4)
-    eta_cert = estimate_eta(A_ROTATION, B_ROT, CLS, battery.signals,
-                            unit_circle_grid(32))
+    eta_cert = estimate_eta(A_ROTATION, B_ROT, CLS, battery.signals)
     grid = unit_circle_grid(2)
     runs = certify.neutral_runs(A_ROTATION, B_ROT, battery.signals, grid,
                                 horizon=30.0, max_step=0.01)

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from pestab.errors import InsufficientDataError, PreconditionError
 from pestab.gains import (A_DI, A_ROTATION, B_DI, cone_geometry,
                           di_base_gain, multi_input_gain)
 from pestab.matkit import expm
-from pestab.signals import PeClass, PwcSignal, make_battery, make_duty
+from pestab.signals import (PeClass, PwcSignal, integrate_signal,
+                            make_battery, make_duty)
 from pestab.simcore import ClosedLoop, polar_lift, propagate
 
 CLS = PeClass(1.0, 0.5)
@@ -88,8 +90,7 @@ class TestEnergyIdentity:
 
 class TestEta:
     def test_full_excitation_positive(self):
-        cert = estimate_eta(A_ROTATION, B_ROT, CLS,
-                            [PwcSignal.constant(1.0)], unit_circle_grid(8))
+        cert = estimate_eta(A_ROTATION, B_ROT, CLS, [PwcSignal.constant(1.0)])
         assert cert.passed
         assert cert.measured["eta_hat"] > 0.1
 
@@ -97,18 +98,33 @@ class TestEta:
         # B = c*I makes the integrand exactly 2 c^2 alpha
         c = 0.7
         cert = estimate_eta(A_ROTATION, c * np.eye(2), CLS,
-                            [PwcSignal.constant(1.0)], unit_circle_grid(4))
+                            [PwcSignal.constant(1.0)])
         assert cert.measured["eta_hat"] == pytest.approx(
-            2.0 * c * c * CLS.T, rel=1e-6)
+            2.0 * c * c * CLS.T, rel=1e-12)
 
     def test_kernel_start_front_loaded_signal(self):
-        # x0 aligned with the unexcited direction, excitation only early:
-        # the state rotates into the excited direction and the integral
-        # stays positive
-        x0 = np.array([[1.0], [0.0]])
+        # excitation only early: a state that starts in the unexcited
+        # direction rotates into the excited one, so the floor over every
+        # initial state stays positive
         sig = make_duty(CLS, on_value=1.0, pattern="front")
-        cert = estimate_eta(A_ROTATION, B_ROT, CLS, [sig], x0)
+        cert = estimate_eta(A_ROTATION, B_ROT, CLS, [sig])
         assert cert.measured["eta_hat"] > 1e-3
+        assert cert.measured["worst_member"] == 0
+
+    def test_liouville_bound(self):
+        # for skew A, det Phi = exp(-||B||_F^2 int_0^T alpha), and
+        # sigma_max^n >= det Phi, so eta <= (2/n) ||B||_F^2 int_0^T alpha
+        rng = np.random.default_rng(8)
+        n = 4
+        S = rng.standard_normal((n, n))
+        A = S - S.T
+        B = rng.standard_normal((n, 2))
+        for cls in (CLS, PeClass(4.0, 1.0)):
+            for sig in make_battery(cls, 6, seed=2).signals:
+                eta = estimate_eta(A, B, cls, [sig]).measured["eta_hat"]
+                bound = (2.0 / n) * np.sum(B * B) * integrate_signal(
+                    sig, 0.0, cls.T)
+                assert 0.0 < eta <= bound * (1.0 + 1e-12)
 
     def test_shift_covariance_identity(self):
         # a zero-gate prefix of length s followed by the shifted signal
@@ -141,8 +157,7 @@ class TestEta:
 
     def test_non_skew_rejected(self):
         with pytest.raises(PreconditionError):
-            estimate_eta(A_DI, B_DI, CLS, [PwcSignal.constant(1.0)],
-                         unit_circle_grid(4))
+            estimate_eta(A_DI, B_DI, CLS, [PwcSignal.constant(1.0)])
 
 
 class TestFMonotone:
@@ -557,7 +572,7 @@ class TestBatteryRecord:
     GRID = unit_circle_grid(4)
 
     @pytest.mark.parametrize("certify_battery", [
-        lambda bat, grid: estimate_eta(A_ROTATION, B_ROT, CLS, bat, grid),
+        lambda bat, grid: estimate_eta(A_ROTATION, B_ROT, CLS, bat),
         lambda bat, grid: certify.f_monotone_battery(CLS, 0.2, 4.0, 8.0, bat,
                                                      grid, 7.5),
         lambda bat, grid: certify.dwell_scaling(CLS, 0.2, 4.0, 2.0, bat,
@@ -576,6 +591,22 @@ class TestBatteryRecord:
     def test_records_the_battery_size(self, certify_battery):
         cert = certify_battery(self.BAT, self.GRID)
         assert cert.to_json()["battery"] == {"size": len(self.BAT)}
+
+    @pytest.mark.parametrize("certify_battery", [
+        lambda: estimate_eta(A_ROTATION, B_ROT, CLS, []),
+        lambda: certify.chain_battery(CLS, 0.2, 4.0, 8.0, [],
+                                      unit_circle_grid(4), 7.5),
+        lambda: multi_input_identity(np.eye(2), 1.0, [],
+                                     [np.array([1.0, 0.0])], 5.0),
+    ], ids=["estimate_eta", "chain_battery", "multi_input_identity"])
+    def test_empty_battery_refused(self, certify_battery):
+        # a certificate over no signal certifies nothing, so it is refused
+        # before any run is propagated
+        with mock.patch.object(certify, "propagate_batch") as batch, \
+                mock.patch.object(certify, "propagate") as single:
+            with pytest.raises(InsufficientDataError, match="empty battery"):
+                certify_battery()
+        assert not batch.called and not single.called
 
 
 class TestIdentities:

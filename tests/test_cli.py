@@ -224,13 +224,19 @@ class TestCertify:
         assert "rho" in capsys.readouterr().err
 
     def test_claim1_on_rotation(self, tmp_path):
+        # the floor covers every initial state, so claim1 reads no grid
         sc = {"system": {"preset": "rotation"},
               "pe_class": {"T": 1.0, "mu": 0.5},
-              "battery": {"size": 8, "seed": 1},
-              "params": {"grid": 6}}
+              "battery": {"size": 8, "seed": 1}}
         path = write_scenario(tmp_path, sc)
+        out = tmp_path / "o"
         assert main(["certify", "--scenario", path, "--lemma", "claim1",
-                     "--out-dir", str(tmp_path / "o")]) == 0
+                     "--out-dir", str(out)]) == 0
+        payload = json.loads((out / "certificate_claim1.json").read_text())
+        measured = payload["certificate"]["measured"]
+        assert measured["eta_hat"] > certify._ETA_MARGIN
+        assert 0 <= measured["worst_member"] < 8
+        assert "grid_size" not in measured
 
     @pytest.mark.parametrize("selector", LEMMA_SELECTORS)
     def test_every_selector_passes(self, tmp_path, capsys, selector):
