@@ -8,6 +8,8 @@ are reproducible bit-for-bit from (seed, tolerance) configuration.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -21,8 +23,8 @@ from .gains import (A_DI, B_DI, ConeGeometry, cone_geometry, di_base_gain,
 from .matkit import as_matrix, one_norm
 from .reachability import kalman_rank
 from .signals import PeClass, PwcSignal, make_duty, rescale_time
-from .simcore import (ClosedLoop, Trajectory, _fitted_rate, crossing_time,
-                      fmap_F, polar_lift, propagate, propagate_batch)
+from .simcore import (ClosedLoop, Trajectory, _fitted_rate, _polar,
+                      crossing_time, fmap_F, propagate, propagate_batch)
 
 __all__ = [
     "Certificate",
@@ -105,7 +107,9 @@ def _battery_certificate(name: str, passed: bool, measured: dict, tolerance,
 # ---------------------------------------------------------------------------
 
 def unit_circle_grid(m: int) -> np.ndarray:
-    """m unit vectors in the plane, as columns."""
+    """m unit vectors in the plane, as columns; m must be at least 1."""
+    if m < 1:
+        raise DomainError(f"a grid needs at least one initial state, got {m}")
     phi = 2.0 * np.pi * np.arange(m) / m
     return np.vstack([np.cos(phi), np.sin(phi)])
 
@@ -135,11 +139,15 @@ def di_runs(cls: PeClass, rho: float, k: float, lam: float, battery,
     returned again in a new list when the next call has the same inputs to
     the bit, so consecutive cone certificates on one battery propagate it
     once.  They carry no channels; a caller that needs the angle lifts
-    them with polar_lift.
+    them with polar_lift, or a member's runs at once with its _polar.  A
+    grid with no initial state certifies nothing and is refused
+    (InsufficientDataError) before any propagation.
     """
     global _last_runs
     battery = list(battery)
     x0m = np.asarray(x0_columns, dtype=float)
+    if x0m.ndim == 2 and x0m.shape[1] == 0:
+        raise InsufficientDataError("no initial state")
     # repr tells -0.0 from 0.0 and round-trips every float
     key = (repr([float(v) for v in (rho, k, lam, horizon)]),
            x0m.shape, x0m.tobytes(),
@@ -167,8 +175,25 @@ def di_runs(cls: PeClass, rho: float, k: float, lam: float, battery,
 # fits
 # ---------------------------------------------------------------------------
 
+def _line_fits(x: np.ndarray, y: np.ndarray, lens) -> tuple:
+    """(slope, intercept) arrays of the least-squares lines y ~ intercept +
+    slope x, one over each of the consecutive segments of x and y with
+    lengths lens, in closed form from centred sums: slope = sum dx dy /
+    sum dx^2, with dx = x - mean x and dy = y - mean y over the segment.
+    Each segment needs two distinct abscissae."""
+    starts = np.cumsum(lens) - lens
+    xm = np.add.reduceat(x, starts) / lens
+    ym = np.add.reduceat(y, starts) / lens
+    dx = x - np.repeat(xm, lens)
+    slope = np.add.reduceat(dx * (y - np.repeat(ym, lens)), starts) \
+        / np.add.reduceat(dx * dx, starts)
+    return slope, ym - slope * xm
+
+
 def decay_rate(traj: Trajectory, t_start: float) -> dict:
-    """Least-squares fit of log||x|| ~ log C - gamma (t - t_start)."""
+    """Least-squares fit of log||x|| ~ log C - gamma (t - t_start), in
+    closed form from centred sums (_line_fits), with the largest residual
+    of the fitted line."""
     mask = traj.times >= t_start
     if int(mask.sum()) < 10:
         raise InsufficientDataError("need at least 10 samples after t_start")
@@ -177,7 +202,7 @@ def decay_rate(traj: Trajectory, t_start: float) -> dict:
     if np.any(nrm <= 0.0):
         raise DomainError("trajectory reaches zero norm; nothing to fit")
     y = np.log(nrm)
-    slope, intercept = np.polyfit(t, y, 1)
+    (slope,), (intercept,) = _line_fits(t, y, np.array([len(t)]))
     residual = float(np.max(np.abs(intercept + slope * t - y)))
     return {"gamma_hat": float(-slope), "C_hat": float(math.exp(intercept)),
             "residual": residual}
@@ -349,18 +374,51 @@ def _runs(mask) -> list:
     return list(zip(edges[::2].tolist(), (edges[1::2] - 1).tolist()))
 
 
-def _stays(runs, inside, min_steps: int):
-    """The window of every maximal stay, lasting at least min_steps steps,
-    of every run in the set where inside(x1, x2) holds."""
-    for tr in runs:
-        for i0, i1 in _runs(inside(tr.states[:, 0], tr.states[:, 1])):
-            if i1 - i0 >= min_steps:
-                yield tr.window(i0, i1)
+def _stays(inside: np.ndarray, min_steps: int) -> tuple:
+    """(idx, lens) of every maximal run of True along the rows of inside
+    (m, N) that lasts at least min_steps steps: the flat sample indices of
+    those stays, concatenated row by row, and the length of each."""
+    m, N = inside.shape
+    pad = np.zeros((m, N + 1), dtype=bool)
+    pad[:, :N] = inside
+    ends = np.array(_runs(pad.ravel()), dtype=int).reshape(-1, 2)
+    # flat index in the padded rows, less one pad per row before it
+    ends -= ends // (N + 1)
+    ends = ends[ends[:, 1] - ends[:, 0] >= min_steps]
+    lens = ends[:, 1] - ends[:, 0] + 1
+    starts = np.cumsum(lens) - lens
+    return np.arange(lens.sum()) + np.repeat(ends[:, 0] - starts, lens), lens
+
+
+def _stay_samples(runs, min_steps: int, sample) -> tuple:
+    """(arrays, lens): the samples of every maximal stay of at least
+    min_steps steps in a set, over a battery's runs, and the length of
+    each stay.  A member's runs share one time grid array and are taken
+    together: sample(run, x1, x2) gets its first run and the state
+    components (m, N) of all its runs, one run per row, and returns the
+    set's mask (m, N) and the per-sample arrays to keep, each (m, N), or
+    (N,) on the shared grid."""
+    parts, lens = [], [np.zeros(0, dtype=int)]
+    for _, group in itertools.groupby(runs, key=lambda tr: id(tr.times)):
+        group = list(group)
+        x = np.array([tr.states for tr in group])
+        inside, arrays = sample(group[0], x[:, :, 0], x[:, :, 1])
+        idx, n = _stays(inside, min_steps)
+        parts.append([np.broadcast_to(a, inside.shape).ravel()[idx]
+                      for a in arrays])
+        lens.append(n)
+    return [np.concatenate(a) for a in zip(*parts)], np.concatenate(lens)
 
 
 def _values(certs, key: str) -> list:
     """The measured `key` of every certificate that reports it."""
     return [c.measured[key] for c in certs if key in c.measured]
+
+
+def _in_stays(steps: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The entries of steps, one per pair of consecutive samples of stays
+    of lengths lens concatenated, whose two samples lie in one stay."""
+    return np.delete(steps, np.cumsum(lens)[:-1] - 1)
 
 
 def c12_sojourns(traj: Trajectory, geom: ConeGeometry) -> list:
@@ -395,12 +453,38 @@ def c12_sojourns(traj: Trajectory, geom: ConeGeometry) -> list:
     return out
 
 
+def _f_drops(theta: np.ndarray, ahead: np.ndarray, lens: np.ndarray,
+             lam: float, mu: float, k: float) -> tuple:
+    """(violations, worst step, n_windows, c_hat) of the reparameterized
+    angle F = fmap_F(theta, k) over stays of lengths lens concatenated.
+    Within a stay F must not rise by more than _F_SLACK from sample to
+    sample, and over every window from sample i to sample i + ahead[i]
+    (the first at least T/lam later) that ends inside the stay it must
+    drop; c_hat is the least drop in units of mu k / lam, inf without a
+    window."""
+    F = fmap_F(theta, k)
+    dF = _in_stays(np.diff(F), lens)
+    last = np.repeat(np.cumsum(lens) - 1, lens)
+    i = np.flatnonzero(np.arange(len(F)) + ahead <= last)
+    c_hat = np.min((F[i] - F[i + ahead[i]]) * lam / (mu * k),
+                   initial=math.inf)
+    return (int(np.sum(dF > _F_SLACK)), float(np.max(dF)) if len(dF) else 0.0,
+            len(i), c_hat)
+
+
+def _ahead(t: np.ndarray, W: float) -> np.ndarray:
+    """For each sample of the grid t, the steps to the first sample at
+    least W later (past the end when there is none)."""
+    return np.searchsorted(t, t + W, side="left") - np.arange(len(t))
+
+
 def check_F_monotone(traj: Trajectory, rho: float, k: float, cls: PeClass,
                      lam: float) -> Certificate:
     """On a stay inside the outer cones, the reparameterized angle must be
     non-increasing sample-to-sample, and over every sub-window of length
     T/lam it must drop by a definite amount; the largest constant making all
-    window drops pass is reported."""
+    window drops pass is reported.  The check is f_monotone_battery's on
+    one stay, the whole trajectory."""
     if "theta" not in traj.channels:
         raise PreconditionError("trajectory must be polar-lifted")
     geom = cone_geometry(rho, k, cls.ratio)
@@ -409,23 +493,16 @@ def check_F_monotone(traj: Trajectory, rho: float, k: float, cls: PeClass,
     r2 = x1 * x1 + x2 * x2
     if np.any(q < -1e-9 * r2):
         raise PreconditionError("segment leaves the outer-cone union")
-    F = fmap_F(traj.channels["theta"], k)
-    dF = np.diff(F)
-    mono_viol = int(np.sum(dF > _F_SLACK))
-    worst = float(np.max(dF)) if len(dF) else 0.0
-
     W = cls.T / lam
-    t = traj.times
-    ends = np.searchsorted(t, t + W, side="left")
-    i = np.flatnonzero(ends < len(t))
-    n_windows = len(i)
-    c_hat = np.min((F[i] - F[ends[i]]) * lam / (cls.mu * k), initial=math.inf)
+    viol, worst, n_windows, c_hat = _f_drops(
+        traj.channels["theta"], _ahead(traj.times, W),
+        np.array([len(traj.times)]), lam, cls.mu, k)
     measured = {"max_F_step_increase": worst,
-                "monotonicity_violations": mono_viol,
+                "monotonicity_violations": viol,
                 "n_windows": n_windows}
     if n_windows:
         measured["c_hat_window"] = c_hat
-    passed = mono_viol == 0 and (n_windows == 0 or c_hat > 0.0)
+    passed = viol == 0 and (n_windows == 0 or c_hat > 0.0)
     return Certificate("angle_reparam_monotone", passed, measured,
                        {"f_slack": _F_SLACK, "window": W}, {}, [])
 
@@ -433,24 +510,28 @@ def check_F_monotone(traj: Trajectory, rho: float, k: float, cls: PeClass,
 def f_monotone_battery(cls: PeClass, rho: float, k: float, lam: float,
                        battery, x0_columns, horizon: float) -> Certificate:
     """Run a battery and apply the monotonicity/window-drop check on every
-    stay in the outer cones; fails when no run has such a stay to check."""
-    runs = [polar_lift(tr) for tr in
-            di_runs(cls, rho, k, lam, battery, x0_columns, horizon)]
+    stay in the outer cones; fails when no run has such a stay to check.
+    Each member's runs are lifted in one array pass, and the check reduces
+    the stays of all of them at once."""
+    runs = di_runs(cls, rho, k, lam, battery, x0_columns, horizon)
     geom = cone_geometry(rho, k, cls.ratio)
-    certs = [check_F_monotone(w, rho, k, cls, lam) for w in _stays(
-        runs, lambda x1, x2: geom.cs_quadratic(x1, x2) >= 0.0, 2)]
-    viol = sum(_values(certs, "monotonicity_violations"))
-    n_windows = sum(_values(certs, "n_windows"))
-    c_hat = min(_values(certs, "c_hat_window"), default=None)
-    passed = bool(certs) and viol == 0 and (c_hat is None or c_hat > 0.0)
-    notes = [] if certs else [
+
+    def sample(tr, x1, x2):
+        _, theta = _polar(tr.loop, tr.times, tr.seg_alpha, x1, x2)
+        return (geom.cs_quadratic(x1, x2) >= 0.0,
+                (theta, _ahead(tr.times, cls.T / lam)))
+
+    arrays, lens = _stay_samples(runs, 2, sample)
+    viol, worst, n_windows, c_hat = _f_drops(
+        *arrays, lens, lam, cls.mu, k) if len(lens) else (0, None, 0, None)
+    notes = [] if len(lens) else [
         "vacuous: no run stayed in the outer cones for three samples"]
     return _battery_certificate(
-        "angle_reparam_monotone_battery", passed,
-        {"violations": viol,
-         "worst_step": max(_values(certs, "max_F_step_increase"),
-                           default=None),
-         "n_sojourns": len(certs), "n_windows": n_windows, "c_hat": c_hat,
+        "angle_reparam_monotone_battery",
+        bool(len(lens)) and viol == 0 and (n_windows == 0 or c_hat > 0.0),
+        {"violations": viol, "worst_step": worst,
+         "n_sojourns": len(lens), "n_windows": n_windows,
+         "c_hat": c_hat if n_windows else None,
          "c_closed_form": c_rho_closed_form(rho) if n_windows else None},
         {"f_slack": _F_SLACK}, battery, notes)
 
@@ -500,10 +581,22 @@ def dwell_scaling(cls: PeClass, rho: float, k: float, lam_over_k: float,
         {"ratio_bound": _DWELL_RATIO_BOUND}, battery)
 
 
+def _quadrant_rises(x1: np.ndarray, x2: np.ndarray, lens: np.ndarray,
+                    rho: float, k: float) -> tuple:
+    """(violations, worst increase) of V = x1^2 + 2 x2^2/(rho k^2) over
+    stays of lengths lens concatenated: within a stay V must not rise by
+    more than _ENERGY_SLACK of itself per step."""
+    V = x1 ** 2 + 2.0 * x2 ** 2 / (rho * k * k)
+    dV = _in_stays(np.diff(V), lens)
+    slack = _ENERGY_SLACK * _in_stays(V[:-1], lens) + 1e-300
+    return int(np.sum(dV > slack)), float(np.max(dV - slack))
+
+
 def check_quadrant_V(traj: Trajectory, rho: float, k: float) -> Certificate:
     """V = x1^2 + 2 x2^2/(rho k^2) must be non-increasing while the state
     stays in {x1 <= 0, x2 >= 0}; the check clips to the maximal prefix of
-    the trajectory inside that set."""
+    the trajectory inside that set, and is quadrant_battery's on that one
+    stay."""
     x1, x2 = traj.states[:, 0], traj.states[:, 1]
     exits = np.flatnonzero(~((x1 <= 0.0) & (x2 >= 0.0)))
     n_prefix = int(exits[0]) if len(exits) else len(x1)
@@ -512,11 +605,8 @@ def check_quadrant_V(traj: Trajectory, rho: float, k: float) -> Certificate:
                            {"prefix_samples": n_prefix, "worst_increase": 0.0},
                            _ENERGY_SLACK, {},
                            ["prefix too short; vacuous"])
-    V = x1[:n_prefix] ** 2 + 2.0 * x2[:n_prefix] ** 2 / (rho * k * k)
-    dV = np.diff(V)
-    slack = _ENERGY_SLACK * V[:-1] + 1e-300
-    viol = int(np.sum(dV > slack))
-    worst = float(np.max(dV - slack))
+    viol, worst = _quadrant_rises(x1[:n_prefix], x2[:n_prefix],
+                                  np.array([n_prefix]), rho, k)
     return Certificate("quadrant_energy", viol == 0,
                        {"prefix_samples": n_prefix, "violations": viol,
                         "worst_increase": worst},
@@ -526,29 +616,32 @@ def check_quadrant_V(traj: Trajectory, rho: float, k: float) -> Certificate:
 def quadrant_battery(cls: PeClass, rho: float, k: float, lam: float, battery,
                      x0_columns, horizon: float) -> Certificate:
     """Apply the quadrant-energy check to every maximal stay of every run in
-    {x1 <= 0, x2 >= 0}; fails when no run has such a stay to check."""
+    {x1 <= 0, x2 >= 0}; fails when no run has such a stay to check.  The
+    check reduces the stays of all runs at once."""
     runs = di_runs(cls, rho, k, lam, battery, x0_columns, horizon)
-    certs = [check_quadrant_V(w, rho, k) for w in _stays(
-        runs, lambda x1, x2: (x1 <= 0.0) & (x2 >= 0.0), 1)]
-    viol = sum(_values(certs, "violations"))
-    notes = [] if certs else [
+    arrays, lens = _stay_samples(
+        runs, 1, lambda tr, x1, x2: ((x1 <= 0.0) & (x2 >= 0.0), (x1, x2)))
+    viol, worst = _quadrant_rises(*arrays, lens, rho, k) if len(lens) \
+        else (0, None)
+    notes = [] if len(lens) else [
         "vacuous: no run stayed in {x1 <= 0, x2 >= 0} for two samples"]
     return _battery_certificate(
-        "quadrant_energy_battery", viol == 0 and bool(certs),
-        {"violations": viol,
-         "worst_increase": max(_values(certs, "worst_increase"),
-                               default=None),
-         "stays_checked": len(certs)},
+        "quadrant_energy_battery", viol == 0 and bool(len(lens)),
+        {"violations": viol, "worst_increase": worst,
+         "stays_checked": len(lens)},
         _ENERGY_SLACK, battery, notes)
 
 
-def check_cs_decay(traj: Trajectory, rho: float, k: float,
-                   cls: PeClass) -> Certificate:
-    """Inside the central cone the vertical component obeys a gated scalar
-    law x2' = -k alpha w x2 with w confined to gain-independent bounds; check
-    the bounds per sample and fit the decay envelope."""
+def _cs_decay(t: np.ndarray, x1: np.ndarray, x2: np.ndarray,
+              lens: np.ndarray, rho: float, k: float, cls: PeClass) -> tuple:
+    """(w_ok, measured, tol, gamma_hat, C2_hat) of the central-cone decay
+    check over stays of lengths lens concatenated, sampled at times t.
+    w_ok tells whether every sample keeps w within its bounds widened by
+    tol, and measured holds w_min, w_max and the bounds; every stay of at
+    least ten samples gets a decay rate gamma_hat from the line fit of
+    log|x2| over its own elapsed time, and the envelope constant C2_hat of
+    that rate."""
     geom = cone_geometry(rho, k, cls.ratio)
-    x1, x2 = traj.states[:, 0], traj.states[:, 1]
     q = geom.cs_quadratic(x1, x2)
     r2 = x1 * x1 + x2 * x2
     if np.any(q > 1e-9 * r2):
@@ -562,38 +655,63 @@ def check_cs_decay(traj: Trajectory, rho: float, k: float,
     w_ok = bool(np.all(w >= lo - tol) and np.all(w <= hi + tol))
     measured = {"w_min": float(np.min(w)), "w_max": float(np.max(w)),
                 "w_lower_bound": lo, "w_upper_bound": hi}
-    if len(traj.times) >= 10:
-        t = traj.times - traj.times[0]
-        y = np.log(np.abs(x2))
-        slope, _ = np.polyfit(t, y, 1)
-        gamma_hat = -slope / k
-        measured["gamma_hat"] = float(gamma_hat)
-        nrm = np.sqrt(r2)
-        env = nrm / nrm[0] * np.exp(k * gamma_hat * t)
-        measured["C2_hat"] = float(np.max(env))
-    return Certificate("central_cone_decay", w_ok, measured,
-                       {"w_tol": tol}, {}, [])
+    fit = lens >= 10
+    if not fit.any():
+        return w_ok, measured, tol, np.zeros(0), np.zeros(0)
+    sel = np.repeat(fit, lens)
+    n = lens[fit]
+    first = np.cumsum(n) - n
+    t, nrm = t[sel], np.sqrt(r2[sel])
+    dt = t - np.repeat(t[first], n)
+    slope, _ = _line_fits(dt, np.log(np.abs(x2[sel])), n)
+    gamma_hat = -slope / k
+    env = nrm / np.repeat(nrm[first], n) * np.exp(np.repeat(k * gamma_hat, n)
+                                                  * dt)
+    return w_ok, measured, tol, gamma_hat, np.maximum.reduceat(env, first)
+
+
+def check_cs_decay(traj: Trajectory, rho: float, k: float,
+                   cls: PeClass) -> Certificate:
+    """Inside the central cone the vertical component obeys a gated scalar
+    law x2' = -k alpha w x2 with w confined to gain-independent bounds; check
+    the bounds per sample and, over ten samples or more, fit the decay rate
+    of log|x2| by least squares in closed form (_line_fits) and report the
+    envelope constant of that rate.  The check is cs_decay_battery's on one
+    stay, the whole trajectory."""
+    w_ok, measured, tol, gamma_hat, c2_hat = _cs_decay(
+        traj.times, traj.states[:, 0], traj.states[:, 1],
+        np.array([len(traj.times)]), rho, k, cls)
+    if len(gamma_hat):
+        measured["gamma_hat"] = float(gamma_hat[0])
+        measured["C2_hat"] = float(c2_hat[0])
+    return Certificate("central_cone_decay", w_ok, measured, {"w_tol": tol},
+                       {}, [])
 
 
 def cs_decay_battery(cls: PeClass, rho: float, k: float, lam: float, battery,
                      x0_columns, horizon: float) -> Certificate:
     """Apply the central-cone decay check to every stay of every run in the
-    central cone; fails when no run has such a stay to check."""
+    central cone; fails when no run has such a stay to check.  The check
+    reduces and fits the stays of all runs at once."""
     runs = di_runs(cls, rho, k, lam, battery, x0_columns, horizon)
     geom = cone_geometry(rho, k, cls.ratio)
-    certs = [check_cs_decay(w, rho, k, cls) for w in _stays(
-        runs, lambda x1, x2: geom.cs_quadratic(x1, x2) <= 0.0, 3)]
-    notes = [] if certs else [
-        "vacuous: no run stayed in the central cone for four samples"]
+    arrays, lens = _stay_samples(
+        runs, 3, lambda tr, x1, x2: (geom.cs_quadratic(x1, x2) <= 0.0,
+                                     (tr.times, x1, x2)))
+    if not len(lens):
+        return _battery_certificate(
+            "central_cone_decay_battery", False, {"stays_checked": 0}, None,
+            battery,
+            ["vacuous: no run stayed in the central cone for four samples"])
+    w_ok, measured, _, gamma_hat, c2_hat = _cs_decay(*arrays, lens, rho, k,
+                                                     cls)
     return _battery_certificate(
-        "central_cone_decay_battery",
-        bool(certs) and all(c.passed for c in certs),
-        {"stays_checked": len(certs),
-         "w_min": min(_values(certs, "w_min"), default=None),
-         "w_max": max(_values(certs, "w_max"), default=None),
-         "gamma_hat_min": min(_values(certs, "gamma_hat"), default=None),
-         "C2_hat_max": max(_values(certs, "C2_hat"), default=None)},
-        None, battery, notes)
+        "central_cone_decay_battery", w_ok,
+        {"stays_checked": len(lens), "w_min": measured["w_min"],
+         "w_max": measured["w_max"],
+         "gamma_hat_min": min(gamma_hat.tolist(), default=None),
+         "C2_hat_max": max(c2_hat.tolist(), default=None)},
+        None, battery)
 
 
 # ---------------------------------------------------------------------------
@@ -673,37 +791,64 @@ def comparison_c2(rho: float, k: float, ratio: float) -> Certificate:
 # crossing-chain contraction and tuning
 # ---------------------------------------------------------------------------
 
-def _axis_representatives(traj: Trajectory) -> list:
-    """One representative time per connected stay of the trajectory on the
-    horizontal axis."""
+def _axis_visits(traj: Trajectory) -> list:
+    """One (lo, hi, time) per connected stay of the trajectory on the
+    horizontal axis: time() gives the stay's first time, which lies in
+    [lo, hi].
+
+    A visit is a sample with x2 == 0.0, or a sign change of x2 over a
+    sample segment, whose root crossing_time finds within one ulp of the
+    segment.  Visits less than 1e-9 of the span apart belong to one stay:
+    where the brackets of visits lie that close, their times are found and
+    merged in order; any other crossing is found only when time() is
+    called."""
+    t = traj.times
     x2 = traj.states[:, 1]
-    span = traj.times[-1] - traj.times[0]
-    times = traj.times[x2 == 0.0].tolist()
-    for j in np.flatnonzero(x2[:-1] * x2[1:] < 0.0):
-        times.append(crossing_time(*traj.segment_flow(j),
-                                   lambda x: float(x[1])))
-    # merge representatives closer than a sliver of the horizon: they belong
-    # to one connected component (e.g. an exact stall on the axis)
-    merged = []
-    for t in sorted(times):
-        if not merged or t - merged[-1] > 1e-9 * span:
-            merged.append(t)
-    return merged
+    merge = 1e-9 * (t[-1] - t[0])
+    cands = [(t[j], t[j], t[j].item) for j in np.flatnonzero(x2 == 0.0)]
+    for j in np.flatnonzero(x2[:-1] * x2[1:] < 0.0).tolist():
+        cands.append((np.nextafter(t[j], -math.inf),
+                      np.nextafter(t[j + 1], math.inf),
+                      functools.cache(lambda j=j: crossing_time(
+                          *traj.segment_flow(j), lambda x: float(x[1])))))
+    clusters = []
+    for c in sorted(cands, key=lambda c: c[0]):
+        if clusters and c[0] - clusters[-1][-1][1] <= merge:
+            clusters[-1].append(c)
+        else:
+            clusters.append([c])
+    visits = []
+    for cl in clusters:
+        if len(cl) == 1:
+            visits += cl
+            continue
+        merged = []
+        for time in sorted(c[2]() for c in cl):
+            if not merged or time - merged[-1] > merge:
+                merged.append(time)
+        visits += [(time, time, lambda time=time: time) for time in merged]
+    return visits
 
 
 def chain_contraction(traj: Trajectory, k: float) -> Certificate:
     """Between consecutive axis visits that are at least one time unit apart
     the norm must at least halve, with the surplus decaying exponentially in
     k; the largest such exponential rate and the global envelope constant
-    are reported."""
-    reps = _axis_representatives(traj)
+    are reported.  Each visit's time is bracketed by its sample segment
+    (_axis_visits), and a crossing is root-found only where the brackets
+    cannot decide whether two visits merge or a gap reaches one time
+    unit."""
+    reps = _axis_visits(traj)
     notes = []
     if len(reps) < 2:
         notes.append("fewer than two axis visits; prefix-only certificate")
     gamma = math.inf
     n_qual = 0
     ratios = []
-    for t_prev, t_next in zip(reps, reps[1:]):
+    for (lo, _, prev_at), (_, hi, next_at) in zip(reps, reps[1:]):
+        if hi - lo < _MIN_EXCURSION:
+            continue
+        t_prev, t_next = prev_at(), next_at()
         dt = t_next - t_prev
         if dt < _MIN_EXCURSION:
             continue
@@ -795,6 +940,8 @@ def multi_input_identity(B, k: float, battery, x0_list,
     induced envelope ||x|| <= ||e^{At}|| exp(-k int alpha) ||x0||."""
     if len(battery) == 0:
         raise InsufficientDataError("empty battery")
+    if len(x0_list) == 0:
+        raise InsufficientDataError("no initial state")
     B = as_matrix(B)
     K = multi_input_gain(B, k)
     worst_identity = 0.0
@@ -864,9 +1011,11 @@ def weak_star_demo(A, B, K, x0, duty: float = 0.5, exponents=range(11),
     all_zero = max(dists) <= 1e-12
     decreasing = all_zero or all(b < a for a, b in zip(dists, dists[1:]))
     final_ok = dists[-1] <= _WEAK_STAR_FINAL_TOL
-    logs = np.polyfit(np.log(i_values), np.log(np.maximum(dists, 1e-300)), 1)
+    (slope,), _ = _line_fits(np.log(i_values),
+                             np.log(np.maximum(dists, 1e-300)),
+                             np.array([len(dists)]))
     measured = {f"sup_dist_i_{i}": d for i, d in zip(i_values, dists)}
-    measured["rate_hat"] = float(-logs[0])
+    measured["rate_hat"] = float(-slope)
     measured["final_dist"] = dists[-1]
     return Certificate("averaged_limit_convergence",
                        decreasing and final_ok, measured, tolerance, info, [])

@@ -176,7 +176,9 @@ def _certify_dispatch(selector: str, sc: dict, seed: int):
                           + ", ".join(LEMMA_SELECTORS))
     # the remaining selectors read one battery each
     battery = make_battery(cls, size, bseed)
-    grid = certify.unit_circle_grid(int(p.get("grid", 8)))
+    # claim1 and q1yes read no grid of initial states
+    grid = None if selector in ("claim1", "q1yes") else \
+        certify.unit_circle_grid(int(p.get("grid", 8)))
     if selector == "claim1":
         A, B = build_system(sc)
         cert = certify.estimate_eta(A, B, cls, battery.signals)

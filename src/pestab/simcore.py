@@ -681,31 +681,42 @@ def polar_lift(traj: Trajectory) -> Trajectory:
     raised instead of an unwrap that may alias.  Below it every wrapped
     difference lies within a quarter turn of a whole number, so the summed
     turns are those of a sample-by-sample nearest-branch recursion and
-    theta equals its floats exactly.
+    theta equals its floats exactly.  The lift is _polar's, which unwraps
+    every run of a batch that shares the grid in one array pass and takes
+    the swing bound once.
     """
     if traj.n != 2:
         raise ShapeError("polar lift requires a planar trajectory")
-    steps = np.diff(traj.times)
-    for a in np.unique(traj.seg_alpha):
-        h = steps[traj.seg_alpha == a].max()
-        if np.linalg.norm(traj.loop.matrix(a), 2) * h >= 0.5 * np.pi:
+    r, theta = _polar(traj.loop, traj.times, traj.seg_alpha,
+                      traj.states[:, 0], traj.states[:, 1])
+    return traj.with_channels(r=r, theta=theta)
+
+
+def _polar(loop: ClosedLoop, times: np.ndarray, seg_alpha: np.ndarray,
+           x1: np.ndarray, x2: np.ndarray) -> tuple:
+    """(r, theta) of the planar samples (x1, x2) of runs of loop on the
+    grid times, along the last axis, one run per row: polar_lift's lift."""
+    steps = np.diff(times)
+    for a in np.unique(seg_alpha):
+        h = steps[seg_alpha == a].max()
+        if np.linalg.norm(loop.matrix(a), 2) * h >= 0.5 * np.pi:
             raise DegenerateStateError(
                 f"step {h:g} at alpha={a:g} can swing the angle by pi/2 or "
                 "more; propagate with a smaller max_step")
-    x1 = traj.states[:, 0]
-    x2 = traj.states[:, 1]
     r = np.hypot(x1, x2)
     if np.any(r < 1e-300):
         raise DegenerateStateError("zero state has no direction")
     base = np.arctan2(x2, x1)
     two_pi = 2.0 * np.pi
-    turns = np.concatenate(([float(base[0] == -np.pi)],
-                            np.round(-np.diff(base) / two_pi)))
-    theta = base + two_pi * np.cumsum(turns)
-    theta[0] = base[0] if base[0] != -np.pi else np.pi
+    turns = np.concatenate(((base[..., :1] == -np.pi).astype(float),
+                            np.round(-np.diff(base) / two_pi)), axis=-1)
+    theta = base + two_pi * np.cumsum(turns, axis=-1)
+    theta[..., 0] = np.where(base[..., 0] != -np.pi, base[..., 0], np.pi)
     # a zero angle keeps the sign the nearest-branch recursion would give it
-    theta[1:][(theta[1:] == 0.0) & np.signbit(base[1:]) & (theta[:-1] < 0.0)] = -0.0
-    return traj.with_channels(r=r, theta=theta)
+    later = theta[..., 1:]
+    later[(later == 0.0) & np.signbit(base[..., 1:])
+          & (theta[..., :-1] < 0.0)] = -0.0
+    return r, theta
 
 
 def fmap_F(theta, k: float):

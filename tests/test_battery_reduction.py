@@ -1,11 +1,13 @@
 """Battery certificates against their hand-kept accumulator loops and
 references.
 
-`f_monotone_battery`, `cs_decay_battery`, `quadrant_battery` and
-`chain_battery` collect one certificate per stay or per run and reduce the
-list; `dwell_scaling` reduces its runs the same way.  The loops they replace
-are kept below as references, and on every case here, none of them vacuous,
-the certificates must agree to the byte.
+`f_monotone_battery`, `cs_decay_battery` and `quadrant_battery` check the
+stays of each member's runs in one array pass, `chain_battery` reduces one
+certificate per run, and `dwell_scaling` reduces its runs the same way.
+Loops that apply the public one-stay checks (`check_F_monotone`,
+`check_cs_decay`, `check_quadrant_V`) window by window, and
+`chain_contraction` run by run, are kept below as references, and on every
+case here, none of them vacuous, the certificates must agree to the byte.
 
 `estimate_eta` reads each member's floor over every initial state exactly,
 as -2 log sigma_max(Phi(0, T)).  It is checked against the same formula on
@@ -354,27 +356,26 @@ def test_f_monotone_battery_finds_no_roots():
         assert spy.call_count > 0
 
 
-class _Run:
-    """A run reduced to what `_stays` reads: states and windows."""
-
-    def __init__(self, x1):
-        self.states = np.column_stack([x1, np.ones(len(x1))])
-
-    def window(self, i0, i1):
-        return (i0, i1)
-
-
 def test_stays_keep_runs_of_at_least_min_steps():
-    # stays of 0, 1, 2 and 3 steps in the set {x1 <= 0}
-    runs = [_Run([-1.0, 1.0, 0.0, -1.0, 1.0, -1.0, -2.0, -3.0, 1.0]),
-            _Run([0.0, -1.0, -2.0, -3.0])]
+    # stays of 0, 1, 2 and 3 steps in the set {x1 <= 0}, along two rows
+    x1 = np.array([[-1.0, 1.0, 0.0, -1.0, 1.0, -1.0, -2.0, -3.0, 1.0],
+                   [0.0, -1.0, -2.0, -3.0, 1.0, 1.0, 1.0, 1.0, -1.0]])
 
-    def left(x1, x2):
-        return x1 <= 0.0
+    def stays(min_steps):
+        # (row, first, last) of each stay, from its flat sample indices
+        idx, lens = certify._stays(x1 <= 0.0, min_steps)
+        out = []
+        for seg in np.split(idx, np.cumsum(lens)[:-1]):
+            assert np.array_equal(seg, np.arange(seg[0], seg[-1] + 1))
+            out.append((int(seg[0] // 9), int(seg[0] % 9),
+                        int(seg[-1] % 9)))
+        return out
 
-    assert list(certify._stays(runs, left, 1)) == [(2, 3), (5, 7), (0, 3)]
-    assert list(certify._stays(runs, left, 2)) == [(5, 7), (0, 3)]
-    assert list(certify._stays(runs, left, 3)) == [(0, 3)]
+    assert stays(0) == [(0, 0, 0), (0, 2, 3), (0, 5, 7), (1, 0, 3),
+                        (1, 8, 8)]
+    assert stays(1) == [(0, 2, 3), (0, 5, 7), (1, 0, 3)]
+    assert stays(2) == [(0, 5, 7), (1, 0, 3)]
+    assert stays(3) == [(1, 0, 3)]
 
 
 def _wedge_start():

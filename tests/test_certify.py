@@ -14,7 +14,8 @@ from pestab.certify import (c_rho_closed_form, chain_contraction,
                             kl_envelope, multi_input_identity, neutral_runs,
                             rescaling_identity, unit_circle_grid,
                             weak_star_demo)
-from pestab.errors import InsufficientDataError, PreconditionError
+from pestab.errors import (DomainError, InsufficientDataError,
+                           PreconditionError)
 from pestab.gains import (A_DI, A_ROTATION, B_DI, cone_geometry,
                           di_base_gain, multi_input_gain)
 from pestab.matkit import expm
@@ -57,6 +58,72 @@ class TestDecayRate:
         tr = propagate(loop, 0.0, [1.0, 0.0], 1.0)
         with pytest.raises(InsufficientDataError):
             decay_rate(tr, tr.times[-2])
+
+
+class TestLineFit:
+    """certify._line_fits, the closed-form least-squares line of
+    decay_rate, check_cs_decay and weak_star_demo, against np.polyfit."""
+
+    @staticmethod
+    def fit(x, y):
+        (slope,), (intercept,) = certify._line_fits(x, y,
+                                                    np.array([len(x)]))
+        return slope, intercept
+
+    @pytest.mark.parametrize("seed", [3, 11, 29])
+    def test_cs_stays(self, seed):
+        # every central-cone stay the battery fits, one at a time and all
+        # at once
+        bat = make_battery(CLS, 8, seed=seed).signals
+        runs = certify.di_runs(CLS, 0.2, 4.0, 8.0, bat, unit_circle_grid(4),
+                               20.0)
+        geom = cone_geometry(0.2, 4.0, CLS.ratio)
+        ts, ys, want = [], [], []
+        for tr in runs:
+            x1, x2 = tr.states[:, 0], tr.states[:, 1]
+            for i0, i1 in certify._runs(geom.cs_quadratic(x1, x2) <= 0.0):
+                if i1 - i0 >= 9:
+                    ts.append(tr.times[i0:i1 + 1] - tr.times[i0])
+                    ys.append(np.log(np.abs(x2[i0:i1 + 1])))
+                    want.append(np.polyfit(ts[-1], ys[-1], 1)[0])
+        assert len(want) >= 10
+        got, _ = certify._line_fits(np.concatenate(ts), np.concatenate(ys),
+                                    np.array([len(t) for t in ts]))
+        want = np.array(want)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+        cert = certify.cs_decay_battery(CLS, 0.2, 4.0, 8.0, bat,
+                                        unit_circle_grid(4), 20.0)
+        assert cert.measured["gamma_hat_min"] == pytest.approx(
+            float(np.min(-want / 4.0)), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("loop", [
+        ClosedLoop(A_DI, B_DI, di_base_gain(0.2, 4.0), PwcSignal.periodic(
+            (0.0, 0.5, 1.0), (1.0, 0.0))),
+        ClosedLoop(A_ROTATION, B_ROT, -B_ROT.T, PwcSignal.periodic(
+            (0.0, 0.3, 1.0), (0.0, 0.8))),
+    ], ids=["double_integrator", "rotation"])
+    def test_decay_rate_on_simulate_runs(self, loop):
+        # simulate's default horizon, ten class periods
+        tr = propagate(loop, 0.0, [1.0, 0.0], 10.0)
+        fit = decay_rate(tr, 0.0)
+        slope, intercept = np.polyfit(tr.times, np.log(tr.norms()), 1)
+        assert abs(fit["gamma_hat"] + slope) <= 1e-12 * abs(slope)
+        assert fit["C_hat"] == pytest.approx(math.exp(intercept), rel=1e-12)
+
+    def test_linear_and_constant_data(self):
+        x = np.linspace(0.0, 7.0, 50)
+        slope, intercept = self.fit(x, 3.0 - 0.25 * x)
+        want = np.polyfit(x, 3.0 - 0.25 * x, 1)
+        assert abs(slope + 0.25) <= 1e-12 * 0.25
+        assert abs(slope - want[0]) <= 1e-12 * abs(want[0])
+        assert intercept == pytest.approx(3.0, rel=1e-12)
+        # a flat line has no slope to compare relatively: both fits read 0
+        # within 1e-12 of the data's scale over the span
+        y = np.full(50, -2.7)
+        slope, intercept = self.fit(x, y)
+        for s in (slope, np.polyfit(x, y, 1)[0]):
+            assert abs(s) <= 1e-12 * 2.7 / 7.0
+        assert intercept == pytest.approx(-2.7, rel=1e-12)
 
 
 class TestEnergyIdentity:
@@ -607,6 +674,38 @@ class TestBatteryRecord:
             with pytest.raises(InsufficientDataError, match="empty battery"):
                 certify_battery()
         assert not batch.called and not single.called
+
+    NO_STATE = np.zeros((2, 0))
+
+    @pytest.mark.parametrize("certify_battery", [
+        lambda bat: certify.f_monotone_battery(CLS, 0.2, 4.0, 8.0, bat,
+                                               TestBatteryRecord.NO_STATE,
+                                               7.5),
+        lambda bat: certify.cs_decay_battery(CLS, 0.2, 4.0, 8.0, bat,
+                                             TestBatteryRecord.NO_STATE, 7.5),
+        lambda bat: certify.quadrant_battery(CLS, 0.2, 4.0, 8.0, bat,
+                                             TestBatteryRecord.NO_STATE, 7.5),
+        lambda bat: certify.chain_battery(CLS, 0.2, 4.0, 8.0, bat,
+                                          TestBatteryRecord.NO_STATE, 7.5),
+        lambda bat: certify.dwell_scaling(CLS, 0.2, 4.0, 2.0, bat,
+                                          TestBatteryRecord.NO_STATE),
+        lambda bat: multi_input_identity(np.eye(2), 1.0, bat, [], 5.0),
+    ], ids=["f_monotone_battery", "cs_decay_battery", "quadrant_battery",
+            "chain_battery", "dwell_scaling", "multi_input_identity"])
+    def test_no_initial_state_refused(self, certify_battery):
+        # a battery over no initial state certifies nothing either (it used
+        # to pass, or write -Infinity), so it is refused before any run
+        with mock.patch.object(certify, "propagate_batch") as batch, \
+                mock.patch.object(certify, "propagate") as single:
+            with pytest.raises(InsufficientDataError,
+                               match="no initial state"):
+                certify_battery(self.BAT)
+        assert not batch.called and not single.called
+
+    @pytest.mark.parametrize("m", [0, -2])
+    def test_empty_grid_refused(self, m):
+        with pytest.raises(DomainError, match="at least one initial state"):
+            unit_circle_grid(m)
 
 
 class TestIdentities:

@@ -238,6 +238,26 @@ class TestCertify:
         assert 0 <= measured["worst_member"] < 8
         assert "grid_size" not in measured
 
+    @pytest.mark.parametrize("selector", ["finite", "ff00", "ff01", "ouf0"])
+    def test_empty_grid_exits_2(self, tmp_path, capsys, selector):
+        # a grid of no initial state is refused instead of passing on
+        # nothing; claim1 and q1yes read no grid
+        sc = selector_scenario(selector)
+        sc["params"] = {"grid": 0}
+        out = tmp_path / "o"
+        assert main(["certify", "--scenario", write_scenario(tmp_path, sc),
+                     "--lemma", selector, "--out-dir", str(out)]) == 2
+        assert "at least one initial state" in capsys.readouterr().err
+        assert not (out / f"certificate_{selector}.json").exists()
+
+    @pytest.mark.parametrize("selector", ["claim1", "q1yes"])
+    def test_selectors_without_a_grid_ignore_it(self, tmp_path, selector):
+        sc = selector_scenario(selector)
+        sc["params"] = {"grid": 0}
+        assert main(["certify", "--scenario", write_scenario(tmp_path, sc),
+                     "--lemma", selector,
+                     "--out-dir", str(tmp_path / "o")]) == 0
+
     @pytest.mark.parametrize("selector", LEMMA_SELECTORS)
     def test_every_selector_passes(self, tmp_path, capsys, selector):
         sc = selector_scenario(selector)

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 from hypothesis import assume, given, settings, strategies as st
 
-from pestab import adversary, certify, simcore
+from pestab import adversary, simcore
 from pestab.gains import A_DI, B_DI, di_gain
 from pestab.signals import PeClass, make_battery
 from pestab.simcore import ClosedLoop, crossing_time, propagate
@@ -259,8 +259,9 @@ def test_find_nu_roots_take_few_evaluations():
 
 
 def test_fixed_crossings_take_few_exponentials():
-    # the destabilizer's sector crossings and the chain certificate's axis
-    # crossings: the interpolation has the root after 6-7 steps, and the
+    # the destabilizer's sector crossings and the axis crossings of
+    # double-integrator runs (the roots the chain certificate reads when
+    # it needs a visit's time, all found here): the interpolation has the root after 6-7 steps, and the
     # truncation floored under half the stopping width then closes the far
     # end of the bracket, about 7.8 exponentials per root; a truncation of
     # 0.2 w^2 / span alone fell below rounding and took about 12.5 here
@@ -275,7 +276,6 @@ def test_fixed_crossings_take_few_exponentials():
 
     cls = PeClass(1.0, 0.5)
     with mock.patch.object(adversary, "crossing_time", counting), \
-            mock.patch.object(certify, "crossing_time", counting), \
             mock.patch.object(simcore, "expm", wraps=simcore.expm) as counted:
         for k1, k2 in ((0.5, 0.5), (0.5, 1.0), (1.0, 0.5), (1.0, 1.0),
                        (2.0, 1.0), (2.0, 1.5), (3.0, 1.0), (3.0, 2.0)):
@@ -285,7 +285,9 @@ def test_fixed_crossings_take_few_exponentials():
         for sig in make_battery(cls, 6, seed=3).signals:
             traj = propagate(ClosedLoop(A_DI, B_DI, K, sig), 0.0,
                              [-1.0, 0.3], 10.0)
-            certify._axis_representatives(traj)
+            x2 = traj.states[:, 1]
+            for j in np.flatnonzero(x2[:-1] * x2[1:] < 0.0):
+                counting(*traj.segment_flow(j), lambda x: float(x[1]))
     assert len(counts) >= 60
     assert max(counts) <= _MAX_EXPM_PER_ROOT
     assert sum(counts) <= 8 * len(counts)

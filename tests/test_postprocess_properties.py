@@ -1,10 +1,17 @@
 """Certificate post-processing against per-sample reference loops.
 
-`polar_lift`, `check_V_neutral`, `check_F_monotone`, `_axis_representatives`,
-`check_quadrant_V` and `comparison_c2` scan their samples with array
-operations.  The scalar loops they replace are kept below as reference
-implementations, and every output is compared with them bit for bit on
-random periodic and held signals.
+`polar_lift`, `check_V_neutral`, `check_F_monotone`, `check_quadrant_V`
+and `comparison_c2` scan their samples with array operations.  The scalar
+loops they replace are kept below as reference implementations, and every
+output is compared with them bit for bit on random periodic and held
+signals.
+
+`chain_contraction` and `chain_battery` bracket each axis crossing by its
+sample segment and root-find it only where a bracket cannot decide a test.
+The chain that root-found every crossing is kept as a reference, and their
+certificates must agree with it to the byte: on random runs, on batteries,
+on a slow gate whose excursions qualify, on exact-zero stalls and on
+crossings in adjacent segments.
 """
 
 import json
@@ -14,19 +21,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pestab import certify
-from pestab.certify import (Certificate, c12_sojourns, check_F_monotone,
-                            check_quadrant_V, check_V_neutral, comparison_c2)
+from unittest import mock
+
+from pestab import certify, simcore
+from pestab.certify import (Certificate, c12_sojourns, chain_battery,
+                            chain_contraction, check_F_monotone,
+                            check_quadrant_V, check_V_neutral, comparison_c2,
+                            unit_circle_grid)
 from pestab.gains import (A_DI, A_ROTATION, B_DI, cone_geometry,
                           di_base_gain)
 from pestab.matkit import one_norm
-from pestab.signals import PeClass, PwcSignal
+from pestab.signals import PeClass, PwcSignal, make_battery
 from pestab.simcore import (ClosedLoop, Trajectory, crossing_time, fmap_F,
-                            polar_lift, propagate)
+                            polar_lift, propagate, propagate_batch)
 
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True,
                     database=None)
 
+CLS = PeClass(1.0, 0.5)
 _UNITS = (1.0 / 16.0, 0.1)
 _LEVELS = (0.0, 0.5, 1.0)
 B_ROT = np.array([[0.0], [1.0]])
@@ -120,6 +132,55 @@ def ref_axis_representatives(traj):
         if not merged or t - merged[-1] > 1e-9 * span:
             merged.append(t)
     return merged
+
+
+def ref_chain_contraction(traj, k):
+    """chain_contraction as it ran when it root-found every axis crossing
+    (ref_axis_representatives) before any gap test."""
+    reps = ref_axis_representatives(traj)
+    gamma = math.inf
+    ratios = []
+    for t_prev, t_next in zip(reps, reps[1:]):
+        dt = t_next - t_prev
+        if dt < 1.0:
+            continue
+        n_prev = float(np.linalg.norm(traj.state_at(t_prev)))
+        n_next = float(np.linalg.norm(traj.state_at(t_next)))
+        ratios.append(n_next / n_prev)
+        if ratios[-1] > 0.0:
+            gamma = min(gamma, -math.log(2.0 * ratios[-1]) / (k * dt))
+    measured = {"n_axis_visits": len(reps), "n_qualifying": len(ratios)}
+    g_env = 0.0
+    if ratios:
+        measured["gamma_star_hat"] = gamma
+        measured["worst_halving_ratio"] = max(ratios)
+        g_env = max(gamma, 0.0) if math.isfinite(gamma) else 0.0
+    nrm = traj.norms()
+    env = nrm / nrm[0] * np.exp(k * g_env * (traj.times - traj.times[0]))
+    measured["C3_sq_hat"] = float(np.max(env))
+    notes = [] if len(reps) >= 2 else [
+        "fewer than two axis visits; prefix-only certificate"]
+    return Certificate("axis_chain_contraction", not ratios or gamma > 0.0,
+                       measured, {"min_excursion": 1.0}, {}, notes)
+
+
+def ref_chain_battery(cls, rho, k, lam, battery, x0_columns, horizon):
+    certs = [ref_chain_contraction(tr, k) for tr in certify.di_runs(
+        cls, rho, k, lam, battery, x0_columns, horizon)]
+    n_qual = sum(c.measured["n_qualifying"] for c in certs)
+    gammas = [c.measured["gamma_star_hat"] for c in certs
+              if "gamma_star_hat" in c.measured]
+    measured = {"n_qualifying": n_qual,
+                "n_axis_visits": sum(c.measured["n_axis_visits"]
+                                     for c in certs),
+                "C3_sq_hat": max(c.measured["C3_sq_hat"] for c in certs)}
+    if gammas:
+        measured["gamma_star_hat"] = min(gammas)
+    notes = [] if n_qual else [
+        "no excursion lasted past the threshold; prefix-only certificate"]
+    return Certificate("axis_chain_contraction_battery",
+                       all(c.passed for c in certs), measured,
+                       {"min_excursion": 1.0}, {"size": len(battery)}, notes)
 
 
 def ref_quadrant_prefix(traj):
@@ -349,9 +410,21 @@ def test_window_scan_matches_loop(case, T, lam):
 @PROPERTY
 @given(di_runs())
 def test_axis_representatives_match_loop(case):
-    tr, _, _ = case
-    got = certify._axis_representatives(tr)
-    assert same_bits(got, ref_axis_representatives(tr))
+    # the certificate counts the visits the loop root-finds and reads the
+    # same times wherever a gap needs them
+    tr, _, k = case
+    cert = chain_contraction(tr, k)
+    assert cert.measured["n_axis_visits"] == len(ref_axis_representatives(tr))
+    assert cert_text(cert) == cert_text(ref_chain_contraction(tr, k))
+
+
+def _axis_run(times, x2):
+    """A hand-made base-gain run with the given x2 samples and x1 = 1."""
+    loop = ClosedLoop(A_DI, B_DI, di_base_gain(0.2, 1.0),
+                      PwcSignal.constant(1.0))
+    states = np.column_stack([np.ones(len(x2)), x2])
+    return Trajectory(loop, np.array(times), states,
+                      np.ones(len(times) - 1))
 
 
 def test_axis_representatives_exact_zeros():
@@ -362,9 +435,88 @@ def test_axis_representatives_exact_zeros():
     states = np.array([[1.0, 0.0], [0.5, 0.2], [0.4, -0.1], [0.3, 0.0],
                        [0.2, 0.1], [0.1, -0.1], [0.0, 0.0]])
     tr = Trajectory(loop, np.linspace(0.0, 0.6, 7), states, np.full(6, 0.5))
-    got = certify._axis_representatives(tr)
-    assert len(got) == 5
-    assert same_bits(got, ref_axis_representatives(tr))
+    assert len(ref_axis_representatives(tr)) == 5
+    cert = chain_contraction(tr, 4.0)
+    assert cert.measured["n_axis_visits"] == 5
+    assert cert_text(cert) == cert_text(ref_chain_contraction(tr, 4.0))
+
+
+# (times, x2): crossings in adjacent segments whose roots merge (1e-12
+# apart) and start a qualifying gap, adjacent crossings that stay apart,
+# two exact zeros 1e-12 apart, a zero and a crossing 1e-12 after it, and a
+# long exact stall on the axis
+AXIS_CASES = {
+    "adjacent_merge": ([0.0, 0.5, 0.5 + 1e-12, 1.5, 3.0],
+                       [1.0, -1.0, 1.0, 1.0, -1.0]),
+    "adjacent_apart": ([0.0, 1.0, 2.5, 4.0], [1.0, -1.0, 1.0, 1.0]),
+    "zeros_merge": ([0.0, 1.0, 1.0 + 1e-12, 2.5, 4.0],
+                    [1.0, 0.0, 0.0, 1.0, -1.0]),
+    "zero_then_crossing": ([0.0, 1.0, 1.0 + 1e-12, 1.0 + 2e-12, 3.5, 5.0],
+                           [1.0, 0.0, 1.0, -1.0, -1.0, 1.0]),
+    "stall": (np.linspace(0.0, 3.0, 31).tolist(),
+              [0.0] * 20 + [-0.5, 0.5] + [0.0] * 9),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AXIS_CASES))
+def test_chain_matches_root_every_crossing_on_hand_made_runs(name):
+    tr = _axis_run(*AXIS_CASES[name])
+    cert = chain_contraction(tr, 1.0)
+    assert cert_text(cert) == cert_text(ref_chain_contraction(tr, 1.0))
+    if name in ("adjacent_merge", "zeros_merge", "zero_then_crossing"):
+        assert cert.measured["n_qualifying"] == 1
+
+
+SLOW_GATE = PwcSignal.periodic((0.0, 0.5, 2.0), (1.0, 0.0))
+
+
+@pytest.mark.parametrize("horizon", (5.0, 20.0))
+@pytest.mark.parametrize("seed", (3, 11, 29))
+def test_chain_battery_matches_root_every_crossing(seed, horizon):
+    # a battery, the slow gate at lam = 1 (excursions that qualify), and a
+    # closed gate, under which the start (1, 0) of the grid stalls on the
+    # axis at every sample
+    bat = make_battery(CLS, 6, seed).signals
+    for lam, extra in ((8.0, []), (1.0, [SLOW_GATE]),
+                       (8.0, [PwcSignal.constant(0.0)])):
+        for x0 in (unit_circle_grid(4), np.array([[0.6, -0.9], [0.8, 0.2]])):
+            args = (CLS, 0.2, 4.0, lam, bat + extra, x0, horizon)
+            cert = chain_battery(*args)
+            assert cert_text(cert) == cert_text(ref_chain_battery(*args))
+            if extra == [SLOW_GATE] and horizon == 20.0:
+                assert cert.measured["n_qualifying"] > 0
+
+
+def test_chain_battery_on_the_benchmark_setting_finds_no_roots():
+    # (rho, k, lam) = (0.2, 4, 8) over horizon 5: every run is captured by
+    # the central cone, no gap reaches one time unit, and no visit needs
+    # its time, while the reference root-finds every crossing
+    x0 = unit_circle_grid(4)
+    n_ref = 0
+    for seed in (1, 3, 11, 29):
+        bat = make_battery(CLS, 20, seed).signals
+        with mock.patch.object(certify, "crossing_time",
+                               wraps=certify.crossing_time) as spy:
+            cert = chain_battery(CLS, 0.2, 4.0, 8.0, bat, x0, 5.0)
+        assert spy.call_count == 0
+        assert cert.passed and cert.measured["n_axis_visits"] > 0
+        runs = certify.di_runs(CLS, 0.2, 4.0, 8.0, bat, x0, 5.0)
+        n_ref += sum(len(ref_axis_representatives(tr)) for tr in runs)
+    assert n_ref > 0
+
+
+def test_batch_polar_matches_each_run():
+    # the battery lifts a member's runs in one pass, row by row
+    loop = ClosedLoop(A_DI, B_DI, di_base_gain(0.2, 4.0),
+                      PwcSignal.periodic((0.0, 0.3, 1.0), (1.0, 0.25)))
+    runs = propagate_batch(loop, 0.0, unit_circle_grid(7), 6.0)
+    x = np.array([tr.states for tr in runs])
+    r, theta = simcore._polar(loop, runs[0].times, runs[0].seg_alpha,
+                              x[:, :, 0], x[:, :, 1])
+    for j, tr in enumerate(runs):
+        lifted = polar_lift(tr)
+        assert same_bits(theta[j], lifted.channels["theta"])
+        assert same_bits(r[j], lifted.channels["r"])
 
 
 @PROPERTY
