@@ -20,7 +20,6 @@ import numpy as np
 from .errors import DomainError, PreconditionError
 from .matkit import as_matrix, expm, min_sv
 from .signals import PeClass, PwcSignal, verify_pe
-from .simcore import _flow
 
 __all__ = [
     "GramianReport",
@@ -29,10 +28,11 @@ __all__ = [
     "kalman_rank",
     "threshold_check",
     "adversarial_signal",
-    "witness_residual",
 ]
 
 _CTRL_TOL = 1e-9
+# t within this share of T above T - mu still counts as below the threshold
+_BOUNDARY_REL = 1e-12
 
 
 @dataclass(eq=False)
@@ -43,13 +43,6 @@ class GramianReport:
     controllable: bool
     witness: np.ndarray | None
     tol: float
-
-    def to_json(self) -> dict:
-        out = {"t": self.t, "min_sv": self.min_sv,
-               "controllable": self.controllable}
-        if self.witness is not None:
-            out["witness"] = [float(v) for v in self.witness]
-        return out
 
 
 def _segment_gramian(A: np.ndarray, Q: np.ndarray, h) -> tuple:
@@ -133,31 +126,6 @@ def adversarial_signal(cls: PeClass) -> PwcSignal:
     return PwcSignal.periodic((0.0, T - mu, T), (0.0, 1.0))
 
 
-def witness_residual(A, B, alpha: PwcSignal, t: float, p: np.ndarray,
-                     grid: int = 2000) -> float:
-    """max over a fine s-grid of |alpha(s) p^T e^{A(t-s)} B|.
-
-    The gate is sampled at grid-cell midpoints: the kernel condition only
-    holds almost everywhere, and switch instants carry no measure.  The
-    residual is evaluated only where the gate is nonzero, so a gate that
-    is zero on [0, t] (the adversarial signal below T - mu) gives exactly 0
-    without an exponential.  Otherwise y(s) = e^{A^T (t-s)} p comes from
-    one power table of e^{-A^T h} (simcore's propagation kernel)."""
-    A = as_matrix(A, square=True)
-    B = as_matrix(B)
-    h = t / grid
-    mids = (np.arange(grid) + 0.5) * h
-    starts, _, vals = zip(*alpha.segments(0.0, t))
-    gate = np.asarray(vals)[np.searchsorted(starts, mids, side="right") - 1]
-    if not np.any(gate):
-        return 0.0
-    # y at s = -h/2, then one step of e^{-A^T h} per grid midpoint
-    y = expm(A.T, t + 0.5 * h) @ p
-    _, ys, _ = _flow(lambda a: -A.T, np.zeros(1), np.array([0.0, t]),
-                     np.array([t]), np.array([grid]), y[:, np.newaxis])
-    return float(np.max(gate * np.max(np.abs(ys[1:, :, 0] @ B), axis=1)))
-
-
 @dataclass(eq=False)
 class ThresholdReport:
     t: float
@@ -171,18 +139,18 @@ class ThresholdReport:
 
 
 def _below_threshold(cls: PeClass, t: float) -> bool:
-    """Whether t <= T - mu, within 1e-12: threshold_check reads no battery."""
-    return t <= cls.T - cls.mu + 1e-12
+    """Whether t <= T - mu, within _BOUNDARY_REL * T: no battery is read."""
+    return t <= cls.T - cls.mu + _BOUNDARY_REL * cls.T
 
 
 def threshold_check(A, B, cls: PeClass, t: float, battery,
                     tol: float = _CTRL_TOL) -> ThresholdReport:
     """Controllability dichotomy at horizon t.
 
-    t <= T - mu: build the adversarial signal (zero on [0, t]) and certify the
-    Gramian singular; the witness residual is evaluated only where that gate
-    is nonzero, so here it is 0 by construction. t > T - mu: certify the
-    Gramian nonsingular for every battery member, by gramian's rule, and
+    t <= T - mu, within _BOUNDARY_REL * T: build the adversarial signal
+    (zero on [0, t], up to that slack) and certify its Gramian singular,
+    with a unit kernel vector as witness. t > T - mu: certify the Gramian
+    nonsingular for every battery member, by gramian's rule, and
     report the smallest min_sv relative to trace(W)/n; all members' Gramians
     come from one stacked exponential and their singular values from one
     batched SVD.  An empty battery is refused there.  A Gramian that is not
@@ -197,13 +165,11 @@ def threshold_check(A, B, cls: PeClass, t: float, battery,
     if _below_threshold(cls, t):
         adv = adversarial_signal(cls)
         rep = gramian(A, B, adv, t, tol)
-        singular = not rep.controllable
         ev = {"kind": "adversarial", "min_sv": rep.min_sv,
               "pe_ok": verify_pe(adv, cls, horizon=2 * cls.T).ok}
         if rep.witness is not None:
             ev["witness"] = [float(v) for v in rep.witness]
-            ev["witness_residual"] = witness_residual(A, B, adv, t, rep.witness)
-        return ThresholdReport(t, cls, singular, ev)
+        return ThresholdReport(t, cls, not rep.controllable, ev)
     if not battery:
         raise DomainError(f"t = {t!r} lies above T - mu: the battery is empty")
     Ws = _gramians(A, B, battery, t)

@@ -32,6 +32,17 @@ DI_SCENARIO = {
 }
 
 
+# positive feedback on the double integrator: the state leaves the floats
+# before t = 200
+OVERFLOW_SCENARIO = {
+    "system": {"preset": "double_integrator"},
+    "pe_class": {"T": 1, "mu": 0.5},
+    "gain": {"kind": "explicit", "K": [[5.0, 5.0]]},
+    "signal": {"kind": "constant", "value": 1.0},
+    "horizon": 200.0,
+}
+
+
 # the certify selectors that read a battery
 BATTERY_SELECTORS = ("claim1", "finite", "ff00", "ff01", "ouf0", "q1yes")
 
@@ -88,6 +99,17 @@ class TestSimulate:
         out = tmp_path / "out"
         assert main(["simulate", "--scenario", sc, "--out-dir", str(out)]) == 2
         assert "t1=1e+300 at max_step=" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_run_exits_1(self, tmp_path, capsys):
+        # the run overflows to inf and then nan; numpy's cast and matmul
+        # warnings came first
+        sc = write_scenario(tmp_path, OVERFLOW_SCENARIO)
+        out = tmp_path / "out"
+        assert main(["simulate", "--scenario", sc, "--out-dir", str(out)]) == 1
+        assert ("property failure: run 0 produced non-finite states"
+                in capsys.readouterr().err)
+        assert not (out / "summary.json").exists()
 
     def test_state_below_square_underflow(self, tmp_path):
         # the end state is about 3.9e-183, whose square is 0.0
@@ -374,6 +396,20 @@ class TestThreshold:
         assert row["results"] == [json.loads(json.dumps(rep.to_json()))]
         assert rep.evidence["kind"] == ("battery" if above else "adversarial")
 
+    def test_boundary_slack_relative_to_T(self, tmp_path):
+        # t = 5 T lies ten times T - mu out; an absolute 1e-12 slack took it
+        # for the boundary and judged it by the adversarial gate.  Only the
+        # branch is asserted: above T - mu the verdict at this scale reads
+        # the Gramian rank tolerance, not the system
+        main(["threshold", "--preset", "double_integrator", "--T", "1e-13",
+              "--mu", "5e-14", "--t-grid", "5e-13", "--battery-size", "2",
+              "--out-dir", str(tmp_path)])
+        row = json.loads((tmp_path / "threshold.json").read_text())
+        assert row["results"][0]["evidence"]["kind"] == "battery"
+        lines = (tmp_path / "threshold.csv").read_text().splitlines()
+        assert lines[-1].startswith("5e-13,battery,")
+        assert lines[-1].endswith(",false")
+
     @pytest.mark.parametrize("grid", ["0.3", "0.7"])
     def test_battery_size_below_one_refused(self, tmp_path, capsys, grid):
         out = tmp_path / "o"
@@ -578,6 +614,18 @@ class TestSweep:
         assert pointer in capsys.readouterr().err
         assert not (out / "sweep.csv").exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_cell_exits_1(self, tmp_path, capsys):
+        # the horizon-200 cell used to be written as a row of nan, exit 0
+        sc = write_scenario(tmp_path, OVERFLOW_SCENARIO)
+        out = tmp_path / "o"
+        rc = main(["sweep", "--scenario", sc, "--param", "horizon=10,200",
+                   "--out-dir", str(out)])
+        assert rc == 1
+        assert ("property failure: cell horizon=200.0 produced non-finite "
+                "states" in capsys.readouterr().err)
+        assert not (out / "sweep.csv").exists()
+
     def test_workers_option_removed(self, tmp_path, capsys):
         sc = write_scenario(tmp_path, DI_SCENARIO)
         with pytest.raises(SystemExit) as exc:
@@ -707,6 +755,7 @@ class TestMetadata:
             "energy_slack": certify._ENERGY_SLACK,
             "f_slack": certify._F_SLACK,
             "gramian_rel": reachability._CTRL_TOL,
+            "boundary_rel": reachability._BOUNDARY_REL,
             "eta_margin": certify._ETA_MARGIN,
             "kl_rate_margin": certify._KL_RATE_MARGIN,
             "kl_const_margin": certify._KL_CONST_MARGIN,

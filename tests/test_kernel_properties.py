@@ -4,12 +4,12 @@ Random periodic and held piecewise-constant signals drive random loops;
 `propagate` and `propagate_batch` are compared with a sequential product of
 `scipy.linalg.expm` factors, with `solve_ivp`, with the sample grid of a
 plain per-sample loop, and with the per-piece loop the kernel replaced:
-bit for bit on held gates, which also checks `run_destabilizer` and
-`witness_residual`, and within the sequential product's bound on periodic
-gates, whose piece ends come from monodromy powers.  The full run ends
-every piece at the state of its one chain, over the grid's tables for a
-held gate and over the period plan's sub-pieces for a periodic one, whose
-pieces are those `PwcSignal.segments` lists.  The endpoint path, which
+bit for bit on held gates, which also checks `run_destabilizer`, and
+within the sequential product's bound on periodic gates, whose piece ends
+come from monodromy powers.  The full run ends every piece at the state of
+its one chain, over the grid's tables for a held gate and over the period
+plan's sub-pieces for a periodic one, whose pieces are those
+`PwcSignal.segments` lists.  The endpoint path, which
 reads the piece ends without filling a sample, is compared bit for bit
 with the last sample of the full run and with the rate `_fitted_rate`
 reads from it, and its fallback fills from the tables it built.
@@ -29,8 +29,7 @@ from scipy.integrate import solve_ivp
 from pestab import adversary, simcore
 from pestab.adversary import run_destabilizer
 from pestab.gains import A_DI, B_DI
-from pestab.reachability import witness_residual
-from pestab.signals import PeClass, PwcSignal, make_duty
+from pestab.signals import PeClass, PwcSignal
 from pestab.simcore import ClosedLoop, propagate, propagate_batch
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
@@ -368,20 +367,6 @@ def test_destabilizer_samples_equal_the_per_phase_loop(k):
         x = xe
     assert_same_bits((run_.traj.times, run_.traj.states),
                      (np.concatenate(times), np.concatenate(states)))
-
-
-@pytest.mark.parametrize("grid", [1, 3, 2000])
-def test_witness_residual_equals_the_segment_table(grid):
-    sig = make_duty(PeClass(1.0, 0.5), phase=0.3)
-    p = np.array([0.6, -0.8])
-    for t in (0.8, 1.7, 4.3):
-        h = t / grid
-        mids = (np.arange(grid) + 0.5) * h
-        gate = np.array([sig.value_at(s) for s in mids])
-        y = simcore.expm(A_DI.T, t + 0.5 * h) @ p
-        _, ys = reference_segment({}, 0.0, -A_DI.T, y, 0.0, t, h, grid)
-        want = float(np.max(gate * np.max(np.abs(ys @ B_DI), axis=1)))
-        assert witness_residual(A_DI, B_DI, sig, t, p, grid) == want
 
 
 @PROPERTY

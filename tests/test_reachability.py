@@ -8,15 +8,14 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad_vec
 
-from pestab import reachability, simcore
+from pestab import reachability
 from pestab.errors import DomainError, PreconditionError
 from pestab.gains import A_DI, A_ROTATION, B_DI
 from pestab.matkit import expm
 from pestab.reachability import (adversarial_signal, gramian, kalman_rank,
-                                 threshold_check, witness_residual)
+                                 threshold_check)
 from pestab.scenarios import PRESETS
-from pestab.signals import (PeClass, PwcSignal, make_battery, make_duty,
-                            verify_pe)
+from pestab.signals import PeClass, PwcSignal, make_battery, verify_pe
 
 CLS = PeClass(1.0, 0.5)
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
@@ -56,23 +55,6 @@ def quad_vec_gramian(A, B, alpha, t):
     W, _ = quad_vec(integrand, 0.0, t, epsabs=1e-14, epsrel=1e-12,
                     points=points or None)
     return W
-
-
-def reference_witness_residual(A, B, alpha, t, p, grid=2000):
-    """The loop witness_residual replaced: one value_at call and one
-    matrix-vector step of e^{-A^T h} per grid midpoint."""
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    h = t / grid
-    step = expm(A.T, -h)
-    y = expm(A.T, t - 0.5 * h) @ p  # y(s) = e^{A^T (t-s)} p at s = h/2
-    worst = 0.0
-    for i in range(grid):
-        s = (i + 0.5) * h
-        val = alpha.value_at(s) * np.max(np.abs(B.T @ y))
-        worst = max(worst, float(val))
-        y = step @ y
-    return worst
 
 
 def reference_gramian(A, B, alpha, t):
@@ -182,14 +164,6 @@ class TestGramian:
         phi = expm(A_DI, h)
         assert np.max(np.abs(whole - (phi @ head @ phi.T + tail))) < 1e-9
 
-    def test_witness_validity(self):
-        sig = adversarial_signal(CLS)
-        rep = gramian(A_DI, B_DI, sig, 0.5)
-        assert not rep.controllable
-        resid = witness_residual(A_DI, B_DI, sig, 0.5, rep.witness)
-        assert resid <= 1e-8 * np.max(np.abs(B_DI))
-
-
     @PROPERTY
     @given(gated_horizons(), st.integers(0, 30))
     @pytest.mark.parametrize("preset", sorted(PRESETS))
@@ -236,43 +210,6 @@ class TestGramian:
                 call([[5.0]], [[1.0]])
 
 
-class TestWitnessResidual:
-    def test_zero_gate_needs_no_exponential(self):
-        sig = adversarial_signal(CLS)
-        for t in (0.1, 0.3, CLS.T - CLS.mu):
-            p = gramian(A_DI, B_DI, sig, t).witness
-            with mock.patch.object(reachability, "expm",
-                                   wraps=reachability.expm) as e1, \
-                    mock.patch.object(simcore, "expm",
-                                      wraps=simcore.expm) as e2:
-                assert witness_residual(A_DI, B_DI, sig, t, p) == 0.0
-            assert e1.call_count + e2.call_count == 0
-
-    @pytest.mark.parametrize("preset", sorted(PRESETS))
-    def test_matches_reference_loop_on_nonzero_gates(self, preset):
-        A, B = PRESETS[preset]
-        gates = [adversarial_signal(CLS), make_duty(CLS, phase=0.3),
-                 PwcSignal.held((0.0, 0.2, 0.7, 1.1), (0.3, 0.0, 0.9),
-                                hold=0.6)] + make_battery(CLS, 3, seed=2).signals
-        rng = np.random.default_rng(5)
-        for sig in gates:
-            for t in (0.8, 1.7, 4.3):
-                p = rng.standard_normal(2)
-                p /= np.linalg.norm(p)
-                ref = reference_witness_residual(A, B, sig, t, p)
-                assert ref > 0.0
-                got = witness_residual(A, B, sig, t, p)
-                assert abs(got - ref) <= 1e-12 * ref
-
-    def test_short_grid(self):
-        sig = make_duty(CLS, phase=0.3)
-        p = np.array([0.6, 0.8])
-        for grid in (1, 2, 3):
-            ref = reference_witness_residual(A_DI, B_DI, sig, 1.3, p, grid)
-            got = witness_residual(A_DI, B_DI, sig, 1.3, p, grid)
-            assert abs(got - ref) <= 1e-12 * ref
-
-
 class TestKalmanRank:
     def test_brunovsky_pair(self):
         assert kalman_rank(A_DI, B_DI) == 2
@@ -310,8 +247,27 @@ class TestThreshold:
             assert rep.evidence["kind"] == "adversarial"
             assert rep.evidence["min_sv"] <= 1e-14
             assert rep.evidence["pe_ok"]
-            # the gate is zero on [0, t], so the residual is 0 by construction
-            assert rep.evidence["witness_residual"] == 0.0
+            assert set(rep.evidence) == {"kind", "min_sv", "witness", "pe_ok"}
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_adversarial_gramian_is_zero_below_boundary(self, preset):
+        # the gate is off on all of [0, t], so every piece adds 0 * H to 0
+        A, B = PRESETS[preset]
+        for t in (0.1, 0.3, CLS.T - CLS.mu):
+            rep = gramian(A, B, adversarial_signal(CLS), t)
+            assert rep.W.tobytes() == np.zeros((2, 2)).tobytes()
+            assert not rep.controllable
+            assert threshold_check(A, B, CLS, t, []).evidence["min_sv"] == 0.0
+
+    @pytest.mark.parametrize("T", [1e-13, 1.0, 1e6])
+    def test_boundary_slack_scales_with_T(self, T):
+        # t <= T - mu + 1e-12 T counts as below; an absolute 1e-12 took
+        # t = 5 T for below at T = 1e-13
+        cls = PeClass(T, T / 2)
+        slack = reachability._BOUNDARY_REL * T
+        assert reachability._below_threshold(cls, T / 2 + 0.5 * slack)
+        assert not reachability._below_threshold(cls, T / 2 + 2.0 * slack)
+        assert not reachability._below_threshold(cls, 5.0 * T)
 
     def test_boundary_included(self):
         rep = threshold_check(A_DI, B_DI, CLS, CLS.T - CLS.mu, [])
