@@ -18,12 +18,12 @@ import numpy as np
 
 from .errors import (DomainError, InsufficientDataError, PreconditionError,
                      SimulationError)
-from .gains import (A_DI, B_DI, ConeGeometry, cone_geometry, di_base_gain,
+from .gains import (A_DI, B_DI, cone_geometry, di_base_gain,
                     multi_input_gain)
 from .matkit import as_matrix, one_norm
 from .reachability import kalman_rank
 from .signals import PeClass, PwcSignal, make_duty, rescale_time
-from .simcore import (ClosedLoop, Trajectory, _fitted_rate, _polar,
+from .simcore import (ClosedLoop, Trajectory, _energy, _fitted_rate, _polar,
                       crossing_time, fmap_F, propagate, propagate_batch)
 
 __all__ = [
@@ -32,8 +32,7 @@ __all__ = [
     "check_V_neutral",
     "estimate_eta",
     "check_F_monotone",
-    "dwell_times",
-    "dwell_scaling",
+    "dwell_bound",
     "check_quadrant_V",
     "check_cs_decay",
     "comparison_final0",
@@ -59,8 +58,6 @@ _F_SLACK = 1e-9
 _ETA_MARGIN = 1e-5
 _KL_RATE_MARGIN = 0.05
 _KL_CONST_MARGIN = 0.25
-# dwell_scaling: the doubled-gain dwell over the base dwell, 1/2 plus 10%
-_DWELL_RATIO_BOUND = 0.55
 # chain_contraction: the shortest gap between axis visits that is checked
 _MIN_EXCURSION = 1.0
 # weak_star_demo: the largest sup-distance allowed at the largest i
@@ -269,7 +266,9 @@ def envelope_holds(trajs, C: float, gamma: float):
     for tr in trajs:
         nrm = tr.norms()
         dt = tr.times - tr.times[0]
-        margin = np.log(C) - gamma * dt - np.log(nrm / nrm[0])
+        # a zero norm meets any envelope: its log is -inf, its margin inf
+        with np.errstate(divide="ignore"):
+            margin = np.log(C) - gamma * dt - np.log(nrm / nrm[0])
         worst = min(worst, float(np.min(margin)))
     return worst >= -1e-12, worst
 
@@ -288,7 +287,7 @@ def check_V_neutral(traj: Trajectory, B, r: float = 1.0) -> Certificate:
     distinct level.  A FAIL names the first sample whose error exceeds its
     tolerance."""
     B = as_matrix(B)
-    V = 0.5 * np.sum(traj.states ** 2, axis=1)
+    V = _energy(traj.states)
     dV = np.diff(V)
     slack = _ENERGY_SLACK * V[:-1] + 1e-300
     mono_viol = int(np.sum(dV > slack))
@@ -421,38 +420,6 @@ def _in_stays(steps: np.ndarray, lens: np.ndarray) -> np.ndarray:
     return np.delete(steps, np.cumsum(lens)[:-1] - 1)
 
 
-def c12_sojourns(traj: Trajectory, geom: ConeGeometry) -> list:
-    """Maximal stays in the outer-cone union, with refined boundary times.
-
-    The union of the two outer cones is one connected mod-pi arc around the
-    horizontal axis, so a stay is a maximal run where the antipodal-invariant
-    quadratic is non-negative.
-    """
-    x1 = traj.states[:, 0]
-    x2 = traj.states[:, 1]
-    q = geom.cs_quadratic(x1, x2)
-    N = len(q)
-    fn = lambda x: float(geom.cs_quadratic(x[0], x[1]))
-    out = []
-    for i0, i1 in _runs(q >= 0.0):
-        if i0 > 0:
-            t_enter = crossing_time(*traj.segment_flow(i0 - 1), fn)
-            left_censored = False
-        else:
-            t_enter = float(traj.times[0])
-            left_censored = True
-        if i1 < N - 1:
-            t_exit = crossing_time(*traj.segment_flow(i1), fn)
-            right_censored = False
-        else:
-            t_exit = float(traj.times[-1])
-            right_censored = True
-        out.append({"i0": i0, "i1": i1, "t_enter": t_enter, "t_exit": t_exit,
-                    "left_censored": left_censored,
-                    "right_censored": right_censored})
-    return out
-
-
 def _f_drops(theta: np.ndarray, ahead: np.ndarray, lens: np.ndarray,
              lam: float, mu: float, k: float) -> tuple:
     """(violations, worst step, n_windows, c_hat) of the reparameterized
@@ -536,49 +503,39 @@ def f_monotone_battery(cls: PeClass, rho: float, k: float, lam: float,
         {"f_slack": _F_SLACK}, battery, notes)
 
 
-def dwell_times(traj: Trajectory, geom: ConeGeometry) -> Certificate:
-    """Maximal sojourn lengths in the outer-cone union.
-
-    Sojourns truncated by the end of the horizon cannot certify their own
-    finiteness and are reported separately."""
-    sojourns = c12_sojourns(traj, geom)
-    closed = [s["t_exit"] - s["t_enter"] for s in sojourns
-              if not s["right_censored"]]
-    censored = [s["t_exit"] - s["t_enter"] for s in sojourns
-                if s["right_censored"]]
-    max_closed = max(closed) if closed else 0.0
-    measured = {"max_dwell": max_closed, "n_sojourns": len(sojourns),
-                "n_censored": len(censored)}
-    notes = []
-    passed = True
-    if censored and not closed:
-        passed = False
-        notes.append("only a horizon-truncated sojourn was observed")
-    if censored:
-        measured["max_censored"] = max(censored)
-    return Certificate("outer_cone_dwell", passed, measured, None, {}, notes)
-
-
-def dwell_scaling(cls: PeClass, rho: float, k: float, lam_over_k: float,
-                  battery, x0_columns) -> Certificate:
-    """Doubling the gain scale k (at fixed lam/k) must at least halve the
-    worst outer-cone dwell, within a 10% allowance; each run lasts 40/k."""
-
-    def max_dwell(kk: float) -> float:
-        lam = lam_over_k * kk
-        geom = cone_geometry(rho, kk, cls.ratio)
-        runs = di_runs(cls, rho, kk, lam, battery, x0_columns, 40.0 / kk)
-        return max((dwell_times(tr, geom).measured["max_dwell"]
-                    for tr in runs), default=0.0)
-
-    d1 = max_dwell(k)
-    d2 = max_dwell(2.0 * k)
-    ratio = d2 / d1 if d1 > 0.0 else math.inf
-    passed = ratio <= _DWELL_RATIO_BOUND
-    return _battery_certificate(
-        "dwell_scaling", passed,
-        {"max_dwell_at_k": d1, "max_dwell_at_2k": d2, "ratio": ratio},
-        {"ratio_bound": _DWELL_RATIO_BOUND}, battery)
+def dwell_bound(cls: PeClass, rho: float, k: float,
+                lam_over_k: float) -> Certificate:
+    """The bound dF T/(c k mu) + T/lam, lam = lam_over_k k, on every
+    outer-cone sojourn of the base-gain loop under the lam-times-faster
+    gate, at k and at 2k.  Outside the central band dF/dt <= -c k alpha,
+    c = c_rho_closed_form(rho), for all alpha in [0, 1] (the field is
+    affine in alpha); a stretch of length tau holds at least
+    mu (tau/T - 1/lam) of the gate; and a sojourn spans at most the outer
+    arc's F-width dF.  In (x1, x2/k) and time k t the loop has no k: the
+    residual compares diag(1, 1/k) M_k(a) diag(1, k)/k at k and 2k."""
+    if not lam_over_k > 0.0:
+        raise DomainError(f"lam/k must be positive, got {lam_over_k!r}")
+    c = c_rho_closed_form(rho)
+    geom = cone_geometry(rho, k, cls.ratio)
+    d_F = math.pi + math.atan(geom.xi_s_plus / k) \
+        - math.atan(geom.xi_s_minus / k)
+    ks = np.array([k, 2.0 * k])
+    # a k whose field or bound leaves the floats fails, without a warning
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        bound = d_F * cls.T / (c * ks * cls.mu) + cls.T / (lam_over_k * ks)
+        scaled = [np.diag([1.0, 1.0 / kk])
+                  @ np.array([A_DI, A_DI + B_DI @ di_base_gain(rho, kk)])
+                  @ np.diag([1.0, kk]) / kk for kk in ks]
+        residual = float(np.max(np.abs(scaled[0] - scaled[1])))
+        ratio = float(bound[1] / bound[0])
+    tol = 8.0 * math.ulp(1.0)
+    return Certificate(
+        "outer_cone_dwell_bound",
+        bool(np.isfinite(bound).all()) and residual <= tol,
+        {"dwell_bound_at_k": bound[0], "dwell_bound_at_2k": bound[1],
+         "ratio": ratio, "c": c, "delta_F": d_F,
+         "scaling_residual": residual},
+        {"scaling_abs": tol}, {}, [])
 
 
 def _quadrant_rises(x1: np.ndarray, x2: np.ndarray, lens: np.ndarray,

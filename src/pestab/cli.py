@@ -101,16 +101,19 @@ def _di_params(sc: dict, cls: PeClass) -> tuple:
 # ---------------------------------------------------------------------------
 
 def _fitted_run(sc: dict, loop, x0, horizon: float, what: str,
-                lift=lambda tr: tr) -> tuple:
+                lift=lambda tr, n: tr) -> tuple:
     """The run from x0 over [0, horizon], passed through lift, and its decay
-    fit; SimulationError naming `what` when the run leaves the floats."""
+    fit; SimulationError naming `what` when the run leaves the floats.
+    lift(tr, n), then the fit, read the n samples before the first whose
+    norm is below simcore._NORM_FLOOR (two at least; the fit needs ten)."""
     with np.errstate(over="ignore", invalid="ignore"):
         tr = propagate(loop, 0.0, np.asarray(x0, dtype=float), horizon,
                        sc.get("max_step"))
     if not np.all(np.isfinite(tr.states)):
         raise SimulationError(f"{what} produced non-finite states")
-    tr = lift(tr)
-    return tr, certify.decay_rate(tr, float(tr.times[0]))
+    n = int(np.argmax(np.append(tr.norms() < simcore._NORM_FLOOR, True)))
+    tr = lift(tr, n)
+    return tr, certify.decay_rate(tr.window(0, max(n, 2) - 1), 0.0)
 
 
 def cmd_simulate(args) -> int:
@@ -119,10 +122,13 @@ def cmd_simulate(args) -> int:
     seed = args.seed if args.seed is not None else sc.get("seed", 0)
     loop, horizon, x0_list = build_run(sc)
 
-    def lift(tr):
+    def lift(tr, n):
+        # below the norm floor a state has no direction: theta reads nan
         tr = tr.with_energy()
         if loop.n == 2:
-            tr = polar_lift(tr)
+            head = polar_lift(tr.window(0, max(n, 2) - 1)).channels["theta"]
+            tr = tr.with_channels(r=np.hypot(*tr.states.T), theta=np.append(
+                head, np.full(len(tr.times) - n, np.nan)))
             g = sc.get("gain", {})
             if g.get("kind") == "di":
                 k_eff = float(g.get("lam", 1.0)) * float(g["k"])
@@ -178,6 +184,8 @@ def _certify_dispatch(selector: str, sc: dict, seed: int):
         return certify.comparison_final0(rho, k, cls.ratio)
     if selector == "c2":
         return certify.comparison_c2(rho, k, cls.ratio)
+    if selector == "finite":
+        return certify.dwell_bound(cls, rho, k, lam / k)
     if selector == "technic":
         A, B = build_system(sc)
         K = build_gain(sc, A, B, cls) if sc.get("gain") else -B.T
@@ -203,9 +211,6 @@ def _certify_dispatch(selector: str, sc: dict, seed: int):
         cert = certify.multi_input_identity(
             B, float(p.get("k", 1.0)), battery.signals, x0s,
             horizon=sc.get("horizon", 5.0 * cls.T))
-    elif selector == "finite":
-        cert = certify.dwell_scaling(cls, rho, k, lam / k, battery.signals,
-                                     grid)
     elif selector == "ff00":
         cert = certify.quadrant_battery(cls, rho, k, lam, battery.signals,
                                         grid, horizon=30.0 / k)

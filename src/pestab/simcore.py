@@ -63,6 +63,8 @@ _CSV_BLOCK = 512
 # e^700; the largest double is about e^709.78
 _END_LOG_CAP = 700.0
 _TINY = float(np.finfo(float).tiny)
+# the least norm of a state with a direction (_polar) and a decay fit (cli)
+_NORM_FLOOR = 1e-300
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
@@ -81,6 +83,16 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
             nrm[odd] = scale * np.linalg.norm(x[odd] / scale[:, np.newaxis],
                                               axis=1)
     return nrm
+
+
+def _energy(x: np.ndarray) -> np.ndarray:
+    """V = |x|^2/2 of the rows of x; a row whose sum of squares overflows
+    is measured again from _row_norms, every other row keeps its bits."""
+    with np.errstate(over="ignore"):
+        V = 0.5 * np.sum(x ** 2, axis=1)
+        odd = V == math.inf
+        V[odd] = (math.sqrt(0.5) * _row_norms(x[odd])) ** 2
+    return V
 
 
 def _ends_rate(pairs, horizon: float) -> float:
@@ -192,7 +204,7 @@ class Trajectory:
         return Trajectory(self.loop, self.times, self.states, self.seg_alpha, ch)
 
     def with_energy(self) -> "Trajectory":
-        return self.with_channels(V=0.5 * np.sum(self.states ** 2, axis=1))
+        return self.with_channels(V=_energy(self.states))
 
     def window(self, i0: int, i1: int) -> "Trajectory":
         """Sub-trajectory over sample indices [i0, i1] inclusive."""
@@ -704,7 +716,7 @@ def _polar(loop: ClosedLoop, times: np.ndarray, seg_alpha: np.ndarray,
                 f"step {h:g} at alpha={a:g} can swing the angle by pi/2 or "
                 "more; propagate with a smaller max_step")
     r = np.hypot(x1, x2)
-    if np.any(r < 1e-300):
+    if np.any(r < _NORM_FLOOR):
         raise DegenerateStateError("zero state has no direction")
     base = np.arctan2(x2, x1)
     two_pi = 2.0 * np.pi

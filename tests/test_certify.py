@@ -4,13 +4,15 @@ from unittest import mock
 import numpy as np
 import pytest
 
+import dwell_oracle
+from dwell_oracle import dwell_times
 from pestab import certify
 from pestab.adversary import tune
 from pestab.certify import (c_rho_closed_form, chain_contraction,
                             check_cs_decay, check_F_monotone,
                             check_quadrant_V, check_V_neutral,
                             comparison_c2, comparison_final0, decay_rate,
-                            dwell_times, envelope_holds, estimate_eta,
+                            envelope_holds, estimate_eta,
                             kl_envelope, multi_input_identity, neutral_runs,
                             rescaling_identity, unit_circle_grid,
                             weak_star_demo)
@@ -154,6 +156,16 @@ class TestEnergyIdentity:
         tr = propagate(loop, 0.0, [1.0, 0.2], 4.0)
         assert check_V_neutral(tr, B_ROT, r=3.0).passed
 
+    def test_reads_the_one_energy(self):
+        # V has one definition, simcore's, which with_energy reads too
+        tr = propagate(rotation_loop(PwcSignal.constant(0.5)), 0.0,
+                       [1.0, 0.2], 2.0)
+        with mock.patch.object(certify, "_energy",
+                               wraps=certify._energy) as energy:
+            assert check_V_neutral(tr, B_ROT).passed
+        assert energy.call_count == 1
+        assert energy.call_args.args[0] is tr.states
+
 
 class TestEta:
     def test_full_excitation_positive(self):
@@ -290,8 +302,8 @@ class TestDwell:
 
     def test_scaling_small(self):
         bat = make_battery(CLS, 6, seed=17).signals
-        cert = certify.dwell_scaling(CLS, 0.2, 4.0, 4.0, bat,
-                                     unit_circle_grid(4))
+        cert = dwell_oracle.dwell_scaling(CLS, 0.2, 4.0, 4.0, bat,
+                                          unit_circle_grid(4))
         assert cert.passed
         assert cert.measured["ratio"] <= 0.55
 
@@ -449,6 +461,17 @@ class TestKlEnvelope:
         ok, margin = envelope_holds(runs, cert.measured["C_hat"],
                                     cert.measured["gamma_hat"])
         assert ok and margin > 0.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_zero_norm_meets_any_envelope(self):
+        # x' = -x from 1 reaches an exactly zero state before t = 800; its
+        # log-ratio warned of a division by zero
+        loop = ClosedLoop([[-1.0]], [[1.0]], [[0.0]], PwcSignal.constant(1.0))
+        tr = propagate(loop, 0.0, [1.0], 800.0)
+        assert tr.norms()[-1] == 0.0
+        ok, margin = envelope_holds([tr], 1.0, 0.5)
+        assert ok and margin == 0.0
+        assert not envelope_holds([tr], 1.0, 1.5)[0]
 
     def test_unbounded_culprit_named(self):
         from pestab.adversary import find_nu, run_destabilizer
@@ -642,8 +665,8 @@ class TestBatteryRecord:
         lambda bat, grid: estimate_eta(A_ROTATION, B_ROT, CLS, bat),
         lambda bat, grid: certify.f_monotone_battery(CLS, 0.2, 4.0, 8.0, bat,
                                                      grid, 7.5),
-        lambda bat, grid: certify.dwell_scaling(CLS, 0.2, 4.0, 2.0, bat,
-                                                grid),
+        lambda bat, grid: dwell_oracle.dwell_scaling(CLS, 0.2, 4.0, 2.0,
+                                                     bat, grid),
         lambda bat, grid: certify.quadrant_battery(CLS, 0.2, 4.0, 8.0, bat,
                                                    grid, 7.5),
         lambda bat, grid: certify.cs_decay_battery(CLS, 0.2, 4.0, 8.0, bat,
@@ -687,8 +710,8 @@ class TestBatteryRecord:
                                              TestBatteryRecord.NO_STATE, 7.5),
         lambda bat: certify.chain_battery(CLS, 0.2, 4.0, 8.0, bat,
                                           TestBatteryRecord.NO_STATE, 7.5),
-        lambda bat: certify.dwell_scaling(CLS, 0.2, 4.0, 2.0, bat,
-                                          TestBatteryRecord.NO_STATE),
+        lambda bat: dwell_oracle.dwell_scaling(CLS, 0.2, 4.0, 2.0, bat,
+                                               TestBatteryRecord.NO_STATE),
         lambda bat: multi_input_identity(np.eye(2), 1.0, bat, [], 5.0),
     ], ids=["f_monotone_battery", "cs_decay_battery", "quadrant_battery",
             "chain_battery", "dwell_scaling", "multi_input_identity"])

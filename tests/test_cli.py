@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -44,7 +45,7 @@ OVERFLOW_SCENARIO = {
 
 
 # the certify selectors that read a battery
-BATTERY_SELECTORS = ("claim1", "finite", "ff00", "ff01", "ouf0", "q1yes")
+BATTERY_SELECTORS = ("claim1", "ff00", "ff01", "ouf0", "q1yes")
 
 
 def selector_scenario(selector):
@@ -110,6 +111,92 @@ class TestSimulate:
         assert ("property failure: run 0 produced non-finite states"
                 in capsys.readouterr().err)
         assert not (out / "summary.json").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_energy_beyond_square_overflow(self, tmp_path):
+        # at horizon 80 the state passes 1.34e154, where its sum of squares
+        # overflows: numpy warned, and V read inf on 35 rows whose |x|^2/2
+        # is a double
+        sc = write_scenario(tmp_path, dict(OVERFLOW_SCENARIO, horizon=80.0))
+        out = tmp_path / "out"
+        assert main(["simulate", "--scenario", sc, "--out-dir", str(out)]) == 0
+        with open(out / "trajectory_000.csv") as fh:
+            rows = [[float(v) for v in row[1:3] + row[4:6]]
+                    for row in list(csv.reader(fh))[1:]]
+        rescued = [(V, r) for x1, x2, V, r in rows
+                   if x1 * x1 + x2 * x2 == math.inf and 0.5 * r * r < math.inf]
+        assert len(rescued) == 35
+        for V, r in rescued:
+            assert V == pytest.approx(0.5 * r * r, rel=1e-15)
+        assert all(V == math.inf for _, _, V, r in rows if r > 1.9e154)
+
+    # x' = -x with no feedback: the norm passes below the 1e-300 floor at
+    # t = 690.8, and in one dimension it reaches an exactly zero state; the
+    # planar gain decays at the slow rate (1 - sqrt(0.6))/2 and crosses the
+    # floor near t = 6100
+    UNDER_FLOOR = {
+        "planar": {"system": {"A": [[-1.0, 0.0], [0.0, -1.0]],
+                              "B": [[1.0], [0.0]]},
+                   "pe_class": {"T": 1, "mu": 0.5},
+                   "gain": {"kind": "explicit", "K": [[0.0, 0.0]]},
+                   "signal": {"kind": "constant", "value": 1.0},
+                   "horizon": 720.0},
+        "scalar": {"system": {"A": [[-1.0]], "B": [[1.0]]},
+                   "pe_class": {"T": 1, "mu": 0.5},
+                   "gain": {"kind": "explicit", "K": [[0.0]]},
+                   "signal": {"kind": "constant", "value": 1.0},
+                   "horizon": 800.0},
+        "di": {"system": {"preset": "double_integrator"},
+               "pe_class": {"T": 1, "mu": 0.5},
+               "gain": {"kind": "di", "rho": 0.2, "k": 1.0},
+               "signal": {"kind": "constant", "value": 1.0},
+               "horizon": 6500.0, "max_step": 0.5}}
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("case", sorted(UNDER_FLOOR))
+    def test_run_below_the_norm_floor(self, tmp_path, case):
+        # the planar runs exited 1 (no direction below the floor) and the
+        # scalar run 2 (no log of a zero norm)
+        sc = write_scenario(tmp_path, self.UNDER_FLOOR[case])
+        out = tmp_path / "out"
+        assert main(["simulate", "--scenario", sc, "--out-dir", str(out)]) == 0
+        run = json.loads((out / "summary.json").read_text())["runs"][0]
+        rate = (1.0 - math.sqrt(0.6)) / 2.0 if case == "di" else 1.0
+        assert run["gamma_hat"] == pytest.approx(rate, rel=1e-2)
+        with open(out / "trajectory_000.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        norms = [math.hypot(*(float(v) for key, v in row.items()
+                              if key.startswith("x"))) for row in rows]
+        first = next(i for i, r in enumerate(norms) if r < 1e-300)
+        if case != "di":
+            assert run["clean_exponential"]
+            assert 69070 < first < 69090
+        for name in ("theta", "F_theta"):
+            if rows[0][name]:
+                angle = [float(row[name]) for row in rows]
+                assert not any(map(math.isnan, angle[:first]))
+                assert all(map(math.isnan, angle[first:]))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_sweep_fits_above_the_norm_floor(self, tmp_path):
+        sc = write_scenario(tmp_path, self.UNDER_FLOOR["scalar"])
+        out = tmp_path / "out"
+        assert main(["sweep", "--scenario", sc, "--param", "horizon=10,800",
+                     "--out-dir", str(out)]) == 0
+        with open(out / "sweep.csv") as fh:
+            rows = [r for r in csv.reader(fh) if not r[0].startswith("#")]
+        assert [r[0] for r in rows[1:]] == ["10.0", "800.0"]
+        for r in rows[1:]:
+            assert float(r[1]) == pytest.approx(1.0, rel=1e-12)
+        assert float(rows[2][4]) == 0.0
+
+    def test_too_few_samples_above_the_floor_exits_1(self, tmp_path, capsys):
+        sc = write_scenario(tmp_path, dict(self.UNDER_FLOOR["scalar"],
+                                           x0=[[0.0]]))
+        out = tmp_path / "out"
+        assert main(["simulate", "--scenario", sc, "--out-dir", str(out)]) == 1
+        assert ("property failure: need at least 10 samples after t_start"
+                in capsys.readouterr().err)
 
     def test_state_below_square_underflow(self, tmp_path):
         # the end state is about 3.9e-183, whose square is 0.0
@@ -260,10 +347,10 @@ class TestCertify:
         assert 0 <= measured["worst_member"] < 8
         assert "grid_size" not in measured
 
-    @pytest.mark.parametrize("selector", ["finite", "ff00", "ff01", "ouf0"])
+    @pytest.mark.parametrize("selector", ["ff00", "ff01", "ouf0"])
     def test_empty_grid_exits_2(self, tmp_path, capsys, selector):
         # a grid of no initial state is refused instead of passing on
-        # nothing; claim1 and q1yes read no grid
+        # nothing; claim1, finite and q1yes read no grid
         sc = selector_scenario(selector)
         sc["params"] = {"grid": 0}
         out = tmp_path / "o"
@@ -272,7 +359,7 @@ class TestCertify:
         assert "at least one initial state" in capsys.readouterr().err
         assert not (out / f"certificate_{selector}.json").exists()
 
-    @pytest.mark.parametrize("selector", ["claim1", "q1yes"])
+    @pytest.mark.parametrize("selector", ["claim1", "finite", "q1yes"])
     def test_selectors_without_a_grid_ignore_it(self, tmp_path, selector):
         sc = selector_scenario(selector)
         sc["params"] = {"grid": 0}

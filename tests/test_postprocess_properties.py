@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 from unittest import mock
 
 from pestab import certify, simcore
-from pestab.certify import (Certificate, c12_sojourns, chain_battery,
+from pestab.certify import (Certificate, _runs, chain_battery,
                             chain_contraction, check_F_monotone,
                             check_quadrant_V, check_V_neutral, comparison_c2,
                             unit_circle_grid)
@@ -394,10 +394,10 @@ def test_window_scan_matches_loop(case, T, lam):
     tr, rho, k = case
     cls = PeClass(T, 0.5 * T)
     geom = cone_geometry(rho, k, cls.ratio)
-    for so in c12_sojourns(tr, geom):
-        if so["i1"] - so["i0"] < 2:
+    for i0, i1 in _runs(geom.cs_quadratic(*tr.states.T) >= 0.0):
+        if i1 - i0 < 2:
             continue
-        sub = tr.window(so["i0"], so["i1"])
+        sub = tr.window(i0, i1)
         got = check_F_monotone(sub, rho, k, cls, lam).measured
         c_hat, n_windows = ref_windows(sub, k, cls, lam)
         assert got["n_windows"] == n_windows

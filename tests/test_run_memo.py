@@ -15,9 +15,9 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from dwell_oracle import dwell_scaling, dwell_times
 from pestab import certify
-from pestab.certify import (cs_decay_battery, di_runs, dwell_scaling,
-                            dwell_times, unit_circle_grid)
+from pestab.certify import cs_decay_battery, di_runs, unit_circle_grid
 from pestab.errors import DomainError
 from pestab.gains import A_DI, B_DI, cone_geometry, di_base_gain
 from pestab.signals import PeClass, PwcSignal, make_battery, rescale_time

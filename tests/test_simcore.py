@@ -531,6 +531,33 @@ class TestRowNorms:
             assert rate == pytest.approx(-1.0, rel=1e-12)
 
 
+class TestEnergy:
+    def test_rows_with_a_finite_sum_keep_their_bits(self):
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((200, 3)) * 10.0 ** rng.uniform(
+            -200, 150, (200, 1))
+        x[::9] = np.nan
+        want = 0.5 * np.sum(x ** 2, axis=1)
+        assert simcore._energy(x).tobytes() == want.tobytes()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rows_above_square_overflow(self):
+        # |x|^2 overflows from about 1.34e154, |x|^2/2 from about 1.9e154
+        x = np.array([[1.5e154, 0.0], [-1.2e154, 1.2e154], [1.9e154, 0.0],
+                      [2e154, 0.0], [np.inf, 0.0], [1e300, 1e300]])
+        V = simcore._energy(x)
+        assert V[0] == pytest.approx(1.125e308, rel=1e-15)
+        assert V[1] == pytest.approx(1.44e308, rel=1e-15)
+        assert V[2] == pytest.approx(1.805e308, rel=1e-15)
+        assert np.all(V[3:] == math.inf)
+
+    def test_with_energy_reads_it(self):
+        loop = ClosedLoop([[1.0]], [[1.0]], [[0.0]], PwcSignal.constant(1.0))
+        tr = propagate(loop, 0.0, [1e150], 12.0)
+        assert tr.with_energy().channels["V"].tobytes() == \
+            simcore._energy(tr.states).tobytes()
+
+
 class TestRateRule:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("x0, x1", [(1e-300, 1e100), (1e100, 1e-300),
