@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateStateError, DomainError,
-                     InternalConsistencyError, ShapeError, SimulationError)
+from .errors import (DomainError, InternalConsistencyError, ShapeError,
+                     SimulationError)
 from .certify import unit_circle_grid
 from .gains import A_DI, B_DI, di_gain
 from .matkit import as_matrix, expm
@@ -26,7 +26,6 @@ from .simcore import (ClosedLoop, Trajectory, _end_rate, _flow, _itp,
                       crossing_time)
 
 __all__ = [
-    "QPartition",
     "run_destabilizer",
     "find_nu",
     "worst_case_search",
@@ -44,30 +43,10 @@ _TUNE_HORIZON_PERIODS = 12.0
 _TUNE_CAP = 2.0 ** 16
 
 
-@dataclass(frozen=True)
-class QPartition:
-    """The four half-open sectors cut by the horizontal axis and the line
-    where the gated and ungated vector fields are collinear."""
-
-    k1: float
-    k2: float
-
-    def __post_init__(self):
-        if self.k1 <= 0.0 or self.k2 <= 0.0:
-            raise DomainError("both gain entries must be positive")
-
-    def region(self, x) -> int:
-        x1, x2 = float(x[0]), float(x[1])
-        if x1 == 0.0 and x2 == 0.0:
-            raise DegenerateStateError("the origin belongs to no sector")
-        s = x2 + (self.k1 / self.k2) * x1
-        if s >= 0.0 and x2 > 0.0:
-            return 1
-        if s > 0.0 and x2 <= 0.0:
-            return 2
-        if s <= 0.0 and x2 < 0.0:
-            return 3
-        return 4
+def _sweep_start(k1: float, k2: float) -> tuple:
+    """(-1, 0), where run_destabilizer and find_nu start, and the functional
+    x2 + (k1/k2) x1, zero where gated and ungated fields are collinear."""
+    return np.array([-1.0, 0.0]), lambda y: float(y[1] + (k1 / k2) * y[0])
 
 
 def _phase_crossing(m: np.ndarray, x0: np.ndarray, fn, dt: float,
@@ -141,55 +120,43 @@ def _unpack_gain(K) -> tuple:
     return k1, k2
 
 
-def run_destabilizer(K, cls: PeClass, x0=(-1.0, 0.0),
+def run_destabilizer(K, cls: PeClass,
                      revolutions: int = 10) -> DestabilizerRun:
-    """Simulate the sector feedback loop exactly, sector by sector.
+    """Simulate the sector feedback loop exactly from (-1, 0), find_nu's
+    start too, one sector at a time.
 
-    Inside a sector the dynamics is one constant matrix, so propagation is
-    pure matrix exponentials, and crossing_time locates each sector
-    crossing on their dense output; committing to the entered sector until
-    the next crossing (minimum dwell 1e-12) rules out chattering artifacts.
+    The horizontal axis and the collinearity line x2 + (k1/k2) x1 = 0 cut
+    the plane into sectors 4, 1, 2, 3, entered in that order from the
+    negative axis: 2 and 4 are gated at full strength and left across the
+    line, 1 and 3 at the class floor and left across the axis.  In a
+    sector the dynamics is one constant matrix, so propagation is pure
+    matrix exponentials, and crossing_time locates each crossing on their
+    dense output; committing to the entered sector until the next
+    crossing (minimum dwell 1e-12) rules out chattering artifacts.
 
-    Crossings are searched through the first revolution from the negative
-    axis; by homogeneity each later one repeats its switch times and is
-    replayed, phase j through its flow expm(m_j, tc_j).  A state whose norm
+    The four crossings of the first revolution are searched; by
+    homogeneity each later one repeats its switch times and is replayed,
+    phase j through its flow expm(m_j, tc_j).  A state whose norm
     overflows raises SimulationError naming its revolution.
     """
     if revolutions < 1:
         raise DomainError("need at least one revolution")
     k1, k2 = _unpack_gain(K)
     ratio = cls.ratio
-    part = QPartition(k1, k2)
     Kmat = np.array([[-k1, -k2]])
     bk = B_DI @ Kmat
     mats = {1.0: A_DI + bk, ratio: A_DI + ratio * bk}
     # every phase on a level marches the same step
     steps = {a: _rotation_step(m) for a, m in mats.items()}
     phis = {a: expm(mats[a], dt) for a, dt in steps.items()}
-
-    x = np.asarray(x0, dtype=float)
-    if not np.isfinite(x).all():
-        raise DomainError(f"x0 must be finite, got {x0!r}")
-    if not x.any():
-        raise DegenerateStateError("cannot start at the origin")
-    region = part.region(x)
+    x0, dline_fn = _sweep_start(k1, k2)
+    x = x0
     # (level, duration, steps, end state, sector left) of each phase
     phases = []
-    on_neg_axis = x[1] == 0.0 and x[0] < 0.0
-    rev_norms = [math.hypot(*x)] if on_neg_axis else []
-
-    def axis_fn(y):
-        return float(y[1])
-
-    def dline_fn(y):
-        return float(y[1] + (k1 / k2) * y[0])
-
     with np.errstate(over="ignore", invalid="ignore"):
-        # search the crossings up to the end of the first revolution that
-        # starts on the negative axis
-        while len(rev_norms) < 2:
-            a = 1.0 if region in (2, 4) else ratio
-            fn = dline_fn if region in (2, 4) else axis_fn
+        for region in (4, 1, 2, 3):
+            full = region in (2, 4)
+            a, fn = (1.0, dline_fn) if full else (ratio, lambda y: float(y[1]))
             dt = steps[a]
             res = _phase_crossing(mats[a], x, fn, dt, phis[a])
             if res is None:
@@ -198,24 +165,18 @@ def run_destabilizer(K, cls: PeClass, x0=(-1.0, 0.0),
                     "revolving; the sector feedback cannot destabilize here")
             tc, x = res
             if not np.isfinite(x).all():
-                # rev_norms holds one norm per negative-axis arrival
-                raise SimulationError("the state overflows in revolution "
-                                      f"{len(rev_norms)}")
+                raise SimulationError("the state overflows in revolution 1")
             if tc < _MIN_DWELL:
                 raise InternalConsistencyError(
                     "two sector crossings within 1e-12: chattering detected")
             # in-phase samples, re-marched on an exact uniform sub-grid below
             phases.append((a, tc, max(1, int(math.ceil(tc / dt))), x,
                            region))
-            # committed sector cycle: 4 -> 1 -> 2 -> 3 -> 4 ...
-            region = region % 4 + 1
-            if region == 4:
-                # back on the negative axis: one full revolution
-                rev_norms.append(math.hypot(*x))
-        rev = phases[-4:]
-        flows = [expm(mats[a], tc) for a, tc, *_ in rev]
+        # the start has norm 1; one norm per negative-axis arrival follows
+        rev_norms = [1.0, math.hypot(*x)]
+        flows = [expm(mats[a], tc) for a, tc, *_ in phases]
         for _ in range(2, revolutions + 1):
-            for (a, tc, n, _, r), flow in zip(rev, flows):
+            for (a, tc, n, _, r), flow in zip(phases[:4], flows):
                 x = flow @ x
                 phases.append((a, tc, n, x, r))
             rev_norms.append(math.hypot(*x))
@@ -223,35 +184,36 @@ def run_destabilizer(K, cls: PeClass, x0=(-1.0, 0.0),
         bp = np.concatenate(([0.0], np.cumsum(widths)))
         times, states, seg_alpha = _flow(
             mats.__getitem__, np.array(vals), bp, np.array(widths),
-            np.array(counts), np.asarray(x0, dtype=float)[:, np.newaxis],
+            np.array(counts), x0[:, np.newaxis],
             np.array(ends)[:, :, np.newaxis])
         bad = ~np.isfinite(np.hypot(*states[:, :, 0].T))
     if bad.any():
         # the phase of the first sample whose norm overflows
         p = np.searchsorted(np.cumsum(counts), bad.argmax())
         raise SimulationError("the state overflows in revolution "
-                              f"{on_neg_axis + regions[:p].count(3)}")
+                              f"{1 + regions[:p].count(3)}")
     induced = PwcSignal.held(tuple(bp.tolist()), vals, hold=vals[-1])
     horizon = bp[-1]
     pe_ok = (verify_pe(induced, cls, horizon).ok
              if horizon >= cls.T else False)
     factors = [b / a for a, b in zip(rev_norms, rev_norms[1:])]
-    growth = factors[-1] if factors else math.nan
     crossings = [{"t": t, "region_from": r}
                  for t, r in zip(bp[1:].tolist(), regions)]
     loop = ClosedLoop(A_DI, B_DI, Kmat, induced)
     traj = Trajectory(loop, times, states[:, :, 0], seg_alpha)
-    return DestabilizerRun(traj, induced, growth, factors, pe_ok, crossings)
+    return DestabilizerRun(traj, induced, factors[-1], factors, pe_ok,
+                           crossings)
 
 
 def find_nu(K, tol: float = 1e-10) -> float:
     """Largest constant gate level for which the post-collinearity sweep
     still lands beyond the starting abscissa.
 
-    The full-strength flow from (-1, 0) is followed to its first meeting
-    with the collinearity line; from there the constant-nu flow crosses the
-    horizontal axis at some abscissa xi(nu), which grows without bound as nu
-    shrinks and shrinks as nu grows.  Classes with ratio at most the
+    The full-strength flow from (-1, 0), run_destabilizer's start too, is
+    followed to its first meeting with the collinearity line; from there
+    the constant-nu flow crosses the horizontal axis at some abscissa
+    xi(nu), which grows without bound as nu shrinks and shrinks as nu
+    grows.  Classes with ratio at most the
     returned value are destabilized by the sector feedback.
 
     xi behaves like C / sqrt(nu): an interpolating search on xi over nu
@@ -265,15 +227,10 @@ def find_nu(K, tol: float = 1e-10) -> float:
     if not (math.isfinite(tol) and tol > 0.0):
         raise DomainError(f"tol must be finite and positive, got {tol!r}")
     k1, k2 = _unpack_gain(K)
-    Kmat = np.array([[-k1, -k2]])
-    bk = B_DI @ Kmat
+    bk = B_DI @ np.array([[-k1, -k2]])
     m1 = A_DI + bk
-    x_start = np.array([-1.0, 0.0])
-
-    def dline_fn(y):
-        return float(y[1] + (k1 / k2) * y[0])
-
-    res = _phase_crossing(m1, x_start, dline_fn, _rotation_step(m1))
+    x0, dline_fn = _sweep_start(k1, k2)
+    res = _phase_crossing(m1, x0, dline_fn, _rotation_step(m1))
     if res is None:
         raise SimulationError("full-strength flow never meets the "
                               "collinearity line")

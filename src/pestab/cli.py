@@ -92,6 +92,8 @@ def _di_params(sc: dict, cls: PeClass) -> tuple:
     p = sc.get("params", {})
     rho = float(p.get("rho", 0.4 * cls.ratio))
     k = float(p.get("k", 4.0))
+    if not (math.isfinite(k) and k > 0.0):
+        raise DomainError(f"params.k must be finite and positive, got {k!r}")
     lam = float(p.get("lam", 4.0 * k))
     return rho, k, lam
 

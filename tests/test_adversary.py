@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from pestab import adversary, cli, simcore
-from pestab.adversary import (QPartition, _phase_crossing, _rotation_step,
-                              find_nu, run_destabilizer, worst_case_search)
+from pestab.adversary import (_phase_crossing, _rotation_step, find_nu,
+                              run_destabilizer, worst_case_search)
 from pestab.errors import (DegenerateStateError, DomainError, ShapeError,
                            SimulationError)
 from pestab.gains import A_DI, A_ROTATION, B_DI, di_base_gain
@@ -20,16 +20,13 @@ K11 = np.array([[-1.0, -1.0]])
 REPLAY_CASES = [(1.0, 1.0, 0.05), (2.0, 1.0, 0.03), (1.0, 3.0, 0.02)]
 
 
-def _search_every_phase(k1, k2, mu, x0, revolutions):
-    """Crossing times and end states of the sector march with a crossing
-    search at every phase, up to the revolutions-th return to the negative
-    axis."""
+def _search_every_phase(k1, k2, mu, revolutions):
+    """Crossing times and end states of the sector march from (-1, 0) with a
+    crossing search at every phase, over the given number of revolutions."""
     bk = B_DI @ np.array([[-k1, -k2]])
-    x = np.asarray(x0, dtype=float)
-    region = QPartition(k1, k2).region(x)
-    arrivals = int(x[1] == 0.0 and x[0] < 0.0)
+    x = np.array([-1.0, 0.0])
     t, times, ends = 0.0, [], []
-    while arrivals <= revolutions:
+    for region in (4, 1, 2, 3) * revolutions:
         full = region in (2, 4)
         m = A_DI + (1.0 if full else mu) * bk
         fn = (lambda y: float(y[1] + (k1 / k2) * y[0])) if full else (
@@ -38,46 +35,7 @@ def _search_every_phase(k1, k2, mu, x0, revolutions):
         t += tc
         times.append(t)
         ends.append(x)
-        region = region % 4 + 1
-        arrivals += region == 4
     return np.array(times), np.array(ends)
-
-
-class TestRegions:
-    def test_spec_points(self):
-        # the destabilizer gates sectors 1 and 3 at the class floor and
-        # sectors 2 and 4 at full strength
-        part = QPartition(1.0, 1.0)
-        # x2 > 0 on the closed side of the collinearity line: floor sector
-        assert part.region([0.0, 1.0]) == 1
-        # below the axis but above the line: full-gate sector
-        assert part.region([1.0, -0.5]) == 2
-        # on the line with x2 > 0: the closed side belongs to sector 1
-        assert part.region([-1.0, 1.0]) == 1
-
-    def test_partition_covers_plane(self):
-        part = QPartition(2.0, 3.0)
-        rng = np.random.default_rng(0)
-        for _ in range(500):
-            x = rng.standard_normal(2)
-            if np.linalg.norm(x) == 0.0:
-                continue
-            r = part.region(x)
-            assert r in (1, 2, 3, 4)
-        # each boundary point lands in exactly one sector
-        s = 2.0 / 3.0
-        assert part.region([-1.0, s]) == 1     # on D, x2 > 0
-        assert part.region([1.0, -s]) == 3     # on D, x2 < 0
-        assert part.region([1.0, 0.0]) == 2    # positive axis
-        assert part.region([-1.0, 0.0]) == 4   # negative axis
-
-    def test_origin_rejected(self):
-        with pytest.raises(DegenerateStateError):
-            QPartition(1.0, 1.0).region([0.0, 0.0])
-
-    def test_gain_signs_enforced(self):
-        with pytest.raises(DomainError):
-            QPartition(-1.0, 1.0)
 
 
 class TestFindNu:
@@ -156,14 +114,6 @@ class TestDestabilizer:
         assert len(axis_states) >= 2
         a, b = axis_states[0], axis_states[1]
         assert b[0] / a[0] == pytest.approx(run.growth_per_rev, rel=1e-9)
-
-    def test_scaling_invariance(self):
-        nu = find_nu(K11)
-        cls = PeClass(1.0, nu / 2.0)
-        base = run_destabilizer(K11, cls, x0=(-1.0, 0.0), revolutions=4)
-        scaled = run_destabilizer(K11, cls, x0=(-3.0, 0.0), revolutions=4)
-        assert scaled.growth_per_rev == pytest.approx(base.growth_per_rev,
-                                                      rel=1e-9)
 
     def test_saturated_class_decays(self):
         run = run_destabilizer(K11, PeClass(1.0, 1.0), revolutions=3)
@@ -263,13 +213,12 @@ class TestDestabilizer:
 
 
     @pytest.mark.parametrize("k1, k2, mu", REPLAY_CASES)
-    @pytest.mark.parametrize("x0", [(-1.0, 0.0), (0.3, 0.8)])
-    def test_replay_matches_a_search_at_every_phase(self, k1, k2, mu, x0):
+    def test_replay_matches_a_search_at_every_phase(self, k1, k2, mu):
         # the replayed revolutions agree with a crossing search run at
-        # every phase, from the axis and from a state off it
+        # every phase
         K = np.array([[-k1, -k2]])
-        run = run_destabilizer(K, PeClass(1.0, mu), x0=x0, revolutions=10)
-        ref_t, ref_x = _search_every_phase(k1, k2, mu, x0, 10)
+        run = run_destabilizer(K, PeClass(1.0, mu), revolutions=10)
+        ref_t, ref_x = _search_every_phase(k1, k2, mu, 10)
         got_t = np.array([c["t"] for c in run.crossings])
         np.testing.assert_allclose(got_t, ref_t, rtol=1e-12, atol=0.0)
         x_at = dict(zip(run.traj.times.tolist(), run.traj.states))
@@ -307,36 +256,29 @@ class TestDestabilizer:
         assert np.isfinite(run.traj.states).all()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("x0, rev", [((-1.0, 0.0), 354),
-                                         ((0.3, 0.8), 353)])
-    def test_overflow_names_its_revolution(self, x0, rev):
+    def test_overflow_names_its_revolution(self):
         # growth 7.46 per revolution overflows the largest double in
-        # revolution 354 from (-1, 0); the search used to stop there with
-        # "converges to an eigendirection"
+        # revolution 354; the search used to stop there with "converges to
+        # an eigendirection"
         with pytest.raises(SimulationError,
-                           match=f"overflows in revolution {rev}$"):
-            run_destabilizer(K11, PeClass(1.0, 0.03), x0=x0,
-                             revolutions=400)
-        run_destabilizer(K11, PeClass(1.0, 0.03), x0=x0,
-                         revolutions=rev - 1)
+                           match="overflows in revolution 354$"):
+            run_destabilizer(K11, PeClass(1.0, 0.03), revolutions=400)
+        run_destabilizer(K11, PeClass(1.0, 0.03), revolutions=353)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("x0, rev", [((-1e308, 0.0), 1),
-                                         ((0.0, 1e308), 0)])
-    def test_overflow_in_searched_revolution(self, x0, rev):
-        # the march of the searched revolution overflows; it used to warn
-        # and stop with "converges to an eigendirection"
+    def test_overflow_in_searched_revolution(self, monkeypatch):
+        # a searched phase that ends beyond the doubles stops the run
+        # before its replay
+        monkeypatch.setattr(adversary, "_phase_crossing",
+                            lambda *args: (0.5, np.array([math.inf, 0.0])))
         with pytest.raises(SimulationError,
-                           match=f"overflows in revolution {rev}$"):
-            run_destabilizer(K11, PeClass(1.0, 0.03), x0=x0)
+                           match="overflows in revolution 1$"):
+            run_destabilizer(K11, PeClass(1.0, 0.03))
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("x0", [(math.nan, 0.0), (-math.inf, 0.0),
-                                    (-1.0, math.nan)])
-    def test_non_finite_start_refused(self, x0):
-        # a non-finite start is an input fault, not an overflow of the run
-        with pytest.raises(DomainError, match="x0 must be finite"):
-            run_destabilizer(K11, PeClass(1.0, 0.03), x0=x0)
+    def test_crossings_leave_sectors_in_order(self):
+        # from (-1, 0) the first four crossings leave sectors 4, 1, 2, 3,
+        # and every replayed revolution repeats the order
+        run = run_destabilizer(K11, PeClass(1.0, 0.03), revolutions=3)
+        assert [c["region_from"] for c in run.crossings] == [4, 1, 2, 3] * 3
 
 
 class TestWorstCase:

@@ -23,7 +23,7 @@ from pestab.gains import (A_DI, A_ROTATION, B_DI, cone_geometry,
 from pestab.matkit import expm
 from pestab.signals import (PeClass, PwcSignal, integrate_signal,
                             make_battery, make_duty)
-from pestab.simcore import ClosedLoop, polar_lift, propagate
+from pestab.simcore import ClosedLoop, Trajectory, polar_lift, propagate
 
 CLS = PeClass(1.0, 0.5)
 B_ROT = np.array([[0.0], [1.0]])
@@ -165,6 +165,46 @@ class TestEnergyIdentity:
             assert check_V_neutral(tr, B_ROT).passed
         assert energy.call_count == 1
         assert energy.call_args.args[0] is tr.states
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("top", [1.5e154, 1e200])
+    def test_run_near_the_top_of_the_doubles(self, top):
+        # 1.5e154 overflowed the tolerance's product and the squares of
+        # B^T x; 1e200 overflowed V and took inf - inf in its differences
+        tr = propagate(rotation_loop(PwcSignal.constant(0.5)), 0.0,
+                       [top, 0.0], 2.0)
+        cert = check_V_neutral(tr, B_ROT)
+        assert cert.passed
+        assert cert.measured["monotonicity_violations"] == 0
+        # the tolerance is about 1e-3 V: beyond the doubles at 1e200
+        assert cert.measured["max_derivative_tol"] == \
+            (math.inf if top == 1e200 else pytest.approx(1.76e305, rel=1e-2))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("top, shift", [(1.5e154, 100), (1e200, 100),
+                                            (1e200, 600), (1e300, 1000)])
+    @pytest.mark.parametrize("bend", [0.0, 1e-3])
+    def test_power_of_two_scale_keeps_the_certificate(self, top, shift,
+                                                      bend):
+        # scaling a run by 2^-shift keeps the verdict, the counts and the
+        # failing sample, and scales every magnitude by 4^-shift exactly;
+        # the magnitudes of the larger run read inf past the largest double
+        loop = rotation_loop(PwcSignal.constant(0.5))
+        tr = propagate(loop, 0.0, [top, 0.0], 2.0, max_step=0.01)
+        states = tr.states.copy()
+        states[50] *= 1.0 + bend
+        big, small = (check_V_neutral(
+            Trajectory(loop, tr.times, np.ldexp(states, -s), tr.seg_alpha),
+            B_ROT) for s in (0, shift))
+        assert big.passed == small.passed == (bend == 0.0)
+        assert big.notes == small.notes
+        assert big.measured.keys() == small.measured.keys()
+        for key, v in small.measured.items():
+            if key == "monotonicity_violations":
+                assert big.measured[key] == v == (bend > 0.0)
+                continue
+            with np.errstate(over="ignore"):
+                assert big.measured[key] == np.ldexp(v, 2 * shift)
 
 
 class TestEta:

@@ -367,6 +367,23 @@ class TestCertify:
                      "--lemma", selector,
                      "--out-dir", str(tmp_path / "o")]) == 0
 
+    @pytest.mark.parametrize("k", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("selector",
+                             ["finite", "ff00", "ff01", "ouf0", "final0",
+                              "c2"])
+    def test_non_positive_gain_scale_exits_2(self, tmp_path, capsys,
+                                             selector, k):
+        # k = 0 ended finite, ff00 and ff01 in a ZeroDivisionError traceback
+        # with exit 1
+        sc = selector_scenario(selector)
+        sc["params"] = {"k": k}
+        out = tmp_path / "o"
+        assert main(["certify", "--scenario", write_scenario(tmp_path, sc),
+                     "--lemma", selector, "--out-dir", str(out)]) == 2
+        assert "params.k must be finite and positive" in \
+            capsys.readouterr().err
+        assert not (out / f"certificate_{selector}.json").exists()
+
     @pytest.mark.parametrize("selector", LEMMA_SELECTORS)
     def test_every_selector_passes(self, tmp_path, capsys, selector):
         sc = selector_scenario(selector)

@@ -371,6 +371,22 @@ def test_energy_identity_fail_names_first_sample():
         cert.measured["tolerance_at_worst"]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("top", [1e150, 1e153])
+def test_energy_identity_keeps_the_loop_arithmetic_below_overflow(top):
+    # a run beyond 2^480 is checked at a power-of-two scale, which is
+    # exact: where the loop's squares and tolerances stay finite, every
+    # bit of the certificate is the loop's
+    loop = ClosedLoop(A_ROTATION, B_ROT, -B_ROT.T, PwcSignal.constant(0.5))
+    for bend in (0.0, 1e-3):
+        tr = propagate(loop, 0.0, [top, 0.0], 2.0, max_step=0.01)
+        states = tr.states.copy()
+        states[50] *= 1.0 + bend
+        bent = Trajectory(loop, tr.times, states, tr.seg_alpha)
+        assert cert_text(check_V_neutral(bent, B_ROT)) == \
+            cert_text(ref_check_V_neutral(bent, B_ROT))
+
+
 def test_energy_identity_one_norm_per_level(monkeypatch):
     # one matrix norm per distinct gate level, not one per sample
     sig = PwcSignal.periodic((0.0, 0.25, 0.5, 1.0), (0.0, 0.5, 1.0))
