@@ -22,8 +22,7 @@ from .gains import A_DI, B_DI, di_gain
 from .matkit import as_matrix, expm
 from .signals import (PeClass, PwcSignal, _duty_floor, _random_duty,
                       make_duty, verify_pe)
-from .simcore import (ClosedLoop, Trajectory, _end_rate, _flow, _itp,
-                      crossing_time)
+from .simcore import ClosedLoop, Trajectory, _crossing, _end_rate, _flow, _itp
 
 __all__ = [
     "run_destabilizer",
@@ -52,7 +51,7 @@ def _sweep_start(k1: float, k2: float) -> tuple:
 def _phase_crossing(m: np.ndarray, x0: np.ndarray, fn, dt: float,
                     phi: np.ndarray | None = None):
     """March a constant planar flow in steps of dt until fn(x) changes sign,
-    then locate the crossing with crossing_time.
+    then locate the crossing, and its state, on the last step's dense output.
 
     phi is the step's expm(m, dt); a caller that marches the same flow
     many times computes it once.  Returns (t_cross, x_cross), or None when
@@ -71,8 +70,8 @@ def _phase_crossing(m: np.ndarray, x0: np.ndarray, fn, dt: float,
             return t, x
         f = fn(x)
         if f == 0.0 or (f > 0.0) != (f_prev > 0.0):
-            tc = crossing_time(m, x_prev, t_prev, t, fn)
-            return tc, expm(m, tc - t_prev) @ x_prev
+            tc, x_at = _crossing(m, x_prev, t_prev, t, fn, x)
+            return tc, x_at(tc - t_prev)
         t_prev, x_prev, f_prev = t, x, f
     return None
 

@@ -91,6 +91,8 @@ def _sha256(path: Path) -> str:
 def _di_params(sc: dict, cls: PeClass) -> tuple:
     p = sc.get("params", {})
     rho = float(p.get("rho", 0.4 * cls.ratio))
+    if not 0.0 < rho < 1.0:
+        raise DomainError(f"params.rho must lie in (0, 1), got {rho!r}")
     k = float(p.get("k", 4.0))
     if not (math.isfinite(k) and k > 0.0):
         raise DomainError(f"params.k must be finite and positive, got {k!r}")

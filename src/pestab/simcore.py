@@ -27,8 +27,10 @@ the same plan and chain, so the same end state bit for bit, and no fill
 (for a periodic gate no power table of the sample step either); where the
 piece ends cannot rule out a sample overflowing inside a piece, it fills
 the samples as the full run does.  crossing_time, the one crossing
-root-finder, runs an ITP bracketing search whose every evaluation is on
-exponential dense output, never on interpolated samples.
+root-finder, runs an ITP bracketing search on the exact dense output of its
+bracket, never on interpolated samples: a truncated Taylor series on the
+bracket's Krylov vectors where ||m||_1 span <= 1, an expm per evaluation
+on a wider bracket.
 """
 
 from __future__ import annotations
@@ -57,6 +59,8 @@ __all__ = [
 ]
 
 _CROSSING_REL_TOL = 1e-12
+# the widest bracket, in ||m||_1 span, searched on its Taylor dense output
+_TAYLOR_MAX_R = 1.0
 # rows formatted at a time by Trajectory.to_csv
 _CSV_BLOCK = 512
 # _end_rate vouches without a fill for runs whose samples all stay below
@@ -650,37 +654,69 @@ def _itp(g, lo: float, hi: float, g_lo: float, g_hi: float, n_max: int,
     return lo, hi
 
 
-def crossing_time(m: np.ndarray, x_lo: np.ndarray, t_lo: float, t_hi: float,
-                  fn) -> float:
-    """Zero of fn(x(t)) on [t_lo, t_hi] for the flow x' = m x, x(t_lo) = x_lo.
+def _dense_output(m: np.ndarray, x_lo: np.ndarray, span: float):
+    """s -> e^{s m} x_lo on [0, span], exact to rounding.
 
-    fn is evaluated on the exact dense output expm(m, t - t_lo) @ x_lo and
-    must change sign across the interval.  The ITP search _itp, with
-    kappa1 = 0.02 / (t_hi - t_lo), shrinks a sign-change bracket until it
-    is no wider than _CROSSING_REL_TOL of the interval, and the midpoint of
-    that bracket is returned (rounded to a float time, which near a large
-    t_lo may be coarser): about 7 evaluations per root, never more than
-    bisection to the same width plus two.  A zero at either end is
-    returned as that end; when the dense output at t_hi does not change
-    sign (it disagrees with the caller's sample by rounding), t_hi is.
+    Where 0 < r = ||m||_1 span <= _TAYLOR_MAX_R it is the Taylor polynomial
+    sum_k tau^k V_k in tau = s / span, on the Krylov vectors V_k =
+    (span m)^k x_lo / k!, each at most r^k / k! ||x_lo||_1, truncated at
+    the least K with r^(K+1) e^(2r) / (K+1)! <= 2^-53 (Al-Mohy & Higham,
+    SIAM J. Sci. Comput. 33(2), 2011, without their scaling): one small
+    product per evaluation.  A wider bracket, or one with r = 0, takes
+    expm(m, s) @ x_lo.
     """
+    r = one_norm(m) * span
+    if not 0.0 < r <= _TAYLOR_MAX_R:
+        return lambda s: expm(m, s) @ x_lo
+    a, vs, err = span * m, [x_lo], r * math.exp(2.0 * r)
+    while err > 2.0 ** -53:
+        vs.append(a @ vs[-1] / len(vs))
+        err *= r / len(vs)
+    v, ks = np.array(vs), np.arange(len(vs))
+    return lambda s: (s / span) ** ks @ v
+
+
+def _crossing(m: np.ndarray, x_lo: np.ndarray, t_lo: float, t_hi: float,
+              fn, x_hi: np.ndarray | None = None) -> tuple:
+    """crossing_time's root and the dense output s -> x(t_lo + s) it
+    searched; a caller that has x_hi, the state at t_hi, hands it over."""
+    span = t_hi - t_lo
+    x_at = _dense_output(m, x_lo, span)
     f_lo = fn(x_lo)
     if f_lo == 0.0:
-        return t_lo
-    f_hi = fn(expm(m, t_hi - t_lo) @ x_lo)
+        return t_lo, x_at
+    f_hi = fn(x_at(span) if x_hi is None else x_hi)
     if f_hi == 0.0 or (f_hi > 0.0) == (f_lo > 0.0):
-        return t_hi
+        return t_hi, x_at
     # the search runs on offsets s = t - t_lo, whose rounding is far finer
     # than the tolerance even when t_lo is large
-    span = t_hi - t_lo
     tol = _CROSSING_REL_TOL * span
     # ITP's 2 eps is bisection's final width span / 2**n_bis <= tol, so its
     # n_max = n_bis + 1 steps end below tol even after rounding
     n_bis = math.ceil(-math.log2(_CROSSING_REL_TOL))
-    lo, hi = _itp(lambda s: fn(expm(m, s) @ x_lo), 0.0, span, f_lo, f_hi,
+    lo, hi = _itp(lambda s: fn(x_at(s)), 0.0, span, f_lo, f_hi,
                   n_bis + 1, 0.02, lambda lo, hi: hi - lo <= tol,
                   lambda lo: tol)
-    return t_lo + 0.5 * (lo + hi)
+    return t_lo + 0.5 * (lo + hi), x_at
+
+
+def crossing_time(m: np.ndarray, x_lo: np.ndarray, t_lo: float, t_hi: float,
+                  fn) -> float:
+    """Zero of fn(x(t)) on [t_lo, t_hi] for the flow x' = m x, x(t_lo) = x_lo.
+
+    fn must change sign across the interval and is evaluated on its exact
+    dense output, _dense_output: where ||m||_1 (t_hi - t_lo) <= 1 the
+    Taylor polynomial on the interval's Krylov vectors, truncated below
+    2^-53, and on a wider interval expm(m, t - t_lo) @ x_lo.  The ITP
+    search _itp, with kappa1 = 0.02 / (t_hi - t_lo), shrinks a sign-change
+    bracket until it is no wider than _CROSSING_REL_TOL of the interval,
+    and that bracket's midpoint is returned (rounded to a float time, which
+    near a large t_lo may be coarser): about 7 evaluations per root, never
+    more than bisection to the same width plus two.  A zero at either end
+    is returned as that end; when the dense output at t_hi does not change
+    sign (it disagrees with the caller's sample by rounding), t_hi is.
+    """
+    return _crossing(m, x_lo, t_lo, t_hi, fn)[0]
 
 
 def polar_lift(traj: Trajectory) -> Trajectory:

@@ -10,7 +10,7 @@ from pestab.adversary import (_phase_crossing, _rotation_step, find_nu,
 from pestab.errors import (DegenerateStateError, DomainError, ShapeError,
                            SimulationError)
 from pestab.gains import A_DI, A_ROTATION, B_DI, di_base_gain
-from pestab.matkit import expm
+from pestab.matkit import expm, one_norm
 from pestab.signals import PeClass, PwcSignal, make_duty, verify_pe
 from pestab.simcore import ClosedLoop, propagate
 
@@ -144,29 +144,45 @@ class TestDestabilizer:
 
     def test_one_step_exponential_per_gate_level(self):
         # every phase on a level marches the same step, so its exponential
-        # is taken once per level; each searched phase takes one more for
-        # its end state, and the replayed revolutions share one flow per
-        # phase of the searched revolution: the count does not grow with
-        # the revolutions
+        # is taken once per level, and the replayed revolutions share one
+        # flow per phase of the searched revolution: the count does not
+        # grow with the revolutions.  Each searched phase's crossing is
+        # root-found and its end state read on the Taylor dense output of
+        # its last march step, which takes no exponential: at most
+        # bisection's 40 evaluations plus two per crossing
         steps = {_rotation_step(A_DI + a * B_DI @ K11) for a in (1.0, 0.03)}
         real = adversary.expm
-        calls = []
+        real_dense = simcore._dense_output
+        calls, spans, evals = [], [], []
 
         def counting(m, t=1.0):
             calls.append(t)
             return real(m, t)
 
+        def dense(m, x_lo, span):
+            spans.append(one_norm(m) * span)
+            x_at = real_dense(m, x_lo, span)
+            return lambda s: evals.append(s) or x_at(s)
+
         for revolutions in (3, 10):
-            calls.clear()
-            with mock.patch.object(adversary, "expm", counting):
+            del calls[:], spans[:], evals[:]
+            with mock.patch.object(adversary, "expm", counting), \
+                    mock.patch.object(simcore, "_dense_output", dense), \
+                    mock.patch.object(simcore, "expm",
+                                      wraps=simcore.expm) as stacked:
                 run = run_destabilizer(K11, PeClass(1.0, 0.03),
                                        revolutions=revolutions)
             # from the negative axis one revolution, 4 phases, is searched
-            assert len(calls) == 2 + 4 + 4
+            assert len(calls) == 2 + 4
             assert len(run.crossings) == 4 * revolutions
             assert sorted(calls[:2]) == sorted(steps)
             durations = np.diff([0.0] + [c["t"] for c in run.crossings[:4]])
             np.testing.assert_allclose(calls[-4:], durations, rtol=1e-15)
+            assert len(spans) == 4
+            assert max(spans) <= simcore._TAYLOR_MAX_R
+            # the fill's one stacked exponential, none in the searches
+            assert stacked.call_count == 1
+            assert len(evals) <= 4 * 42
 
     def test_bad_gain_rejected(self):
         with pytest.raises(DomainError, match="Hurwitz"):

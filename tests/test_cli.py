@@ -384,6 +384,24 @@ class TestCertify:
             capsys.readouterr().err
         assert not (out / f"certificate_{selector}.json").exists()
 
+    @pytest.mark.parametrize("rho", [0.0, -1.0, 1.5, math.nan])
+    @pytest.mark.parametrize("selector",
+                             ["finite", "ff00", "ff01", "ouf0", "final0",
+                              "c2"])
+    def test_rho_outside_unit_interval_exits_2(self, tmp_path, capsys,
+                                               selector, rho):
+        # ff00 passed with worst_increase=nan at rho = 0 and failed at
+        # rho = -1, ouf0 passed at 0, -1 and 1.5, and rho = nan stopped
+        # ff00, ff01 and ouf0 on "K has non-finite entries"
+        sc = selector_scenario(selector)
+        sc["battery"] = {"size": 2, "seed": 0}
+        sc["params"] = {"rho": rho}
+        out = tmp_path / "o"
+        assert main(["certify", "--scenario", write_scenario(tmp_path, sc),
+                     "--lemma", selector, "--out-dir", str(out)]) == 2
+        assert "params.rho must lie in (0, 1)" in capsys.readouterr().err
+        assert not (out / f"certificate_{selector}.json").exists()
+
     @pytest.mark.parametrize("selector", LEMMA_SELECTORS)
     def test_every_selector_passes(self, tmp_path, capsys, selector):
         sc = selector_scenario(selector)

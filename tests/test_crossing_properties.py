@@ -5,11 +5,15 @@ quadratic functionals that vanish at a chosen time inside the interval.  The
 interval is short enough that the sign change there is the only root, so the
 ITP search and the plain bisection it replaced, kept here as the reference,
 must agree to the tolerance; the ITP loop crossing_time runs through
-simcore._itp, written out inline, is a bit-for-bit reference.  The dense
-output used to check signs is an independent `scipy.linalg.expm`.
+simcore._itp, written out inline on the same dense output, is a bit-for-bit
+reference, and on an interval wider than the Taylor dense output covers it
+is the expm search crossing_time ran before.  The dense output used to
+check signs is an independent `scipy.linalg.expm`, and the Taylor dense
+output is checked against `matkit.expm` on random flows.
 """
 
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -18,6 +22,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from pestab import adversary, simcore
 from pestab.gains import A_DI, B_DI, di_gain
+from pestab.matkit import one_norm
 from pestab.signals import PeClass, make_battery
 from pestab.simcore import ClosedLoop, crossing_time, propagate
 
@@ -26,7 +31,23 @@ PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
 
 # bisection to _CROSSING_REL_TOL of the interval takes 40 evaluations; ITP
 # with n0 = 1 adds at most one, and one more is spent at t_hi
-_MAX_EXPM_PER_ROOT = 42
+_MAX_EVALS_PER_ROOT = 42
+
+
+def counted_dense_outputs():
+    """Patch simcore._dense_output so that every evaluation of a dense
+    output appends its offset s to the returned list."""
+    offsets = []
+    real = simcore._dense_output
+
+    def recording(m, x_lo, span):
+        x_at = real(m, x_lo, span)
+
+        def recorded(s):
+            offsets.append(s)
+            return x_at(s)
+        return recorded
+    return mock.patch.object(simcore, "_dense_output", recording), offsets
 
 
 def reference_crossing_time(m, x_lo, t_lo, t_hi, fn):
@@ -46,16 +67,19 @@ def reference_crossing_time(m, x_lo, t_lo, t_hi, fn):
     return 0.5 * (lo + hi)
 
 
-def reference_itp_crossing_time(m, x_lo, t_lo, t_hi, fn):
+def reference_itp_crossing_time(m, x_lo, t_lo, t_hi, fn, x_at=None):
     """The ITP loop crossing_time runs through simcore._itp, inline:
-    kappa1 = 0.02 / span, and the truncation floored at 0.45 tol."""
+    kappa1 = 0.02 / span, and the truncation floored at 0.45 tol, on the
+    dense output x_at(s) = x(t_lo + s), by default simcore._dense_output."""
+    span = t_hi - t_lo
+    if x_at is None:
+        x_at = simcore._dense_output(m, x_lo, span)
     f_lo = fn(x_lo)
     if f_lo == 0.0:
         return t_lo
-    f_hi = fn(simcore.expm(m, t_hi - t_lo) @ x_lo)
+    f_hi = fn(x_at(span))
     if f_hi == 0.0 or (f_hi > 0.0) == (f_lo > 0.0):
         return t_hi
-    span = t_hi - t_lo
     tol = simcore._CROSSING_REL_TOL * span
     n_bis = math.ceil(-math.log2(simcore._CROSSING_REL_TOL))
     lo, hi = 0.0, span
@@ -71,7 +95,7 @@ def reference_itp_crossing_time(m, x_lo, t_lo, t_hi, fn):
         s = s_t if abs(s_t - mid) <= r else mid - sigma * r
         if not lo < s < hi:
             s = mid
-        f = fn(simcore.expm(m, s) @ x_lo)
+        f = fn(x_at(s))
         if f == 0.0:
             return t_lo + s
         if (f > 0.0) == (f_lo > 0.0):
@@ -185,6 +209,67 @@ def test_bit_identical_to_inline_itp_reference(drawn):
 
 @PROPERTY
 @given(crossings())
+def test_wide_interval_searches_on_expm(drawn):
+    # beyond ||m||_1 span = 1 every evaluation is expm(m, s) @ x_lo, so the
+    # root is bit for bit the one the expm search found
+    case, root = drawn
+    m, x_lo, t_lo, t_hi, fn = case
+    assume(one_norm(m) * (t_hi - t_lo) > simcore._TAYLOR_MAX_R)
+    assert crossing_time(*case) == reference_itp_crossing_time(
+        *case, lambda s: scipy.linalg.expm(s * m) @ x_lo)
+
+
+def taylor_order(r):
+    """The least K with r^(K+1) e^(2r) / (K+1)! <= 2^-53."""
+    k = 0
+    while r ** (k + 1) * math.exp(2.0 * r) / math.factorial(k + 1) \
+            > 2.0 ** -53:
+        k += 1
+    return k
+
+
+@st.composite
+def taylor_brackets(draw):
+    """(m, x_lo, span, s): a random 2x2 or 3x3 flow over an interval with
+    r = ||m||_1 span in (0, 1], a start of norm 1e-150 to 1e150, and an
+    offset inside the interval."""
+    n = draw(st.sampled_from((2, 3)))
+    m = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n * n,
+                               max_size=n * n))).reshape(n, n)
+    assume(one_norm(m) > 0.0)
+    m *= 10.0 ** draw(st.floats(-6.0, 6.0))
+    r = draw(st.floats(1e-9, 1.0))
+    span = r / one_norm(m)
+    assume(0.0 < one_norm(m) * span <= simcore._TAYLOR_MAX_R)
+    x_lo = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n,
+                                  max_size=n)))
+    assume(one_norm(x_lo) > 0.0)
+    x_lo *= 10.0 ** draw(st.floats(-150.0, 150.0)) / one_norm(x_lo)
+    s = span * draw(st.floats(0.0, 1.0))
+    return m, x_lo, span, s
+
+
+@PROPERTY
+@given(taylor_brackets())
+def test_taylor_dense_output_matches_expm(drawn):
+    # exact to rounding: within (K + 2) e^(2r) 2^-50 ||x_lo||_1 of the
+    # exponential, no expm taken, and no overflow, underflow or invalid
+    # operation warned of at any scale of the start
+    m, x_lo, span, s = drawn
+    r = one_norm(m) * span
+    with warnings.catch_warnings(), \
+            mock.patch.object(simcore, "expm") as no_expm:
+        warnings.simplefilter("error")
+        got = simcore._dense_output(m, x_lo, span)(s)
+    assert no_expm.call_count == 0
+    want = simcore.expm(m, s) @ x_lo
+    bound = (taylor_order(r) + 2) * math.exp(2.0 * r) * 2.0 ** -50 \
+        * one_norm(x_lo)
+    assert one_norm(got - want) <= bound
+
+
+@PROPERTY
+@given(crossings())
 def test_sign_changes_across_root(drawn):
     case, root = drawn
     assume(well_posed(case, root))
@@ -204,18 +289,16 @@ def test_returns_midpoint_of_final_bracket(drawn):
     case, root = drawn
     m, x_lo, t_lo, t_hi, fn = case
     assume(value_at(case, t_lo) * value_at(case, t_hi) < 0.0)
-    offsets, values = [0.0], []
-
-    def recording_expm(m, t):
-        offsets.append(t)
-        return scipy.linalg.expm(t * m)
+    values = []
 
     def recording_fn(x):
         values.append(fn(x))
         return values[-1]
 
-    with mock.patch.object(simcore, "expm", recording_expm):
+    patch, evaluated = counted_dense_outputs()
+    with patch:
         t = crossing_time(m, x_lo, t_lo, t_hi, recording_fn)
+    offsets = [0.0] + evaluated
     tol = simcore._CROSSING_REL_TOL * (t_hi - t_lo)
     if 0.0 in values:
         zero_at = t_lo + offsets[values.index(0.0)]
@@ -231,11 +314,20 @@ def test_returns_midpoint_of_final_bracket(drawn):
 @PROPERTY
 @given(crossings())
 def test_expm_calls_bounded_per_root(drawn):
-    # also where fn near the root is rounding noise
+    # also where fn near the root is rounding noise: the dense output is
+    # evaluated no more often than bisection plus two, and where ||m||_1
+    # span <= 1 no evaluation takes an exponential
     case, root = drawn
-    with mock.patch.object(simcore, "expm", wraps=simcore.expm) as counted:
+    m, x_lo, t_lo, t_hi, fn = case
+    patch, evaluated = counted_dense_outputs()
+    with patch, mock.patch.object(simcore, "expm",
+                                  wraps=simcore.expm) as counted:
         crossing_time(*case)
-    assert counted.call_count <= _MAX_EXPM_PER_ROOT
+    assert len(evaluated) <= _MAX_EVALS_PER_ROOT
+    if 0.0 < one_norm(m) * (t_hi - t_lo) <= simcore._TAYLOR_MAX_R:
+        assert counted.call_count == 0
+    else:
+        assert counted.call_count == len(evaluated)
 
 
 def test_find_nu_roots_take_few_evaluations():
@@ -245,38 +337,41 @@ def test_find_nu_roots_take_few_evaluations():
     # end of the bracket there took about 19, and a truncation below
     # rounding that never closed the far end about 12.7)
     roots = []
-    real = adversary.crossing_time
+    real = adversary._crossing
 
     def counting(*args):
         roots.append(args)
         return real(*args)
 
-    with mock.patch.object(adversary, "crossing_time", counting), \
-            mock.patch.object(simcore, "expm", wraps=simcore.expm) as counted:
+    patch, evaluated = counted_dense_outputs()
+    with mock.patch.object(adversary, "_crossing", counting), patch:
         for k1, k2 in ((1.0, 1.0), (0.5, 0.5), (3.0, 2.0)):
             adversary.find_nu(np.array([[-k1, -k2]]))
-    assert counted.call_count <= 10 * len(roots)
+    assert len(evaluated) <= 10 * len(roots)
 
 
 def test_fixed_crossings_take_few_exponentials():
     # the destabilizer's sector crossings and the axis crossings of
     # double-integrator runs (the roots the chain certificate reads when
-    # it needs a visit's time, all found here): the interpolation has the root after 6-7 steps, and the
-    # truncation floored under half the stopping width then closes the far
-    # end of the bracket, about 7.8 exponentials per root; a truncation of
-    # 0.2 w^2 / span alone fell below rounding and took about 12.5 here
+    # it needs a visit's time, all found here): the interpolation has the
+    # root after 6-7 steps, and the truncation floored under half the
+    # stopping width then closes the far end of the bracket, about 7.8
+    # evaluations of the dense output per root; a truncation of 0.2 w^2 /
+    # span alone fell below rounding and took about 12.5 here
     counts = []
-    real = simcore.crossing_time
+    patch, evaluated = counted_dense_outputs()
 
-    def counting(*args):
-        before = counted.call_count
-        t = real(*args)
-        counts.append(counted.call_count - before)
-        return t
+    def counted(real):
+        def counting(*args):
+            before = len(evaluated)
+            out = real(*args)
+            counts.append(len(evaluated) - before)
+            return out
+        return counting
 
     cls = PeClass(1.0, 0.5)
-    with mock.patch.object(adversary, "crossing_time", counting), \
-            mock.patch.object(simcore, "expm", wraps=simcore.expm) as counted:
+    with mock.patch.object(adversary, "_crossing",
+                           counted(adversary._crossing)), patch:
         for k1, k2 in ((0.5, 0.5), (0.5, 1.0), (1.0, 0.5), (1.0, 1.0),
                        (2.0, 1.0), (2.0, 1.5), (3.0, 1.0), (3.0, 2.0)):
             adversary.run_destabilizer(np.array([[-k1, -k2]]),
@@ -287,7 +382,8 @@ def test_fixed_crossings_take_few_exponentials():
                              [-1.0, 0.3], 10.0)
             x2 = traj.states[:, 1]
             for j in np.flatnonzero(x2[:-1] * x2[1:] < 0.0):
-                counting(*traj.segment_flow(j), lambda x: float(x[1]))
+                counted(crossing_time)(*traj.segment_flow(j),
+                                       lambda x: float(x[1]))
     assert len(counts) >= 60
-    assert max(counts) <= _MAX_EXPM_PER_ROOT
+    assert max(counts) <= _MAX_EVALS_PER_ROOT
     assert sum(counts) <= 8 * len(counts)
