@@ -22,7 +22,8 @@ from .gains import A_DI, B_DI, di_gain
 from .matkit import as_matrix, expm
 from .signals import (PeClass, PwcSignal, _duty_floor, _random_duty,
                       make_duty, verify_pe)
-from .simcore import ClosedLoop, Trajectory, _crossing, _end_rate, _flow, _itp
+from .simcore import (ClosedLoop, Trajectory, _end_rate, _first_zero,
+                      _flow, _itp)
 
 __all__ = [
     "run_destabilizer",
@@ -33,8 +34,6 @@ __all__ = [
 ]
 
 _MIN_DWELL = 1e-12
-# march steps _phase_crossing takes before it gives up on a crossing
-_MAX_MARCH_STEPS = 4000
 # duty phases per pattern in tune_adversarial's starting battery
 _TUNE_PHASES = 8
 # tune: runs last this many windows; k and lam double up to the cap
@@ -43,41 +42,15 @@ _TUNE_CAP = 2.0 ** 16
 
 
 def _sweep_start(k1: float, k2: float) -> tuple:
-    """(-1, 0), where run_destabilizer and find_nu start, and the functional
-    x2 + (k1/k2) x1, zero where gated and ungated fields are collinear."""
-    return np.array([-1.0, 0.0]), lambda y: float(y[1] + (k1 / k2) * y[0])
-
-
-def _phase_crossing(m: np.ndarray, x0: np.ndarray, fn, dt: float,
-                    phi: np.ndarray | None = None):
-    """March a constant planar flow in steps of dt until fn(x) changes sign,
-    then locate the crossing, and its state, on the last step's dense output.
-
-    phi is the step's expm(m, dt); a caller that marches the same flow
-    many times computes it once.  Returns (t_cross, x_cross), or None when
-    no crossing appears within _MAX_MARCH_STEPS (the flow converges to an
-    eigendirection instead).  The march stops at the first marched state
-    that is not finite and returns it with its time."""
-    f_prev = fn(x0)
-    t_prev, x_prev = 0.0, x0
-    if phi is None:
-        phi = expm(m, dt)
-    for i in range(1, _MAX_MARCH_STEPS + 1):
-        t = i * dt
-        x = phi @ x_prev
-        # two scalar tests cost a tenth of np.isfinite(x).all() per step
-        if not (math.isfinite(x[0]) and math.isfinite(x[1])):
-            return t, x
-        f = fn(x)
-        if f == 0.0 or (f > 0.0) != (f_prev > 0.0):
-            tc, x_at = _crossing(m, x_prev, t_prev, t, fn, x)
-            return tc, x_at(tc - t_prev)
-        t_prev, x_prev, f_prev = t, x, f
-    return None
+    """(-1, 0), where run_destabilizer and find_nu start, and the normal
+    (k1/k2, 1) of the collinearity line x2 + (k1/k2) x1 = 0, where gated
+    and ungated fields are collinear."""
+    return np.array([-1.0, 0.0]), np.array([k1 / k2, 1.0])
 
 
 def _rotation_step(m: np.ndarray) -> float:
-    """Step small enough to never skip a sector while a constant flow turns."""
+    """run_destabilizer's sample spacing on a phase of the flow m: 1/32 of
+    a half turn of a rotating flow, 0.05 / max |m_ij| otherwise."""
     tr = m[0, 0] + m[1, 1]
     det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
     disc = 0.25 * tr * tr - det
@@ -128,15 +101,16 @@ def run_destabilizer(K, cls: PeClass,
     the plane into sectors 4, 1, 2, 3, entered in that order from the
     negative axis: 2 and 4 are gated at full strength and left across the
     line, 1 and 3 at the class floor and left across the axis.  In a
-    sector the dynamics is one constant matrix, so propagation is pure
-    matrix exponentials, and crossing_time locates each crossing on their
-    dense output; committing to the entered sector until the next
-    crossing (minimum dwell 1e-12) rules out chattering artifacts.
+    sector the dynamics is one constant matrix m, so simcore._first_zero
+    gives the time tc of the next crossing in closed form, and expm(m, tc)
+    carries the state to it; committing to the entered sector until the
+    next crossing (minimum dwell 1e-12) rules out chattering artifacts.
 
     The four crossings of the first revolution are searched; by
-    homogeneity each later one repeats its switch times and is replayed,
-    phase j through its flow expm(m_j, tc_j).  A state whose norm
-    overflows raises SimulationError naming its revolution.
+    homogeneity each later one repeats its switch times and is replayed
+    through the same flow expm(m_j, tc_j).  In-phase samples are spaced by
+    _rotation_step.  A state whose norm overflows raises SimulationError
+    naming its revolution.
     """
     if revolutions < 1:
         raise DomainError("need at least one revolution")
@@ -145,41 +119,39 @@ def run_destabilizer(K, cls: PeClass,
     Kmat = np.array([[-k1, -k2]])
     bk = B_DI @ Kmat
     mats = {1.0: A_DI + bk, ratio: A_DI + ratio * bk}
-    # every phase on a level marches the same step
     steps = {a: _rotation_step(m) for a, m in mats.items()}
-    phis = {a: expm(mats[a], dt) for a, dt in steps.items()}
-    x0, dline_fn = _sweep_start(k1, k2)
+    x0, line = _sweep_start(k1, k2)
     x = x0
-    # (level, duration, steps, end state, sector left) of each phase
+    # (level, duration, steps, end state, sector left, flow) of each phase
     phases = []
     with np.errstate(over="ignore", invalid="ignore"):
         for region in (4, 1, 2, 3):
             full = region in (2, 4)
-            a, fn = (1.0, dline_fn) if full else (ratio, lambda y: float(y[1]))
-            dt = steps[a]
-            res = _phase_crossing(mats[a], x, fn, dt, phis[a])
-            if res is None:
+            a, c = (1.0, line) if full else (ratio, np.array([0.0, 1.0]))
+            tc = _first_zero(mats[a], x, c)
+            if tc is None:
                 raise SimulationError(
                     "trajectory converges to an eigendirection and stops "
                     "revolving; the sector feedback cannot destabilize here")
-            tc, x = res
+            flow = expm(mats[a], tc)
+            x = flow @ x
             if not np.isfinite(x).all():
                 raise SimulationError("the state overflows in revolution 1")
             if tc < _MIN_DWELL:
                 raise InternalConsistencyError(
                     "two sector crossings within 1e-12: chattering detected")
-            # in-phase samples, re-marched on an exact uniform sub-grid below
-            phases.append((a, tc, max(1, int(math.ceil(tc / dt))), x,
-                           region))
+            # as simcore._plan counts steps, a rounding past a whole
+            # number of steps takes no extra sample
+            n = max(1, int(math.ceil(tc / steps[a] - 1e-12)))
+            phases.append((a, tc, n, x, region, flow))
         # the start has norm 1; one norm per negative-axis arrival follows
         rev_norms = [1.0, math.hypot(*x)]
-        flows = [expm(mats[a], tc) for a, tc, *_ in phases]
         for _ in range(2, revolutions + 1):
-            for (a, tc, n, _, r), flow in zip(phases[:4], flows):
+            for a, tc, n, _, r, flow in phases[:4]:
                 x = flow @ x
-                phases.append((a, tc, n, x, r))
+                phases.append((a, tc, n, x, r, flow))
             rev_norms.append(math.hypot(*x))
-        vals, widths, counts, ends, regions = zip(*phases)
+        vals, widths, counts, ends, regions, _ = zip(*phases)
         bp = np.concatenate(([0.0], np.cumsum(widths)))
         times, states, seg_alpha = _flow(
             mats.__getitem__, np.array(vals), bp, np.array(widths),
@@ -212,8 +184,9 @@ def find_nu(K, tol: float = 1e-10) -> float:
     followed to its first meeting with the collinearity line; from there
     the constant-nu flow crosses the horizontal axis at some abscissa
     xi(nu), which grows without bound as nu shrinks and shrinks as nu
-    grows.  Classes with ratio at most the
-    returned value are destabilized by the sector feedback.
+    grows.  Classes with ratio at most the returned value are destabilized
+    by the sector feedback.  Each crossing time is simcore._first_zero's
+    closed form, and its state one expm.
 
     xi behaves like C / sqrt(nu): an interpolating search on xi over nu
     falls back to bisection, but log xi is nearly linear in log nu.  So
@@ -221,44 +194,47 @@ def find_nu(K, tol: float = 1e-10) -> float:
     evaluations for moderate gains where bisection took 36.  It stops when
     e^u_hi - e^u_lo <= tol (finite, positive, absolute in nu) or no float
     lies between u_lo and u_hi, and returns e^u_lo, a level xi was
-    evaluated at: xi(nu) > 1 >= xi(nu + tol).
+    evaluated at: xi(nu) > 1 >= xi(nu + tol).  nu_hat is about 0.33
+    k1/k2^2 for small k1/k2^2, so below about 3e-12 it lies under the
+    search floor 1e-12 and SimulationError says so.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise DomainError(f"tol must be finite and positive, got {tol!r}")
     k1, k2 = _unpack_gain(K)
     bk = B_DI @ np.array([[-k1, -k2]])
     m1 = A_DI + bk
-    x0, dline_fn = _sweep_start(k1, k2)
-    res = _phase_crossing(m1, x0, dline_fn, _rotation_step(m1))
-    if res is None:
+    x0, line = _sweep_start(k1, k2)
+    s = _first_zero(m1, x0, line)
+    if s is None:
         raise SimulationError("full-strength flow never meets the "
                               "collinearity line")
-    _, x_bar = res
+    x_bar = expm(m1, s) @ x0
+    axis = np.array([0.0, 1.0])
 
     def g(u: float) -> float:
         m = A_DI + math.exp(u) * bk
-        res = _phase_crossing(m, x_bar, lambda y: float(y[1]),
-                              _rotation_step(m))
+        s = _first_zero(m, x_bar, axis)
         # no crossing (the flow converges to an eigendirection above the
         # axis) is certainly not landing beyond the unit abscissa, and
         # xi = 1 belongs to the upper end of the bracket: both read -inf
-        xi = 0.0 if res is None else float(res[1][0])
+        xi = 0.0 if s is None else float((expm(m, s) @ x_bar)[0])
         return math.log(xi) if xi > 0.0 and xi != 1.0 else -math.inf
 
     lo, hi = math.log(1e-12), 0.0
     g_lo = g(lo)
     if g_lo <= 0.0:
-        raise InternalConsistencyError(
-            "no destabilizing gate level found down to 1e-12; this should "
-            "not happen for positive gain entries")
+        raise SimulationError(
+            "no destabilizing gate level found down to the search floor "
+            f"1e-12: k1/k2^2 = {k1 / k2 ** 2:.3g}, and nu_hat is about "
+            "0.33 k1/k2^2 when that is small")
     g_hi = g(hi)
     if g_hi > 0.0:
         return 1.0
     # a bracket no wider than tol in u is no wider than tol in nu <= 1
     n_bis = math.ceil(math.log2(hi - lo) - math.log2(tol))
-    # kappa1 = 0.2 / (hi - lo): crossing_time's 0.02 took up to 18
-    # evaluations of xi at 1e-10 here; the stop accepts brackets up to
-    # hi - lo = log1p(tol e^-lo) wide, the width that floors the truncation
+    # kappa1 = 0.2 / (hi - lo): 0.02 took up to 18 evaluations of xi at
+    # 1e-10 here; the stop accepts brackets up to hi - lo = log1p(tol
+    # e^-lo) wide, the width that floors the truncation
     lo, _ = _itp(g, lo, hi, g_lo, g_hi, n_bis + 1, 0.2,
                  lambda lo, hi: math.exp(hi) - math.exp(lo) <= tol,
                  lambda lo: math.log1p(tol * math.exp(-lo)))

@@ -733,8 +733,7 @@ def comparison_c2(rho: float, k: float, ratio: float) -> Certificate:
                            {"horizon": H}, None, {},
                            ["no axis crossing within the horizon"])
     cross_seg = int(hits[0])
-    tc = crossing_time(*tr.segment_flow(cross_seg),
-                       lambda x: float(x[1]))
+    tc = crossing_time(*tr.segment_flow(cross_seg), (0.0, 1.0))
     xc = tr.state_at(tc)
     contraction = float(np.linalg.norm(xc))
     # staying inside the sweeping cone until the crossing means the mod-pi
@@ -762,11 +761,10 @@ def _axis_visits(traj: Trajectory) -> list:
     [lo, hi].
 
     A visit is a sample with x2 == 0.0, or a sign change of x2 over a
-    sample segment, whose root crossing_time finds within one ulp of the
-    segment.  Visits less than 1e-9 of the span apart belong to one stay:
-    where the brackets of visits lie that close, their times are found and
-    merged in order; any other crossing is found only when time() is
-    called."""
+    sample segment, whose time crossing_time gives in closed form.  Visits
+    less than 1e-9 of the span apart belong to one stay: where the
+    brackets of visits lie that close, their times are found and merged in
+    order; any other crossing is found only when time() is called."""
     t = traj.times
     x2 = traj.states[:, 1]
     merge = 1e-9 * (t[-1] - t[0])
@@ -775,7 +773,7 @@ def _axis_visits(traj: Trajectory) -> list:
         cands.append((np.nextafter(t[j], -math.inf),
                       np.nextafter(t[j + 1], math.inf),
                       functools.cache(lambda j=j: crossing_time(
-                          *traj.segment_flow(j), lambda x: float(x[1])))))
+                          *traj.segment_flow(j), (0.0, 1.0)))))
     clusters = []
     for c in sorted(cands, key=lambda c: c[0]):
         if clusters and c[0] - clusters[-1][-1][1] <= merge:

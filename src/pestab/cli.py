@@ -43,7 +43,6 @@ LEMMA_SELECTORS = ("claim1", "multi", "finite", "ff00", "ff01", "final0",
 # The tolerances the checks use, read from the modules that use them.
 TOLERANCES = {
     "pe_slack": signals._PE_SLACK,
-    "crossing_rel": simcore._CROSSING_REL_TOL,
     "energy_slack": certify._ENERGY_SLACK,
     "f_slack": certify._F_SLACK,
     "gramian_rel": reachability._CTRL_TOL,

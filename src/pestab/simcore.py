@@ -26,11 +26,11 @@ A caller that reads only the end rate takes the endpoint path, _end_rate:
 the same plan and chain, so the same end state bit for bit, and no fill
 (for a periodic gate no power table of the sample step either); where the
 piece ends cannot rule out a sample overflowing inside a piece, it fills
-the samples as the full run does.  crossing_time, the one crossing
-root-finder, runs an ITP bracketing search on the exact dense output of its
-bracket, never on interpolated samples: a truncated Taylor series on the
-bracket's Krylov vectors where ||m||_1 span <= 1, an expm per evaluation
-on a wider bracket.
+the samples as the full run does.  Every crossing the package locates is
+where a constant planar flow meets a line through the origin, and
+_first_zero gives it in closed form from the 2x2 exponential's cosine and
+sine parts: no exponential, march, bracket or tolerance.  crossing_time
+is its public form on a sample segment.
 """
 
 from __future__ import annotations
@@ -58,9 +58,6 @@ __all__ = [
     "fmap_F",
 ]
 
-_CROSSING_REL_TOL = 1e-12
-# the widest bracket, in ||m||_1 span, searched on its Taylor dense output
-_TAYLOR_MAX_R = 1.0
 # rows formatted at a time by Trajectory.to_csv
 _CSV_BLOCK = 512
 # _end_rate vouches without a fill for runs whose samples all stay below
@@ -654,69 +651,59 @@ def _itp(g, lo: float, hi: float, g_lo: float, g_hi: float, n_max: int,
     return lo, hi
 
 
-def _dense_output(m: np.ndarray, x_lo: np.ndarray, span: float):
-    """s -> e^{s m} x_lo on [0, span], exact to rounding.
+def _first_zero(m: np.ndarray, x: np.ndarray, c: np.ndarray) -> float | None:
+    """The least s >= 0 with c . e^{s m} x = 0 for a 2x2 m, or None when the
+    flow never meets the line c . y = 0.
 
-    Where 0 < r = ||m||_1 span <= _TAYLOR_MAX_R it is the Taylor polynomial
-    sum_k tau^k V_k in tau = s / span, on the Krylov vectors V_k =
-    (span m)^k x_lo / k!, each at most r^k / k! ||x_lo||_1, truncated at
-    the least K with r^(K+1) e^(2r) / (K+1)! <= 2^-53 (Al-Mohy & Higham,
-    SIAM J. Sci. Comput. 33(2), 2011, without their scaling): one small
-    product per evaluation.  A wider bracket, or one with r = 0, takes
-    expm(m, s) @ x_lo.
+    With tau = tr m / 2 and N = m - tau I, N^2 = delta I, so e^{s m} =
+    e^{tau s} (C(s) I + S(s) N) (Bernstein & So, IEEE Trans. Autom. Control
+    38(8), 1993) and c . e^{s m} x = e^{tau s} (u C(s) + v S(s)), with
+    u = c . x and v = c . N x.  For w = -u / v > 0 and w^2 delta < 1 the
+    first zero is w h(w^2 delta), h(y) = atan(sqrt(-y)) / sqrt(-y) below 0,
+    atanh(sqrt(y)) / sqrt(y) above and 1 at 0, summed as its series
+    sum y^k / (2k + 1) for |y| < 1e-3, so no branch divides by a small
+    omega or kappa.  A rotating flow (delta = -omega^2 < 0) with w < 0
+    crosses past a quarter turn, at (pi - atan(|w| omega)) / omega, and
+    with v = 0 at pi / (2 omega); any other flow never crosses.
     """
-    r = one_norm(m) * span
-    if not 0.0 < r <= _TAYLOR_MAX_R:
-        return lambda s: expm(m, s) @ x_lo
-    a, vs, err = span * m, [x_lo], r * math.exp(2.0 * r)
-    while err > 2.0 ** -53:
-        vs.append(a @ vs[-1] / len(vs))
-        err *= r / len(vs)
-    v, ks = np.array(vs), np.arange(len(vs))
-    return lambda s: (s / span) ** ks @ v
-
-
-def _crossing(m: np.ndarray, x_lo: np.ndarray, t_lo: float, t_hi: float,
-              fn, x_hi: np.ndarray | None = None) -> tuple:
-    """crossing_time's root and the dense output s -> x(t_lo + s) it
-    searched; a caller that has x_hi, the state at t_hi, hands it over."""
-    span = t_hi - t_lo
-    x_at = _dense_output(m, x_lo, span)
-    f_lo = fn(x_lo)
-    if f_lo == 0.0:
-        return t_lo, x_at
-    f_hi = fn(x_at(span) if x_hi is None else x_hi)
-    if f_hi == 0.0 or (f_hi > 0.0) == (f_lo > 0.0):
-        return t_hi, x_at
-    # the search runs on offsets s = t - t_lo, whose rounding is far finer
-    # than the tolerance even when t_lo is large
-    tol = _CROSSING_REL_TOL * span
-    # ITP's 2 eps is bisection's final width span / 2**n_bis <= tol, so its
-    # n_max = n_bis + 1 steps end below tol even after rounding
-    n_bis = math.ceil(-math.log2(_CROSSING_REL_TOL))
-    lo, hi = _itp(lambda s: fn(x_at(s)), 0.0, span, f_lo, f_hi,
-                  n_bis + 1, 0.02, lambda lo, hi: hi - lo <= tol,
-                  lambda lo: tol)
-    return t_lo + 0.5 * (lo + hi), x_at
+    tau = 0.5 * (m[0, 0] + m[1, 1])
+    n = m - tau * np.eye(2)
+    delta = float(n[0, 0] ** 2 + n[0, 1] * n[1, 0])
+    u, v = float(c @ x), float(c @ (n @ x))
+    if u == 0.0:
+        return 0.0
+    # v = 0 reads as w = -inf: a quarter turn, or no crossing
+    w = -u / v if v else -math.inf
+    if w < 0.0:
+        if delta >= 0.0:
+            return None
+        omega = math.sqrt(-delta)
+        return (math.pi - math.atan(-w * omega)) / omega
+    r = w * math.sqrt(abs(delta))
+    y = math.copysign(r * r, delta)
+    if y >= 1.0:
+        return None
+    if abs(y) < 1e-3:
+        h = sum(y ** k / (2 * k + 1) for k in range(6))
+    else:
+        h = (math.atan(r) if y < 0.0 else math.atanh(r)) / r
+    return w * h
 
 
 def crossing_time(m: np.ndarray, x_lo: np.ndarray, t_lo: float, t_hi: float,
-                  fn) -> float:
-    """Zero of fn(x(t)) on [t_lo, t_hi] for the flow x' = m x, x(t_lo) = x_lo.
-
-    fn must change sign across the interval and is evaluated on its exact
-    dense output, _dense_output: where ||m||_1 (t_hi - t_lo) <= 1 the
-    Taylor polynomial on the interval's Krylov vectors, truncated below
-    2^-53, and on a wider interval expm(m, t - t_lo) @ x_lo.  The ITP
-    search _itp, with kappa1 = 0.02 / (t_hi - t_lo), shrinks a sign-change
-    bracket until it is no wider than _CROSSING_REL_TOL of the interval,
-    and that bracket's midpoint is returned (rounded to a float time, which
-    near a large t_lo may be coarser): about 7 evaluations per root, never
-    more than bisection to the same width plus two.  A zero at either end
-    is returned as that end; when the dense output at t_hi does not change
-    sign (it disagrees with the caller's sample by rounding), t_hi is.
-    """
-    return _crossing(m, x_lo, t_lo, t_hi, fn)[0]
+                  c) -> float:
+    """First time in [t_lo, t_hi] where the planar flow x' = m x, x(t_lo) =
+    x_lo, meets the line c . x = 0: t_lo + _first_zero(m, x_lo, c), in
+    closed form, with no exponential, search or tolerance.  A zero at t_lo
+    is returned as t_lo; when the flow does not meet the line by t_hi (a
+    caller's samples can show a sign change that rounding put there), t_hi
+    is.  A flow of any other dimension raises ShapeError."""
+    m, x_lo = np.asarray(m, dtype=float), np.asarray(x_lo, dtype=float)
+    if m.shape != (2, 2) or x_lo.shape != (2,):
+        raise ShapeError(f"crossing_time needs a planar flow, got m of shape "
+                         f"{m.shape} and x_lo of shape {x_lo.shape}")
+    s = _first_zero(m, x_lo, np.asarray(c, dtype=float))
+    return t_hi if s is None else min(t_hi, t_lo + s)
 
 
 def polar_lift(traj: Trajectory) -> Trajectory:

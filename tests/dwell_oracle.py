@@ -2,14 +2,16 @@
 double-integrator loop.
 
 `c12_sojourns`, `dwell_times` and `dwell_scaling` measure every sojourn of
-a battery's runs in the outer-cone union, root-finding both ends with
-`crossing_time`, and compare the worst closed dwell at k and at 2k.
-`certify.dwell_bound` states the same lemma in closed form; these
-functions are kept, unchanged, as the measurement it must bound, and
-acceptance criterion 8 still reads `dwell_scaling`.
+a battery's runs in the outer-cone union, timing both ends with
+`crossing_time` on the cone edge crossed there, and compare the worst
+closed dwell at k and at 2k.  `certify.dwell_bound` states the same lemma
+in closed form; these functions are kept as the measurement it must bound,
+and acceptance criterion 8 still reads `dwell_scaling`.
 """
 
 import math
+
+import numpy as np
 
 from pestab.certify import Certificate, _battery_certificate, _runs, di_runs
 from pestab.gains import ConeGeometry, cone_geometry
@@ -31,17 +33,27 @@ def c12_sojourns(traj: Trajectory, geom: ConeGeometry) -> list:
     x2 = traj.states[:, 1]
     q = geom.cs_quadratic(x1, x2)
     N = len(q)
-    fn = lambda x: float(geom.cs_quadratic(x[0], x[1]))
+    # q is the product of the cone edges' functionals x2 - xi x1, whose
+    # normals are (-xi, 1); a sign change of q over a segment is a sign
+    # change of exactly one of them
+    edges = [np.array([-xi, 1.0])
+             for xi in (geom.xi_s_plus, geom.xi_s_minus)]
+
+    def edge_crossing(j):
+        x_lo, x_hi = traj.states[j], traj.states[j + 1]
+        c = next(c for c in edges if (c @ x_lo) * (c @ x_hi) <= 0.0)
+        return crossing_time(*traj.segment_flow(j), c)
+
     out = []
     for i0, i1 in _runs(q >= 0.0):
         if i0 > 0:
-            t_enter = crossing_time(*traj.segment_flow(i0 - 1), fn)
+            t_enter = edge_crossing(i0 - 1)
             left_censored = False
         else:
             t_enter = float(traj.times[0])
             left_censored = True
         if i1 < N - 1:
-            t_exit = crossing_time(*traj.segment_flow(i1), fn)
+            t_exit = edge_crossing(i1)
             right_censored = False
         else:
             t_exit = float(traj.times[-1])

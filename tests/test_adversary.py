@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 
 from pestab import adversary, cli, simcore
-from pestab.adversary import (_phase_crossing, _rotation_step, find_nu,
-                              run_destabilizer, worst_case_search)
+from pestab.adversary import find_nu, run_destabilizer, worst_case_search
 from pestab.errors import (DegenerateStateError, DomainError, ShapeError,
                            SimulationError)
 from pestab.gains import A_DI, A_ROTATION, B_DI, di_base_gain
-from pestab.matkit import expm, one_norm
+from pestab.matkit import expm
 from pestab.signals import PeClass, PwcSignal, make_duty, verify_pe
-from pestab.simcore import ClosedLoop, propagate
+from pestab.simcore import ClosedLoop, _first_zero, propagate
 
 K11 = np.array([[-1.0, -1.0]])
 
@@ -20,22 +19,43 @@ K11 = np.array([[-1.0, -1.0]])
 REPLAY_CASES = [(1.0, 1.0, 0.05), (2.0, 1.0, 0.03), (1.0, 3.0, 0.02)]
 
 
+def _switching_line(k1, k2, mu, region):
+    """(m, c): the flow of a sector and the normal of the line it leaves
+    across, the collinearity line from sectors 2 and 4, the axis from 1
+    and 3."""
+    full = region in (2, 4)
+    m = A_DI + (1.0 if full else mu) * B_DI @ np.array([[-k1, -k2]])
+    return m, np.array([k1 / k2, 1.0] if full else [0.0, 1.0])
+
+
 def _search_every_phase(k1, k2, mu, revolutions):
-    """Crossing times and end states of the sector march from (-1, 0) with a
+    """Crossing times and end states of the sector sweep from (-1, 0) with a
     crossing search at every phase, over the given number of revolutions."""
-    bk = B_DI @ np.array([[-k1, -k2]])
     x = np.array([-1.0, 0.0])
     t, times, ends = 0.0, [], []
     for region in (4, 1, 2, 3) * revolutions:
-        full = region in (2, 4)
-        m = A_DI + (1.0 if full else mu) * bk
-        fn = (lambda y: float(y[1] + (k1 / k2) * y[0])) if full else (
-            lambda y: float(y[1]))
-        tc, x = _phase_crossing(m, x, fn, _rotation_step(m))
+        m, c = _switching_line(k1, k2, mu, region)
+        tc = _first_zero(m, x, c)
+        x = expm(m, tc) @ x
         t += tc
         times.append(t)
         ends.append(x)
     return np.array(times), np.array(ends)
+
+
+def _collinearity_point(bk):
+    """The full-strength flow's first meeting with the collinearity line
+    x2 + x1 = 0 from (-1, 0), for k1 = k2."""
+    m1 = A_DI + bk
+    x0 = np.array([-1.0, 0.0])
+    return expm(m1, _first_zero(m1, x0, np.array([1.0, 1.0]))) @ x0
+
+
+def _xi(bk, x_bar, nu):
+    """Where the constant-nu flow from x_bar meets the horizontal axis."""
+    m = A_DI + nu * bk
+    return float((expm(m, _first_zero(m, x_bar, np.array([0.0, 1.0])))
+                  @ x_bar)[0])
 
 
 class TestFindNu:
@@ -46,38 +66,17 @@ class TestFindNu:
     def test_bracket_is_genuine(self):
         # just inside the returned level the sweep lands beyond 1; just
         # outside it does not (bisection to 1e-10)
-        from pestab.adversary import _phase_crossing, _rotation_step
         nu = find_nu(K11)
         bk = B_DI @ K11
-        m1 = A_DI + bk
-        res = _phase_crossing(m1, np.array([-1.0, 0.0]),
-                              lambda y: float(y[1] + y[0]),
-                              _rotation_step(m1))
-        x_bar = res[1]
-
-        def xi(nu_val):
-            m = A_DI + nu_val * bk
-            r = _phase_crossing(m, x_bar, lambda y: float(y[1]),
-                                _rotation_step(m))
-            return float(r[1][0])
-
-        assert xi(nu * (1.0 - 1e-6)) > 1.0
-        assert xi(nu + 1e-6) < 1.0
+        x_bar = _collinearity_point(bk)
+        assert _xi(bk, x_bar, nu * (1.0 - 1e-6)) > 1.0
+        assert _xi(bk, x_bar, nu + 1e-6) < 1.0
 
     def test_sampled_monotonicity(self):
-        from pestab.adversary import _phase_crossing, _rotation_step
         bk = B_DI @ K11
-        m1 = A_DI + bk
-        res = _phase_crossing(m1, np.array([-1.0, 0.0]),
-                              lambda y: float(y[1] + y[0]),
-                              _rotation_step(m1))
-        x_bar = res[1]
-        values = []
-        for nu in (1e-4, 1e-3, 1e-2, 0.05, 0.1, 0.3, 0.8):
-            m = A_DI + nu * bk
-            r = _phase_crossing(m, x_bar, lambda y: float(y[1]),
-                                _rotation_step(m))
-            values.append(float(r[1][0]))
+        x_bar = _collinearity_point(bk)
+        values = [_xi(bk, x_bar, nu)
+                  for nu in (1e-4, 1e-3, 1e-2, 0.05, 0.1, 0.3, 0.8)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_deterministic(self):
@@ -143,46 +142,32 @@ class TestDestabilizer:
         assert run.traj.seg_alpha.tobytes() == ref.tobytes()
 
     def test_one_step_exponential_per_gate_level(self):
-        # every phase on a level marches the same step, so its exponential
-        # is taken once per level, and the replayed revolutions share one
-        # flow per phase of the searched revolution: the count does not
-        # grow with the revolutions.  Each searched phase's crossing is
-        # root-found and its end state read on the Taylor dense output of
-        # its last march step, which takes no exponential: at most
-        # bisection's 40 evaluations plus two per crossing
-        steps = {_rotation_step(A_DI + a * B_DI @ K11) for a in (1.0, 0.03)}
+        # no step exponential is left: each searched phase takes one
+        # exponential, expm(m, tc), which carries the state to its crossing
+        # and is the flow every replayed revolution repeats, so the count
+        # does not grow with the revolutions; the crossing times come from
+        # simcore._first_zero, which takes none, and the fill takes one
+        # stacked exponential
+        calls = []
         real = adversary.expm
-        real_dense = simcore._dense_output
-        calls, spans, evals = [], [], []
 
         def counting(m, t=1.0):
             calls.append(t)
             return real(m, t)
 
-        def dense(m, x_lo, span):
-            spans.append(one_norm(m) * span)
-            x_at = real_dense(m, x_lo, span)
-            return lambda s: evals.append(s) or x_at(s)
-
         for revolutions in (3, 10):
-            del calls[:], spans[:], evals[:]
+            del calls[:]
             with mock.patch.object(adversary, "expm", counting), \
-                    mock.patch.object(simcore, "_dense_output", dense), \
                     mock.patch.object(simcore, "expm",
                                       wraps=simcore.expm) as stacked:
                 run = run_destabilizer(K11, PeClass(1.0, 0.03),
                                        revolutions=revolutions)
             # from the negative axis one revolution, 4 phases, is searched
-            assert len(calls) == 2 + 4
             assert len(run.crossings) == 4 * revolutions
-            assert sorted(calls[:2]) == sorted(steps)
+            assert len(calls) == 4
             durations = np.diff([0.0] + [c["t"] for c in run.crossings[:4]])
-            np.testing.assert_allclose(calls[-4:], durations, rtol=1e-15)
-            assert len(spans) == 4
-            assert max(spans) <= simcore._TAYLOR_MAX_R
-            # the fill's one stacked exponential, none in the searches
+            np.testing.assert_allclose(calls, durations, rtol=1e-15)
             assert stacked.call_count == 1
-            assert len(evals) <= 4 * 42
 
     def test_bad_gain_rejected(self):
         with pytest.raises(DomainError, match="Hurwitz"):
@@ -203,29 +188,28 @@ class TestDestabilizer:
         with pytest.raises(DomainError, match="^gain K must be finite"):
             run(K)
 
-    def test_crossings_bisected_to_reported_tolerance(self, monkeypatch):
-        # each sector switch lies within crossing_rel of its march step of
-        # the true zero of the switching functional, and coarsening the
-        # module constant coarsens the switches: the run uses that constant
-        # over 10 revolutions, so the replayed switches are checked too
+    def test_crossings_bisected_to_reported_tolerance(self):
+        # no tolerance is left to report: each sector switch is the first
+        # zero of its switching line, in closed form, over 10 revolutions
+        # (the replayed switches too): the line's functional is at rounding
+        # level there, keeps one sign over the phase before it, and
+        # changes sign across it
         cls = PeClass(1.0, 0.05)
-        tol = cli.TOLERANCES["crossing_rel"]
         run = run_destabilizer(K11, cls, revolutions=10)
-        bk = B_DI @ K11
+        assert "crossing_rel" not in cli.TOLERANCES
         x_at = dict(zip(run.traj.times.tolist(), run.traj.states))
+        t_prev, x_prev = 0.0, run.traj.states[0]
         for c in run.crossings:
-            full = c["region_from"] in (2, 4)
-            m = A_DI + (1.0 if full else cls.ratio) * bk
-            fn = (lambda y: y[1] + y[0]) if full else (lambda y: y[1])
-            delta = tol * _rotation_step(m)
-            before = fn(expm(m, -delta) @ x_at[c["t"]])
-            after = fn(expm(m, delta) @ x_at[c["t"]])
-            assert before * after < 0.0
-        monkeypatch.setattr(simcore, "_CROSSING_REL_TOL", 1e-4)
-        coarse = run_destabilizer(K11, cls, revolutions=10)
-        shift = max(abs(a["t"] - b["t"])
-                    for a, b in zip(run.crossings, coarse.crossings))
-        assert 1e-9 < shift < 1e-3
+            m, n = _switching_line(1.0, 1.0, cls.ratio, c["region_from"])
+            x = x_at[c["t"]]
+            assert abs(n @ x) <= 8 * np.finfo(float).eps * np.abs(x).max()
+            tc = c["t"] - t_prev
+            f = [n @ expm(m, s) @ x_prev
+                 for s in np.linspace(0.0, tc, 201)[1:-1]]
+            assert min(f) > 0.0 or max(f) < 0.0
+            delta = 1e-6 * tc
+            assert (n @ expm(m, -delta) @ x) * (n @ expm(m, delta) @ x) < 0.0
+            t_prev, x_prev = c["t"], x
 
 
     @pytest.mark.parametrize("k1, k2, mu", REPLAY_CASES)
@@ -284,8 +268,8 @@ class TestDestabilizer:
     def test_overflow_in_searched_revolution(self, monkeypatch):
         # a searched phase that ends beyond the doubles stops the run
         # before its replay
-        monkeypatch.setattr(adversary, "_phase_crossing",
-                            lambda *args: (0.5, np.array([math.inf, 0.0])))
+        monkeypatch.setattr(adversary, "expm",
+                            lambda m, t: np.full((2, 2), math.inf))
         with pytest.raises(SimulationError,
                            match="overflows in revolution 1$"):
             run_destabilizer(K11, PeClass(1.0, 0.03))

@@ -11,7 +11,7 @@ from unittest import mock
 import pytest
 
 import pestab
-from pestab import certify, cli, reachability, signals, simcore
+from pestab import certify, cli, reachability, signals
 from pestab.cli import LEMMA_SELECTORS, main
 from pestab.scenarios import SCENARIO_SCHEMA, validate_scenario
 
@@ -679,6 +679,16 @@ class TestDestabilize:
         assert rc == 2
         assert "Hurwitz" in capsys.readouterr().err
 
+    def test_threshold_below_the_search_floor_exits_1(self, tmp_path, capsys):
+        # nu_hat is about 3.3e-13 here, below the search floor; this read
+        # "this should not happen for positive gain entries"
+        rc = main(["destabilize", "--k1", "1e-12", "--k2", "1", "--T", "1",
+                   "--mu", "0.03", "--out-dir", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "search floor 1e-12" in err and "k1/k2^2 = 1e-12" in err
+        assert "should not happen" not in err
+
 
 class TestSweep:
     def test_grid(self, tmp_path):
@@ -873,7 +883,6 @@ class TestMetadata:
         meta = json.loads((out / "summary.json").read_text())["meta"]
         assert meta["tolerances"] == {
             "pe_slack": signals._PE_SLACK,
-            "crossing_rel": simcore._CROSSING_REL_TOL,
             "energy_slack": certify._ENERGY_SLACK,
             "f_slack": certify._F_SLACK,
             "gramian_rel": reachability._CTRL_TOL,

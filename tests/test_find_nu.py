@@ -4,7 +4,8 @@ replaced.
 find_nu runs the ITP search on log xi over log nu.  The reference below is
 the bisection on xi(nu) = 1 over [1e-12, 1] that find_nu ran before, with
 the same xi: the constant-nu flow from the full-strength flow's first
-meeting with the collinearity line, to its crossing of the horizontal axis.
+meeting with the collinearity line, to its crossing of the horizontal axis,
+each crossing time from simcore._first_zero and its state from one expm.
 """
 
 import math
@@ -14,9 +15,11 @@ import numpy as np
 import pytest
 
 from pestab import adversary
-from pestab.adversary import _phase_crossing, _rotation_step, find_nu
-from pestab.errors import DomainError
+from pestab.adversary import find_nu
+from pestab.errors import DomainError, SimulationError
 from pestab.gains import A_DI, B_DI
+from pestab.matkit import expm
+from pestab.simcore import _first_zero
 
 # the destabilize gain cells of the benchmark's cli-mix workload
 BENCH_GAINS = ((0.5, 0.5), (0.5, 1.0), (1.0, 0.5), (1.0, 1.0),
@@ -37,15 +40,13 @@ def xi_of(K):
     k1, k2 = -K[0, 0], -K[0, 1]
     bk = B_DI @ K
     m1 = A_DI + bk
-    _, x_bar = _phase_crossing(m1, np.array([-1.0, 0.0]),
-                               lambda y: float(y[1] + (k1 / k2) * y[0]),
-                               _rotation_step(m1))
+    x0 = np.array([-1.0, 0.0])
+    x_bar = expm(m1, _first_zero(m1, x0, np.array([k1 / k2, 1.0]))) @ x0
 
     def xi(nu):
         m = A_DI + nu * bk
-        res = _phase_crossing(m, x_bar, lambda y: float(y[1]),
-                              _rotation_step(m))
-        return 0.0 if res is None else float(res[1][0])
+        s = _first_zero(m, x_bar, np.array([0.0, 1.0]))
+        return 0.0 if s is None else float((expm(m, s) @ x_bar)[0])
     return xi
 
 
@@ -70,12 +71,11 @@ def reference_find_nu(K, tol=1e-10):
 
 def counted_find_nu(K, tol):
     """find_nu's result and its number of xi evaluations (every
-    _phase_crossing call after the one that finds the collinearity
-    point)."""
-    with mock.patch.object(adversary, "_phase_crossing",
-                           wraps=adversary._phase_crossing) as marched:
+    _first_zero call after the one that finds the collinearity point)."""
+    with mock.patch.object(adversary, "_first_zero",
+                           wraps=adversary._first_zero) as crossed:
         nu = find_nu(K, tol)
-    return nu, marched.call_count - 1
+    return nu, crossed.call_count - 1
 
 
 @pytest.mark.parametrize("tol", TOLS)
@@ -98,14 +98,14 @@ def test_matches_bisection_and_brackets_the_threshold(k1, k2, tol):
 
 def test_returns_a_level_xi_was_evaluated_at():
     levels = []
-    real = adversary._phase_crossing
+    real = adversary._first_zero
 
-    def recording(m, x0, fn, dt, phi=None):
+    def recording(m, x, c):
         # m = A + nu B K, and for K = (-1, -1) its entry (1, 0) is -nu
         levels.append(-m[1, 0])
-        return real(m, x0, fn, dt, phi)
+        return real(m, x, c)
 
-    with mock.patch.object(adversary, "_phase_crossing", recording):
+    with mock.patch.object(adversary, "_first_zero", recording):
         nu = find_nu(gain(1.0, 1.0))
     assert nu in levels[1:]
 
@@ -134,3 +134,14 @@ def test_large_tol_returns_the_floor():
     nu, evals = counted_find_nu(gain(1.0, 1.0), 2.0)
     assert nu == pytest.approx(1e-12, rel=1e-15)
     assert evals == 2
+
+
+@pytest.mark.parametrize("k1", [1e-12, 1e-13])
+def test_threshold_below_the_search_floor_is_an_exhausted_search(k1):
+    # nu_hat is about 0.33 k1/k2^2, below the floor 1e-12 here: the search
+    # is exhausted, which is no broken invariant
+    K = gain(k1, 1.0)
+    with pytest.raises(SimulationError,
+                       match=r"search floor 1e-12: k1/k2\^2 = 1e-1[23]"):
+        find_nu(K)
+    assert xi_of(K)(1e-12) <= 1.0

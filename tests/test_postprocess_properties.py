@@ -123,8 +123,7 @@ def ref_axis_representatives(traj):
         if x2[j] == 0.0:
             times.append(float(traj.times[j]))
         elif x2[j] * x2[j + 1] < 0.0:
-            times.append(crossing_time(*traj.segment_flow(j),
-                                       lambda x: float(x[1])))
+            times.append(crossing_time(*traj.segment_flow(j), (0.0, 1.0)))
     if len(x2) and x2[-1] == 0.0:
         times.append(float(traj.times[-1]))
     merged = []
@@ -203,7 +202,7 @@ def ref_c2_t_cross(rho, k, ratio):
     x2 = tr.states[:, 1]
     for j in range(len(x2) - 1):
         if x2[j] > 0.0 and x2[j + 1] <= 0.0:
-            return crossing_time(*tr.segment_flow(j), lambda x: float(x[1]))
+            return crossing_time(*tr.segment_flow(j), (0.0, 1.0))
     return None
 
 

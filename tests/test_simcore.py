@@ -275,11 +275,11 @@ class TestRescalingIdentity:
             assert np.max(np.abs(lhs - scaled.states) / denom) < 1e-9
 
 
-def first_crossing(tr, fn):
-    """crossing_time on the first sample segment where fn changes sign."""
-    f = np.array([fn(x) for x in tr.states])
+def first_crossing(tr, c):
+    """crossing_time on the first sample segment where c . x changes sign."""
+    f = tr.states @ np.asarray(c, dtype=float)
     j = int(np.flatnonzero(f[:-1] * f[1:] < 0.0)[0])
-    return crossing_time(*tr.segment_flow(j), fn)
+    return crossing_time(*tr.segment_flow(j), c)
 
 
 class TestDetectCrossing:
@@ -287,46 +287,51 @@ class TestDetectCrossing:
         # x' = (x2, 0) from (-1, 1) crosses x1 = 0 at t = 1
         tr = propagate(di_loop(PwcSignal.constant(0.0)), 0.0, [-1.0, 1.0], 2.0,
                        max_step=0.4)
-        hit = first_crossing(tr, lambda x: float(x[0]))
+        hit = first_crossing(tr, (1.0, 0.0))
         assert hit == pytest.approx(1.0, abs=1e-12)
 
     def test_rotation_quarter_turn(self):
         loop = ClosedLoop(A_ROTATION, B_DI, np.zeros((1, 2)),
                           PwcSignal.constant(0.0))
         tr = propagate(loop, 0.0, [1.0, 0.0], 2.0, max_step=0.05)
-        hit = first_crossing(tr, lambda x: float(x[0]))
+        hit = first_crossing(tr, (1.0, 0.0))
         assert hit == pytest.approx(math.pi / 2.0, abs=1e-12)
 
     def test_zero_at_left_end_returns_left_end(self):
         # x2 = sin t is 0 at t_lo and positive after it
         x_lo = np.array([1.0, 0.0])
-        assert crossing_time(A_ROTATION, x_lo, 0.0, 0.1,
-                             lambda x: float(x[1])) == 0.0
-        assert crossing_time(A_ROTATION, x_lo, 2.0, 2.1,
-                             lambda x: -float(x[1])) == 2.0
+        assert crossing_time(A_ROTATION, x_lo, 0.0, 0.1, (0.0, 1.0)) == 0.0
+        assert crossing_time(A_ROTATION, x_lo, 2.0, 2.1, (0.0, -1.0)) == 2.0
 
     def test_zero_at_right_end_returns_right_end(self):
         # free flow from (-1, 1): x1 = -1 + t is exactly 0.0 at t = 1
         assert crossing_time(A_DI, np.array([-1.0, 1.0]), 0.0, 1.0,
-                             lambda x: float(x[0])) == 1.0
+                             (1.0, 0.0)) == 1.0
 
     def test_no_sign_change_in_dense_output_returns_right_end(self):
-        # the caller saw a sign change in its samples that the recomputed
-        # dense output at t_hi does not show (rounding): t_hi comes back
+        # the caller saw a sign change in its samples that the exact flow
+        # does not show by t_hi (rounding): t_hi comes back, whether the
+        # flow meets the line later or never
         x_lo = np.array([1.0, 0.0])
-        assert crossing_time(A_ROTATION, x_lo, 0.5, 0.6,
-                             lambda x: float(x[0]) + 1.0) == 0.6
+        assert crossing_time(A_ROTATION, x_lo, 0.5, 0.6, (1.0, 0.0)) == 0.6
+        assert crossing_time(-np.eye(2), x_lo, 0.5, 0.6, (1.0, 0.0)) == 0.6
 
     def test_interval_finer_than_time_rounding(self):
-        # _CROSSING_REL_TOL of this interval is below the spacing of floats
-        # near t = 1000, so no float time lies within it of the root; the
-        # search runs on offsets from t_lo and returns the nearest float
+        # the root lies within a few float spacings of t = 1000; the offset
+        # from t_lo is found in closed form, with no exponential, and the
+        # nearest float time is returned
         x_lo = np.array([1.0, -1e-4])
         with mock.patch.object(simcore, "expm", wraps=simcore.expm) as counted:
-            t = crossing_time(A_ROTATION, x_lo, 1000.0, 1000.001,
-                              lambda x: float(x[1]))
+            t = crossing_time(A_ROTATION, x_lo, 1000.0, 1000.001, (0.0, 1.0))
         assert abs(t - (1000.0 + math.atan(1e-4))) <= np.spacing(1000.0)
-        assert counted.call_count <= 42
+        assert counted.call_count == 0
+
+    @pytest.mark.parametrize("m, x_lo", [
+        (np.eye(3), np.ones(3)), (np.eye(2), np.ones(3)),
+        (np.eye(1), np.ones(1))], ids=["3x3", "mixed", "1x1"])
+    def test_non_planar_flow_refused(self, m, x_lo):
+        with pytest.raises(ShapeError, match="planar"):
+            crossing_time(m, x_lo, 0.0, 1.0, np.ones(len(x_lo)))
 
 
 class TestPolarLift:
