@@ -1,14 +1,14 @@
 """Trajectory-level certification of the decay estimates and inequalities.
 
 Every "there exists a constant" statement is certified as a measured
-constant over a declared battery; certificates record what was measured,
+constant over a declared battery, except the outer-cone dwell bound, which
+dwell_bound states in closed form; certificates record what was measured,
 the tolerances used and the size of the battery that produced them, and
 are reproducible bit-for-bit from (seed, tolerance) configuration.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -23,7 +23,7 @@ from .gains import (A_DI, B_DI, cone_geometry, di_base_gain,
 from .matkit import as_matrix, one_norm
 from .reachability import kalman_rank
 from .signals import PeClass, PwcSignal, make_duty, rescale_time
-from .simcore import (ClosedLoop, Trajectory, _energy, _fitted_rate, _polar,
+from .simcore import (ClosedLoop, Trajectory, _energy, _polar,
                       crossing_time, fmap_F, propagate, propagate_batch)
 
 __all__ = [
@@ -38,8 +38,6 @@ __all__ = [
     "comparison_final0",
     "comparison_c2",
     "chain_contraction",
-    "kl_envelope",
-    "envelope_holds",
     "weak_star_demo",
     "rescaling_identity",
     "multi_input_identity",
@@ -56,8 +54,6 @@ __all__ = [
 _ENERGY_SLACK = 1e-10
 _F_SLACK = 1e-9
 _ETA_MARGIN = 1e-5
-_KL_RATE_MARGIN = 0.05
-_KL_CONST_MARGIN = 0.25
 # chain_contraction: the shortest gap between axis visits that is checked
 _MIN_EXCURSION = 1.0
 # weak_star_demo: the largest sup-distance allowed at the largest i
@@ -203,74 +199,6 @@ def decay_rate(traj: Trajectory, t_start: float) -> dict:
     residual = float(np.max(np.abs(intercept + slope * t - y)))
     return {"gamma_hat": float(-slope), "C_hat": float(math.exp(intercept)),
             "residual": residual}
-
-
-def kl_envelope(trajs) -> Certificate:
-    """Fit (C_hat, gamma_hat) with ||x(t)|| <= C_hat ||x0|| e^{-gamma_hat dt}
-    over every sample of the batch.
-
-    The fitted pair carries explicit margins (rate shrunk by 5%, constant
-    inflated by 25%) so that it transfers to a fresh battery of the same
-    class; finite batches cannot pin the extremal envelope exactly.  A run
-    that ends at zero (end rate +inf) bounds no rate.
-    """
-    if len(trajs) < 1:
-        raise InsufficientDataError("empty batch")
-    rates = []
-    culprit = None
-    for i, tr in enumerate(trajs):
-        nrm = tr.norms()
-        n0 = nrm[0]
-        if n0 <= 0.0:
-            raise DomainError("zero initial state in batch")
-        if not np.all(np.isfinite(nrm)) or np.max(nrm) > 1e9 * n0:
-            culprit = i
-            rates.append(-math.inf)
-            continue
-        rates.append(_fitted_rate([tr], tr.times[-1] - tr.times[0]))
-    min_rate = float(min(rates))
-    if min_rate == math.inf:
-        raise InsufficientDataError("no run bounds the rate; all end at zero")
-    worst = int(np.argmin(rates))
-    gamma_hat = (1.0 - _KL_RATE_MARGIN) * min_rate if min_rate > 0.0 else min_rate
-    c_tight = 0.0
-    if math.isfinite(gamma_hat):
-        for tr in trajs:
-            nrm = tr.norms()
-            dt = tr.times - tr.times[0]
-            with np.errstate(over="ignore", invalid="ignore"):
-                env = nrm / nrm[0] * np.exp(gamma_hat * dt)
-            good = np.isfinite(env)
-            if good.any():
-                c_tight = max(c_tight, float(np.max(env[good])))
-    c_hat = (1.0 + _KL_CONST_MARGIN) * c_tight
-    passed = gamma_hat > 0.0 and culprit is None
-    notes = []
-    if culprit is not None:
-        notes.append(f"unbounded trajectory at batch index {culprit}")
-    elif min_rate <= 0.0:
-        notes.append(f"non-decaying trajectory at batch index {worst}")
-    return Certificate(
-        "kl_envelope", passed,
-        {"gamma_hat": gamma_hat, "C_hat": c_hat, "C_tight": c_tight,
-         "min_end_rate": min_rate, "worst_index": worst},
-        {"rate_margin": _KL_RATE_MARGIN, "const_margin": _KL_CONST_MARGIN},
-        {"size": len(trajs)}, notes)
-
-
-def envelope_holds(trajs, C: float, gamma: float):
-    """Check ||x(t)|| <= C ||x0|| e^{-gamma dt} across a batch, with 1e-12
-    slack; returns (ok, worst_margin) where margin is the log-gap (positive =
-    satisfied)."""
-    worst = math.inf
-    for tr in trajs:
-        nrm = tr.norms()
-        dt = tr.times - tr.times[0]
-        # a zero norm meets any envelope: its log is -inf, its margin inf
-        with np.errstate(divide="ignore"):
-            margin = np.log(C) - gamma * dt - np.log(nrm / nrm[0])
-        worst = min(worst, float(np.min(margin)))
-    return worst >= -1e-12, worst
 
 
 # ---------------------------------------------------------------------------
@@ -755,87 +683,55 @@ def comparison_c2(rho: float, k: float, ratio: float) -> Certificate:
 # crossing-chain contraction and tuning
 # ---------------------------------------------------------------------------
 
-def _axis_visits(traj: Trajectory) -> list:
-    """One (lo, hi, time) per connected stay of the trajectory on the
-    horizontal axis: time() gives the stay's first time, which lies in
-    [lo, hi].
-
-    A visit is a sample with x2 == 0.0, or a sign change of x2 over a
-    sample segment, whose time crossing_time gives in closed form.  Visits
-    less than 1e-9 of the span apart belong to one stay: where the
-    brackets of visits lie that close, their times are found and merged in
-    order; any other crossing is found only when time() is called."""
+def _axis_times(traj: Trajectory) -> list:
+    """The sorted times at which the trajectory visits the horizontal axis:
+    every sample with x2 == 0.0, and every sign change of x2 over a sample
+    segment, timed in closed form by crossing_time.  A time within 1e-9 of
+    the span after the last time kept is the same visit and is dropped."""
     t = traj.times
     x2 = traj.states[:, 1]
+    times = t[x2 == 0.0].tolist()
+    times += [crossing_time(*traj.segment_flow(j), (0.0, 1.0))
+              for j in np.flatnonzero(x2[:-1] * x2[1:] < 0.0).tolist()]
     merge = 1e-9 * (t[-1] - t[0])
-    cands = [(t[j], t[j], t[j].item) for j in np.flatnonzero(x2 == 0.0)]
-    for j in np.flatnonzero(x2[:-1] * x2[1:] < 0.0).tolist():
-        cands.append((np.nextafter(t[j], -math.inf),
-                      np.nextafter(t[j + 1], math.inf),
-                      functools.cache(lambda j=j: crossing_time(
-                          *traj.segment_flow(j), (0.0, 1.0)))))
-    clusters = []
-    for c in sorted(cands, key=lambda c: c[0]):
-        if clusters and c[0] - clusters[-1][-1][1] <= merge:
-            clusters[-1].append(c)
-        else:
-            clusters.append([c])
-    visits = []
-    for cl in clusters:
-        if len(cl) == 1:
-            visits += cl
-            continue
-        merged = []
-        for time in sorted(c[2]() for c in cl):
-            if not merged or time - merged[-1] > merge:
-                merged.append(time)
-        visits += [(time, time, lambda time=time: time) for time in merged]
-    return visits
+    kept = []
+    for time in sorted(times):
+        if not kept or time - kept[-1] > merge:
+            kept.append(time)
+    return kept
 
 
 def chain_contraction(traj: Trajectory, k: float) -> Certificate:
     """Between consecutive axis visits that are at least one time unit apart
     the norm must at least halve, with the surplus decaying exponentially in
     k; the largest such exponential rate and the global envelope constant
-    are reported.  Each visit's time is bracketed by its sample segment
-    (_axis_visits), and a crossing is root-found only where the brackets
-    cannot decide whether two visits merge or a gap reaches one time
-    unit."""
-    reps = _axis_visits(traj)
+    are reported.  Every visit is timed in closed form (_axis_times)."""
+    times = _axis_times(traj)
     notes = []
-    if len(reps) < 2:
+    if len(times) < 2:
         notes.append("fewer than two axis visits; prefix-only certificate")
     gamma = math.inf
-    n_qual = 0
     ratios = []
-    for (lo, _, prev_at), (_, hi, next_at) in zip(reps, reps[1:]):
-        if hi - lo < _MIN_EXCURSION:
-            continue
-        t_prev, t_next = prev_at(), next_at()
+    for t_prev, t_next in zip(times, times[1:]):
         dt = t_next - t_prev
         if dt < _MIN_EXCURSION:
             continue
         n_prev = float(np.linalg.norm(traj.state_at(t_prev)))
         n_next = float(np.linalg.norm(traj.state_at(t_next)))
-        ratio = n_next / n_prev
-        ratios.append(ratio)
-        n_qual += 1
-        if ratio <= 0.0:
-            continue
-        gamma = min(gamma, -math.log(2.0 * ratio) / (k * dt))
-    measured = {"n_axis_visits": len(reps), "n_qualifying": n_qual}
-    if n_qual:
+        ratios.append(n_next / n_prev)
+        if ratios[-1] > 0.0:
+            gamma = min(gamma, -math.log(2.0 * ratios[-1]) / (k * dt))
+    measured = {"n_axis_visits": len(times), "n_qualifying": len(ratios)}
+    g_env = 0.0
+    if ratios:
         measured["gamma_star_hat"] = gamma
         measured["worst_halving_ratio"] = max(ratios)
         g_env = max(gamma, 0.0) if math.isfinite(gamma) else 0.0
-    else:
-        g_env = 0.0
-        gamma = 0.0
     t0 = traj.times[0]
     nrm = traj.norms()
     env = nrm / nrm[0] * np.exp(k * g_env * (traj.times - t0))
     measured["C3_sq_hat"] = float(np.max(env))
-    passed = (n_qual == 0) or gamma > 0.0
+    passed = not ratios or gamma > 0.0
     return Certificate("axis_chain_contraction", passed, measured,
                        {"min_excursion": _MIN_EXCURSION}, {}, notes)
 

@@ -48,8 +48,6 @@ TOLERANCES = {
     "gramian_rel": reachability._CTRL_TOL,
     "boundary_rel": reachability._BOUNDARY_REL,
     "eta_margin": certify._ETA_MARGIN,
-    "kl_rate_margin": certify._KL_RATE_MARGIN,
-    "kl_const_margin": certify._KL_CONST_MARGIN,
 }
 
 

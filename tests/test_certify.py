@@ -6,14 +6,14 @@ import pytest
 
 import dwell_oracle
 from dwell_oracle import dwell_times
+from kl_oracle import envelope_holds, kl_envelope
 from pestab import certify
 from pestab.adversary import tune
 from pestab.certify import (c_rho_closed_form, chain_contraction,
                             check_cs_decay, check_F_monotone,
                             check_quadrant_V, check_V_neutral,
                             comparison_c2, comparison_final0, decay_rate,
-                            envelope_holds, estimate_eta,
-                            kl_envelope, multi_input_identity, neutral_runs,
+                            estimate_eta, multi_input_identity, neutral_runs,
                             rescaling_identity, unit_circle_grid,
                             weak_star_demo)
 from pestab.errors import (DomainError, InsufficientDataError,

@@ -18,7 +18,7 @@ from unittest import mock
 
 import numpy as np
 import scipy.linalg
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from pestab import adversary, simcore
 from pestab.gains import A_DI, B_DI, di_gain
@@ -386,8 +386,24 @@ def test_sign_changes_across_root(drawn):
     assert value_at(case, t - tol) * value_at(case, t + tol) <= 0.0
 
 
+def midpoint_root_case():
+    """A defective flow whose line is drawn through the oracle's state at
+    the midpoint 0.1 of [0, 0.2], where the ITP search evaluates first.
+    The line is nearly perpendicular to the state there (|c . x| = 0.038
+    against |c| |x| = 1.06), so dot products that round each term lose
+    digits to cancellation: they put the time 11 ulps below the exact root
+    of these doubles, 0.1000000000000000483 (300-bit arithmetic), and 7
+    ulps below the search's final bracket, which starts at 0.1."""
+    m = np.array([[-0.023958333333333328, 1.0666666666666667],
+                  [-0.016666666666666666, 0.24270833333333333]])
+    x_lo = np.array([math.cos(0.75), math.sin(0.75)])
+    x_root = scipy.linalg.expm(0.1 * m) @ x_lo
+    return (m, x_lo, 0.0, 0.2, np.array([-x_root[1], x_root[0]])), 0.1
+
+
 @PROPERTY
 @given(crossings())
+@example(midpoint_root_case())
 def test_returns_midpoint_of_final_bracket(drawn):
     # no bracket is searched any more: the closed-form time lies inside the
     # final bracket of the ITP search it replaced, widened by the rounding

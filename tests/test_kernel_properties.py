@@ -9,10 +9,10 @@ within the sequential product's bound on periodic gates, whose piece ends
 come from monodromy powers.  The full run ends every piece at the state of
 its one chain, over the grid's tables for a held gate and over the period
 plan's sub-pieces for a periodic one, whose pieces are those
-`PwcSignal.segments` lists.  The endpoint path, which
-reads the piece ends without filling a sample, is compared bit for bit
-with the last sample of the full run and with the rate `_fitted_rate`
-reads from it, and its fallback fills from the tables it built.
+`PwcSignal.segments` lists.  The endpoint path, which reads the piece ends
+without filling a sample, is compared bit for bit with the last sample of
+the full run and with the rate the test-side `kl_oracle.fitted_rate` reads
+from it, and its fallback fills from the tables it built.
 """
 
 import bisect
@@ -26,6 +26,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
+from kl_oracle import fitted_rate
 from pestab import adversary, simcore
 from pestab.adversary import run_destabilizer
 from pestab.gains import A_DI, B_DI
@@ -440,7 +441,7 @@ def test_end_state_is_the_last_sample(case):
 @given(end_cases())
 def test_end_rate_is_the_fitted_rate(case):
     loop, cols, t1 = case
-    want = simcore._fitted_rate(propagate_batch(loop, 0.0, cols, t1), t1)
+    want = fitted_rate(propagate_batch(loop, 0.0, cols, t1), t1)
     assert repr(simcore._end_rate(*case)) == repr(want)
 
 
@@ -461,7 +462,7 @@ def test_end_rate_falls_back_to_the_full_run(loop, x0, t1, overflows):
     # the fallback fills the samples from the tables it already built
     loop = ClosedLoop(*loop, PwcSignal.constant(1.0))
     with np.errstate(over="ignore", invalid="ignore"):
-        want = simcore._fitted_rate(propagate_batch(loop, 0.0, x0, t1), t1)
+        want = fitted_rate(propagate_batch(loop, 0.0, x0, t1), t1)
         got, _, tables, fills = end_rate_seen(loop, x0, t1)
     assert (tables, fills) == (1, 1)
     assert repr(got) == repr(want)
@@ -520,7 +521,7 @@ def test_overflowing_monodromy_power_takes_the_chain():
             x = e @ x
             assert end.tobytes() == x.tobytes()
     assert all(np.isfinite(tr.states).all() for tr in runs)
-    want = simcore._fitted_rate(runs, 800.0)
+    want = fitted_rate(runs, 800.0)
     assert repr(got) == repr(want)
     assert got == pytest.approx(-1.0, rel=1e-12)
 

@@ -6,12 +6,11 @@ loops they replace are kept below as reference implementations, and every
 output is compared with them bit for bit on random periodic and held
 signals.
 
-`chain_contraction` and `chain_battery` bracket each axis crossing by its
-sample segment and root-find it only where a bracket cannot decide a test.
-The chain that root-found every crossing is kept as a reference, and their
-certificates must agree with it to the byte: on random runs, on batteries,
-on a slow gate whose excursions qualify, on exact-zero stalls and on
-crossings in adjacent segments.
+`chain_contraction` and `chain_battery` time every axis crossing in
+closed form.  The per-segment loop that times the visits and then tests
+each gap is kept as a reference, and their certificates must agree with it
+to the byte: on random runs, on batteries, on a slow gate whose excursions
+qualify, on exact-zero stalls and on crossings in adjacent segments.
 """
 
 import json
@@ -502,22 +501,35 @@ def test_chain_battery_matches_root_every_crossing(seed, horizon):
                 assert cert.measured["n_qualifying"] > 0
 
 
-def test_chain_battery_on_the_benchmark_setting_finds_no_roots():
+def test_chain_battery_on_the_benchmark_setting_times_each_sign_change(
+        monkeypatch):
     # (rho, k, lam) = (0.2, 4, 8) over horizon 5: every run is captured by
-    # the central cone, no gap reaches one time unit, and no visit needs
-    # its time, while the reference root-finds every crossing
+    # the central cone and no gap reaches one time unit, so the certificate
+    # times each sign change once and takes no exponential beyond the
+    # propagations'
     x0 = unit_circle_grid(4)
-    n_ref = 0
+    args = (CLS, 0.2, 4.0, 8.0)
     for seed in (1, 3, 11, 29):
         bat = make_battery(CLS, 20, seed).signals
-        with mock.patch.object(certify, "crossing_time",
-                               wraps=certify.crossing_time) as spy:
-            cert = chain_battery(CLS, 0.2, 4.0, 8.0, bat, x0, 5.0)
-        assert spy.call_count == 0
+        monkeypatch.setattr(certify, "_last_runs", None)
+        with mock.patch.object(simcore, "expm", wraps=simcore.expm) as fills:
+            runs = certify.di_runs(*args, bat, x0, 5.0)
+        n_sign_changes = sum(
+            int(np.count_nonzero(tr.states[:-1, 1] * tr.states[1:, 1] < 0.0))
+            for tr in runs)
+        monkeypatch.setattr(certify, "_last_runs", None)
+        with mock.patch.object(simcore, "expm",
+                               wraps=simcore.expm) as exps, \
+                mock.patch.object(certify, "crossing_time",
+                                  wraps=certify.crossing_time) as spy:
+            cert = chain_battery(*args, bat, x0, 5.0)
+        assert n_sign_changes > 0
+        assert spy.call_count == n_sign_changes
+        assert cert.measured["n_qualifying"] == 0
+        assert exps.call_count == fills.call_count
         assert cert.passed and cert.measured["n_axis_visits"] > 0
-        runs = certify.di_runs(CLS, 0.2, 4.0, 8.0, bat, x0, 5.0)
-        n_ref += sum(len(ref_axis_representatives(tr)) for tr in runs)
-    assert n_ref > 0
+        assert cert_text(cert) == cert_text(
+            ref_chain_battery(*args, bat, x0, 5.0))
 
 
 def test_batch_polar_matches_each_run():

