@@ -1,36 +1,33 @@
 """Exact propagation of x' = (A + alpha(t) B K) x for piecewise-constant alpha.
 
 Every maximal interval where the signal is constant is a piece, cut into
-equal steps of at most max_step, and signal breakpoints are mandatory
-samples.  One plan, _plan, lists a run's pieces: a held gate's from
-PwcSignal.segments, a periodic gate's from its period plan, the run cut at
-every breakpoint into sub-pieces and merged while the level holds.  The
-one kernel, _flow, then works on arrays: one stacked expm gives phi for
-every distinct (alpha, step) and every sub-piece, their power tables are
-built together by doubling in extended precision, and one matrix product
-fills the samples of all pieces with equal (alpha, step, count), ending
-each piece at its piece-end state.  So there is no integration error
-beyond expm accuracy and no per-sample Python loop.
+equal steps of at most max_step; signal breakpoints are mandatory samples.
+_plan lists a run's pieces: a held gate's from PwcSignal.segments, a
+periodic gate's from its period plan, the run cut at every breakpoint into
+sub-pieces and merged while the level holds.  The one kernel, _flow, works
+on arrays: one stacked expm gives phi for every distinct (alpha, step) and
+sub-piece, their power tables are built together by doubling in extended
+precision, and one matrix product fills the samples of all pieces with
+equal (alpha, step, count).  A periodic run of many pieces keys and tables
+one period's pieces, the unit, and one product of the unit's table and
+the repeats' start states fills every whole period.  Each piece ends at
+its piece-end state from the one chain, _chain: a held gate's pieces one
+by one through phi^nsub, a periodic gate's sub-pieces with the whole
+periods keyed once and started at M^k times the head's end, M the
+monodromy and its powers doubled in extended precision (one by one where
+a power is not finite).  So there is no integration error beyond expm
+accuracy and no per-sample Python loop.  monodromy and floquet_rate give
+a periodic gate's one-period flow and any gate's exact asymptotic decay.
 
-One chain, _chain, gives the piece-end states.  A held gate's pieces
-chain one by one through the tables' phi^nsub.  A periodic gate's chain
-runs over its sub-pieces: a head up to the first period boundary, whole
-periods that start at M^k times the head's end, with M the monodromy and
-its powers doubled in extended precision, and end their inner pieces by
-one product with the period's partial products, and a tail; when a power
-of M is not finite, every sub-piece chains one by one.  monodromy and
-floquet_rate give a periodic gate's one-period flow and any gate's exact
-asymptotic decay rate.
-
-A caller that reads only the end rate takes the endpoint path, _end_rate:
-the same plan and chain, so the same end state bit for bit, and no fill
-(for a periodic gate no power table of the sample step either); where the
-piece ends cannot rule out a sample overflowing inside a piece, it fills
-the samples as the full run does.  Every crossing the package locates is
-where a constant planar flow meets a line through the origin, and
-_first_zero gives it in closed form from the 2x2 exponential's cosine and
-sine parts: no exponential, march, bracket or tolerance.  crossing_time
-is its public form on a sample segment.
+_end_rate reads only the end rate, from the same plan and chain, so the
+same end state bit for bit, with no fill (for a periodic gate no power
+table of the sample step either); where the piece ends cannot rule out a
+sample overflowing inside a piece, it fills the samples as the full run
+does.  Every crossing the package locates is where a constant planar flow
+meets a line through the origin: _first_zero gives it in closed form from
+the 2x2 exponential's cosine and sine parts, with no exponential, march,
+bracket or tolerance, and crossing_time is its public form on a sample
+segment.
 """
 
 from __future__ import annotations
@@ -68,6 +65,8 @@ _TINY = float(np.finfo(float).tiny)
 _SPLIT = 134217729.0
 # the least norm of a state with a direction (_polar) and a decay fit (cli)
 _NORM_FLOOR = 1e-300
+# the fewest pieces (repeated sub-pieces) worth a unit table (shared keys)
+_UNIT_PIECES = 40
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
@@ -324,25 +323,20 @@ def _chain(exps, x0: np.ndarray, J: int = 0, head: int = 0,
     return ends
 
 
-def _fill(key: list, steps: list, tables: list, x0: np.ndarray,
-          ends: np.ndarray) -> np.ndarray:
-    """States (N, n, m), N = 1 + sum(steps), of the pieces that start at x0
-    and at ends[:-1]: sample i of piece j is tables[key[j]][i] @ its start,
-    pieces of equal (key, steps) are filled by one matrix product, and each
-    piece's last sample is its end state ends[j]."""
-    starts = np.concatenate((x0[np.newaxis], ends[:-1]))
+def _fill(key: list, steps: list, tables: list, starts: np.ndarray) -> list:
+    """The samples (steps[j], n, m) of the pieces j that start at starts[j]:
+    sample i of piece j is tables[key[j]][i] @ starts[j], and pieces of
+    equal (key, steps) are filled by one matrix product."""
     groups: dict = {}
     for j, qs in enumerate(zip(key, steps)):
         groups.setdefault(qs, []).append(j)
-    parts = [x0[np.newaxis]] + [None] * len(key)
-    n = x0.shape[0]
+    parts = [None] * len(steps)
+    n = starts.shape[1]
     for (q, s), js in groups.items():
         xs = np.matmul(tables[q][:s].reshape(-1, n), starts[js])
-        for j, x in zip(js, xs.reshape((len(js), s) + x0.shape)):
-            parts[j + 1] = x
-    states = np.concatenate(parts)
-    states[np.cumsum(steps)] = ends
-    return states
+        for j, x in zip(js, xs.reshape((len(js), s) + starts.shape[1:])):
+            parts[j] = x
+    return parts
 
 
 def _flow(matrix, levels: np.ndarray, cuts: np.ndarray, widths: np.ndarray,
@@ -357,29 +351,62 @@ def _flow(matrix, levels: np.ndarray, cuts: np.ndarray, widths: np.ndarray,
     state at cuts[0]; the piece-end states ends (k, n, m) are given, or
     are the _chain of the period plan's sub-pieces when one of the same
     run is given (their exponentials ride in the same stacked expm as
-    one-step pieces), or else the _chain of the phi^nsub; _fill fills the
-    samples from them, so each piece ends at ends[j] and the next starts
-    there.  Returns times (N,), states (N, n, m) and seg_alpha (N - 1,),
-    with N = 1 + sum(nsub).
+    one-step pieces), or else the _chain of the phi^nsub.  _fill fills the
+    samples from them and each piece ends at ends[j]; from _UNIT_PIECES
+    pieces on, a unit of Q pieces that repeats over whole periods keys only
+    itself: sample i of unit piece j is tables[key[j]][i] @ P[j], over the
+    breakpoints' own widths, times the repeat's start, with P[j] the unit's
+    sub-piece exponentials before piece j.  Returns times (N,), states
+    (N, n, m) and seg_alpha (N - 1,), with N = 1 + sum(nsub).
     """
     steps = nsub.tolist()
     # the chain and the fill read one memory layout: BLAS can round a
     # product with a transposed operand differently
     x0 = np.ascontiguousarray(x0)
+    b = Q = e = 0
+    block = x0[np.newaxis][:0]
     if period is None:
         key, _, tables = _keyed_tables(matrix, levels, widths, nsub)
         if ends is None:
             ends = _chain([tables[q][s - 1] for q, s in zip(key, steps)], x0)
     else:
-        k = len(steps)
+        J, first = period.J, period.first
+        own, index = _shared_keys(period)
+        if len(steps) >= _UNIT_PIECES and len(own) < len(index):
+            # the unit: the Q pieces from the first piece b > 0 at or after
+            # the head, repeated R >= 2 times over whole periods up to piece
+            # e, each piece Q pieces on J sub-pieces later, with its nsub
+            b = int(first.searchsorted(max(period.head, 1)))
+            Q = int(first.searchsorted(first[b] + J)) - b
+            e = b + (period.head + J * period.periods - first[b]) // J * Q
+            if e < b + 2 * Q or e >= len(first) \
+                    or (first[b + Q:e + 1] - first[b:e + 1 - Q] != J).any() \
+                    or (nsub[b + Q:e] != nsub[b:e - Q]).any():
+                b = Q = e = 0
+        u0 = int(first[b])
+        keep = np.r_[:b + Q, e:len(steps)] if Q else slice(None)
+        pw = widths[keep]
+        pw[b:b + Q] = np.add.reduceat(period.widths[:u0 + J], first[b:b + Q])
         key, _, tables = _keyed_tables(
-            matrix, np.append(levels, period.levels),
-            np.append(widths, period.widths),
-            np.append(nsub, np.ones(len(period.levels), int)))
-        ends = _chain(np.array([tables[q][0] for q in key[k:]]), x0,
-                      period.J, period.head, period.periods)[period.last]
-        key = key[:k]
-    states = _fill(key, steps, tables, x0, ends)
+            matrix, np.append(levels[keep], period.levels[own]),
+            np.append(pw, period.widths[own]),
+            np.append(nsub[keep], np.ones(len(own), int)))
+        phis = np.array([t[0] for t in tables])
+        sub = np.asarray(key[len(pw):])[index]
+        ends = _chain(phis[sub], x0, J, period.head,
+                      period.periods)[period.last]
+    starts = np.concatenate((x0[np.newaxis], ends[:-1]))
+    if Q:
+        P = _partial_products(np.concatenate((
+            np.eye(len(x0))[np.newaxis], phis[sub[u0:u0 + J - 1]])))
+        unit = np.concatenate([tables[key[j]][:steps[j]].reshape(
+            -1, len(x0)) @ P[first[j] - u0] for j in range(b, b + Q)])
+        block = np.matmul(unit, starts[b:e:Q]).reshape((-1,) + x0.shape)
+        key, steps = key[:b] + key[b + Q:], steps[:b] + steps[e:]
+        starts = np.concatenate((starts[:b], starts[e:]))
+    parts = _fill(key, steps, tables, starts)
+    states = np.concatenate([x0[np.newaxis]] + parts[:b] + [block]
+                            + parts[b:])
     last = np.cumsum(nsub)
     h = widths / nsub
     times = np.empty(len(states))
@@ -387,6 +414,7 @@ def _flow(matrix, levels: np.ndarray, cuts: np.ndarray, widths: np.ndarray,
     times[1:] = np.repeat(cuts[:-1], nsub) + np.repeat(h, nsub) * (
         np.arange(1, len(times)) - np.repeat(last - nsub, nsub))
     times[last] = cuts[1:]
+    states[last] = ends
     return times, states, np.repeat(levels, nsub)
 
 
@@ -485,6 +513,22 @@ def _period_plan(alpha: PwcSignal, t0: float, t1: float) -> _Period:
                    max(0, (len(i) - 1 - head) // J))
 
 
+def _shared_keys(period: _Period) -> tuple:
+    """(own, index): the sub-pieces keyed one by one, and for each the
+    position among them of the one whose key it takes.  From _UNIT_PIECES
+    repeated sub-pieces on, whole periods after the first take its keys:
+    they hold its widths, and its levels unless a cut an ulp off moves one."""
+    J, head, periods = period.J, period.head, period.periods
+    lv, index = period.levels, np.arange(len(period.levels))
+    a, z = head + J, head + J * periods
+    if z - a < _UNIT_PIECES or (lv[a:z] != lv[head:z - J]).any():
+        return index, index
+    own = np.concatenate((index[:a], index[z:]))
+    index[a:z].reshape(-1, J)[:] = index[head:a]
+    index[z:] -= z - a
+    return own, index
+
+
 def _partial_products(exps: np.ndarray) -> np.ndarray:
     """The stack [E_0, E_1 E_0, ..., E_(J-1) ... E_0] of exps (J, n, n)."""
     out = np.empty_like(exps)
@@ -532,30 +576,36 @@ def _end_rate(loop: ClosedLoop, x0_columns, horizon: float) -> float:
         raise ShapeError("need at least one initial state")
     if not x0.any(axis=0).all():
         raise DegenerateStateError("a zero initial state has no decay rate")
-    levels, _, widths, nsub, period = _plan(loop, 0.0, horizon, None)
+    levels, cuts, widths, nsub, period = _plan(loop, 0.0, horizon, None)
     steps = nsub.tolist()
     if period is None:
         key, mats, tables = _keyed_tables(loop.matrix, levels, widths, nsub)
         ends = _chain([tables[q][s - 1] for q, s in zip(key, steps)], x0)
     else:
-        key, mats, phis = _keyed_exps(loop.matrix, period.levels,
-                                      period.widths)
-        ends = _chain(phis[key], x0, period.J, period.head,
+        own, index = _shared_keys(period)
+        key, mats, phis = _keyed_exps(loop.matrix, period.levels[own],
+                                      period.widths[own])
+        sub = np.asarray(key)[index]
+        ends = _chain(phis[sub], x0, period.J, period.head,
                       period.periods)[period.last]
-        key = np.asarray(key)[period.first]
+        key = sub[period.first]
+    starts = np.concatenate((x0[np.newaxis], ends[:-1]))
     # |exp(t M)|_inf <= exp(t |M|_inf): on piece j every power of phi, and
     # every sum of products a fill forms from one, stays below
     # exp(width_j |M_j|_inf) times the largest entry of the start (at
     # least 1), which must stay well below the largest double
     with np.errstate(over="ignore", divide="ignore"):
         growth = np.abs(mats).sum(axis=2).max(axis=1)[key] * widths
-        size = np.log(np.abs(np.concatenate(
-            (x0[np.newaxis], ends[:-1]))).max(axis=(1, 2)))
+        size = np.log(np.abs(starts).max(axis=(1, 2)))
     if not (np.isfinite(ends[-1]).all() and np.all(
             np.maximum(size, 0.0) + growth < _END_LOG_CAP)):
-        if period is not None:
-            key, _, tables = _keyed_tables(loop.matrix, levels, widths, nsub)
-        if not np.isfinite(_fill(key, steps, tables, x0, ends)).all():
+        if period is None:
+            parts = _fill(key, steps, tables, starts)
+            states = np.concatenate([x[:-1] for x in parts] + [ends])
+        else:
+            states = _flow(loop.matrix, levels, cuts, widths, nsub, x0,
+                           period=period)[1]
+        if not np.isfinite(states).all():
             return -math.inf
     return _ends_rate(zip(x0.T, ends[-1].T), horizon)
 

@@ -7,7 +7,7 @@ import pytest
 import dwell_oracle
 from dwell_oracle import dwell_times
 from kl_oracle import envelope_holds, kl_envelope
-from pestab import certify
+from pestab import certify, simcore
 from pestab.adversary import tune
 from pestab.certify import (c_rho_closed_form, chain_contraction,
                             check_cs_decay, check_F_monotone,
@@ -675,6 +675,25 @@ class TestWeakStar:
         assert len(ref) == len(exponents)
         for key, d in ref.items():
             assert abs(cert.measured[key] - d) <= 1e-12
+
+    @pytest.mark.parametrize("duty, slices", [(0.5, 4), (0.3, 10)])
+    def test_exponentials_do_not_grow_with_i(self, duty, slices):
+        # the acceptance case's 22 propagations take one stacked expm each,
+        # and square waves of period 1/i up to i = 1024 key one period's
+        # pieces, so the stacks hold at most as many slices at i = 1024 as
+        # at i = 1; at duty 0.3, whose cuts land ulps apart from period to
+        # period, keying every piece grew them from 10 to 20 slices
+        real, stacks = simcore.expm, []
+
+        def count(m, t=1.0):
+            stacks.append(len(m))
+            return real(m, t)
+
+        with mock.patch.object(simcore, "expm", count):
+            weak_star_demo(A_ROTATION, B_ROT, -B_ROT.T, [1.0, 0.0],
+                           duty=duty, exponents=range(0, 11), horizon=10.0)
+        assert len(stacks) == 22
+        assert max(stacks) <= slices and sum(stacks) <= 22 * slices
 
     def test_initial_condition_perturbation_bound(self):
         # with the signal fixed, the deviation is the propagated difference;

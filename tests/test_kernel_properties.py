@@ -12,7 +12,11 @@ plan's sub-pieces for a periodic one, whose pieces are those
 `PwcSignal.segments` lists.  The endpoint path, which reads the piece ends
 without filling a sample, is compared bit for bit with the last sample of
 the full run and with the rate the test-side `kl_oracle.fitted_rate` reads
-from it, and its fallback fills from the tables it built.
+from it, and its fallback fills from the tables it built, or for a
+periodic gate runs the full run.  A periodic run of many pieces fills the
+repeats of one period's unit of pieces from one unit table: its samples
+are held to the per-piece loop's bound, and its piece ends, first sample,
+grid and stacked slice count to those of the per-piece fill.
 """
 
 import bisect
@@ -23,7 +27,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from kl_oracle import fitted_rate
@@ -469,6 +473,27 @@ def test_end_rate_falls_back_to_the_full_run(loop, x0, t1, overflows):
     assert (want == -math.inf) == overflows
 
 
+@pytest.mark.parametrize("x0, overflows", [
+    ([[0.0], [1e307]], True),
+    # x1 peaks at 2e291; a piece of 1.6 at |M|_inf = 20 cannot be vouched
+    # for from 1e290
+    ([[0.0], [1e290]], False),
+], ids=["interior-overflows", "finite"])
+def test_periodic_end_rate_falls_back_to_the_full_run(x0, overflows):
+    # a periodic gate's fallback is the full run itself, which fills 42 of
+    # these 45 pieces from a unit table (widths off a whole number of the
+    # default step, so every period's pieces take the same step count)
+    sig = PwcSignal.periodic((0.0, 1.6001, 3.2002), (1.0, 0.25))
+    loop, t1 = ClosedLoop(*_ROTOR, sig), 70.41
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = fitted_rate(propagate_batch(loop, 0.0, x0, t1), t1)
+        got, _, tables, fills = end_rate_seen(loop, x0, t1)
+        filled = filled_by_piece((loop, 0.0, np.array(x0), t1, None))
+    assert (tables, fills, filled) == (1, 1, 3)
+    assert repr(got) == repr(want)
+    assert (want == -math.inf) == overflows
+
+
 @PROPERTY
 @given(st.one_of(cases(), short_piece_cases()))
 def test_periodic_pieces_end_at_the_period_states(case):
@@ -572,3 +597,127 @@ def test_periodic_plan_is_the_segments(case):
         propagate(loop, t0, [1.0, -0.5], t1)
         simcore._end_rate(loop, [[1.0], [-0.5]], t1)
     assert segments.call_count == 0
+
+
+_ROTOR_LOOP = ([[0.0, 1.0], [-1.0, 0.0]], [[0.0], [1.0]], [[-0.4, -0.9]])
+
+
+def unit_case(loop, J, periods, head, tail, max_step, width=1, unit=1 / 64):
+    """(loop, t0, x0 columns, t1, max_step) on a periodic gate of J levels,
+    1 and 0.25 in turn, over widths of 1 to 3 units, so an odd J runs its
+    last level on into the next period's first: from 0, or with a head
+    from three periods and half the first level in; over `periods`
+    periods and then `tail` times the first level's width."""
+    bp = np.concatenate(([0.0], np.cumsum([1 + j % 3 for j in range(J)])))
+    bp *= unit
+    sig = PwcSignal.periodic(bp, [(1.0, 0.25)[j % 2] for j in range(J)])
+    t0 = 3.0 * bp[-1] + 0.5 * bp[1] if head else 0.0
+    cols = np.vstack([2.0 + np.arange(width), -np.arange(width) / 3.0])
+    return (ClosedLoop(*loop, sig), t0, cols,
+            t0 + periods * bp[-1] + tail * bp[1], max_step)
+
+
+@st.composite
+def unit_cases(draw):
+    """unit_case of a random loop, with entries small enough that a run of
+    up to 60 periods stays well inside the doubles."""
+    entries = st.lists(st.floats(-0.5, 0.5), min_size=8, max_size=8)
+    A, B, K = np.split(np.array(draw(entries)), [4, 6])
+    return unit_case(
+        (A.reshape(2, 2), B.reshape(2, 1), K.reshape(1, 2)),
+        draw(st.integers(2, 26)), draw(st.integers(2, 60)),
+        draw(st.booleans()), draw(st.sampled_from((0.0, 0.5, 1.5))),
+        draw(st.sampled_from((10.0, 1.0 / 128.0, 1.0 / 200.0))),
+        draw(st.sampled_from((1, 4))))
+
+
+# Hypothesis mixes constants of the loaded modules into its draws, so the
+# edges of the unit are pinned as examples: a level that goes on across
+# the period boundary (odd J), a head, a one-sub-piece tail, a unit that
+# repeats twice, runs at the break-even piece count and one piece short
+# of it, and 240 periods.
+_HALF = (simcore._UNIT_PIECES - 2) // 2
+_UNIT_EDGES = {
+    "merged-boundary": ((3, 40, False, 0.5, 10.0), 3),
+    "head": ((4, 40, True, 0.25, 10.0), 5),
+    "two-sub-piece-tail": ((6, 12, True, 1.5, 1.0 / 128.0, 4), 8),
+    "twice": ((26, 3, False, 0.5, 10.0), 27),
+    "break-even": ((3, _HALF, False, 1.5, 10.0), 4),
+    "short-of-break-even": ((3, _HALF, False, 0.5, 10.0), 2 * _HALF + 1),
+    "240-periods": ((5, 240, True, 0.25, 1.0 / 128.0), 9),
+}
+
+
+def filled_by_piece(case):
+    """The number of pieces a run fills piece by piece, outside the unit
+    and its repeats."""
+    with mock.patch.object(simcore, "_fill", wraps=simcore._fill) as fill:
+        run(*case)
+    (_, steps, _, _), _ = fill.call_args
+    return len(steps)
+
+
+@pytest.mark.parametrize("args, filled", _UNIT_EDGES.values(),
+                         ids=_UNIT_EDGES.keys())
+def test_unit_covers_the_whole_periods(args, filled):
+    # pieces before the unit (the first piece, a head, a level across the
+    # boundary) and after its last repeat (the tail) are filled one by
+    # one, every other piece from the unit table
+    case = unit_case(_ROTOR_LOOP, *args)
+    *_, nsub, _ = simcore._plan(*case[:2], *case[3:])
+    assert filled_by_piece(case) == filled
+    if args[1] == _HALF:
+        assert len(nsub) == simcore._UNIT_PIECES - (args[3] == 0.5)
+
+
+@settings(PROPERTY, max_examples=25)
+@given(unit_cases())
+@example(unit_case(_ROTOR_LOOP, *_UNIT_EDGES["merged-boundary"][0]))
+@example(unit_case(_ROTOR_LOOP, *_UNIT_EDGES["head"][0]))
+@example(unit_case(_ROTOR_LOOP, *_UNIT_EDGES["two-sub-piece-tail"][0]))
+@example(unit_case(_ROTOR_LOOP, *_UNIT_EDGES["twice"][0]))
+@example(unit_case(_ROTOR_LOOP, *_UNIT_EDGES["break-even"][0]))
+@example(unit_case(_ROTOR_LOOP, *_UNIT_EDGES["short-of-break-even"][0]))
+@example(unit_case(_ROTOR_LOOP, *_UNIT_EDGES["240-periods"][0]))
+def test_unit_table_matches_the_per_piece_fill(case):
+    # the unit moves samples inside whole periods at rounding level, and
+    # leaves the piece ends, the first sample and the grid bit for bit as
+    # the per-piece fill below the break-even leaves them; its one stacked
+    # expm holds the same slices however many periods the run has
+    loop, t0, cols, t1, max_step = case
+    with counting_expm() as calls:
+        times, states, seg_alpha = run(*case)
+    with mock.patch.object(simcore, "_UNIT_PIECES", math.inf):
+        want_times, want_states, want_alpha = run(*case)
+    *_, nsub, _ = simcore._plan(loop, t0, t1, max_step)
+    at = np.concatenate(([0], np.cumsum(nsub)))
+    assert_same_bits((times, seg_alpha, states[at]),
+                     (want_times, want_alpha, want_states[at]))
+    _, ref, _ = reference_propagate(*case)
+    assert relative_deviation(states, ref) <= 1e-12
+    longer = (loop, t0, cols, t1 + 57 * loop.alpha.period, max_step)
+    with counting_expm() as more:
+        run(*longer)
+    assert [len(s) for s, _ in more] == [len(s) for s, _ in calls]
+
+
+@pytest.mark.parametrize("head, max_step", [(False, 10.0), (True, 0.07)])
+def test_unit_keys_do_not_grow_with_the_periods(head, max_step):
+    # breakpoints at multiples of 0.1 put the cuts of each period an ulp
+    # or so apart, so keying every piece keys each period's pieces anew;
+    # the unit is keyed once, over the breakpoints' own widths
+    def slices(periods):
+        case = unit_case(_ROTOR_LOOP, 4, periods, head, 0.5, max_step,
+                         unit=0.1)
+        with counting_expm() as calls:
+            run(*case)
+        with mock.patch.object(simcore, "_UNIT_PIECES", math.inf), \
+                counting_expm() as today:
+            run(*case)
+        (stack, _), = calls
+        (today_stack, _), = today
+        return len(stack), len(today_stack)
+
+    (short, short_today), (long_, long_today) = slices(20), slices(240)
+    assert short == long_ < long_today
+    assert short_today < long_today
