@@ -190,13 +190,15 @@ def find_nu(K, tol: float = 1e-10) -> float:
 
     xi behaves like C / sqrt(nu): an interpolating search on xi over nu
     falls back to bisection, but log xi is nearly linear in log nu.  So
-    simcore._itp runs on g(u) = log xi(e^u) over [log 1e-12, 0], in 9-14
+    simcore._itp runs on g(u) = log xi(e^u) over [log floor, 0], in 9-14
     evaluations for moderate gains where bisection took 36.  It stops when
-    e^u_hi - e^u_lo <= tol (finite, positive, absolute in nu) or no float
-    lies between u_lo and u_hi, and returns e^u_lo, a level xi was
-    evaluated at: xi(nu) > 1 >= xi(nu + tol).  nu_hat is about 0.33
-    k1/k2^2 for small k1/k2^2, so below about 3e-12 it lies under the
-    search floor 1e-12 and SimulationError says so.
+    e^u_hi - e^u_lo <= min(tol, 1e-8 e^u_lo), tol finite and positive and
+    absolute in nu, or no float lies between u_lo and u_hi, and returns
+    e^u_lo, a level xi was evaluated at: xi(nu) > 1 >= xi(nu + width).  The
+    relative term keeps eight digits of a small nu_hat and binds only
+    below nu = tol / 1e-8 (0.01 at the default tol).  nu_hat is about
+    0.33 k1/k2^2 for small k1/k2^2, so the floor is min(1e-12, 1e-3
+    k1/k2^2); a search it exhausts raises SimulationError.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise DomainError(f"tol must be finite and positive, got {tol!r}")
@@ -220,24 +222,30 @@ def find_nu(K, tol: float = 1e-10) -> float:
         xi = 0.0 if s is None else float((expm(m, s) @ x_bar)[0])
         return math.log(xi) if xi > 0.0 and xi != 1.0 else -math.inf
 
-    lo, hi = math.log(1e-12), 0.0
+    # three decades below k1/k2^2, and at the least positive double where
+    # that underflows
+    ratio = k1 / k2 / k2
+    floor = max(min(1e-12, 1e-3 * ratio), 5e-324)
+    lo, hi = math.log(floor), 0.0
     g_lo = g(lo)
     if g_lo <= 0.0:
         raise SimulationError(
             "no destabilizing gate level found down to the search floor "
-            f"1e-12: k1/k2^2 = {k1 / k2 ** 2:.3g}, and nu_hat is about "
+            f"{floor:.3g}: k1/k2^2 = {ratio:.3g}, and nu_hat is about "
             "0.33 k1/k2^2 when that is small")
     g_hi = g(hi)
     if g_hi > 0.0:
         return 1.0
-    # a bracket no wider than tol in u is no wider than tol in nu <= 1
-    n_bis = math.ceil(math.log2(hi - lo) - math.log2(tol))
+    # a bracket no wider than min(tol, 1e-8) / 2 in u is accepted: in nu
+    # <= 1 it is no wider than tol, and no wider than 1e-8 nu_lo
+    n_bis = math.ceil(math.log2(hi - lo) - math.log2(min(tol, 5e-9)))
     # kappa1 = 0.2 / (hi - lo): 0.02 took up to 18 evaluations of xi at
-    # 1e-10 here; the stop accepts brackets up to hi - lo = log1p(tol
-    # e^-lo) wide, the width that floors the truncation
+    # 1e-10 here; the stop accepts brackets up to hi - lo = log1p(min(tol
+    # e^-lo, 1e-8)) wide, the width that floors the truncation
     lo, _ = _itp(g, lo, hi, g_lo, g_hi, n_bis + 1, 0.2,
-                 lambda lo, hi: math.exp(hi) - math.exp(lo) <= tol,
-                 lambda lo: math.log1p(tol * math.exp(-lo)))
+                 lambda lo, hi: math.exp(hi) - math.exp(lo)
+                 <= min(tol, 1e-8 * math.exp(lo)),
+                 lambda lo: math.log1p(min(tol * math.exp(-lo), 1e-8)))
     return math.exp(lo)
 
 

@@ -18,12 +18,12 @@ import numpy as np
 
 from .errors import (DomainError, InsufficientDataError, PreconditionError,
                      SimulationError)
-from .gains import (A_DI, B_DI, cone_geometry, di_base_gain,
+from .gains import (A_DI, B_DI, ConeGeometry, cone_geometry, di_base_gain,
                     multi_input_gain)
 from .matkit import as_matrix, one_norm
 from .reachability import kalman_rank
 from .signals import PeClass, PwcSignal, make_duty, rescale_time
-from .simcore import (ClosedLoop, Trajectory, _energy, _polar,
+from .simcore import (ClosedLoop, Trajectory, _energy, _polar, _sum_squares,
                       crossing_time, fmap_F, propagate, propagate_batch)
 
 __all__ = [
@@ -215,17 +215,21 @@ def check_V_neutral(traj: Trajectory, B, r: float = 1.0) -> Certificate:
     distinct level.  A FAIL names the first sample whose error exceeds its
     tolerance.  The check is of degree 2 in x: a run beyond 2^480 is checked
     at the exact scale 2^-e that brings its largest entry below 2^480, and
-    its magnitudes read 4^e times larger, inf past the largest double."""
+    its magnitudes read 4^e times larger, inf past the largest double.  It
+    reads one contiguous copy of the states, and |B^T x|^2 and V are
+    simcore's column sums."""
     B = as_matrix(B)
-    e = max(0, math.frexp(np.max(np.abs(traj.states), initial=0.0))[1] - 480)
-    x = np.ldexp(traj.states, -e) if e else traj.states
+    x = np.ascontiguousarray(traj.states)
+    e = max(0, math.frexp(np.max(np.abs(x), initial=0.0))[1] - 480)
+    x = np.ldexp(x, -e) if e else x
     V = _energy(x)
-    dV = np.diff(V)
-    slack = _ENERGY_SLACK * V[:-1] + 1e-300
-    mono_viol = int(np.sum(dV > slack))
-    worst_mono = float(np.max(dV - slack)) if len(dV) else 0.0
+    # dV > slack exactly where dV - slack > 0: a difference of doubles is
+    # zero only between equal ones
+    rise = np.diff(V) - (_ENERGY_SLACK * V[:-1] + 1e-300)
+    mono_viol = int(np.count_nonzero(rise > 0.0))
+    worst_mono = float(rise.max()) if len(rise) else 0.0
 
-    bn2 = np.sum((x @ B) ** 2, axis=1)
+    bn2 = _sum_squares(x @ B)
     a = traj.seg_alpha
     t = traj.times
     h1, h2 = t[1:-1] - t[:-2], t[2:] - t[1:-1]
@@ -303,26 +307,24 @@ def estimate_eta(A, B, cls: PeClass, battery) -> Certificate:
 # cone machinery (double integrator, base-gain coordinates)
 # ---------------------------------------------------------------------------
 
-def _runs(mask) -> list:
-    """(first, last) sample indices of every maximal run of True in mask."""
-    edges = np.flatnonzero(np.diff(np.concatenate(([0], mask, [0]))))
-    return list(zip(edges[::2].tolist(), (edges[1::2] - 1).tolist()))
-
-
 def _stays(inside: np.ndarray, min_steps: int) -> tuple:
     """(idx, lens) of every maximal run of True along the rows of inside
     (m, N) that lasts at least min_steps steps: the flat sample indices of
-    those stays, concatenated row by row, and the length of each."""
+    those stays, concatenated row by row, and the length of each.  The
+    rows are laid end to end, each behind one False and the last followed
+    by one, and the changes of that line are the runs' ends."""
     m, N = inside.shape
-    pad = np.zeros((m, N + 1), dtype=bool)
-    pad[:, :N] = inside
-    ends = np.array(_runs(pad.ravel()), dtype=int).reshape(-1, 2)
-    # flat index in the padded rows, less one pad per row before it
+    pad = np.zeros(m * (N + 1) + 1, dtype=bool)
+    pad[:-1].reshape(m, N + 1)[:, 1:] = inside
+    # a run's first sample and the one past its last, less one pad per row
+    # up to and including its own
+    ends = np.flatnonzero(pad[:-1] != pad[1:])
     ends -= ends // (N + 1)
-    ends = ends[ends[:, 1] - ends[:, 0] >= min_steps]
-    lens = ends[:, 1] - ends[:, 0] + 1
+    first, lens = ends[::2], ends[1::2] - ends[::2]
+    keep = lens > min_steps
+    first, lens = first[keep], lens[keep]
     starts = np.cumsum(lens) - lens
-    return np.arange(lens.sum()) + np.repeat(ends[:, 0] - starts, lens), lens
+    return np.arange(lens.sum()) + np.repeat(first - starts, lens), lens
 
 
 def _stay_samples(runs, min_steps: int, sample) -> tuple:
@@ -330,16 +332,18 @@ def _stay_samples(runs, min_steps: int, sample) -> tuple:
     min_steps steps in a set, over a battery's runs, and the length of
     each stay.  A member's runs share one time grid array and are taken
     together: sample(run, x1, x2) gets its first run and the state
-    components (m, N) of all its runs, one run per row, and returns the
-    set's mask (m, N) and the per-sample arrays to keep, each (m, N), or
-    (N,) on the shared grid."""
+    components of all its runs, each a contiguous (m, N) array with one
+    run per row, and returns the set's mask (m, N) and the per-sample
+    arrays to keep, each (m, N), or (N,) on the shared grid, which is read
+    at the stays' sample indices modulo N."""
     parts, lens = [], [np.zeros(0, dtype=int)]
     for _, group in itertools.groupby(runs, key=lambda tr: id(tr.times)):
         group = list(group)
-        x = np.array([tr.states for tr in group])
-        inside, arrays = sample(group[0], x[:, :, 0], x[:, :, 1])
+        x1 = np.array([tr.states[:, 0] for tr in group])
+        x2 = np.array([tr.states[:, 1] for tr in group])
+        inside, arrays = sample(group[0], x1, x2)
         idx, n = _stays(inside, min_steps)
-        parts.append([np.broadcast_to(a, inside.shape).ravel()[idx]
+        parts.append([a[idx % len(a)] if a.ndim == 1 else a.ravel()[idx]
                       for a in arrays])
         lens.append(n)
     return [np.concatenate(a) for a in zip(*parts)], np.concatenate(lens)
@@ -420,7 +424,7 @@ def f_monotone_battery(cls: PeClass, rho: float, k: float, lam: float,
     geom = cone_geometry(rho, k, cls.ratio)
 
     def sample(tr, x1, x2):
-        _, theta = _polar(tr.loop, tr.times, tr.seg_alpha, x1, x2)
+        theta = _polar(tr.loop, tr.times, tr.seg_alpha, x1, x2)
         return (geom.cs_quadratic(x1, x2) >= 0.0,
                 (theta, _ahead(tr.times, cls.T / lam)))
 
@@ -480,9 +484,9 @@ def _quadrant_rises(x1: np.ndarray, x2: np.ndarray, lens: np.ndarray,
     stays of lengths lens concatenated: within a stay V must not rise by
     more than _ENERGY_SLACK of itself per step."""
     V = x1 ** 2 + 2.0 * x2 ** 2 / (rho * k * k)
-    dV = _in_stays(np.diff(V), lens)
-    slack = _ENERGY_SLACK * _in_stays(V[:-1], lens) + 1e-300
-    return int(np.sum(dV > slack)), float(np.max(dV - slack))
+    # dV > slack exactly where dV - slack > 0, as in check_V_neutral
+    rise = _in_stays(np.diff(V) - (_ENERGY_SLACK * V[:-1] + 1e-300), lens)
+    return int(np.count_nonzero(rise > 0.0)), float(rise.max())
 
 
 def check_quadrant_V(traj: Trajectory, rho: float, k: float) -> Certificate:
@@ -525,17 +529,16 @@ def quadrant_battery(cls: PeClass, rho: float, k: float, lam: float, battery,
         _ENERGY_SLACK, battery, notes)
 
 
-def _cs_decay(t: np.ndarray, x1: np.ndarray, x2: np.ndarray,
-              lens: np.ndarray, rho: float, k: float, cls: PeClass) -> tuple:
+def _cs_decay(t: np.ndarray, x1: np.ndarray, x2: np.ndarray, q: np.ndarray,
+              lens: np.ndarray, rho: float, k: float,
+              geom: ConeGeometry) -> tuple:
     """(w_ok, measured, tol, gamma_hat, C2_hat) of the central-cone decay
-    check over stays of lengths lens concatenated, sampled at times t.
-    w_ok tells whether every sample keeps w within its bounds widened by
-    tol, and measured holds w_min, w_max and the bounds; every stay of at
-    least ten samples gets a decay rate gamma_hat from the line fit of
-    log|x2| over its own elapsed time, and the envelope constant C2_hat of
-    that rate."""
-    geom = cone_geometry(rho, k, cls.ratio)
-    q = geom.cs_quadratic(x1, x2)
+    check over stays of lengths lens concatenated, sampled at times t, with
+    q geom's cone quadratic of the samples.  w_ok tells whether every sample
+    keeps w within its bounds widened by tol, and measured holds w_min,
+    w_max and the bounds; every stay of at least ten samples gets a decay
+    rate gamma_hat from the line fit of log|x2| over its own elapsed time,
+    and the envelope constant C2_hat of that rate."""
     r2 = x1 * x1 + x2 * x2
     if np.any(q > 1e-9 * r2):
         raise PreconditionError("segment leaves the central cone")
@@ -545,8 +548,10 @@ def _cs_decay(t: np.ndarray, x1: np.ndarray, x2: np.ndarray,
     lo = 1.0 + 0.5 * rho * k / geom.xi_s_minus
     hi = 1.0 + 0.5 * rho * k / geom.xi_s_plus
     tol = 1e-9 * max(1.0, abs(lo), abs(hi))
-    w_ok = bool(np.all(w >= lo - tol) and np.all(w <= hi + tol))
-    measured = {"w_min": float(np.min(w)), "w_max": float(np.max(w)),
+    # a nan in w reads as both extremes and fails both bounds
+    w_min, w_max = float(np.min(w)), float(np.max(w))
+    w_ok = w_min >= lo - tol and w_max <= hi + tol
+    measured = {"w_min": w_min, "w_max": w_max,
                 "w_lower_bound": lo, "w_upper_bound": hi}
     fit = lens >= 10
     if not fit.any():
@@ -571,9 +576,11 @@ def check_cs_decay(traj: Trajectory, rho: float, k: float,
     of log|x2| by least squares in closed form (_line_fits) and report the
     envelope constant of that rate.  The check is cs_decay_battery's on one
     stay, the whole trajectory."""
+    geom = cone_geometry(rho, k, cls.ratio)
+    x1, x2 = traj.states[:, 0], traj.states[:, 1]
     w_ok, measured, tol, gamma_hat, c2_hat = _cs_decay(
-        traj.times, traj.states[:, 0], traj.states[:, 1],
-        np.array([len(traj.times)]), rho, k, cls)
+        traj.times, x1, x2, geom.cs_quadratic(x1, x2),
+        np.array([len(traj.times)]), rho, k, geom)
     if len(gamma_hat):
         measured["gamma_hat"] = float(gamma_hat[0])
         measured["C2_hat"] = float(c2_hat[0])
@@ -588,16 +595,19 @@ def cs_decay_battery(cls: PeClass, rho: float, k: float, lam: float, battery,
     reduces and fits the stays of all runs at once."""
     runs = di_runs(cls, rho, k, lam, battery, x0_columns, horizon)
     geom = cone_geometry(rho, k, cls.ratio)
-    arrays, lens = _stay_samples(
-        runs, 3, lambda tr, x1, x2: (geom.cs_quadratic(x1, x2) <= 0.0,
-                                     (tr.times, x1, x2)))
+
+    def sample(tr, x1, x2):
+        q = geom.cs_quadratic(x1, x2)
+        return q <= 0.0, (tr.times, x1, x2, q)
+
+    arrays, lens = _stay_samples(runs, 3, sample)
     if not len(lens):
         return _battery_certificate(
             "central_cone_decay_battery", False, {"stays_checked": 0}, None,
             battery,
             ["vacuous: no run stayed in the central cone for four samples"])
     w_ok, measured, _, gamma_hat, c2_hat = _cs_decay(*arrays, lens, rho, k,
-                                                     cls)
+                                                     geom)
     return _battery_certificate(
         "central_cone_decay_battery", w_ok,
         {"stays_checked": len(lens), "w_min": measured["w_min"],
@@ -727,9 +737,10 @@ def chain_contraction(traj: Trajectory, k: float) -> Certificate:
         measured["gamma_star_hat"] = gamma
         measured["worst_halving_ratio"] = max(ratios)
         g_env = max(gamma, 0.0) if math.isfinite(gamma) else 0.0
-    t0 = traj.times[0]
     nrm = traj.norms()
-    env = nrm / nrm[0] * np.exp(k * g_env * (traj.times - t0))
+    env = nrm / nrm[0]
+    if g_env:
+        env *= np.exp(k * g_env * (traj.times - traj.times[0]))
     measured["C3_sq_hat"] = float(np.max(env))
     passed = not ratios or gamma > 0.0
     return Certificate("axis_chain_contraction", passed, measured,

@@ -520,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("destabilize", help="sector-feedback growth demo")
     common(p, scenario=False)
     tol_option(p, "absolute tolerance of nu_hat, the log-log ITP root of "
-               "xi(nu) = 1 (1e-10)")
+               "xi(nu) = 1, or 1e-8 relative where tighter (1e-10)")
     p.add_argument("--k1", type=float, required=True)
     p.add_argument("--k2", type=float, required=True)
     p.add_argument("--T", type=float, required=True)

@@ -69,31 +69,48 @@ _NORM_FLOOR = 1e-300
 _UNIT_PIECES = 40
 
 
+def _sum_squares(x: np.ndarray) -> np.ndarray:
+    """The sum of squares of the rows of x, bit for bit np.sum(x ** 2,
+    axis=1), in one pass over each column.  Up to 7 columns numpy adds the
+    squares in column order in every memory layout, and so does the column
+    sum; wider rows it sums pairwise or in order by layout, so they take
+    numpy's own reduce."""
+    if not 0 < x.shape[1] < 8:
+        return np.add.reduce(x * x, axis=1)
+    s = x[:, 0] * x[:, 0]
+    for j in range(1, x.shape[1]):
+        s += x[:, j] * x[:, j]
+    return s
+
+
 def _row_norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norms of the rows of x.  np.linalg.norm squares the
-    entries, so a nonzero row can read 0 (below about 1e-154) and a finite
-    row inf (above about 1.3e154); rows that read below 1e-150 or at least
-    1e150 are measured again divided by their largest entry (a zero row by
-    the least subnormal), and every other row, and every row with an
-    infinite entry, keeps its bits."""
+    """Euclidean norms of the rows of x: the square roots of _sum_squares,
+    so np.linalg.norm(x, axis=1) bit for bit wherever that reads right.
+    The squares of a nonzero row can read 0 (below about 1e-154) and those
+    of a finite row inf (above about 1.3e154); rows that read below 1e-150
+    or at least 1e150 are measured again divided by their largest entry (a
+    zero row by the least subnormal), and every other row, and every row
+    with an infinite entry, keeps its bits."""
     with np.errstate(over="ignore"):
-        nrm = np.linalg.norm(x, axis=1)
+        nrm = np.sqrt(_sum_squares(x))
         odd = np.flatnonzero((nrm < 1e-150) | (nrm >= 1e150))
         if odd.size:
             scale = np.maximum(np.abs(x[odd]).max(axis=1), 5e-324)
             odd, scale = odd[scale < math.inf], scale[scale < math.inf]
-            nrm[odd] = scale * np.linalg.norm(x[odd] / scale[:, np.newaxis],
-                                              axis=1)
+            nrm[odd] = scale * np.sqrt(_sum_squares(x[odd]
+                                                    / scale[:, np.newaxis]))
     return nrm
 
 
 def _energy(x: np.ndarray) -> np.ndarray:
-    """V = |x|^2/2 of the rows of x; a row whose sum of squares overflows
-    is measured again from _row_norms, every other row keeps its bits."""
+    """V = |x|^2/2 of the rows of x: half of _sum_squares, so 0.5 *
+    np.sum(x ** 2, axis=1) bit for bit, except that a row whose sum of
+    squares overflows is measured again from _row_norms."""
     with np.errstate(over="ignore"):
-        V = 0.5 * np.sum(x ** 2, axis=1)
+        V = 0.5 * _sum_squares(x)
         odd = V == math.inf
-        V[odd] = (math.sqrt(0.5) * _row_norms(x[odd])) ** 2
+        if odd.any():
+            V[odd] = (math.sqrt(0.5) * _row_norms(x[odd])) ** 2
     return V
 
 
@@ -383,14 +400,19 @@ def _flow(matrix, levels: np.ndarray, cuts: np.ndarray, widths: np.ndarray,
                     or (first[b + Q:e + 1] - first[b:e + 1 - Q] != J).any() \
                     or (nsub[b + Q:e] != nsub[b:e - Q]).any():
                 b = Q = e = 0
-        u0 = int(first[b])
-        keep = np.r_[:b + Q, e:len(steps)] if Q else slice(None)
-        pw = widths[keep]
-        pw[b:b + Q] = np.add.reduceat(period.widths[:u0 + J], first[b:b + Q])
+        lv, pw, ns = levels, widths, nsub
+        if Q:
+            # the unit's pieces over the breakpoints' own widths, and no
+            # piece of its repeats
+            u0 = int(first[b])
+            keep = np.r_[:b + Q, e:len(steps)]
+            lv, pw, ns = levels[keep], widths[keep], nsub[keep]
+            pw[b:b + Q] = np.add.reduceat(period.widths[:u0 + J],
+                                          first[b:b + Q])
         key, _, tables = _keyed_tables(
-            matrix, np.append(levels[keep], period.levels[own]),
+            matrix, np.append(lv, period.levels[own]),
             np.append(pw, period.widths[own]),
-            np.append(nsub[keep], np.ones(len(own), int)))
+            np.append(ns, np.ones(len(own), int)))
         phis = np.array([t[0] for t in tables])
         sub = np.asarray(key[len(pw):])[index]
         ends = _chain(phis[sub], x0, J, period.head,
@@ -796,30 +818,38 @@ def polar_lift(traj: Trajectory) -> Trajectory:
     raised instead of an unwrap that may alias.  Below it every wrapped
     difference lies within a quarter turn of a whole number, so the summed
     turns are those of a sample-by-sample nearest-branch recursion and
-    theta equals its floats exactly.  The lift is _polar's, which unwraps
+    theta equals its floats exactly.  theta is _polar's, which unwraps
     every run of a batch that shares the grid in one array pass and takes
-    the swing bound once.
+    the swing bound once; r is np.hypot of the state.
     """
     if traj.n != 2:
         raise ShapeError("polar lift requires a planar trajectory")
-    r, theta = _polar(traj.loop, traj.times, traj.seg_alpha,
-                      traj.states[:, 0], traj.states[:, 1])
-    return traj.with_channels(r=r, theta=theta)
+    x1, x2 = traj.states[:, 0], traj.states[:, 1]
+    theta = _polar(traj.loop, traj.times, traj.seg_alpha, x1, x2)
+    return traj.with_channels(r=np.hypot(x1, x2), theta=theta)
 
 
 def _polar(loop: ClosedLoop, times: np.ndarray, seg_alpha: np.ndarray,
-           x1: np.ndarray, x2: np.ndarray) -> tuple:
-    """(r, theta) of the planar samples (x1, x2) of runs of loop on the
-    grid times, along the last axis, one run per row: polar_lift's lift."""
+           x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+    """theta of the planar samples (x1, x2) of runs of loop on the grid
+    times, along the last axis, one run per row: polar_lift's lift.  The
+    swing bound takes one batched 2-norm of the level matrices and each
+    level's longest step.  A sample of norm below _NORM_FLOOR has no
+    direction (DegenerateStateError); one with max(|x1|, |x2|) at least
+    the floor has norm at least the floor, so only the others are
+    measured."""
     steps = np.diff(times)
-    for a in np.unique(seg_alpha):
-        h = steps[seg_alpha == a].max()
-        if np.linalg.norm(loop.matrix(a), 2) * h >= 0.5 * np.pi:
-            raise DegenerateStateError(
-                f"step {h:g} at alpha={a:g} can swing the angle by pi/2 or "
-                "more; propagate with a smaller max_step")
-    r = np.hypot(x1, x2)
-    if np.any(r < _NORM_FLOOR):
+    levels = np.unique(seg_alpha).tolist()
+    h = np.array([steps[seg_alpha == a].max() for a in levels])
+    mats = np.reshape([loop.matrix(a) for a in levels], (-1, loop.n, loop.n))
+    bad = np.flatnonzero(np.linalg.norm(mats, 2, axis=(1, 2)) * h
+                         >= 0.5 * np.pi)
+    if bad.size:
+        raise DegenerateStateError(
+            f"step {h[bad[0]]:g} at alpha={levels[bad[0]]:g} can swing the "
+            "angle by pi/2 or more; propagate with a smaller max_step")
+    small = np.maximum(np.abs(x1), np.abs(x2)) < _NORM_FLOOR
+    if small.any() and np.any(np.hypot(x1[small], x2[small]) < _NORM_FLOOR):
         raise DegenerateStateError("zero state has no direction")
     base = np.arctan2(x2, x1)
     two_pi = 2.0 * np.pi
@@ -831,7 +861,7 @@ def _polar(loop: ClosedLoop, times: np.ndarray, seg_alpha: np.ndarray,
     later = theta[..., 1:]
     later[(later == 0.0) & np.signbit(base[..., 1:])
           & (theta[..., :-1] < 0.0)] = -0.0
-    return r, theta
+    return theta
 
 
 def fmap_F(theta, k: float):

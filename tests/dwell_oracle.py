@@ -13,13 +13,19 @@ import math
 
 import numpy as np
 
-from pestab.certify import Certificate, _battery_certificate, _runs, di_runs
+from pestab.certify import Certificate, _battery_certificate, di_runs
 from pestab.gains import ConeGeometry, cone_geometry
 from pestab.signals import PeClass
 from pestab.simcore import Trajectory, crossing_time
 
 # dwell_scaling: the doubled-gain dwell over the base dwell, 1/2 plus 10%
 _DWELL_RATIO_BOUND = 0.55
+
+
+def _runs(mask) -> list:
+    """(first, last) sample indices of every maximal run of True in mask."""
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], mask, [0]))))
+    return list(zip(edges[::2].tolist(), (edges[1::2] - 1).tolist()))
 
 
 def c12_sojourns(traj: Trajectory, geom: ConeGeometry) -> list:

@@ -25,10 +25,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from dwell_oracle import dwell_scaling, dwell_times
+from dwell_oracle import _runs, dwell_scaling, dwell_times
 from pestab import certify
-from pestab.certify import (Certificate, _runs, c_rho_closed_form,
+from pestab.certify import (Certificate, c_rho_closed_form,
                             chain_contraction, check_cs_decay,
                             check_F_monotone, check_quadrant_V, di_runs,
                             unit_circle_grid)
@@ -102,7 +103,7 @@ def ref_cs_decay_battery(cls, rho, k, lam, battery, x0_columns, horizon):
     n_checked = 0
     for tr in runs:
         q = geom.cs_quadratic(tr.states[:, 0], tr.states[:, 1])
-        for i0, i1 in certify._runs(q <= 0.0):
+        for i0, i1 in _runs(q <= 0.0):
             if i1 - i0 < 3:
                 continue
             cert = check_cs_decay(tr.window(i0, i1), rho, k, cls)
@@ -128,7 +129,7 @@ def ref_quadrant_battery(cls, rho, k, lam, battery, x0_columns, horizon):
     n_checked = 0
     for tr in runs:
         x1, x2 = tr.states[:, 0], tr.states[:, 1]
-        for i0, i1 in certify._runs((x1 <= 0.0) & (x2 >= 0.0)):
+        for i0, i1 in _runs((x1 <= 0.0) & (x2 >= 0.0)):
             if i1 > i0:
                 cert = check_quadrant_V(tr.window(i0, i1), rho, k)
                 viol += int(cert.measured.get("violations", 0))
@@ -375,6 +376,43 @@ def test_stays_keep_runs_of_at_least_min_steps():
     assert stays(1) == [(0, 2, 3), (0, 5, 7), (1, 0, 3)]
     assert stays(2) == [(0, 5, 7), (1, 0, 3)]
     assert stays(3) == [(1, 0, 3)]
+
+
+def ref_stays(inside, min_steps):
+    """_stays by _runs, row by row: the flat sample indices and the length
+    of each run of True that lasts at least min_steps steps."""
+    N = inside.shape[1]
+    idx, lens = [], []
+    for r, row in enumerate(inside):
+        for i0, i1 in _runs(row):
+            if i1 - i0 >= min_steps:
+                idx += range(r * N + i0, r * N + i1 + 1)
+                lens.append(i1 - i0 + 1)
+    return idx, lens
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 9).flatmap(lambda N: st.lists(
+           st.lists(st.booleans(), min_size=N, max_size=N),
+           min_size=1, max_size=4)),
+       st.integers(1, 3))
+# all-True and all-False rows
+@example([[True] * 6, [False] * 6, [True] * 6], 1)
+@example([[True] * 4, [False] * 4], 3)
+@example([[True] * 3, [True] * 3], 3)
+# stays touching both row ends, and runs that meet across a row boundary
+@example([[True, True, False, True, True], [True, False, False, False, True]],
+         1)
+@example([[False, True, True], [True, True, False]], 1)
+@example([[False, True, True, True], [True, True, True, False]], 2)
+# one sample per row: no step
+@example([[True], [True]], 1)
+def test_stays_match_runs_row_by_row(rows, min_steps):
+    inside = np.array(rows, dtype=bool)
+    idx, lens = certify._stays(inside, min_steps)
+    want_idx, want_lens = ref_stays(inside, min_steps)
+    assert idx.tolist() == want_idx
+    assert lens.tolist() == want_lens
 
 
 def _wedge_start():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import dwell_oracle
-from dwell_oracle import dwell_times
+from dwell_oracle import _runs, dwell_times
 from kl_oracle import envelope_holds, kl_envelope
 from pestab import certify, simcore
 from pestab.adversary import tune
@@ -83,7 +83,7 @@ class TestLineFit:
         ts, ys, want = [], [], []
         for tr in runs:
             x1, x2 = tr.states[:, 0], tr.states[:, 1]
-            for i0, i1 in certify._runs(geom.cs_quadratic(x1, x2) <= 0.0):
+            for i0, i1 in _runs(geom.cs_quadratic(x1, x2) <= 0.0):
                 if i1 - i0 >= 9:
                     ts.append(tr.times[i0:i1 + 1] - tr.times[i0])
                     ys.append(np.log(np.abs(x2[i0:i1 + 1])))

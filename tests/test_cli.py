@@ -680,14 +680,38 @@ class TestDestabilize:
         assert "Hurwitz" in capsys.readouterr().err
 
     def test_threshold_below_the_search_floor_exits_1(self, tmp_path, capsys):
-        # nu_hat is about 3.3e-13 here, below the search floor; this read
-        # "this should not happen for positive gain entries"
-        rc = main(["destabilize", "--k1", "1e-12", "--k2", "1", "--T", "1",
-                   "--mu", "0.03", "--out-dir", str(tmp_path / "o")])
+        # the floor is 1e-3 k1/k2^2, here the subnormal 1e-323, where nu k1
+        # underflows; this read "this should not happen for positive gain
+        # entries"
+        rc = main(["destabilize", "--k1", "1e-300", "--k2", "1e10", "--T",
+                   "1", "--mu", "0.03", "--out-dir", str(tmp_path / "o")])
         assert rc == 1
         err = capsys.readouterr().err
-        assert "search floor 1e-12" in err and "k1/k2^2 = 1e-12" in err
+        assert "search floor 9.88e-324" in err and "k1/k2^2 = 1e-320" in err
         assert "should not happen" not in err
+
+    def test_threshold_below_1e_12_answers(self, tmp_path):
+        # nu_hat is about 3.3e-13 here, below the search's old fixed floor
+        # 1e-12, which exited 1
+        out = tmp_path / "o"
+        rc = main(["destabilize", "--k1", "1e-12", "--k2", "1", "--T", "1",
+                   "--mu", "0.03", "--out-dir", str(out)])
+        assert rc == 0
+        rep = json.loads((out / "destabilizer.json").read_text())
+        assert rep["nu_hat"] == pytest.approx(3.2843e-13, rel=1e-4)
+        assert rep["ratio_exceeds_nu"] is True
+
+    def test_small_threshold_destabilizes_below_it(self, tmp_path, capsys):
+        # nu_hat = 3.284e-10: an absolute stop at 1e-10 returned 2.669e-10,
+        # so mu/T = 3e-10 was warned off though its run grows
+        out = tmp_path / "o"
+        rc = main(["destabilize", "--k1", "1e-9", "--k2", "1", "--T", "1",
+                   "--mu", "3e-10", "--out-dir", str(out)])
+        assert rc == 0
+        rep = json.loads((out / "destabilizer.json").read_text())
+        assert rep["ratio_exceeds_nu"] is False
+        assert rep["growth_per_rev"] > 1.0
+        assert "warning" not in capsys.readouterr().out
 
 
 class TestSweep:

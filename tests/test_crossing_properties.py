@@ -5,13 +5,16 @@ Random 2x2 flows (rotating, real-eigenvalue, defective) meet a line c . x
 = 0 through the origin that the flow crosses at a chosen time inside the
 interval.  The interval is short enough that this crossing is the only
 one, so the bisection and the ITP search that crossing_time ran before,
-kept here inline on `scipy.linalg.expm`, must agree with the closed form
-to their 1e-12 tolerance.  The dense output used to check signs and
-residuals is an independent `scipy.linalg.expm`.  Finding a crossing takes
+kept here inline, must agree with the closed form to their 1e-12
+tolerance: the bisection on `scipy.linalg.expm`, the ITP search on c . x
+summed exactly, whose final bracket the closed form must meet to a few
+ulps.  The dense output used to check signs and residuals is an
+independent `scipy.linalg.expm`.  Finding a crossing takes
 no exponential; find_nu and run_destabilizer take one per crossing for its
 state.
 """
 
+import decimal
 import math
 import warnings
 from unittest import mock
@@ -60,14 +63,37 @@ def reference_crossing_time(case):
     return 0.5 * (lo + hi)
 
 
+def exact_value_at(case, t):
+    """c . x(t), t clamped to the interval, rounded once from the Taylor
+    series of e^{(t - t_lo) m} x_lo summed in 50-digit decimal arithmetic on
+    the exact values of the doubles.  Near the root the oracle's dense
+    output can read the wrong sign: its rounding, of order eps |c| |x|,
+    exceeds the functional there."""
+    m, x_lo, t_lo, t_hi, c = case
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        D = decimal.Decimal
+        s = D(min(max(t, t_lo), t_hi)) - D(t_lo)
+        M = [[D(v) for v in row] for row in m.tolist()]
+        term = [D(v) for v in x_lo.tolist()]
+        total = list(term)
+        k = 0
+        while k < 20 or max(abs(v) for v in term) > D(10) ** -60:
+            k += 1
+            term = [s * (M[i][0] * term[0] + M[i][1] * term[1]) / k
+                    for i in range(2)]
+            total = [a + b for a, b in zip(total, term)]
+        return float(D(c[0]) * total[0] + D(c[1]) * total[1])
+
+
 def reference_itp_bracket(case):
     """The final bracket (t_lo + lo, t_lo + hi) of the ITP search that
     crossing_time ran before the closed form, inline: kappa1 = 0.02 / span
-    and the truncation floored at 0.45 tol, on the oracle's dense output;
-    an evaluation that is exactly zero at t gives (t, t)."""
+    and the truncation floored at 0.45 tol, on exact_value_at, whose signs
+    are exact; an evaluation that is exactly zero at t gives (t, t)."""
     m, x_lo, t_lo, t_hi, c = case
     span = t_hi - t_lo
-    f_lo, f_hi = value_at(case, t_lo), value_at(case, t_hi)
+    f_lo, f_hi = exact_value_at(case, t_lo), exact_value_at(case, t_hi)
     tol = _SEARCH_REL_TOL * span
     n_bis = math.ceil(-math.log2(_SEARCH_REL_TOL))
     lo, hi = 0.0, span
@@ -83,7 +109,7 @@ def reference_itp_bracket(case):
         s = s_t if abs(s_t - mid) <= r else mid - sigma * r
         if not lo < s < hi:
             s = mid
-        f = value_at(case, t_lo + s)
+        f = exact_value_at(case, t_lo + s)
         if f == 0.0:
             return t_lo + s, t_lo + s
         if (f > 0.0) == (f_lo > 0.0):
@@ -401,9 +427,22 @@ def midpoint_root_case():
     return (m, x_lo, 0.0, 0.2, np.array([-x_root[1], x_root[0]])), 0.1
 
 
+def sign_flip_case():
+    """A flow whose line is drawn through the oracle's state at the
+    midpoint of [0, 0.63]: there the oracle's dense output reads c . x =
+    +6.2e-17 where the exact value is -6.9e-17, so a search on it ends 4.7
+    ulps past the exact root of these doubles, 0.31622776601683762656
+    (60-digit arithmetic), which the closed form meets within 0.33 ulp."""
+    m = np.array([[0.779296875, 1.0], [-0.048709869384765625, 1.220703125]])
+    x_lo = np.array([0.8288484876093257, 0.5594731312473669])
+    c = np.array([-0.8036196077273532, 1.3004947444381738])
+    return (m, x_lo, 0.0, 0.6324555320336759, c), 0.31622776601683794
+
+
 @PROPERTY
 @given(crossings())
 @example(midpoint_root_case())
+@example(sign_flip_case())
 def test_returns_midpoint_of_final_bracket(drawn):
     # no bracket is searched any more: the closed-form time lies inside the
     # final bracket of the ITP search it replaced, widened by the rounding

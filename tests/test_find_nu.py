@@ -130,18 +130,62 @@ def test_tol_below_float_spacing_ends(tol):
 
 
 def test_large_tol_returns_the_floor():
-    # the bracket [1e-12, 1] is already narrower than tol
-    nu, evals = counted_find_nu(gain(1.0, 1.0), 2.0)
-    assert nu == pytest.approx(1e-12, rel=1e-15)
-    assert evals == 2
+    # the bracket [floor, 1] is already narrower than tol = 2 in nu, which
+    # returned the floor; the stop's relative term now keeps eight digits
+    # of nu_hat, about 0.3284 k1/k2^2 at a small k1/k2^2
+    K = gain(1e-9, 1.0)
+    nu, evals = counted_find_nu(K, 2.0)
+    assert nu == pytest.approx(0.32842753 * 1e-9, rel=1e-7)
+    xi = xi_of(K)
+    assert xi(nu) > 1.0 >= xi(nu * (1.0 + 1e-8))
+    assert evals <= 37
 
 
 @pytest.mark.parametrize("k1", [1e-12, 1e-13])
 def test_threshold_below_the_search_floor_is_an_exhausted_search(k1):
-    # nu_hat is about 0.33 k1/k2^2, below the floor 1e-12 here: the search
-    # is exhausted, which is no broken invariant
+    # nu_hat is about 0.33 k1/k2^2, below the fixed floor 1e-12 that the
+    # search once had and exhausted here; the floor is now 1e-3 k1/k2^2,
+    # and nu_hat comes back to eight digits
     K = gain(k1, 1.0)
+    nu = find_nu(K)
+    assert nu == pytest.approx(0.32842754 * k1, rel=1e-7)
+    xi = xi_of(K)
+    assert xi(nu) > 1.0 >= xi(nu * (1.0 + 1e-8))
+
+
+@pytest.mark.parametrize("k1", [1e-9, 1e-10, 1e-11])
+def test_small_threshold_keeps_its_digits(k1):
+    # an absolute stop at 1e-10 returned 2.669e-10, 3.162e-11 and the
+    # floor 1e-12 here; a tol far below nu_hat gives 3.284e-10, 3.284e-11
+    # and 3.284e-12
+    K = gain(k1, 1.0)
+    nu = find_nu(K)
+    assert abs(nu - find_nu(K, 1e-20)) <= 1e-8 * nu
+    xi = xi_of(K)
+    assert xi(nu) > 1.0 >= xi(nu * (1.0 + 1e-8))
+
+
+def test_threshold_below_the_least_floor_is_an_exhausted_search():
+    # k1/k2^2 = 1e-320 puts the floor at the subnormal 1e-323, where
+    # nu k1 underflows and xi(floor) <= 1: an exhausted search, which is
+    # no broken invariant
     with pytest.raises(SimulationError,
-                       match=r"search floor 1e-12: k1/k2\^2 = 1e-1[23]"):
-        find_nu(K)
-    assert xi_of(K)(1e-12) <= 1.0
+                       match=r"search floor 9\.88e-324: k1/k2\^2 = 1e-320"):
+        find_nu(gain(1e-300, 1e10))
+
+
+def test_moderate_gains_keep_the_fixed_floor_and_the_absolute_stop():
+    # from k1/k2^2 = 1e-9 up the floor is 1e-12, as the search had it, and
+    # above nu = tol / 1e-8 = 0.01 its stop is absolute, so the benchmark
+    # gains' nu_hat is unchanged
+    for k1, k2 in BENCH_GAINS:
+        with mock.patch.object(adversary, "_itp",
+                               wraps=adversary._itp) as itp:
+            assert find_nu(gain(k1, k2), 1e-10) > 0.08
+        args = itp.call_args.args
+        assert args[1] == math.log(1e-12)
+        done, width = args[7], args[8]
+        lo = math.log(0.01)
+        assert done(lo, math.log(0.01 + 0.99e-10))
+        assert not done(lo, math.log(0.01 + 1.01e-10))
+        assert width(lo) == math.log1p(1e-10 * math.exp(-lo))

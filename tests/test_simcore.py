@@ -386,6 +386,28 @@ class TestPolarLift:
         with pytest.raises(DegenerateStateError):
             polar_lift(tr)
 
+    @pytest.mark.parametrize("ulps", [-2, -1, 0, 1, 2])
+    @pytest.mark.parametrize("angle", [0.0, 0.3, math.pi / 4.0, 2.0])
+    def test_refusal_at_the_norm_floor(self, angle, ulps):
+        # a sample is refused exactly where its hypot reads below 1e-300,
+        # though only the samples with both entries below 1e-300 are
+        # measured; on the axis that is r just below the floor
+        r = 1e-300
+        for _ in range(abs(ulps)):
+            r = math.nextafter(r, math.copysign(math.inf, ulps))
+        x1, x2 = np.array([1.0, r * math.cos(angle)]), \
+            np.array([0.0, r * math.sin(angle)])
+        below = np.hypot(x1[1], x2[1]) < 1e-300
+        if angle == 0.0:
+            assert below == (ulps < 0)
+        args = (di_loop(PwcSignal.constant(0.0)), np.array([0.0, 1e-3]),
+                np.array([0.0]), x1, x2)
+        if below:
+            with pytest.raises(DegenerateStateError, match="no direction"):
+                simcore._polar(*args)
+        else:
+            assert simcore._polar(*args)[1] == np.arctan2(x2[1], x1[1])
+
 
 class TestFmap:
     def test_branch_values(self):
@@ -535,6 +557,81 @@ class TestRowNorms:
         for rate in (simcore._end_rate(loop, [[1.0]], 400.0),
                      fitted_rate(runs, 400.0)):
             assert rate == pytest.approx(-1.0, rel=1e-12)
+
+
+def ref_row_norms(x):
+    """_row_norms by its definition on np.linalg.norm: a row that reads
+    below 1e-150 or at least 1e150 is measured again divided by its
+    largest entry (a zero row by the least subnormal), unless that is
+    infinite."""
+    with np.errstate(over="ignore"):
+        nrm = np.linalg.norm(x, axis=1)
+        for i in np.flatnonzero((nrm < 1e-150) | (nrm >= 1e150)):
+            scale = max(np.abs(x[i]).max(), 5e-324)
+            if scale < math.inf:
+                nrm[i] = scale * np.linalg.norm(x[i:i + 1] / scale, axis=1)[0]
+    return nrm
+
+
+def ref_energy(x):
+    """_energy by its definition on np.sum: a row whose sum of squares
+    overflows is measured again from ref_row_norms."""
+    with np.errstate(over="ignore"):
+        V = 0.5 * np.sum(x ** 2, axis=1)
+        odd = V == math.inf
+        V[odd] = (math.sqrt(0.5) * ref_row_norms(x[odd])) ** 2
+    return V
+
+
+def row_layouts(n):
+    """Rows of n entries, every 9th scaled into the re-measure branches
+    near 1e-160 and 1e160, with zero, infinite and nan rows, as a C-order,
+    a Fortran-order and a strided array; and three runs of propagate_batch,
+    whose states are strided columns of one (N, n, 3) array, started at
+    1e-160, 1 and 1e160."""
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((3000, n)) * np.exp(rng.uniform(-30.0, 30.0,
+                                                            (3000, n)))
+    x[::9] *= 1e-160
+    x[4::9] *= 1e160
+    x[1], x[2], x[3] = 0.0, np.inf, np.nan
+    stack = np.zeros(x.shape + (3,))
+    stack[:, :, 1] = x
+    A = rng.standard_normal((n, n))
+    loop = ClosedLoop(A, np.ones((n, 1)), np.zeros((1, n)),
+                      PwcSignal.constant(1.0))
+    x0 = rng.standard_normal((n, 1)) * np.array([1e-160, 1.0, 1e160])
+    runs = [tr.states for tr in propagate_batch(loop, 0.0, x0, 1.0, 0.01)]
+    assert not runs[1].flags.c_contiguous
+    return [np.ascontiguousarray(x), np.asfortranarray(x), stack[:, :, 1]] \
+        + runs
+
+
+class TestColumnSums:
+    # up to 7 columns numpy sums the squares of a row in column order in
+    # every layout, and the column sum matches it; from 8 on it sums C-order
+    # and strided rows pairwise and Fortran rows in order, so _sum_squares
+    # takes numpy's own reduce there
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_norms_and_energies_match_numpy_bit_for_bit(self, n):
+        for x in row_layouts(n):
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = np.sum(x ** 2, axis=1)
+                assert simcore._sum_squares(x).tobytes() == want.tobytes()
+            assert simcore._row_norms(x).tobytes() == \
+                ref_row_norms(x).tobytes()
+            assert simcore._energy(x).tobytes() == ref_energy(x).tobytes()
+
+    def test_rows_of_the_re_measure_branches_are_exercised(self):
+        x = row_layouts(2)[0]
+        with np.errstate(over="ignore"):
+            plain = np.linalg.norm(x, axis=1)
+        nrm = simcore._row_norms(x)
+        # rows whose squares underflow to 0 and overflow to inf read finite
+        # nonzero norms
+        assert np.any((plain == 0.0) & (nrm > 0.0))
+        assert np.any((plain == math.inf) & (nrm < math.inf))
 
 
 class TestEnergy:
