@@ -19,7 +19,7 @@ from .errors import (DomainError, InternalConsistencyError, ShapeError,
                      SimulationError)
 from .certify import unit_circle_grid
 from .gains import A_DI, B_DI, di_gain
-from .matkit import as_matrix, expm
+from .matkit import _planar, as_matrix, expm
 from .signals import (PeClass, PwcSignal, _duty_floor, _random_duty,
                       make_duty, verify_pe)
 from .simcore import (ClosedLoop, Trajectory, _end_rate, _first_zero,
@@ -50,13 +50,12 @@ def _sweep_start(k1: float, k2: float) -> tuple:
 
 def _rotation_step(m: np.ndarray) -> float:
     """run_destabilizer's sample spacing on a phase of the flow m: 1/32 of
-    a half turn of a rotating flow, 0.05 / max |m_ij| otherwise."""
-    tr = m[0, 0] + m[1, 1]
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    disc = 0.25 * tr * tr - det
-    if disc < 0.0:
-        omega = math.sqrt(-disc)
-        return (math.pi / omega) / 32.0
+    a half turn, pi / w, of a flow that rotates by the crossings' own
+    reading (matkit._planar's delta = -w^2 < 0), 0.05 / max |m_ij|
+    otherwise."""
+    delta = _planar(*m.ravel().tolist())[3]
+    if delta < 0.0:
+        return (math.pi / math.sqrt(-delta)) / 32.0
     scale = max(abs(m).max(), 1e-12)
     return 0.05 / scale
 
@@ -137,6 +136,13 @@ def run_destabilizer(K, cls: PeClass,
             x = flow @ x
             if not np.isfinite(x).all():
                 raise SimulationError("the state overflows in revolution 1")
+            if not x.any():
+                # a flow that barely turns (delta just below 0) can reach
+                # the zero state before it crosses, and the zero state
+                # meets every line at once
+                raise SimulationError(
+                    "trajectory decays to the zero state and stops "
+                    "revolving; the sector feedback cannot destabilize here")
             if tc < _MIN_DWELL:
                 raise InternalConsistencyError(
                     "two sector crossings within 1e-12: chattering detected")

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (DomainError, InternalConsistencyError, NotNeutrallyStable,
                      ShapeError)
@@ -78,8 +77,10 @@ def neutral_decompose(A, B) -> NeutralDecomposition:
     of one QR of [Re V, Im V]^T, so P3 P3^T = G and P3^-1 R22 P3 is
     skew-symmetric.  A defective center has no eigenbasis: it is refused
     when P3, the matrix the construction inverts, has a singular value
-    ratio at or below _BASIS_TOL.
+    ratio at or below _BASIS_TOL.  scipy, for the Schur form, is imported
+    at the first call.
     """
+    import scipy.linalg
     A = as_matrix(A, square=True, name="A")
     B = as_matrix(B, name="B")
     axis_tol = 1e-10 * max(one_norm(A), 1.0)
@@ -107,8 +108,9 @@ def neutral_decompose(A, B) -> NeutralDecomposition:
             "imaginary-axis eigenvalues are not semisimple: eigenvector "
             f"basis singular value ratio {sv[-1] / sv[0]:.3g}")
     P3_inv = np.linalg.inv(P3)
-    S = scipy.linalg.block_diag(np.eye(n1), P3_inv) @ Z.T
-    S_inv = Z @ scipy.linalg.block_diag(np.eye(n1), P3)
+    # S = diag(I, P3^-1) Z^T and S^-1 = Z diag(I, P3)
+    S = np.vstack((Z.T[:n1], P3_inv @ Z.T[n1:]))
+    S_inv = np.hstack((Z[:, :n1], Z[:, n1:] @ P3))
     return NeutralDecomposition(S, S_inv, n1, R[:n1, :n1], R[:n1, n1:] @ P3,
                                 P3_inv @ R22 @ P3, (S @ B)[n1:])
 

@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (DegenerateStateError, DomainError, ShapeError)
-from .matkit import as_matrix, expm, one_norm
+from .matkit import _planar, _two_product, as_matrix, expm, one_norm
 from .signals import PwcSignal
 
 __all__ = [
@@ -61,8 +61,6 @@ _CSV_BLOCK = 512
 # e^700; the largest double is about e^709.78
 _END_LOG_CAP = 700.0
 _TINY = float(np.finfo(float).tiny)
-# 2^27 + 1: splits a double into two halves whose products are exact
-_SPLIT = 134217729.0
 # the least norm of a state with a direction (_polar) and a decay fit (cli)
 _NORM_FLOOR = 1e-300
 # the fewest pieces (repeated sub-pieces) worth a unit table (shared keys)
@@ -717,18 +715,6 @@ def _itp(g, lo: float, hi: float, g_lo: float, g_hi: float, n_max: int,
     return lo, hi
 
 
-def _two_product(a: float, b: float) -> tuple:
-    """(p, e) with p = a b rounded and p + e = a b exactly, by Veltkamp's
-    split (Dekker, Numer. Math. 18, 1971), barring over- and underflow."""
-    p = a * b
-    t = _SPLIT * a
-    ah = t - (t - a)
-    t = _SPLIT * b
-    bh = t - (t - b)
-    al, bl = a - ah, b - bh
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
 def _sum3(triples) -> float:
     """The sum of g a b over the triples (g, a, b), rounded once, apart
     from an error of at most eps^2 times the sum of |g a b|: a b = p + e
@@ -758,16 +744,15 @@ def _first_zero(m: np.ndarray, x: np.ndarray, c: np.ndarray) -> float | None:
     with v = 0 at pi / (2 omega); any other flow never crosses.
 
     u and v are their exact values for the given doubles, rounded once
-    (apart from an error of order eps^2 |c| |m| |x|): n_00 = (m_00 - m_11)
-    / 2 is carried as the rounded difference plus its exact error, and
-    _sum3 splits every product error-free, so a line nearly perpendicular
-    to x or to N x loses no digits to cancellation.
+    (apart from an error of order eps^2 |c| |m| |x|): n_00 and delta are
+    matkit._planar's, the parts matkit.expm's closed form reads, n_00
+    carried as its rounded value h plus its exact error hl, and _sum3
+    splits every product error-free, so a line nearly perpendicular to x
+    or to N x loses no digits to cancellation.
     """
     (m00, m01), (m10, m11) = m.tolist()
     (c0, c1), (x0, x1) = c.tolist(), x.tolist()
-    d = m00 - m11
-    h, hl = 0.5 * d, 0.5 * math.fsum((m00, -m11, -d))
-    delta = h * h + m01 * m10
+    _, h, hl, delta = _planar(m00, m01, m10, m11)
     u = _sum3(((1.0, c0, x0), (1.0, c1, x1)))
     # v = c . N x = n_00 (c0 x0 - c1 x1) + m01 c0 x1 + m10 c1 x0
     v = _sum3(((h, c0, x0), (hl, c0, x0), (-h, c1, x1), (-hl, c1, x1),

@@ -275,6 +275,24 @@ class TestDestabilizer:
                            match="overflows in revolution 1$"):
             run_destabilizer(K11, PeClass(1.0, 0.03))
 
+    def test_overflowing_phase_flow_names_its_revolution(self, monkeypatch):
+        # each phase flow e^800 times larger, from the closed form itself:
+        # its entries read +-inf, not an OverflowError
+        monkeypatch.setattr(adversary, "expm",
+                            lambda m, t: expm(m + 800.0 / t * np.eye(2), t))
+        with pytest.raises(SimulationError,
+                           match="overflows in revolution 1$"):
+            run_destabilizer(K11, PeClass(1.0, 0.03))
+
+    def test_zero_state_stops_the_run(self):
+        # at the class floor m = [[0, 1], [-0.050625, -0.45]] is critically
+        # damped to rounding: its exact delta for these doubles is -8.3e-19,
+        # so the axis crossing is 3.4e9 on, where the state reads exactly
+        # zero; the zero state meets every line at once, which read as
+        # chattering
+        with pytest.raises(SimulationError, match="decays to the zero state"):
+            run_destabilizer(np.array([[-0.10125, -0.9]]), PeClass(1.0, 0.5))
+
     def test_crossings_leave_sectors_in_order(self):
         # from (-1, 0) the first four crossings leave sectors 4, 1, 2, 3,
         # and every replayed revolution repeats the order

@@ -102,6 +102,16 @@ class TestSimulate:
         assert "t1=1e+300 at max_step=" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_step_exponential_exits_1(self, tmp_path, capsys):
+        # one step of 200: the step's closed-form exponential is past the
+        # doubles (e^1170), its entries inf rather than an OverflowError
+        sc = write_scenario(tmp_path, dict(OVERFLOW_SCENARIO, max_step=200.0))
+        out = tmp_path / "out"
+        assert main(["simulate", "--scenario", sc, "--out-dir", str(out)]) == 1
+        assert ("property failure: run 0 produced non-finite states"
+                in capsys.readouterr().err)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_run_exits_1(self, tmp_path, capsys):
         # the run overflows to inf and then nan; numpy's cast and matmul
         # warnings came first
@@ -807,12 +817,40 @@ class TestVersion:
                               capture_output=True, text=True,
                               check=True).stdout
 
-    def test_import_skips_optimize_and_integrate(self):
-        # both cost start-up time and no command needs them
+    def test_import_loads_no_scipy(self):
+        # a planar exponential is in closed form, so only a Gramian, a
+        # Schur form or an exponential of another size imports scipy
         code = ("import sys, pestab.cli; print(sorted(m for m in sys.modules "
-                "if m.split('.')[:2] in (['scipy', 'optimize'], "
-                "['scipy', 'integrate'])))")
+                "if m.split('.')[0] == 'scipy'))")
         assert self.fresh_stdout(code).strip() == "[]"
+
+    @pytest.mark.parametrize("argv, loads", [
+        (["destabilize", "--k1", "1", "--k2", "1", "--T", "1", "--mu",
+          "0.07"], False),
+        (["simulate", "--scenario", None], False),
+        # the Gramian's 4x4 Van Loan blocks are scipy's
+        (["threshold", "--preset", "double_integrator", "--T", "1", "--mu",
+          "0.5", "--t-grid", "0.8"], True),
+    ], ids=["destabilize", "simulate-di", "threshold"])
+    def test_scipy_loads_only_where_a_command_needs_it(self, tmp_path, argv,
+                                                       loads):
+        argv = [a if a is not None else write_scenario(tmp_path, DI_SCENARIO)
+                for a in argv] + ["--out-dir", str(tmp_path / "out")]
+        code = ("import contextlib, io, sys\n"
+                "from pestab.cli import main\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    rc = main({argv!r})\n"
+                "print(rc, 'scipy' in sys.modules)")
+        assert self.fresh_stdout(code).split() == ["0", str(loads)]
+
+    def test_scipy_loads_at_the_first_gramian(self):
+        code = ("import sys\n"
+                "from pestab import gains, reachability, signals\n"
+                "print('scipy' in sys.modules)\n"
+                "reachability.gramian(gains.A_DI, gains.B_DI, "
+                "signals.PwcSignal.constant(1.0), 1.0)\n"
+                "print('scipy' in sys.modules)")
+        assert self.fresh_stdout(code).split() == ["False", "True"]
 
     def test_jsonschema_loads_at_first_validation(self):
         # only the commands that read a scenario pay for its import

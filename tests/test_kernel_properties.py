@@ -98,9 +98,12 @@ def short_piece_cases(draw):
 def reference_segment(powers, a, m, x, s, e, h, nsub):
     """The per-piece step the kernel replaced: samples of x' = m x over
     [s, e] in nsub steps of h from a doubling table of exp(h m) kept in
-    powers[(a, h)] and grown when a piece needs more steps."""
+    powers[(a, h)] and grown when a piece needs more steps.  exp(h m) is
+    the kernel's own exponential, simcore.expm, so the comparison pins the
+    kernel's assembly; its agreement with scipy.linalg.expm is held to
+    1e-12 by test_matches_sequential_expm_product."""
     if (a, h) not in powers:
-        powers[(a, h)] = scipy.linalg.expm(h * m).astype(
+        powers[(a, h)] = simcore.expm(m, h).astype(
             np.longdouble)[np.newaxis], None
     ext, p = powers[(a, h)]
     n = m.shape[0]
@@ -439,6 +442,18 @@ def test_end_state_is_the_last_sample(case):
     _, ends, tables, fills = end_rate_seen(*case)
     assert (tables, fills) == (int(loop.alpha.period is None), 0)
     assert_same_bits((ends,), (want,))
+
+
+def test_end_rate_of_an_overflowing_piece_exponential():
+    # each 750-long piece's exponential is e^750 times a rotation: the
+    # closed form's entries read +-inf, not an OverflowError, and the
+    # run's rate reads -inf
+    m = np.array([[1.0, 1.0], [-1.0, 1.0]])
+    assert np.isinf(simcore.expm(m, 750.0)).all()
+    loop = ClosedLoop(m, [[0.0], [1.0]], [[0.0, 0.0]],
+                      PwcSignal.periodic((0.0, 750.0, 1500.0), (1.0, 0.5)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert simcore._end_rate(loop, [[1.0], [0.0]], 1600.0) == -math.inf
 
 
 @PROPERTY

@@ -1,13 +1,23 @@
+import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import example, given, settings, strategies as st
 
 from pestab.errors import ShapeError
+from pestab.gains import di_gain
 from pestab.matkit import expm, min_sv, one_norm, quad_roots
+from pestab.signals import PeClass
 
 A_DI = np.array([[0.0, 1.0], [0.0, 0.0]])
+B_DI = np.array([[0.0], [1.0]])
 ROT = np.array([[0.0, -1.0], [1.0, 0.0]])
+EPS = np.finfo(float).eps
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True,
+                    database=None)
 
 
 def taylor_expm(m, t, terms=30):
@@ -19,6 +29,150 @@ def taylor_expm(m, t, terms=30):
         term = term @ a / i
         out = out + term
     return out
+
+
+def oracle_error(m, t: float = 1.0) -> float:
+    """The normwise 1-norm error of expm(m, t) against the exponential of
+    the exact t m at 50 digits, in units of eps (1 + ||t m||_1)."""
+    got = expm(m, t)
+    with mpmath.workdps(50):
+        want = mpmath.expm(mpmath.mpf(t) * mpmath.matrix(np.asarray(
+            m, dtype=float).tolist()))
+        cols = range(want.cols)
+        err = max(sum(abs(mpmath.mpf(got[i, j]) - want[i, j]) for i in cols)
+                  for j in cols)
+        size = max(sum(abs(want[i, j]) for i in cols) for j in cols)
+        return float(err / size) / (EPS * (1.0 + t * one_norm(m)))
+
+
+def _di_loops():
+    # the double-integrator loops of the benchmark's gains at its gate
+    # levels: the tuned di_gain cells and the destabilizer's (k1, k2)
+    gains = [di_gain(PeClass(1.0, mu), 0.4 * mu, k, lk * k).K
+             for mu, k, lk in itertools.product((0.3, 0.5, 0.7), (1.0, 2.0),
+                                                (1.0, 2.0))]
+    gains += [np.array([[-k1, -k2]]) for k1, k2 in (
+        (0.5, 0.5), (0.5, 1.0), (1.0, 0.5), (1.0, 1.0), (2.0, 1.0),
+        (2.0, 1.5), (3.0, 1.0), (3.0, 2.0))]
+    return [A_DI + a * B_DI @ K for K in gains for a in (0.03, 0.5, 1.0)]
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(20261019)
+    steps = np.geomspace(1e-3, 3.0, 7)
+    cases = [(m, h) for m in _di_loops() for h in steps]
+    # rotation loops x' = (R - a r B B^T) x
+    cases += [(ROT - a * r * B_DI @ B_DI.T, h) for a in (0.25, 1.0)
+              for r in (0.5, 1.0, 8.0) for h in steps]
+    # random matrices from 1e-4 to 1e2.5, of exponentials within the
+    # doubles
+    cases += [(m, 1.0) for m in (
+        rng.standard_normal((2, 2)) * scale
+        for scale in np.geomspace(1e-4, 10 ** 2.5, 14) for _ in range(20))
+        if np.linalg.eigvals(m).real.max() < 700.0]
+    # similar copies of stiff diagonals
+    for lo, hi in itertools.product((-1e3, -1e2, -30.0), (-1.0, 0.0, 0.5)):
+        for _ in range(6):
+            p = rng.standard_normal((2, 2))
+            cases.append((p @ np.diag([lo, hi]) @ np.linalg.inv(p), 1.0))
+    # near-defective triangular matrices, and their transposes
+    for lam, b, d in itertools.product((-2.0, 0.0, 1.0), (1.0, 1e3),
+                                       (1e-12, 1e-8, 1e-4)):
+        tri = np.array([[lam, b], [0.0, lam + d]])
+        cases += [(tri, 1.0), (tri.T, 1.0)]
+    # fast rotations, decaying and not
+    cases += [(np.array([[tau, -w], [w, tau]]), 1.0)
+              for w in (10.0, 1e2, 1e3, 1e4) for tau in (0.0, -3.0)]
+    # delta = n_00^2 + m01 m10 cancels: N nearly nilpotent
+    for h, x, eta in itertools.product((0.5, 3.0, 40.0), (0.1, 7.0),
+                                       (1e-15, 1e-9, 1e-4)):
+        sign = rng.choice((-1.0, 1.0))
+        cases.append((np.array([[1.0 + h, x],
+                                [-h * h * (1.0 + sign * eta) / x, 1.0 - h]]),
+                       1.0))
+    return cases
+
+
+class TestPlanarClosedForm:
+    def test_matches_a_50_digit_oracle(self):
+        # within 32 eps (1 + ||t m||_1) normwise on every family; scipy's
+        # triangular branch reads 8.2e-5 relative on the last
+        # near-defective entry, 3.7e8 on this yardstick
+        worst = max(oracle_error(m, t) for m, t in _oracle_cases())
+        assert worst <= 32.0
+
+    def test_near_defective_triangular_entry(self):
+        a = np.array([[-2.0, 1000.0], [0.0, -2.0 + 1e-12]])
+        with mpmath.workdps(50):
+            want = mpmath.expm(mpmath.matrix(a.tolist()))[0, 1]
+            assert abs(expm(a)[0, 1] / want - 1) <= 4 * EPS
+
+    def test_zero_matrix_is_identity(self):
+        assert expm(np.zeros((2, 2)), 5.0).tobytes() == np.eye(2).tobytes()
+
+    @pytest.mark.parametrize("d", [(0.3, -2.5), (-800.0, 1e-300),
+                                   (710.0, -0.0), (709.7, -745.2)])
+    def test_diagonal_is_exp_of_the_diagonal(self, d):
+        # math.exp of each entry, bit for bit: 0 below the subnormals, inf
+        # past the largest double, with no OverflowError
+        want = np.array([[math.exp(d[0]) if d[0] < 709.78 else math.inf, 0.0],
+                         [0.0, math.exp(d[1])]])
+        assert expm(np.diag(d)).tobytes() == want.tobytes()
+
+    def test_finite_entry_past_an_overflowing_scale(self):
+        # e^{tau + r} = e^1000 overflows, but e^1000 1e-300 is 2e134
+        a = np.array([[1000.0, 1e-300], [0.0, 999.0]])
+        got = expm(a)
+        with mpmath.workdps(50):
+            want = mpmath.expm(mpmath.matrix(a.tolist()))[0, 1]
+            assert abs(got[0, 1] / want - 1) <= 1e-12
+        assert got[0, 0] == got[1, 1] == math.inf and got[1, 0] == 0.0
+
+    def test_overflowing_entries_are_signed_infinities(self):
+        # e^800 times a rotation by one radian
+        got = expm(np.array([[800.0, 1.0], [-1.0, 800.0]]))
+        assert got.tolist() == [[math.inf, math.inf], [-math.inf, math.inf]]
+
+    @PROPERTY
+    @given(st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                             min_size=4, max_size=4), min_size=1, max_size=4),
+           st.sampled_from((1.0, 0.5, -1.0)))
+    @example([[1e308, 1e308, 1e308, 1e308]], 1.0)
+    @example([[0.0, 1e308, -1e308, 0.0], [1e308, -1e308, 1e308, -1e308]], 1.0)
+    @example([[-1e200, 1e200, 1e200, -1e200], [0.0, 1e305, 0.0, 0.0]], 1.0)
+    @example([[709.0, 1.0, 0.0, 709.9], [1000.0, 1e-300, 0.0, 999.0]], 1.0)
+    @example([[5e-324, -5e-324, 5e-324, 0.0]], -1.0)
+    def test_any_finite_stack_has_no_nan_and_its_slices_bits(self, rows, t):
+        # no OverflowError, no nan; entries past the doubles read +-inf;
+        # each slice has the bits of its own call
+        stack = np.reshape(rows, (-1, 2, 2))
+        got = expm(stack, t)
+        assert not np.isnan(got).any()
+        for m, e in zip(stack, got):
+            assert e.tobytes() == expm(m, t).tobytes()
+
+    def test_overflowing_t_times_m_is_refused(self):
+        # e^{2 m} of this rotation is bounded, but 2 m is not a double:
+        # no wrong rotation and no untyped fsum error
+        with np.errstate(over="ignore"), \
+                pytest.raises(ShapeError, match="overflows"):
+            expm(np.array([[0.0, 1e308], [-1e308, 0.0]]), 2.0)
+        # a diagonal t m past the doubles reads e^{+-inf}
+        with np.errstate(over="ignore"):
+            got = expm(np.diag([1e308, -1e308]), 2.0)
+        assert got.tolist() == [[math.inf, 0.0], [0.0, 0.0]]
+
+    @pytest.mark.parametrize("n", [1, 3, 4])
+    def test_other_sizes_are_scipys_bits(self, n):
+        rng = np.random.default_rng(n)
+        stack = rng.standard_normal((5, n, n)) * \
+            np.array([1e-3, 0.1, 1.0, 3.0, 40.0])[:, None, None]
+        for t in (1.0, 0.7):
+            assert expm(stack, t).tobytes() == \
+                scipy.linalg.expm(t * stack).tobytes()
+            for m in stack:
+                assert expm(m, t).tobytes() == \
+                    scipy.linalg.expm(t * m).tobytes()
 
 
 class TestExpm:
