@@ -5,12 +5,15 @@ The feedback gates the loop at full strength where excitation hurts and at
 the class floor where it would help; for a small enough floor the resulting
 trajectory grows by a fixed factor every revolution, and the induced gate is
 itself an admissible excitation signal.  The crossings of one revolution
-are searched; by homogeneity the later revolutions replay it.
+are searched; by homogeneity the later revolutions replay it.  A run
+reports the gate, the state at every switch and the growth of each
+revolution, and samples nothing between switches.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,11 +22,10 @@ from .errors import (DomainError, InternalConsistencyError, ShapeError,
                      SimulationError)
 from .certify import unit_circle_grid
 from .gains import A_DI, B_DI, di_gain
-from .matkit import _planar, as_matrix, expm
+from .matkit import as_matrix, expm
 from .signals import (PeClass, PwcSignal, _duty_floor, _random_duty,
                       make_duty, verify_pe)
-from .simcore import (ClosedLoop, Trajectory, _end_rate, _first_zero,
-                      _flow, _itp)
+from .simcore import ClosedLoop, _end_rate, _first_zero, _itp
 
 __all__ = [
     "run_destabilizer",
@@ -48,21 +50,10 @@ def _sweep_start(k1: float, k2: float) -> tuple:
     return np.array([-1.0, 0.0]), np.array([k1 / k2, 1.0])
 
 
-def _rotation_step(m: np.ndarray) -> float:
-    """run_destabilizer's sample spacing on a phase of the flow m: 1/32 of
-    a half turn, pi / w, of a flow that rotates by the crossings' own
-    reading (matkit._planar's delta = -w^2 < 0), 0.05 / max |m_ij|
-    otherwise."""
-    delta = _planar(*m.ravel().tolist())[3]
-    if delta < 0.0:
-        return (math.pi / math.sqrt(-delta)) / 32.0
-    scale = max(abs(m).max(), 1e-12)
-    return 0.05 / scale
-
-
 @dataclass(eq=False)
 class DestabilizerRun:
-    traj: Trajectory
+    # the start and the state at every crossing, (4 revolutions + 1, 2)
+    states: np.ndarray
     induced_signal: PwcSignal
     growth_per_rev: float
     factors: list
@@ -93,8 +84,8 @@ def _unpack_gain(K) -> tuple:
 
 def run_destabilizer(K, cls: PeClass,
                      revolutions: int = 10) -> DestabilizerRun:
-    """Simulate the sector feedback loop exactly from (-1, 0), find_nu's
-    start too, one sector at a time.
+    """Run the sector feedback loop exactly from (-1, 0), find_nu's start
+    too, one sector at a time.
 
     The horizontal axis and the collinearity line x2 + (k1/k2) x1 = 0 cut
     the plane into sectors 4, 1, 2, 3, entered in that order from the
@@ -107,68 +98,67 @@ def run_destabilizer(K, cls: PeClass,
 
     The four crossings of the first revolution are searched; by
     homogeneity each later one repeats its switch times and is replayed
-    through the same flow expm(m_j, tc_j).  In-phase samples are spaced by
-    _rotation_step.  A state whose norm overflows raises SimulationError
-    naming its revolution.
+    through the same flow expm(m_j, tc_j).  The run keeps the state at
+    every crossing, not samples between them: propagating the induced
+    gate from (-1, 0) gives those.  A crossing state that is not finite,
+    or a revolution whose norm overflows or falls below the normal
+    doubles, raises SimulationError naming its revolution.
     """
     if revolutions < 1:
         raise DomainError("need at least one revolution")
     k1, k2 = _unpack_gain(K)
     ratio = cls.ratio
-    Kmat = np.array([[-k1, -k2]])
-    bk = B_DI @ Kmat
+    bk = B_DI @ np.array([[-k1, -k2]])
     mats = {1.0: A_DI + bk, ratio: A_DI + ratio * bk}
-    steps = {a: _rotation_step(m) for a, m in mats.items()}
-    x0, line = _sweep_start(k1, k2)
-    x = x0
-    # (level, duration, steps, end state, sector left, flow) of each phase
+    x, line = _sweep_start(k1, k2)
+    states = [x]
+    # (level, duration, sector left, flow) of each searched phase
     phases = []
+    # the start has norm 1; one norm per negative-axis arrival follows
+    rev_norms = [1.0]
     with np.errstate(over="ignore", invalid="ignore"):
-        for region in (4, 1, 2, 3):
-            full = region in (2, 4)
-            a, c = (1.0, line) if full else (ratio, np.array([0.0, 1.0]))
-            tc = _first_zero(mats[a], x, c)
-            if tc is None:
+        for rev in range(1, revolutions + 1):
+            for j, region in enumerate((4, 1, 2, 3)):
+                if rev == 1:
+                    full = region in (2, 4)
+                    a, c = ((1.0, line) if full
+                            else (ratio, np.array([0.0, 1.0])))
+                    tc = _first_zero(mats[a], x, c)
+                    if tc is None:
+                        raise SimulationError(
+                            "trajectory converges to an eigendirection and "
+                            "stops revolving; the sector feedback cannot "
+                            "destabilize here")
+                    if tc < _MIN_DWELL:
+                        raise InternalConsistencyError(
+                            "two sector crossings within 1e-12: chattering "
+                            "detected")
+                    phases.append((a, tc, region, expm(mats[a], tc)))
+                x = phases[j][3] @ x
+                norm = math.hypot(*x)
+                # an entry that is not finite reads inf or nan here
+                if not norm < math.inf:
+                    raise SimulationError(
+                        f"the state overflows in revolution {rev}")
+                if rev == 1 and norm == 0.0:
+                    # a flow that barely turns (delta just below 0) can
+                    # reach the zero state before it crosses, and the zero
+                    # state meets every line at once
+                    raise SimulationError(
+                        "trajectory decays to the zero state and stops "
+                        "revolving; the sector feedback cannot destabilize "
+                        "here")
+                states.append(x)
+            if norm < sys.float_info.min:
+                # below the normal doubles each product loses digits, and
+                # the factors drift to 1 as the state stalls
                 raise SimulationError(
-                    "trajectory converges to an eigendirection and stops "
-                    "revolving; the sector feedback cannot destabilize here")
-            flow = expm(mats[a], tc)
-            x = flow @ x
-            if not np.isfinite(x).all():
-                raise SimulationError("the state overflows in revolution 1")
-            if not x.any():
-                # a flow that barely turns (delta just below 0) can reach
-                # the zero state before it crosses, and the zero state
-                # meets every line at once
-                raise SimulationError(
-                    "trajectory decays to the zero state and stops "
-                    "revolving; the sector feedback cannot destabilize here")
-            if tc < _MIN_DWELL:
-                raise InternalConsistencyError(
-                    "two sector crossings within 1e-12: chattering detected")
-            # as simcore._plan counts steps, a rounding past a whole
-            # number of steps takes no extra sample
-            n = max(1, int(math.ceil(tc / steps[a] - 1e-12)))
-            phases.append((a, tc, n, x, region, flow))
-        # the start has norm 1; one norm per negative-axis arrival follows
-        rev_norms = [1.0, math.hypot(*x)]
-        for _ in range(2, revolutions + 1):
-            for a, tc, n, _, r, flow in phases[:4]:
-                x = flow @ x
-                phases.append((a, tc, n, x, r, flow))
-            rev_norms.append(math.hypot(*x))
-        vals, widths, counts, ends, regions, _ = zip(*phases)
-        bp = np.concatenate(([0.0], np.cumsum(widths)))
-        times, states, seg_alpha = _flow(
-            mats.__getitem__, np.array(vals), bp, np.array(widths),
-            np.array(counts), x0[:, np.newaxis],
-            np.array(ends)[:, :, np.newaxis])
-        bad = ~np.isfinite(np.hypot(*states[:, :, 0].T))
-    if bad.any():
-        # the phase of the first sample whose norm overflows
-        p = np.searchsorted(np.cumsum(counts), bad.argmax())
-        raise SimulationError("the state overflows in revolution "
-                              f"{1 + regions[:p].count(3)}")
+                    "the state decays below the normal doubles in "
+                    f"revolution {rev}")
+            rev_norms.append(norm)
+    vals, widths, regions, _ = zip(*phases)
+    vals, regions = vals * revolutions, regions * revolutions
+    bp = np.concatenate(([0.0], np.cumsum(widths * revolutions)))
     induced = PwcSignal.held(tuple(bp.tolist()), vals, hold=vals[-1])
     horizon = bp[-1]
     pe_ok = (verify_pe(induced, cls, horizon).ok
@@ -176,10 +166,8 @@ def run_destabilizer(K, cls: PeClass,
     factors = [b / a for a, b in zip(rev_norms, rev_norms[1:])]
     crossings = [{"t": t, "region_from": r}
                  for t, r in zip(bp[1:].tolist(), regions)]
-    loop = ClosedLoop(A_DI, B_DI, Kmat, induced)
-    traj = Trajectory(loop, times, states[:, :, 0], seg_alpha)
-    return DestabilizerRun(traj, induced, factors[-1], factors, pe_ok,
-                           crossings)
+    return DestabilizerRun(np.array(states), induced, factors[-1], factors,
+                           pe_ok, crossings)
 
 
 def find_nu(K, tol: float = 1e-10) -> float:

@@ -355,24 +355,23 @@ def _fill(key: list, steps: list, tables: list, starts: np.ndarray) -> list:
 
 
 def _flow(matrix, levels: np.ndarray, cuts: np.ndarray, widths: np.ndarray,
-          nsub: np.ndarray, x0: np.ndarray, ends: np.ndarray | None = None,
-          period: _Period | None = None):
+          nsub: np.ndarray, x0: np.ndarray, period: _Period | None = None):
     """Samples of x' = matrix(a) x over consecutive constant pieces.
 
     Piece j holds level levels[j] from cuts[j] to cuts[j + 1] in nsub[j]
     steps of h = widths[j] / nsub[j]; its sample times are cuts[j] + i h,
     the last one exactly cuts[j + 1].  _keyed_tables gives the powers of
     phi = exp(h matrix(a)) for every distinct (a, h).  x0 (n, m) is the
-    state at cuts[0]; the piece-end states ends (k, n, m) are given, or
-    are the _chain of the period plan's sub-pieces when one of the same
-    run is given (their exponentials ride in the same stacked expm as
-    one-step pieces), or else the _chain of the phi^nsub.  _fill fills the
-    samples from them and each piece ends at ends[j]; from _UNIT_PIECES
-    pieces on, a unit of Q pieces that repeats over whole periods keys only
-    itself: sample i of unit piece j is tables[key[j]][i] @ P[j], over the
-    breakpoints' own widths, times the repeat's start, with P[j] the unit's
-    sub-piece exponentials before piece j.  Returns times (N,), states
-    (N, n, m) and seg_alpha (N - 1,), with N = 1 + sum(nsub).
+    state at cuts[0]; the piece-end states ends (k, n, m) are the _chain of
+    the period plan's sub-pieces when one of the same run is given (their
+    exponentials ride in the same stacked expm as one-step pieces), or
+    else the _chain of the phi^nsub.  _fill fills the samples from them
+    and each piece ends at ends[j]; from _UNIT_PIECES pieces on, a unit of
+    Q pieces that repeats over whole periods keys only itself: sample i of
+    unit piece j is tables[key[j]][i] @ P[j], over the breakpoints' own
+    widths, times the repeat's start, with P[j] the unit's sub-piece
+    exponentials before piece j.  Returns times (N,), states (N, n, m) and
+    seg_alpha (N - 1,), with N = 1 + sum(nsub).
     """
     steps = nsub.tolist()
     # the chain and the fill read one memory layout: BLAS can round a
@@ -382,8 +381,7 @@ def _flow(matrix, levels: np.ndarray, cuts: np.ndarray, widths: np.ndarray,
     block = x0[np.newaxis][:0]
     if period is None:
         key, _, tables = _keyed_tables(matrix, levels, widths, nsub)
-        if ends is None:
-            ends = _chain([tables[q][s - 1] for q, s in zip(key, steps)], x0)
+        ends = _chain([tables[q][s - 1] for q, s in zip(key, steps)], x0)
     else:
         J, first = period.J, period.first
         own, index = _shared_keys(period)

@@ -236,8 +236,8 @@ def test_criterion_11_destabilizer():
     nu = find_nu(K)
     cls = PeClass(1.0, nu / 2.0)
     run = run_destabilizer(K, cls, revolutions=10)
-    n0 = np.linalg.norm(run.traj.states[0])
-    nT = np.linalg.norm(run.traj.states[-1])
+    n0 = np.linalg.norm(run.states[0])
+    nT = np.linalg.norm(run.states[-1])
     growth_ok = nT / n0 >= run.growth_per_rev ** 10 * (1.0 - 1e-6)
     ok = nu > 0.0 and run.pe_ok and run.growth_per_rev > 1.0 and growth_ok
     report("A11 destabilizer", ok,

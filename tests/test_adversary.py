@@ -91,8 +91,8 @@ class TestDestabilizer:
         run = run_destabilizer(K11, cls, revolutions=10)
         assert run.growth_per_rev > 1.0
         assert run.pe_ok
-        n0 = np.linalg.norm(run.traj.states[0])
-        nT = np.linalg.norm(run.traj.states[-1])
+        n0 = np.linalg.norm(run.states[0])
+        nT = np.linalg.norm(run.states[-1])
         assert nT / n0 >= run.growth_per_rev ** 10 * (1.0 - 1e-6)
 
     def test_factors_multiply(self):
@@ -107,8 +107,7 @@ class TestDestabilizer:
         nu = find_nu(K11)
         run = run_destabilizer(K11, PeClass(1.0, nu / 2.0), revolutions=3)
         axis_states = []
-        for c in run.crossings:
-            x = run.traj.state_at(c["t"])
+        for x in run.states[1:]:
             if abs(x[1]) < 1e-9 * np.linalg.norm(x) and x[0] < 0.0:
                 axis_states.append(x)
         assert len(axis_states) >= 2
@@ -125,30 +124,14 @@ class TestDestabilizer:
         run = run_destabilizer(K11, cls, revolutions=3)
         assert set(run.induced_signal.values) == {1.0, cls.ratio}
         assert verify_pe(run.induced_signal, cls,
-                         run.traj.times[-1]).ok
-
-    def test_seg_alpha_matches_per_phase_fill(self):
-        # seg_alpha repeats each phase level once over all phases; it used
-        # to fill one array per phase (its samples in (start, end]) and
-        # concatenate them
-        nu = find_nu(K11)
-        run = run_destabilizer(K11, PeClass(1.0, nu / 2.0), revolutions=3)
-        sig, times = run.induced_signal, run.traj.times
-        bp = sig.breakpoints
-        ref = np.concatenate([
-            np.full(np.count_nonzero((times > s) & (times <= e)), a)
-            for s, e, a in zip(bp, bp[1:], sig.values)])
-        assert len(ref) == len(times) - 1
-        assert run.traj.seg_alpha.dtype == ref.dtype
-        assert run.traj.seg_alpha.tobytes() == ref.tobytes()
+                         run.crossings[-1]["t"]).ok
 
     def test_one_step_exponential_per_gate_level(self):
         # no step exponential is left: each searched phase takes one
         # exponential, expm(m, tc), which carries the state to its crossing
         # and is the flow every replayed revolution repeats, so the count
         # does not grow with the revolutions; the crossing times come from
-        # simcore._first_zero, which takes none, and the fill takes one
-        # stacked exponential
+        # simcore._first_zero, which takes none, and no samples are filled
         calls = []
         real = adversary.expm
 
@@ -168,7 +151,7 @@ class TestDestabilizer:
             assert len(calls) == 4
             durations = np.diff([0.0] + [c["t"] for c in run.crossings[:4]])
             np.testing.assert_allclose(calls, durations, rtol=1e-15)
-            assert stacked.call_count == 1
+            assert stacked.call_count == 0
 
     def test_bad_gain_rejected(self):
         with pytest.raises(DomainError, match="Hurwitz"):
@@ -198,11 +181,9 @@ class TestDestabilizer:
         cls = PeClass(1.0, 0.05)
         run = run_destabilizer(K11, cls, revolutions=10)
         assert "crossing_rel" not in cli.TOLERANCES
-        x_at = dict(zip(run.traj.times.tolist(), run.traj.states))
-        t_prev, x_prev = 0.0, run.traj.states[0]
-        for c in run.crossings:
+        t_prev, x_prev = 0.0, run.states[0]
+        for c, x in zip(run.crossings, run.states[1:]):
             m, n = _switching_line(1.0, 1.0, cls.ratio, c["region_from"])
-            x = x_at[c["t"]]
             assert abs(n @ x) <= 8 * np.finfo(float).eps * np.abs(x).max()
             tc = c["t"] - t_prev
             f = [n @ expm(m, s) @ x_prev
@@ -222,9 +203,7 @@ class TestDestabilizer:
         ref_t, ref_x = _search_every_phase(k1, k2, mu, 10)
         got_t = np.array([c["t"] for c in run.crossings])
         np.testing.assert_allclose(got_t, ref_t, rtol=1e-12, atol=0.0)
-        x_at = dict(zip(run.traj.times.tolist(), run.traj.states))
-        got_x = np.array([x_at[t] for t in got_t.tolist()])
-        gap = np.abs(got_x - ref_x).max(axis=1)
+        gap = np.abs(run.states[1:] - ref_x).max(axis=1)
         assert np.all(gap <= 1e-12 * np.abs(ref_x).max(axis=1))
 
     @pytest.mark.parametrize("k1, k2, mu", REPLAY_CASES)
@@ -253,8 +232,8 @@ class TestDestabilizer:
         assert np.isfinite(run.factors).all()
         assert run.growth_per_rev == pytest.approx(run.factors[0], rel=1e-9)
         # the end state's squares overflow
-        assert np.abs(run.traj.states[-1]).max() > 1e155
-        assert np.isfinite(run.traj.states).all()
+        assert np.abs(run.states[-1]).max() > 1e155
+        assert np.isfinite(run.states).all()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_names_its_revolution(self):
@@ -265,6 +244,44 @@ class TestDestabilizer:
                            match="overflows in revolution 354$"):
             run_destabilizer(K11, PeClass(1.0, 0.03), revolutions=400)
         run_destabilizer(K11, PeClass(1.0, 0.03), revolutions=353)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_decay_below_the_normal_doubles_names_its_revolution(self):
+        # each revolution multiplies the norm by 0.3472, which leaves the
+        # normal doubles in revolution 670; the factors then drifted and
+        # read growth_per_rev 1.0 once the state stalled at (-5e-324, 0)
+        for revolutions in (670, 3000):
+            with pytest.raises(SimulationError, match="decays below the "
+                               "normal doubles in revolution 670$"):
+                run_destabilizer(K11, PeClass(1.0, 0.3), revolutions)
+        run = run_destabilizer(K11, PeClass(1.0, 0.3), revolutions=669)
+        f = np.array(run.factors)
+        assert f[0] < 1.0
+        assert np.max(np.abs(f / f[0] - 1.0)) < 1e-9
+
+    @pytest.mark.parametrize("k1, k2, mu", REPLAY_CASES)
+    def test_propagated_gate_replays_the_run(self, k1, k2, mu):
+        # the induced gate from (-1, 0) through the propagation kernel, a
+        # route with its own steps and exponentials: at each reported
+        # crossing the state lies on the line it crosses, and its norms at
+        # the negative-axis arrivals are the run's
+        K = np.array([[-k1, -k2]])
+        run = run_destabilizer(K, PeClass(1.0, mu), revolutions=10)
+        assert run.states.shape == (41, 2)
+        t = np.array([c["t"] for c in run.crossings])
+        tr = propagate(ClosedLoop(A_DI, B_DI, K, run.induced_signal), 0.0,
+                       [-1.0, 0.0], t[-1])
+        i = tr.times.searchsorted(t)
+        assert tr.times[i].tolist() == t.tolist()
+        for c, x in zip(run.crossings, tr.states[i]):
+            _, n = _switching_line(k1, k2, mu, c["region_from"])
+            assert abs(n @ x) <= (256 * np.finfo(float).eps
+                                  * np.linalg.norm(n) * np.linalg.norm(x))
+        arrivals = np.linalg.norm(tr.states[i[3::4]], axis=1)
+        np.testing.assert_allclose(
+            arrivals, np.linalg.norm(run.states[4::4], axis=1), rtol=1e-9)
+        np.testing.assert_allclose(
+            arrivals / np.r_[1.0, arrivals[:-1]], run.factors, rtol=1e-9)
 
     def test_overflow_in_searched_revolution(self, monkeypatch):
         # a searched phase that ends beyond the doubles stops the run

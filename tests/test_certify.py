@@ -487,7 +487,9 @@ class TestChain:
         K = np.array([[-1.0, -1.0]])
         nu = find_nu(K)
         run = run_destabilizer(K, PeClass(1.0, nu / 2.0), revolutions=5)
-        cert = chain_contraction(run.traj, 1.0)
+        tr = propagate(ClosedLoop(A_DI, B_DI, K, run.induced_signal), 0.0,
+                       [-1.0, 0.0], run.crossings[-1]["t"])
+        cert = chain_contraction(tr, 1.0)
         assert not cert.passed
         assert cert.measured["worst_halving_ratio"] > 0.5
 
@@ -520,7 +522,8 @@ class TestKlEnvelope:
         run = run_destabilizer(K, PeClass(1.0, nu / 2.0), revolutions=12)
         bat = make_battery(CLS, 3, seed=1).signals
         runs = neutral_runs(A_ROTATION, B_ROT, bat, unit_circle_grid(2), 10.0)
-        runs.append(run.traj)
+        runs.append(propagate(ClosedLoop(A_DI, B_DI, K, run.induced_signal),
+                              0.0, [-1.0, 0.0], run.crossings[-1]["t"]))
         cert = kl_envelope(runs)
         assert not cert.passed
         assert any(str(len(runs) - 1) in note for note in cert.notes)

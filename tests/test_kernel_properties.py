@@ -4,12 +4,11 @@ Random periodic and held piecewise-constant signals drive random loops;
 `propagate` and `propagate_batch` are compared with a sequential product of
 `scipy.linalg.expm` factors, with `solve_ivp`, with the sample grid of a
 plain per-sample loop, and with the per-piece loop the kernel replaced:
-bit for bit on held gates, which also checks `run_destabilizer`, and
-within the sequential product's bound on periodic gates, whose piece ends
-come from monodromy powers.  The full run ends every piece at the state of
-its one chain, over the grid's tables for a held gate and over the period
-plan's sub-pieces for a periodic one, whose pieces are those
-`PwcSignal.segments` lists.  The endpoint path, which reads the piece ends
+bit for bit on held gates, and within the sequential product's bound on
+periodic gates, whose piece ends come from monodromy powers.  The full run
+ends every piece at the state of its one chain, over the grid's tables for
+a held gate and over the period plan's sub-pieces for a periodic one,
+whose pieces are those `PwcSignal.segments` lists.  The endpoint path, which reads the piece ends
 without filling a sample, is compared bit for bit with the last sample of
 the full run and with the rate the test-side `kl_oracle.fitted_rate` reads
 from it, and its fallback fills from the tables it built, or for a
@@ -31,10 +30,9 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from kl_oracle import fitted_rate
-from pestab import adversary, simcore
-from pestab.adversary import run_destabilizer
+from pestab import simcore
 from pestab.gains import A_DI, B_DI
-from pestab.signals import PeClass, PwcSignal
+from pestab.signals import PwcSignal
 from pestab.simcore import ClosedLoop, propagate, propagate_batch
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
@@ -352,29 +350,6 @@ def test_repeated_piece_with_different_step_counts(width, t0):
         got = run(*case)
     assert len(calls) == 1 and len(calls[0][0]) == 2
     assert_same_bits(got, reference_propagate(*case))
-
-
-@pytest.mark.parametrize("k", [(1.0, 1.0), (2.0, 1.0), (1.0, 3.0)])
-def test_destabilizer_samples_equal_the_per_phase_loop(k):
-    # the phases run_destabilizer hands the kernel, each re-marched from
-    # its crossing state the old way and ended on the next one
-    with mock.patch.object(adversary, "_flow",
-                           wraps=adversary._flow) as flow:
-        run_ = run_destabilizer(np.array([[-k[0], -k[1]]]),
-                                PeClass(1.0, 0.03), revolutions=4)
-    (matrix, levels, cuts, widths, nsub, x0, ends), _ = flow.call_args
-    assert cuts.tolist() == [0.0] + [c["t"] for c in run_.crossings]
-    times, states, powers = [cuts[:1]], [x0[np.newaxis, :, 0]], {}
-    x = x0[:, 0]
-    for a, s, e, w, q, xe in zip(levels.tolist(), cuts, cuts[1:], widths,
-                                 nsub.tolist(), ends[:, :, 0]):
-        ts, xs = reference_segment(powers, a, matrix(a), x, s, e, w / q, q)
-        xs[-1] = xe
-        times.append(ts)
-        states.append(xs)
-        x = xe
-    assert_same_bits((run_.traj.times, run_.traj.states),
-                     (np.concatenate(times), np.concatenate(states)))
 
 
 @PROPERTY
