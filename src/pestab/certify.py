@@ -335,7 +335,7 @@ def _stay_samples(runs, min_steps: int, sample) -> tuple:
     components of all its runs, each a contiguous (m, N) array with one
     run per row, and returns the set's mask (m, N) and the per-sample
     arrays to keep, each (m, N), or (N,) on the shared grid, which is read
-    at the stays' sample indices modulo N."""
+    at the stays' sample indices modulo N; one grid's come back uncopied."""
     parts, lens = [], [np.zeros(0, dtype=int)]
     for _, group in itertools.groupby(runs, key=lambda tr: id(tr.times)):
         group = list(group)
@@ -346,6 +346,8 @@ def _stay_samples(runs, min_steps: int, sample) -> tuple:
         parts.append([a[idx % len(a)] if a.ndim == 1 else a.ravel()[idx]
                       for a in arrays])
         lens.append(n)
+    if len(parts) == 1:
+        return parts[0], lens[1]
     return [np.concatenate(a) for a in zip(*parts)], np.concatenate(lens)
 
 
@@ -529,42 +531,41 @@ def quadrant_battery(cls: PeClass, rho: float, k: float, lam: float, battery,
         _ENERGY_SLACK, battery, notes)
 
 
-def _cs_decay(t: np.ndarray, x1: np.ndarray, x2: np.ndarray, q: np.ndarray,
+def _cs_decay(t: np.ndarray, x1: np.ndarray, x2: np.ndarray,
               lens: np.ndarray, rho: float, k: float,
               geom: ConeGeometry) -> tuple:
     """(w_ok, measured, tol, gamma_hat, C2_hat) of the central-cone decay
-    check over stays of lengths lens concatenated, sampled at times t, with
-    q geom's cone quadratic of the samples.  w_ok tells whether every sample
-    keeps w within its bounds widened by tol, and measured holds w_min,
-    w_max and the bounds; every stay of at least ten samples gets a decay
-    rate gamma_hat from the line fit of log|x2| over its own elapsed time,
-    and the envelope constant C2_hat of that rate."""
-    r2 = x1 * x1 + x2 * x2
-    if np.any(q > 1e-9 * r2):
-        raise PreconditionError("segment leaves the central cone")
+    check over stays of lengths lens concatenated, sampled at times t.  w_ok
+    tells whether w = 1 + c x1/x2, c = rho k/2 > 0, keeps within its bounds
+    widened by tol; measured holds the bounds and w_min and w_max, w at the
+    extreme x1/x2 (rounding is monotone; a nan fails both bounds).  Every
+    stay of at least ten samples gets a decay rate gamma_hat from the line
+    fit of log|x2| over its own elapsed time, and the envelope constant
+    C2_hat of that rate."""
     if np.any(x2 == 0.0):
         raise PreconditionError("central cone excludes the horizontal axis")
-    w = 1.0 + 0.5 * rho * k * (x1 / x2)
-    lo = 1.0 + 0.5 * rho * k / geom.xi_s_minus
-    hi = 1.0 + 0.5 * rho * k / geom.xi_s_plus
+    c = 0.5 * rho * k
+    s = x1 / x2
+    lo = 1.0 + c / geom.xi_s_minus
+    hi = 1.0 + c / geom.xi_s_plus
     tol = 1e-9 * max(1.0, abs(lo), abs(hi))
-    # a nan in w reads as both extremes and fails both bounds
-    w_min, w_max = float(np.min(w)), float(np.max(w))
+    w_min, w_max = 1.0 + c * float(np.min(s)), 1.0 + c * float(np.max(s))
     w_ok = w_min >= lo - tol and w_max <= hi + tol
     measured = {"w_min": w_min, "w_max": w_max,
                 "w_lower_bound": lo, "w_upper_bound": hi}
     fit = lens >= 10
     if not fit.any():
         return w_ok, measured, tol, np.zeros(0), np.zeros(0)
-    sel = np.repeat(fit, lens)
-    n = lens[fit]
-    first = np.cumsum(n) - n
-    t, nrm = t[sel], np.sqrt(r2[sel])
-    dt = t - np.repeat(t[first], n)
-    slope, _ = _line_fits(dt, np.log(np.abs(x2[sel])), n)
+    if not fit.all():
+        sel = np.repeat(fit, lens)
+        t, x1, x2, lens = t[sel], x1[sel], x2[sel], lens[fit]
+    first = np.cumsum(lens) - lens
+    nrm = np.sqrt(x1 * x1 + x2 * x2)
+    dt = t - np.repeat(t[first], lens)
+    slope, _ = _line_fits(dt, np.log(np.abs(x2)), lens)
     gamma_hat = -slope / k
-    env = nrm / np.repeat(nrm[first], n) * np.exp(np.repeat(k * gamma_hat, n)
-                                                  * dt)
+    env = nrm / np.repeat(nrm[first], lens) \
+        * np.exp(np.repeat(k * gamma_hat, lens) * dt)
     return w_ok, measured, tol, gamma_hat, np.maximum.reduceat(env, first)
 
 
@@ -575,12 +576,13 @@ def check_cs_decay(traj: Trajectory, rho: float, k: float,
     the bounds per sample and, over ten samples or more, fit the decay rate
     of log|x2| by least squares in closed form (_line_fits) and report the
     envelope constant of that rate.  The check is cs_decay_battery's on one
-    stay, the whole trajectory."""
+    stay, the whole run, whose cone quadratic must stay <= 1e-9 |x|^2."""
     geom = cone_geometry(rho, k, cls.ratio)
     x1, x2 = traj.states[:, 0], traj.states[:, 1]
+    if np.any(geom.cs_quadratic(x1, x2) > 1e-9 * (x1 * x1 + x2 * x2)):
+        raise PreconditionError("segment leaves the central cone")
     w_ok, measured, tol, gamma_hat, c2_hat = _cs_decay(
-        traj.times, x1, x2, geom.cs_quadratic(x1, x2),
-        np.array([len(traj.times)]), rho, k, geom)
+        traj.times, x1, x2, np.array([len(traj.times)]), rho, k, geom)
     if len(gamma_hat):
         measured["gamma_hat"] = float(gamma_hat[0])
         measured["C2_hat"] = float(c2_hat[0])
@@ -591,16 +593,13 @@ def check_cs_decay(traj: Trajectory, rho: float, k: float,
 def cs_decay_battery(cls: PeClass, rho: float, k: float, lam: float, battery,
                      x0_columns, horizon: float) -> Certificate:
     """Apply the central-cone decay check to every stay of every run in the
-    central cone; fails when no run has such a stay to check.  The check
+    central cone, whose samples are cut from it and so refused only on the
+    horizontal axis; fails when no run has such a stay to check.  The check
     reduces and fits the stays of all runs at once."""
     runs = di_runs(cls, rho, k, lam, battery, x0_columns, horizon)
     geom = cone_geometry(rho, k, cls.ratio)
-
-    def sample(tr, x1, x2):
-        q = geom.cs_quadratic(x1, x2)
-        return q <= 0.0, (tr.times, x1, x2, q)
-
-    arrays, lens = _stay_samples(runs, 3, sample)
+    arrays, lens = _stay_samples(runs, 3, lambda tr, x1, x2: (
+        geom.cs_quadratic(x1, x2) <= 0.0, (tr.times, x1, x2)))
     if not len(lens):
         return _battery_certificate(
             "central_cone_decay_battery", False, {"stays_checked": 0}, None,
