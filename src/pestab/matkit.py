@@ -1,10 +1,11 @@
 """Dense linear algebra for small real matrices (n <= 8).
 
 Matrix exponential (of one matrix or a stack: a planar one in closed form,
-any other size by scipy's), smallest singular value and quadratic roots.
-Everything operates on plain float64 numpy arrays; validation helpers turn
-loose input into checked arrays.  _planar splits a 2x2 matrix into the
-parts that both planar closed forms read, expm's and simcore._first_zero's.
+any other size by scipy's), the planar segment Gramian in closed form,
+smallest singular value and quadratic roots.  Everything operates on plain
+float64 numpy arrays; validation helpers turn loose input into checked
+arrays.  _planar splits a 2x2 matrix into the parts that the planar closed
+forms read, expm's, _gramian2's and simcore._first_zero's.
 """
 
 from __future__ import annotations
@@ -79,6 +80,151 @@ def _planar(m00: float, m01: float, m10: float, m11: float) -> tuple:
     p, e = _two_product(h, h)
     q, f = _two_product(m01, m10)
     return 0.5 * m00 + 0.5 * m11, h, hl, math.fsum((p, q, e, f, 2.0 * h * hl))
+
+
+def _spectral(G, basis, nm, q, root, sig, w, f0) -> np.ndarray:
+    """_gramian2's Gramians for real eigenvalues tau + sig root (the far
+    node) and tau - sig root, summed over the spectral projectors P_f and
+    P_n of e^{as} = e^{..} P_f + e^{..} P_n where that sum's rounding,
+    estimated from its terms' norms, is the smaller: G = h (F[0, far] M_ff
+    + F[0, c] (M_fn + M_fn^T) + F[0, near] M_nn), M_ij = (P_i L)(P_j L)^T
+    for q = L L^T.  A gate whose input lies along one eigenvector then
+    keeps a slow mode's Gramian, where the sum over (q, N q + q N^T,
+    N q N^T) cancels terms of the fast mode's size."""
+    # L from the larger diagonal entry, its second pivot det q / q_ii from
+    # error-free products: a q of rank one has a rank-one L
+    (q00, q01), (_, q11) = q.tolist()
+    i = int(q11 > q00)
+    qii, qjj = (q11, q00) if i else (q00, q11)
+    fac = np.zeros((2, 2))
+    if qii > 0.0:
+        p, e = _two_product(qii, qjj)
+        s, f = _two_product(q01, q01)
+        fac[i, 0] = math.sqrt(qii)
+        fac[1 - i, 0] = q01 / fac[i, 0]
+        fac[1 - i, 1] = math.sqrt(max(math.fsum((p, -s, e, -f)), 0.0) / qii)
+    # root I +- N, whose diagonals root +- n_00 multiply to m01 m10: the
+    # one that would cancel is taken as that product over the other
+    (n00, a01), (a10, _) = nm.tolist()
+    big = root + abs(n00)
+    d = [big, a01 * a10 / big]
+    if sig * n00 < 0.0:
+        d.reverse()
+    pf = np.array([[d[0], sig * a01], [sig * a10, d[1]]]) / (2.0 * root)
+    pn = np.array([[d[1], -sig * a01], [-sig * a10, d[0]]]) / (2.0 * root)
+    uf, un = pf @ fac, pn @ fac
+    mfn = uf @ un.T
+    ms = (uf @ uf.T, mfn + mfn.T, un @ un.T)
+    spec = sum((w * f)[:, None, None] * m for f, m in zip(f0, ms))
+    nn, nl = np.linalg.norm(nm), np.linalg.norm(fac)
+    npf, npn, nuf, nun = map(np.linalg.norm, (pf, pn, uf, un))
+    icc, ics, iss = map(np.abs, basis)
+    err_basis = nl * nl * (icc + 2.0 * nn * ics + nn * nn * iss)
+    err_spec = 2.0 * w * nl * (np.abs(f0[0]) * npf * nuf
+                               + np.abs(f0[1]) * (npf * nun + nuf * npn)
+                               + np.abs(f0[2]) * npn * nun)
+    return np.where((err_spec < err_basis)[:, None, None], spec, G)
+
+
+def _gramian2(a: np.ndarray, q: np.ndarray, h) -> tuple:
+    """(e^{ah}, int_0^h e^{as} q e^{a^T s} ds) of a 2x2 a, entries up to
+    2^500, and a symmetric q, for a width h or an array of widths; each
+    width's pair has the bits of its own call.
+
+    With tau, N and delta of _planar, e^{as} = e^{tau s}(C I + S N), so the
+    integral is I_cc q + I_cs (N q + q N^T) + I_ss N q N^T, the integrals of
+    e^{2 tau s} C^2, C S and S^2.  In units of the width, with c = 2 tau h,
+    y = delta h^2 and the nodes mu = c +- 2 sqrt(y), twice h times the
+    eigenvalues of a, these are divided differences F of e^z:
+    I_cs / h^2 = F[0, mu+, mu-], I_ss / h^3 = 2 F[0, mu+, c, mu-] and
+    I_cc / h = F[0, c] + y I_ss / h^3.  Where every node lies within 1 of
+    0 they are summed as power series in the nodes (McCurdy, Ng & Parlett,
+    Math. Comp. 43, 1984); elsewhere they solve the Lyapunov identity
+    a G + G a^T = e^{ah} q e^{a^T h} - q in the same basis, except that a
+    real node within 1/2 of 0 takes I_cs from F[0, z] = expm1(z)/z at the
+    two nodes.  The nodes' product is 4 h^2 det a, from error-free
+    products, and e^{ah} grows with h times the larger real eigenvalue,
+    det a / (tau - sqrt delta) for tau < 0, so neither cancels.
+    """
+    (a00, a01), (a10, a11) = a.tolist()
+    tau, n00, nl, delta = _planar(a00, a01, a10, a11)
+    p, e = _two_product(a00, a11)
+    s, f = _two_product(a01, a10)
+    det = math.fsum((p, -s, e, -f))
+    root = math.sqrt(abs(delta))
+    nm = np.array([[n00, a01], [a10, -n00]])
+    q = 0.5 * (q + q.T)
+    nq = nm @ q
+    nqn = nq @ nm.T
+    q_cs, q_ss = nq + nq.T, 0.5 * (nqn + nqn.T)
+    w = np.ascontiguousarray(h, dtype=float).reshape(-1)
+
+    def f0(z):          # F[0, z] = expm1(z) / z
+        return np.where(z == 0.0, 1.0, np.expm1(z) / z)
+
+    with np.errstate(all="ignore"):
+        # the branches not taken may divide by zero or overflow
+        r = root * w
+        if delta > 0.0:
+            lam = tau + root if tau >= 0.0 else det / (tau - root)
+            g = lam * w
+            cw = 0.5 + 0.5 * np.exp(-2.0 * r)
+            sw = np.where(r == 0.0, 1.0, -0.5 * np.expm1(-2.0 * r) / r)
+            y = r * r
+        elif delta < 0.0:
+            g = tau * w
+            cw = np.cos(r)
+            sw = np.where(r == 0.0, 1.0, np.sin(r) / r)
+            y = -(r * r)
+        else:
+            g, cw, sw, y = tau * w, 1.0, 1.0, np.zeros_like(w)
+        # e^{tau h} C and e^{tau h} S / h
+        eg, e2 = np.exp(g), np.exp(2.0 * g)
+        ec, es = eg * cw, eg * sw
+        hn = es * (w * n00) + es * (w * nl)
+        phi = np.empty(w.shape + (2, 2))
+        phi[:, 0, 0], phi[:, 0, 1] = ec + hn, es * (w * a01)
+        phi[:, 1, 0], phi[:, 1, 1] = es * (w * a10), ec - hn
+        # e^{2 tau h} C S and S^2 / h^2, finite where e^{2 tau h} is
+        cs, ss = e2 * (cw * sw), e2 * (sw * sw)
+        c = 2.0 * tau * w
+        prod = 4.0 * det * w * w
+        f0c = f0(c)
+        jcs = 1.0 / prod + e2 * ((c * (cw * sw) - cw * cw - y * (sw * sw))
+                                 / prod)
+        if delta > 0.0:
+            sig = math.copysign(1.0, tau)
+            far = c + sig * (2.0 * r)
+            near = prod / far
+            f0far, f0near = f0(far), f0(near)
+            jcs = np.where(np.abs(near) < 0.5,
+                           (f0far - f0near) / (far - near), jcs)
+        jss = np.where(np.abs(c) >= 2.0 * r, (ss - 2.0 * jcs) / c,
+                       (cs - f0c - c * jcs) / (2.0 * y))
+        series = np.abs(c) + 2.0 * r <= 1.0
+        if series.any():
+            # complete symmetric polynomials of the nodes: a_m of (mu+,
+            # mu-), b_m of (mu+, c, mu-); a nilpotent a has none past m = 0
+            a_prev, a_m, b_m = np.zeros_like(w), np.ones_like(w), 1.0
+            scs, sss = 0.5, 1.0 / 6.0
+            fact = 6.0
+            for m in range(1, 21 if c.any() or prod.any() else 1):
+                a_prev, a_m = a_m, 2.0 * c * a_m - prod * a_prev
+                b_m = c * b_m + a_m
+                scs = scs + a_m / fact
+                fact *= m + 3
+                sss = sss + b_m / fact
+            jcs = np.where(series, scs, jcs)
+            jss = np.where(series, 2.0 * sss, jss)
+        jcc = f0c + y * jss
+        icc, ics, iss = jcc * w, (jcs * w) * w, ((jss * w) * w) * w
+        G = (icc[:, None, None] * q + ics[:, None, None] * q_cs
+             + iss[:, None, None] * q_ss)
+        if delta > 0.0:
+            G = _spectral(G, (icc, ics, iss), nm, q, root, sig, w,
+                          (f0far, f0c, f0near))
+    shape = np.shape(h) + (2, 2)
+    return phi.reshape(shape), G.reshape(shape)
 
 
 def _times_exp(c: float, g: float) -> float:

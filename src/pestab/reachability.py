@@ -3,22 +3,25 @@
 The Gramian carries the squared gate, W(t) = int_0^t alpha(s)^2
 e^{A(t-s)} B B^T e^{A^T(t-s)} ds: the gate multiplies the input, so the
 reachability integrand sees alpha^2.  Since alpha >= 0 this has the same
-kernel as the unsquared condition.  Each constant-alpha segment is resolved
-by a block-matrix-exponential quadrature, so the result is exact to expm
-accuracy.  One call gives the Gramians of one gate or of a whole battery
-over [0, t] from one stacked exponential over the distinct piece widths of
-all its gates; the battery's singular values then come from one batched SVD.
+kernel as the unsquared condition.  Each constant-alpha segment's flow and
+Gramian are exact up to rounding: in closed form for a planar A
+(matkit._gramian2), from one Van Loan block exponential for any other size.
+One call gives the Gramians of one gate or of a whole battery over [0, t]
+from one stacked evaluation over the distinct piece widths of all its
+gates, advanced piece by piece for every gate at once; the battery's
+singular values then come from one batched SVD.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .matkit import as_matrix, expm, min_sv
+from .matkit import _gramian2, as_matrix, expm, min_sv
 from .signals import PeClass, PwcSignal, verify_pe
 
 __all__ = [
@@ -46,9 +49,12 @@ class GramianReport:
 
 
 def _segment_gramian(A: np.ndarray, Q: np.ndarray, h) -> tuple:
-    """(e^{Ah}, int_0^h e^{As} Q e^{A^T s} ds) via one block exponential;
-    for an array of widths h, stacks of both from one stacked expm."""
+    """(e^{Ah}, int_0^h e^{As} Q e^{A^T s} ds); for an array of widths h,
+    stacks of both.  A planar A takes the closed form, any other size one
+    stacked Van Loan block exponential (IEEE TAC 23(3), 1978)."""
     n = A.shape[0]
+    if n == 2:
+        return _gramian2(A, Q, h)
     C = np.zeros((2 * n, 2 * n))
     C[:n, :n] = -A
     C[:n, n:] = Q
@@ -70,15 +76,26 @@ def _gramians(A: np.ndarray, B: np.ndarray, gates, t: float) -> np.ndarray:
     if t <= 0.0:
         raise DomainError("horizon must be positive")
     pieces = [[(e - s, a) for s, e, a in g.segments(0.0, t)] for g in gates]
-    widths = list(dict.fromkeys(h for p in pieces for h, _ in p))
+    widths = {h: i for i, h in enumerate(
+        dict.fromkeys(h for p in pieces for h, _ in p))}
+    # gates by piece count, longest first: the gates with an i-th piece are
+    # a leading block, advanced together by W <- phi W phi^T + a^2 H
+    order = sorted(range(len(gates)), key=lambda g: -len(pieces[g]))
+    steps = [[p for p in step if p is not None]
+             for step in zip_longest(*(pieces[g] for g in order))]
+    idx = np.array([widths[h] for step in steps for h, _ in step])
+    lev = np.array([a for step in steps for _, a in step])
     with np.errstate(over="ignore", invalid="ignore"):
-        phis, Hs = _segment_gramian(A, B @ B.T, np.array(widths))
-        flows = dict(zip(widths, zip(phis, Hs)))
+        phis, Hs = _segment_gramian(A, B @ B.T, np.array(list(widths)))
         Ws = np.zeros((len(gates),) + A.shape)
-        for W, p in zip(Ws, pieces):
-            for h, a in p:
-                phi, H = flows[h]
-                W[...] = phi @ W @ phi.T + (a * a) * H
+        end = 0
+        for step in steps:
+            k = len(step)
+            i, a, end = idx[end:end + k], lev[end:end + k], end + k
+            phi = phis[i]
+            Ws[:k] = (phi @ Ws[:k] @ np.swapaxes(phi, 1, 2)
+                      + (a * a)[:, None, None] * Hs[i])
+        Ws[order] = Ws.copy()
         Ws = 0.5 * (Ws + np.swapaxes(Ws, 1, 2))
     if not np.all(np.isfinite(Ws)):
         raise DomainError(f"the Gramian over [0, {t!r}] is not finite")

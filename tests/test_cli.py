@@ -818,8 +818,9 @@ class TestVersion:
                               check=True).stdout
 
     def test_import_loads_no_scipy(self):
-        # a planar exponential is in closed form, so only a Gramian, a
-        # Schur form or an exponential of another size imports scipy
+        # a planar exponential and a planar Gramian are in closed form, so
+        # only a Schur form or an exponential or Gramian of another size
+        # imports scipy
         code = ("import sys, pestab.cli; print(sorted(m for m in sys.modules "
                 "if m.split('.')[0] == 'scipy'))")
         assert self.fresh_stdout(code).strip() == "[]"
@@ -828,10 +829,14 @@ class TestVersion:
         (["destabilize", "--k1", "1", "--k2", "1", "--T", "1", "--mu",
           "0.07"], False),
         (["simulate", "--scenario", None], False),
-        # the Gramian's 4x4 Van Loan blocks are scipy's
+        # a planar Gramian is in closed form
         (["threshold", "--preset", "double_integrator", "--T", "1", "--mu",
-          "0.5", "--t-grid", "0.8"], True),
-    ], ids=["destabilize", "simulate-di", "threshold"])
+          "0.5", "--t-grid", "0.8"], False),
+        # a 3-state Gramian's 6x6 Van Loan blocks are scipy's
+        (["threshold", "--A", "[[0, 1, 0], [0, 0, 1], [0, 0, 0]]", "--B",
+          "[[0], [0], [1]]", "--T", "1", "--mu", "0.5", "--t-grid", "0.8"],
+         True),
+    ], ids=["destabilize", "simulate-di", "threshold", "threshold-3-state"])
     def test_scipy_loads_only_where_a_command_needs_it(self, tmp_path, argv,
                                                        loads):
         argv = [a if a is not None else write_scenario(tmp_path, DI_SCENARIO)
@@ -843,12 +848,14 @@ class TestVersion:
                 "print(rc, 'scipy' in sys.modules)")
         assert self.fresh_stdout(code).split() == ["0", str(loads)]
 
-    def test_scipy_loads_at_the_first_gramian(self):
+    def test_scipy_loads_at_the_first_non_planar_gramian(self):
         code = ("import sys\n"
                 "from pestab import gains, reachability, signals\n"
+                "one = signals.PwcSignal.constant(1.0)\n"
+                "reachability.gramian(gains.A_DI, gains.B_DI, one, 1.0)\n"
                 "print('scipy' in sys.modules)\n"
-                "reachability.gramian(gains.A_DI, gains.B_DI, "
-                "signals.PwcSignal.constant(1.0), 1.0)\n"
+                "reachability.gramian([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], "
+                "[0.0, 0.0, 0.0]], [[0.0], [0.0], [1.0]], one, 1.0)\n"
                 "print('scipy' in sys.modules)")
         assert self.fresh_stdout(code).split() == ["False", "True"]
 

@@ -5,11 +5,11 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from pestab.errors import ShapeError
 from pestab.gains import di_gain
-from pestab.matkit import expm, min_sv, one_norm, quad_roots
+from pestab.matkit import _gramian2, expm, min_sv, one_norm, quad_roots
 from pestab.signals import PeClass
 
 A_DI = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -93,6 +93,72 @@ def _oracle_cases():
     return cases
 
 
+def gramian_oracle(a, q, h):
+    """(e^{ah}, int_0^h e^{as} q e^{a^T s} ds) at 50 digits, independent of
+    the closed form: a Van Loan block exponential at u = h / 2^k, with
+    ||a u||_1 <= 2^-8 so that its blocks cannot cancel, then k doublings
+    G(2u) = G(u) + e^{au} G(u) e^{a^T u}, sums of semidefinite terms.  The
+    block's corner is linear in q, so it takes q / max|q| in place of q u
+    and is scaled back after: entries of any size keep their 50 digits."""
+    scale = float(np.max(np.abs(q)))
+    with mpmath.workdps(50):
+        A = mpmath.matrix(np.asarray(a).tolist())
+        Q = mpmath.matrix(np.asarray(q).tolist()) / (scale or 1.0)
+        norm = max(abs(A[0, j]) + abs(A[1, j]) for j in range(2))
+        k = 0
+        while norm * h > 2.0 ** (k - 8):
+            k += 1
+        u = mpmath.mpf(h) / 2 ** k
+        C = mpmath.zeros(4, 4)
+        for i, j in itertools.product(range(2), range(2)):
+            C[i, j], C[i, 2 + j], C[2 + i, 2 + j] = (
+                -A[i, j] * u, Q[i, j], A[j, i] * u)
+        E = mpmath.expm(C)
+        phi = E[2:4, 2:4].T
+        G = phi * E[0:2, 2:4] * (u * scale)
+        for _ in range(k):
+            G, phi = G + phi * G * phi.T, phi * phi
+        return phi, G
+
+
+def gramian_errors(a, b, h):
+    """_gramian2's normwise 1-norm errors against the 50-digit oracle:
+    e^{ah}'s in units of eps (1 + ||h a||_1), below the normal doubles
+    measured against the smallest normal, and the Gramian's in units of
+    eps ||G||_1."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    q = b @ b.T
+    got = _gramian2(a, q, h)
+    want = gramian_oracle(a, q, h)
+    with mpmath.workdps(50):
+        errs = []
+        for g, w in zip(got, want):
+            size = max(abs(w[0, j]) + abs(w[1, j]) for j in range(2))
+            err = max(sum(abs(mpmath.mpf(g[i, j]) - w[i, j]) for i in range(2))
+                      for j in range(2))
+            errs.append(float(err / max(size, 2.0 ** -1022)) / EPS)
+    return errs[0] / (1.0 + h * one_norm(a)), errs[1]
+
+
+def _gramian_cases():
+    """(a, b, h): every distinct matrix of _oracle_cases at one width, the
+    widths 1e-8 to 10 taken in turn, and both presets and the stiff
+    near-defective block at every width; only where the Gramian, about
+    e^{2 h max Re eig a}, stays within the doubles."""
+    widths = np.geomspace(1e-8, 10.0, 10)
+    inputs = [B_DI, np.array([[1.0], [0.0]]), np.array([[1.0], [-0.5]])]
+    mats = {np.asarray(m, dtype=float).tobytes(): np.asarray(m, dtype=float)
+            for m, _ in _oracle_cases()}
+    cases = [(m, inputs[i % 3], widths[i % 10])
+             for i, m in enumerate(mats.values())]
+    stiff = np.array([[-2.0, 1000.0], [0.0, -2.0 + 1e-12]])
+    for h in widths:
+        cases += [(A_DI, B_DI, h), (ROT, B_DI, h), (stiff, inputs[0], h),
+                  (stiff, inputs[2], h), (stiff.T, inputs[1], h)]
+    return [(m, b, h) for m, b, h in cases
+            if 2.0 * h * np.linalg.eigvals(m).real.max() <= 700.0]
+
+
 class TestPlanarClosedForm:
     def test_matches_a_50_digit_oracle(self):
         # within 32 eps (1 + ||t m||_1) normwise on every family; scipy's
@@ -173,6 +239,86 @@ class TestPlanarClosedForm:
             for m in stack:
                 assert expm(m, t).tobytes() == \
                     scipy.linalg.expm(t * m).tobytes()
+
+
+@st.composite
+def planar_gramian_cases(draw):
+    """(a, b, h): entries of a of magnitude up to 1e3, a width from 1e-8 to
+    10, with the Gramian within the doubles.  b's entries are multiples of
+    2^-10, so q = b b^T is exact and of rank one: the oracle's Gramian is
+    then b's, not that of a rounded q whose second, rounding-sized
+    eigenvalue a fast mode can amplify past the bound."""
+    entry = st.tuples(st.floats(-1.0, 1.0), st.integers(-3, 2)).map(
+        lambda p: p[0] * 10.0 ** p[1])
+    a = np.array(draw(st.lists(entry, min_size=4, max_size=4))).reshape(2, 2)
+    b = np.array(draw(st.lists(st.integers(-1024, 1024), min_size=2,
+                               max_size=2))).reshape(2, 1) / 1024.0
+    h = 10.0 ** draw(st.floats(-8.0, 1.0))
+    assume(2.0 * h * np.linalg.eigvals(a).real.max() <= 700.0)
+    assume(np.any(b != 0.0))
+    return a, b, h
+
+
+class TestPlanarGramian:
+    def test_matches_a_50_digit_oracle(self):
+        # e^{ah} within 32 eps (1 + ||h a||_1) and G within 1024 eps
+        # ||G||_1, normwise, on 507 cases; the worst G reads 555 eps, at
+        # 2 h max Re eig a = 663.  A scipy Van Loan block, whose e^{-ah}
+        # grows with the most negative eigenvalue, reads more than 1024 eps
+        # on 44 of these cases, up to 4.9e128 eps, and is not finite on 8
+        cases = _gramian_cases()
+        assert len(cases) >= 500
+        errs = [gramian_errors(a, b, h) for a, b, h in cases]
+        assert max(e for e, _ in errs) <= 32.0
+        assert max(e for _, e in errs) <= 1024.0
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              database=None)
+    @given(planar_gramian_cases())
+    # delta = 0 exactly, on the series side of the switch at |c| + 2
+    # sqrt|y| = 1 (c = 2 tau h, y = delta h^2) and past it
+    @example(([[0.25, 1.0], [0.0, 0.25]], B_DI, 2.0))
+    @example(([[0.25, 1.0], [0.0, 0.25]], B_DI, 2.0000001))
+    # tau = 0: a rotation and a saddle on either side of the switch
+    @example((ROT, B_DI, 0.5))
+    @example((ROT, B_DI, 0.5000001))
+    @example(([[0.0, 1.0], [1.0, 0.0]], [[1.0], [0.3]], 0.5))
+    @example(([[0.0, 1.0], [1.0, 0.0]], [[1.0], [0.3]], 0.5000001))
+    # delta < 0 with sqrt(-delta) h at and near pi
+    @example((ROT, B_DI, math.pi))
+    @example(([[-0.1, -1.0], [1.0, -0.1]], [[1.0], [0.3]],
+              math.pi * (1.0 - 1e-9)))
+    # a zero eigenvalue, a node at 0 far from the other
+    @example(([[0.0, 1.0], [0.0, -1.0]], B_DI, 5.0))
+    # e^{2 tau h} near the largest double, delta = 0 and delta > 0
+    @example(([[354.0, 1.0], [0.0, 354.0]], B_DI, 1.0))
+    @example(([[350.0, 1.0], [1.0, 350.0]], [[1.0], [0.3]], 1.01))
+    def test_regime_edges_match_the_oracle(self, case):
+        # both within 32 eps (1 + ||h a||_1), the yardstick of expm: the
+        # Gramian's rounding grows with the exponent, e^{2 h max Re eig a}
+        a, _, h = case
+        e_phi, e_g = gramian_errors(*case)
+        assert e_phi <= 32.0
+        assert e_g <= 32.0 * (1.0 + h * one_norm(a))
+
+    @PROPERTY
+    @given(planar_gramian_cases(),
+           st.lists(st.floats(-8.0, 1.0).map(lambda e: 10.0 ** e),
+                    min_size=1, max_size=8))
+    @example(([[0.0, 1.0], [0.0, 0.0]], B_DI, 1.0), [0.0, 1e-8, 3.0])
+    @example((ROT, B_DI, 1.0), [0.5, 0.5000001, math.pi])
+    def test_each_width_keeps_its_bits(self, case, widths):
+        # alone, as a scalar, and inside any stack: the battery's Gramians
+        # keep each gate's own bits
+        a, b, _ = case
+        a, q = np.asarray(a, dtype=float), np.asarray(b) @ np.asarray(b).T
+        stacks = [_gramian2(a, q, np.array(widths)),
+                  _gramian2(a, q, np.array(widths[::-1]))]
+        for i, h in enumerate(widths):
+            one = [x.tobytes() for x in _gramian2(a, q, h)]
+            assert one == [x[0].tobytes() for x in _gramian2(a, q, [h])]
+            for k, (phis, gs) in zip((i, len(widths) - 1 - i), stacks):
+                assert one == [phis[k].tobytes(), gs[k].tobytes()]
 
 
 class TestExpm:

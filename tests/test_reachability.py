@@ -193,13 +193,22 @@ class TestGramian:
             assert rep.claim == claim
             assert repr(rep.evidence["worst_relative_min_sv"]) == repr(worst)
 
-    @pytest.mark.parametrize("call", [
-        lambda A, B: gramian(A, B, PwcSignal.constant(1.0), 100.0),
-        lambda A, B: threshold_check(A, B, PeClass(200.0, 100.0), 100.0, []),
-        lambda A, B: threshold_check(A, B, CLS, 100.0,
-                                     make_battery(CLS, 5).signals)],
-        ids=["gramian", "adversarial", "battery"])
-    def test_overflow_refused(self, call):
+    @pytest.mark.parametrize("call, A, B", [
+        pytest.param(call, A, B, id=name + suffix)
+        for name, call in [
+            ("gramian",
+             lambda A, B: gramian(A, B, PwcSignal.constant(1.0), 100.0)),
+            ("adversarial",
+             lambda A, B: threshold_check(A, B, PeClass(200.0, 100.0), 100.0,
+                                          [])),
+            ("battery",
+             lambda A, B: threshold_check(A, B, CLS, 100.0,
+                                          make_battery(CLS, 5).signals))]
+        for suffix, A, B in [
+            ("", [[5.0]], [[1.0]]),
+            # the planar closed form, not a Van Loan block
+            ("-planar", [[5.0, 1.0], [0.0, 5.0]], [[0.0], [1.0]])]])
+    def test_overflow_refused(self, call, A, B):
         # e^{10 t} overflows: the Gramian printed RuntimeWarnings and was
         # refused as min_sv's argument, and the batched SVD of its inf
         # entries reads nan, which compares as a verdict
@@ -207,7 +216,7 @@ class TestGramian:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(DomainError, match=r"the Gramian over "
                                r"\[0, 100.0\] is not finite"):
-                call([[5.0]], [[1.0]])
+                call(A, B)
 
 
 class TestKalmanRank:
